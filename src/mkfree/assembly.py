@@ -12,7 +12,6 @@ contributions are bitwise identical.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -36,7 +35,6 @@ __all__ = [
     "assemble_stiffness",
     "assemble_load",
     "apply_bcs",
-    "active_cells",
 ]
 
 _GL = 1.0 / np.sqrt(3.0)   # 2-point Gauss-Legendre abscissae on [-1, 1]
@@ -64,7 +62,7 @@ def cell_gauss_points(grid: BackgroundGrid, cell: tuple) -> list[GaussPoint]:
 
 
 def gauss_points(grid: BackgroundGrid) -> list[GaussPoint]:
-    """All Gauss points of the grid's (active) cells."""
+    """All Gauss points of the grid's cells."""
     out = []
     for cell in grid.cells():
         out.extend(cell_gauss_points(grid, cell))
@@ -78,17 +76,6 @@ def gauss_point_active(point, cloud: NodeCloud,
     dist, _ = cloud.tree.query(np.asarray(point, dtype=float), k=1)
     d_c = local_spacing(point, cloud)
     return bool(dist <= cfg.activity_factor * d_c)
-
-
-def active_cells(grid: BackgroundGrid, cloud: NodeCloud,
-                 cfg: MeshlessConfig = DEFAULT_CONFIG) -> frozenset:
-    """Cells with at least one active Gauss point for ``cloud``."""
-    out = set()
-    for cell in grid.all_cells():
-        if any(gauss_point_active(gp.position, cloud, cfg)
-               for gp in cell_gauss_points(grid, cell)):
-            out.add(cell)
-    return frozenset(out)
 
 
 def constitutive(mat: MaterialModel) -> np.ndarray:
@@ -169,10 +156,6 @@ class StiffnessSystem:
     @property
     def n_dofs(self) -> int:
         return self.K.shape[0]
-
-    @cached_property
-    def K_dense(self) -> np.ndarray:
-        return self.K.toarray()
 
     def with_load(self, F: np.ndarray) -> "StiffnessSystem":
         return replace(self, F=np.asarray(F, dtype=float))

@@ -34,10 +34,8 @@ class BasisMatrix:
 
 @dataclass(frozen=True)
 class ReducedSystem:
-    """Reduced s x s system and its coefficient solution."""
+    """Coefficient solution of the reduced s x s system."""
 
-    K_R: np.ndarray
-    F_R: np.ndarray
     y: np.ndarray
     rank: int
 
@@ -72,12 +70,12 @@ def build_basis(factor: CholeskyFactor, dK: sp.spmatrix, F: np.ndarray,
 
 def reduce_and_solve(U_B: np.ndarray, K_m: sp.spmatrix, F: np.ndarray
                      ) -> ReducedSystem:
-    """Galerkin reduction K_R = U_B^T K_m U_B, F_R = U_B^T F, solve for y.
+    """Galerkin reduction K_R = W^T K_m W, F_R = W^T F, solve for y.
 
-    Columns are norm-scaled to the first column before reduction (the
+    W is U_B with its columns norm-scaled to the first column (the
     recurrence decays or grows geometrically); linearly dependent columns
-    are dropped by a rank-revealing solve.  The returned K_R, F_R, y live
-    in the unscaled basis space, so U = U_B @ y.
+    are dropped by a rank-revealing solve.  The returned y lives in the
+    unscaled basis space, so U = U_B @ y.
     """
     U_B = np.asarray(U_B, dtype=float)
     F = np.asarray(F, dtype=float)
@@ -86,26 +84,20 @@ def reduce_and_solve(U_B: np.ndarray, K_m: sp.spmatrix, F: np.ndarray
     ref = norms[0]
     if ref == 0.0:
         # zero load: the solution is zero regardless of the basis
-        KR = U_B.T @ (K_m @ U_B)
-        return ReducedSystem(K_R=KR, F_R=np.zeros(s), y=np.zeros(s), rank=0)
+        return ReducedSystem(y=np.zeros(s), rank=0)
     keep = norms > _NEGLIGIBLE * ref
-    scales = np.where(keep, np.divide(ref, norms, where=keep), 0.0)
+    scales = np.divide(ref, norms, out=np.zeros(s), where=keep)
     W = U_B * scales
 
-    K_R_w = W.T @ (K_m @ W)
-    K_R_w = 0.5 * (K_R_w + K_R_w.T)
-    F_R_w = W.T @ F
-    U, sig, Vt = np.linalg.svd(K_R_w)
+    K_R = W.T @ (K_m @ W)
+    K_R = 0.5 * (K_R + K_R.T)
+    F_R = W.T @ F
+    U, sig, Vt = np.linalg.svd(K_R)
     rank = int(np.sum(sig > _RANK_TOL * sig[0])) if sig[0] > 0 else 0
     if rank == 0:
         raise NumericalError("reduced stiffness matrix has rank 0")
-    y_w = Vt[:rank].T @ ((U[:, :rank].T @ F_R_w) / sig[:rank])
-    y = scales * y_w
-
-    K_R = U_B.T @ (K_m @ U_B)
-    K_R = 0.5 * (K_R + K_R.T)
-    F_R = U_B.T @ F
-    return ReducedSystem(K_R=K_R, F_R=F_R, y=y, rank=rank)
+    y_w = Vt[:rank].T @ ((U[:, :rank].T @ F_R) / sig[:rank])
+    return ReducedSystem(y=scales * y_w, rank=rank)
 
 
 def combine(U_B: np.ndarray, y: np.ndarray) -> np.ndarray:

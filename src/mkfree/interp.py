@@ -108,10 +108,9 @@ def select_support(point, cloud: NodeCloud, cfg: MeshlessConfig = DEFAULT_CONFIG
 
 @dataclass(frozen=True)
 class KrigingSystem:
-    """Correlation/polynomial system of one support selection."""
+    """Transfer matrices of one support selection's correlation/polynomial
+    system."""
 
-    R_corr: np.ndarray    # (n, n)
-    P_poly: np.ndarray    # (n, m)
     S_a: np.ndarray       # (m, n)
     S_b: np.ndarray       # (n, n)
     theta: float
@@ -168,7 +167,7 @@ def build_system(sel: SupportSelection, theta: float | None = None,
         raise ConditioningError(
             f"interpolation system residuals too large ({res1:.2e}, {res2:.2e})",
             cond_estimate=float(np.linalg.cond(R)))
-    return KrigingSystem(R_corr=R, P_poly=P, S_a=S_a, S_b=S_b, theta=theta)
+    return KrigingSystem(S_a=S_a, S_b=S_b, theta=theta)
 
 
 @dataclass(frozen=True)

@@ -88,7 +88,6 @@ class BackgroundGrid:
     origin: np.ndarray      # (dim,)
     cell_size: np.ndarray   # (dim,)
     counts: tuple           # (dim,) ints
-    active_cells: frozenset | None = None   # None -> every cell is active
 
     def __post_init__(self):
         origin = np.asarray(self.origin, dtype=float)
@@ -101,25 +100,14 @@ class BackgroundGrid:
             raise ValidationError("cell_size must be positive on every axis")
         if any(c <= 0 for c in counts):
             raise ValidationError("cell counts must be positive")
-        if self.active_cells is not None:
-            for idx in self.active_cells:
-                if len(idx) != len(counts) or any(
-                    not (0 <= i < c) for i, c in zip(idx, counts)
-                ):
-                    raise ValidationError(f"active cell {idx} out of range")
 
     @property
     def dim(self) -> int:
         return len(self.counts)
 
-    def all_cells(self):
-        return list(np.ndindex(*self.counts))
-
     def cells(self):
-        """Cells to integrate over (active set, or all when unset)."""
-        if self.active_cells is None:
-            return self.all_cells()
-        return sorted(self.active_cells)
+        """Every cell index, in row-major order."""
+        return list(np.ndindex(*self.counts))
 
     def cell_bounds(self, idx):
         lo = self.origin + np.asarray(idx, dtype=float) * self.cell_size
@@ -243,11 +231,6 @@ class Modification:
             and self.bc_change is None
         )
 
-    @property
-    def is_dof_constant(self) -> bool:
-        """True when the node set is unchanged (pure material/BC change)."""
-        return not self.changes_nodes
-
 
 @dataclass(frozen=True)
 class DofMap:
@@ -336,50 +319,78 @@ def apply_modification(cloud: NodeCloud, mod: Modification,
 # JSON (de)serialization
 
 
-def _parse_model_dict(data: dict):
-    try:
-        dim = int(data["dim"])
-        nodes = data["nodes"]
-        ids = [n["id"] for n in nodes]
-        coords = [n["x"] for n in nodes]
-        grid_d = data["grid"]
-        mat_d = data["material"]
-        bc_d = data.get("bc", {})
-    except (KeyError, TypeError) as exc:
-        raise ValidationError(f"malformed model file: missing {exc}") from exc
+def _material_from_dict(d: dict, dim: int) -> MaterialModel:
+    material = MaterialModel(
+        young_modulus=float(d["E"]), poisson_ratio=float(d["nu"]),
+        mode=d.get("mode", "plane_stress" if dim == 2 else "solid_3d"))
+    if material.dim != dim:
+        raise ValidationError("material mode does not match model dim")
+    return material
 
-    cloud = NodeCloud(ids=np.asarray(ids), coords=np.asarray(coords, dtype=float),
+
+def _material_to_dict(m: MaterialModel) -> dict:
+    return {"E": m.young_modulus, "nu": m.poisson_ratio, "mode": m.mode}
+
+
+def _bc_from_dict(d: dict) -> BoundaryConditions:
+    return BoundaryConditions(
+        fixed_dofs=tuple((n, a) for n, a in d.get("fixed", [])),
+        point_loads=tuple((n, a, v) for n, a, v in d.get("point_loads", [])),
+        tractions=tuple(Traction(start=t["from"], end=t["to"], q=t["q"])
+                        for t in d.get("tractions", [])),
+    )
+
+
+def _bc_to_dict(bc: BoundaryConditions) -> dict:
+    return {
+        "fixed": [[n, a] for n, a in bc.fixed_dofs],
+        "point_loads": [[n, a, v] for n, a, v in bc.point_loads],
+        "tractions": [
+            {"from": list(map(float, t.start)), "to": list(map(float, t.end)),
+             "q": list(map(float, t.q))}
+            for t in bc.tractions
+        ],
+    }
+
+
+def _load_json(path, what: str, parse, *args):
+    """Read ``path`` and build objects from it with ``parse(data, *args)``.
+
+    Unreadable JSON is a ParseError; a missing key or a value of the wrong
+    type or shape is a ValidationError naming the problem.
+    """
+    with open(path) as fh:
+        try:
+            data = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ParseError(f"cannot parse {path}: {exc}") from exc
+    try:
+        return parse(data, *args)
+    except (KeyError, TypeError, ValueError, AttributeError) as exc:
+        detail = f"missing {exc}" if isinstance(exc, KeyError) else exc
+        raise ValidationError(f"malformed {what}: {detail}") from exc
+
+
+def _parse_model_dict(data: dict):
+    dim = int(data["dim"])
+    nodes = data["nodes"]
+    cloud = NodeCloud(ids=np.asarray([n["id"] for n in nodes]),
+                      coords=np.asarray([n["x"] for n in nodes], dtype=float),
                       dim=dim)
+    grid_d = data["grid"]
     grid = BackgroundGrid(origin=grid_d["origin"], cell_size=grid_d["cell_size"],
                           counts=grid_d["counts"])
     if grid.dim != dim:
         raise ValidationError("grid dimensionality does not match model dim")
-    material = MaterialModel(young_modulus=float(mat_d["E"]),
-                             poisson_ratio=float(mat_d["nu"]),
-                             mode=mat_d.get("mode",
-                                            "plane_stress" if dim == 2 else "solid_3d"))
-    if material.dim != dim:
-        raise ValidationError("material mode does not match model dim")
-    bc = BoundaryConditions(
-        fixed_dofs=tuple((n, a) for n, a in bc_d.get("fixed", [])),
-        point_loads=tuple((n, a, v) for n, a, v in bc_d.get("point_loads", [])),
-        tractions=tuple(
-            Traction(start=t["from"], end=t["to"], q=t["q"])
-            for t in bc_d.get("tractions", [])
-        ),
-    )
+    material = _material_from_dict(data["material"], dim)
+    bc = _bc_from_dict(data.get("bc", {}))
     bc.validate_against(cloud)
     return cloud, grid, material, bc
 
 
 def load_model(path):
     """Load and validate a model JSON file."""
-    with open(path) as fh:
-        try:
-            data = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"cannot parse {path}: {exc}") from exc
-    return _parse_model_dict(data)
+    return _load_json(path, "model file", _parse_model_dict)
 
 
 def model_to_dict(cloud: NodeCloud, grid: BackgroundGrid, material: MaterialModel,
@@ -393,17 +404,8 @@ def model_to_dict(cloud: NodeCloud, grid: BackgroundGrid, material: MaterialMode
             "cell_size": list(map(float, grid.cell_size)),
             "counts": list(grid.counts),
         },
-        "material": {"E": material.young_modulus, "nu": material.poisson_ratio,
-                     "mode": material.mode},
-        "bc": {
-            "fixed": [[n, a] for n, a in bc.fixed_dofs],
-            "point_loads": [[n, a, v] for n, a, v in bc.point_loads],
-            "tractions": [
-                {"from": list(map(float, t.start)), "to": list(map(float, t.end)),
-                 "q": list(map(float, t.q))}
-                for t in bc.tractions
-            ],
-        },
+        "material": _material_to_dict(material),
+        "bc": _bc_to_dict(bc),
     }
 
 
@@ -411,23 +413,10 @@ def _parse_modification_dict(data: dict, dim: int) -> Modification:
     added = data.get("add", [])
     material = None
     if data.get("material") is not None:
-        mat_d = data["material"]
-        material = MaterialModel(young_modulus=float(mat_d["E"]),
-                                 poisson_ratio=float(mat_d["nu"]),
-                                 mode=mat_d.get("mode",
-                                                "plane_stress" if dim == 2
-                                                else "solid_3d"))
+        material = _material_from_dict(data["material"], dim)
     bc = None
     if data.get("bc") is not None:
-        bc_d = data["bc"]
-        bc = BoundaryConditions(
-            fixed_dofs=tuple((n, a) for n, a in bc_d.get("fixed", [])),
-            point_loads=tuple((n, a, v) for n, a, v in bc_d.get("point_loads", [])),
-            tractions=tuple(
-                Traction(start=t["from"], end=t["to"], q=t["q"])
-                for t in bc_d.get("tractions", [])
-            ),
-        )
+        bc = _bc_from_dict(data["bc"])
     return Modification(
         added_ids=tuple(n["id"] for n in added),
         added_coords=np.asarray([n["x"] for n in added], dtype=float).reshape(
@@ -439,12 +428,8 @@ def _parse_modification_dict(data: dict, dim: int) -> Modification:
 
 
 def load_modification(path, dim: int) -> Modification:
-    with open(path) as fh:
-        try:
-            data = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"cannot parse {path}: {exc}") from exc
-    return _parse_modification_dict(data, dim)
+    return _load_json(path, "modification file", _parse_modification_dict,
+                      dim)
 
 
 def modification_to_dict(mod: Modification) -> dict:
@@ -454,17 +439,7 @@ def modification_to_dict(mod: Modification) -> dict:
         "remove": sorted(mod.removed_ids),
     }
     if mod.material_change is not None:
-        m = mod.material_change
-        out["material"] = {"E": m.young_modulus, "nu": m.poisson_ratio, "mode": m.mode}
+        out["material"] = _material_to_dict(mod.material_change)
     if mod.bc_change is not None:
-        bc = mod.bc_change
-        out["bc"] = {
-            "fixed": [[n, a] for n, a in bc.fixed_dofs],
-            "point_loads": [[n, a, v] for n, a, v in bc.point_loads],
-            "tractions": [
-                {"from": list(map(float, t.start)), "to": list(map(float, t.end)),
-                 "q": list(map(float, t.q))}
-                for t in bc.tractions
-            ],
-        }
+        out["bc"] = _bc_to_dict(mod.bc_change)
     return out

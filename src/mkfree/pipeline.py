@@ -3,14 +3,14 @@ test suite.
 
 A baseline full analysis produces the initial stiffness, factor, and
 displacement.  For a modification, everything is lifted onto the union DOF
-space (initial U modified nodes); the stiffness delta comes from the local
-updating strategy when the modification changes the node set, and from a
-global reassembly otherwise.
+space (initial U modified nodes); the modified stiffness comes from the
+local updating strategy, or from a global reassembly when a material
+change rules the local strategy out.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -18,14 +18,11 @@ import scipy.sparse as sp
 from .assembly import (StiffnessSystem, apply_bcs, assemble_load,
                        assemble_stiffness)
 from .config import DEFAULT_CONFIG, MeshlessConfig
-from .errors import ValidationError
 from .model import (BackgroundGrid, BoundaryConditions, DofMap, MaterialModel,
-                    Modification, NodeCloud, apply_modification,
-                    identity_dof_map)
+                    Modification, NodeCloud, apply_modification)
 from .recovery import FieldSolution, recover_fields
 from .solver import CholeskyFactor, factorize, solve
-from .update import (LocalUpdateUnavailableError, StiffnessDelta, delta_for_bcs,
-                     global_update, local_delta)
+from .update import LocalUpdateUnavailableError, global_update, local_delta
 from . import ca as _ca
 from . import ifu as _ifu
 
@@ -118,89 +115,63 @@ class ModifiedCase:
     dof_map: DofMap
     material: MaterialModel
     bc: BoundaryConditions
-    star_raw: StiffnessSystem    # initial K on union space, pre-BC
     star: StiffnessSystem        # initial K on union space, BC-applied
     factor: CholeskyFactor       # factor of star.K
     U_star: np.ndarray           # initial displacement on union space
-    delta: StiffnessDelta        # BC-applied stiffness delta
+    dK: sp.csr_matrix            # BC-applied stiffness delta, K_m - star.K
     K_m: sp.csr_matrix           # BC-applied modified stiffness
     F: np.ndarray                # modified load, constrained entries zeroed
     update_path: str             # "local" | "global"
     influence: object = None     # InfluenceDomain for the local path
     fallback_reason: str | None = None
 
-    @property
-    def dK(self) -> sp.csr_matrix:
-        return self.delta.dK
 
-
-def prepare_modified(baseline: Baseline, mod: Modification,
-                     update: str = "auto") -> ModifiedCase:
+def prepare_modified(baseline: Baseline, mod: Modification) -> ModifiedCase:
     """Build the union-space systems and the stiffness delta for ``mod``.
 
-    ``update`` selects the stiffness updating strategy: "local", "global",
-    or "auto" (local whenever the modification changes the node set,
-    falling back to global otherwise).
+    The modified pre-BC stiffness is the initial one plus the local delta,
+    or a global reassembly when the local strategy refuses the modification
+    (a material change; the reason is kept in ``fallback_reason``).  The
+    modified boundary conditions are then applied to it, and the delta is
+    taken between the two BC-applied matrices, so CA and IFU see one
+    consistent pair whatever changed.
     """
-    if update not in ("auto", "local", "global"):
-        raise ValidationError(f"unknown update strategy {update!r}")
     cfg = baseline.cfg
     cloud_mod, dof_map = apply_modification(baseline.cloud, mod, baseline.bc)
     mat_new = mod.material_change or baseline.material
     bc_new = mod.bc_change or baseline.bc
     bc_new.validate_against(cloud_mod)
 
-    star_raw = _expand_to_union(baseline.raw, dof_map)
     star = _expand_to_union(baseline.system, dof_map)
     factor = _expand_factor(baseline, star, dof_map)
-    n_init = baseline.system.n_dofs
     U_star = np.zeros(dof_map.n_dofs)
     U_star[dof_map.dofs_of(baseline.system.dof_map.node_ids)] = baseline.U
 
-    influence = None
-    fallback = None
-    path = update
-    delta_raw = None
-    if update != "global":
-        try:
-            influence, delta_raw = local_delta(
-                mod, baseline.cloud, cloud_mod, baseline.grid,
-                mat_new, dof_map, cfg)
-            path = "local"
-        except LocalUpdateUnavailableError as exc:
-            if update == "local":
-                raise
-            fallback = str(exc)
-            path = "global"
-    if path == "global":
-        mod_raw = global_update(cloud_mod, baseline.grid, mat_new, dof_map, cfg)
-        dK_raw = (mod_raw.K - star_raw.K).tocsr()
-        dK_raw.eliminate_zeros()
-        delta_raw = StiffnessDelta(dK=dK_raw,
-                                   touched_dofs=np.unique(dK_raw.nonzero()[0]))
-        K_m_raw = mod_raw.K
+    influence = fallback = None
+    try:
+        influence, delta_raw = local_delta(
+            mod, baseline.cloud, cloud_mod, baseline.grid, mat_new, dof_map,
+            cfg)
+    except LocalUpdateUnavailableError as exc:
+        fallback = str(exc)
+        K_m_raw = global_update(cloud_mod, baseline.grid, mat_new, dof_map,
+                                cfg).K
     else:
-        K_m_raw = (star_raw.K + delta_raw.dK).tocsr()
+        K_m_raw = (_expand_to_union(baseline.raw, dof_map).K
+                   + delta_raw.dK).tocsr()
 
     F_mod = assemble_load(cloud_mod, bc_new, dof_map, cfg)
-    modified_sys = StiffnessSystem(K=K_m_raw, F=F_mod, dof_map=dof_map)
-    modified_bc = apply_bcs(modified_sys, bc_new)
-    if bc_new is baseline.bc and star.constrained == modified_bc.constrained:
-        delta_bc = delta_for_bcs(delta_raw, star.constrained)
-        K_m = (star.K + delta_bc.dK).tocsr()
-    else:
-        dK_bc = (modified_bc.K - star.K).tocsr()
-        dK_bc.eliminate_zeros()
-        delta_bc = StiffnessDelta(dK=dK_bc,
-                                  touched_dofs=np.unique(dK_bc.nonzero()[0]))
-        K_m = modified_bc.K
+    modified = apply_bcs(StiffnessSystem(K=K_m_raw, F=F_mod, dof_map=dof_map),
+                         bc_new)
+    dK = (modified.K - star.K).tocsr()
+    dK.eliminate_zeros()
 
     return ModifiedCase(
         baseline=baseline, mod=mod, cloud_mod=cloud_mod, dof_map=dof_map,
-        material=mat_new, bc=bc_new, star_raw=star_raw, star=star,
-        factor=factor, U_star=U_star, delta=delta_bc, K_m=K_m,
-        F=modified_bc.F, update_path=path, influence=influence,
-        fallback_reason=fallback)
+        material=mat_new, bc=bc_new, star=star, factor=factor, U_star=U_star,
+        dK=dK, K_m=modified.K, F=modified.F,
+        update_path="local" if fallback is None else "global",
+        influence=influence, fallback_reason=fallback)
 
 
 def _restrict(case: ModifiedCase, U: np.ndarray) -> FieldSolution:
@@ -210,11 +181,8 @@ def _restrict(case: ModifiedCase, U: np.ndarray) -> FieldSolution:
 
 def run_ca(case: ModifiedCase, s: int = 10):
     """CA reanalysis; returns (U, FieldSolution, diagnostics dict)."""
-    mask = case.dof_map.active_modified
-    if mask.all():
-        mask = None
     U, basis, reduced = _ca.ca_solve(case.factor, case.dK, case.K_m, case.F,
-                                     s, mask=mask)
+                                     s, mask=case.dof_map.active_modified)
     diag = {"method": "ca", "s": s, "rank": reduced.rank,
             "update_path": case.update_path}
     return U, _restrict(case, U), diag

@@ -3,9 +3,10 @@
 The local strategy finds the Gauss points whose integration actually changes
 (support node set or material-domain activity differs between the initial
 and modified clouds) and re-integrates only those, giving a stiffness delta
-that matches a global reassembly difference exactly.  The strategy refuses
-DOF-constant modifications (pure material/BC changes), for which the global
-path is the only option.
+that matches a global reassembly difference exactly.  A material change
+alters every Gauss contribution, so the strategy refuses it and the global
+reassembly is the only option; a modification that leaves the node set
+unchanged otherwise (empty, or a BC-only change) has a zero delta.
 """
 
 from __future__ import annotations
@@ -15,12 +16,11 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .assembly import (StiffnessSystem, assemble_stiffness, cell_gauss_points,
-                       constitutive, gauss_contribution, gauss_point_active,
-                       gauss_points)
+from .assembly import (StiffnessSystem, assemble_stiffness, constitutive,
+                       gauss_contribution, gauss_point_active, gauss_points)
 from .config import DEFAULT_CONFIG, MeshlessConfig
 from .errors import MkfreeError, SupportDeficiencyError, ValidationError
-from .interp import local_spacing, select_support
+from .interp import select_support
 from .model import (BackgroundGrid, DofMap, MaterialModel, Modification,
                     NodeCloud)
 
@@ -33,12 +33,11 @@ __all__ = [
     "compute_delta",
     "local_delta",
     "global_update",
-    "delta_for_bcs",
 ]
 
 
 class LocalUpdateUnavailableError(MkfreeError):
-    """The local strategy does not apply (no node-set change)."""
+    """The local strategy does not apply (material change)."""
 
 
 def changed_nodes(mod: Modification) -> list[int]:
@@ -62,24 +61,9 @@ def _support_signature(point, cloud: NodeCloud, cfg: MeshlessConfig):
 class InfluenceDomain:
     """Gauss points and nodes affected by a node-set modification."""
 
-    seed_cells: frozenset
-    ring_cells: frozenset
     affected_gauss: tuple            # GaussPoint objects
     influence_node_ids: np.ndarray   # nodes supporting any affected point
     n_gauss_total: int
-    n_outside_ring: int              # affected points the cell ring missed
-
-
-def _ring_closure(seeds, counts, width: int) -> frozenset:
-    cells = set()
-    counts = np.asarray(counts)
-    for seed in seeds:
-        seed = np.asarray(seed)
-        lo = np.maximum(seed - width, 0)
-        hi = np.minimum(seed + width, counts - 1)
-        for idx in np.ndindex(*(hi - lo + 1)):
-            cells.add(tuple(int(v) for v in (lo + np.asarray(idx))))
-    return frozenset(cells)
 
 
 def build_influence_domain(changed: list[int], cloud_initial: NodeCloud,
@@ -89,37 +73,23 @@ def build_influence_domain(changed: list[int], cloud_initial: NodeCloud,
     """Locate every Gauss point whose contribution differs between the
     initial and modified clouds.
 
-    Seed cells contain the changed nodes; the contiguous-cell ring around
-    them (width = ceil(d_m / min cell edge) + 1, vertex adjacency) is where
-    affected points are expected.  Because irregular spacing can push a
-    support radius past the ring, every remaining Gauss point is screened
-    with the same cheap support-signature comparison, so the resulting
-    delta is exact by construction; out-of-ring hits are only a diagnostic.
+    Every Gauss point is screened with a cheap support-signature
+    comparison (activity plus the exact support node set), so the
+    resulting delta is exact by construction.
     """
     if not changed:
         raise ValidationError("influence domain of an empty modification")
-    positions = []
     for nid in changed:
         src = cloud_modified if cloud_modified.has_node(nid) else cloud_initial
         if not src.has_node(nid):
             raise ValidationError(f"changed node {nid} not found in either cloud")
-        positions.append(src.coord_of(nid))
-    for pos in positions:
+        pos = src.coord_of(nid)
         if not grid.contains(pos):
             raise ValidationError(f"changed node at {pos.tolist()} outside grid")
-
-    seed_cells = frozenset(grid.cell_of(p) for p in positions)
-    d_c_ref = max(
-        max(local_spacing(p, cloud_initial) for p in positions),
-        max(local_spacing(p, cloud_modified) for p in positions),
-    )
-    width = int(np.ceil(cfg.alpha * d_c_ref / float(np.min(grid.cell_size)))) + 1
-    ring_cells = _ring_closure(seed_cells, grid.counts, width)
 
     affected = []
     influence_nodes: set[int] = set()
     n_total = 0
-    n_outside = 0
     for gp in gauss_points(grid):
         n_total += 1
         sig_i = _support_signature(gp.position, cloud_initial, cfg)
@@ -127,19 +97,14 @@ def build_influence_domain(changed: list[int], cloud_initial: NodeCloud,
         if sig_i == sig_m:
             continue
         affected.append(gp)
-        if gp.cell not in ring_cells:
-            n_outside += 1
         for sig in (sig_i, sig_m):
             if sig and isinstance(sig[0], int):
                 influence_nodes.update(sig)
     influence_nodes.update(changed)
     return InfluenceDomain(
-        seed_cells=seed_cells,
-        ring_cells=ring_cells,
         affected_gauss=tuple(affected),
         influence_node_ids=np.array(sorted(influence_nodes), dtype=np.int64),
         n_gauss_total=n_total,
-        n_outside_ring=n_outside,
     )
 
 
@@ -148,12 +113,10 @@ class StiffnessDelta:
     """Sparse symmetric stiffness change on the union DOF space."""
 
     dK: sp.csr_matrix
-    touched_dofs: np.ndarray
 
     @classmethod
     def zero(cls, n: int) -> "StiffnessDelta":
-        return cls(dK=sp.csr_matrix((n, n)),
-                   touched_dofs=np.array([], dtype=np.int64))
+        return cls(dK=sp.csr_matrix((n, n)))
 
 
 def compute_delta(dom: InfluenceDomain, cloud_initial: NodeCloud,
@@ -168,7 +131,6 @@ def compute_delta(dom: InfluenceDomain, cloud_initial: NodeCloud,
     N = dof_map.n_dofs
     D = constitutive(mat)
     rows, cols, vals = [], [], []
-    touched: set[int] = set()
     for gp in dom.affected_gauss:
         for cloud, sign in ((cloud_modified, 1.0), (cloud_initial, -1.0)):
             contrib = gauss_contribution(gp.position, gp.weight, cloud, D, cfg)
@@ -180,7 +142,6 @@ def compute_delta(dom: InfluenceDomain, cloud_initial: NodeCloud,
             rows.append(rr.ravel())
             cols.append(cc.ravel())
             vals.append(sign * k.ravel())
-            touched.update(int(v) for v in dofs)
 
     in_initial = np.isin(dof_map.node_ids, cloud_initial.ids)
     in_modified = np.isin(dof_map.node_ids, cloud_modified.ids)
@@ -191,7 +152,6 @@ def compute_delta(dom: InfluenceDomain, cloud_initial: NodeCloud,
             rows.append(dofs)
             cols.append(dofs)
             vals.append(sign * np.ones(len(dofs)))
-            touched.update(int(v) for v in dofs)
 
     if rows:
         dK = sp.coo_matrix(
@@ -199,25 +159,22 @@ def compute_delta(dom: InfluenceDomain, cloud_initial: NodeCloud,
             shape=(N, N)).tocsr()
     else:
         dK = sp.csr_matrix((N, N))
-    return StiffnessDelta(dK=dK, touched_dofs=np.array(sorted(touched),
-                                                       dtype=np.int64))
+    return StiffnessDelta(dK=dK)
 
 
 def local_delta(mod: Modification, cloud_initial: NodeCloud,
                 cloud_modified: NodeCloud, grid: BackgroundGrid,
                 mat: MaterialModel, dof_map: DofMap,
                 cfg: MeshlessConfig = DEFAULT_CONFIG):
-    """Full local path: influence domain + delta.  Refuses DOF-constant
-    modifications (material or BC-only changes)."""
+    """Full local path: influence domain + delta.  Refuses material
+    changes; a modification that keeps the node set (empty or BC-only)
+    gets no influence domain and a zero delta."""
     if mod.material_change is not None:
         raise LocalUpdateUnavailableError(
             "material change alters every Gauss contribution; "
             "use the global updating strategy")
     if not mod.changes_nodes:
-        if mod.is_empty or mod.bc_change is not None:
-            return None, StiffnessDelta.zero(dof_map.n_dofs)
-        raise LocalUpdateUnavailableError(
-            "modification does not change the node set")
+        return None, StiffnessDelta.zero(dof_map.n_dofs)
     dom = build_influence_domain(changed_nodes(mod), cloud_initial,
                                  cloud_modified, grid, cfg)
     return dom, compute_delta(dom, cloud_initial, cloud_modified, mat,
@@ -230,18 +187,3 @@ def global_update(cloud_modified: NodeCloud, grid: BackgroundGrid,
     """Fallback path: reassemble the modified stiffness on the union space."""
     return assemble_stiffness(cloud_modified, grid, mat, cfg, dof_map=dof_map)
 
-
-def delta_for_bcs(delta: StiffnessDelta, constrained: frozenset
-                  ) -> StiffnessDelta:
-    """Zero a delta's constrained rows/columns; both configurations carry a
-    unit diagonal there, so the constrained entries of the delta vanish."""
-    if not constrained:
-        return delta
-    N = delta.dK.shape[0]
-    keep = np.ones(N)
-    keep[list(constrained)] = 0.0
-    M = sp.diags(keep)
-    dK = (M @ delta.dK @ M).tocsr()
-    touched = np.array([d for d in delta.touched_dofs if d not in constrained],
-                       dtype=np.int64)
-    return StiffnessDelta(dK=dK, touched_dofs=touched)

@@ -10,15 +10,23 @@ import numpy as np
 _GL = 1.0 / np.sqrt(3.0)
 
 
+def kriging_matrices_oracle(X, theta):
+    """Gaussian correlation matrix R (n, n) and linear polynomial matrix
+    P (n, 1 + dim) of support coordinates ``X``."""
+    X = np.asarray(X, dtype=float)
+    diff = X[:, None, :] - X[None, :, :]
+    R = np.exp(-theta * (diff ** 2).sum(axis=2))
+    P = np.hstack([np.ones((len(X), 1)), X])
+    return R, P
+
+
 def shape_oracle(point, X, theta):
     """Moving-Kriging shape values and analytic gradients at ``point`` from
     support coordinates ``X``, via explicit inverses."""
     point = np.asarray(point, dtype=float)
     X = np.asarray(X, dtype=float)
     n, d = X.shape
-    diff = X[:, None, :] - X[None, :, :]
-    R = np.exp(-theta * (diff ** 2).sum(axis=2))
-    P = np.hstack([np.ones((n, 1)), X])
+    R, P = kriging_matrices_oracle(X, theta)
     Ri = np.linalg.inv(R)
     A = np.linalg.inv(P.T @ Ri @ P) @ P.T @ Ri
     B = Ri @ (np.eye(n) - P @ A)

@@ -87,17 +87,17 @@ class TestAssembly:
             system = assemble_stiffness(cloud, grid, mat, cfg)
             K_oracle = dense_stiffness_oracle(cloud, grid, mat, cfg)
             scale = np.abs(K_oracle).max()
-            assert np.abs(system.K_dense - K_oracle).max() <= 1e-12 * scale
+            assert np.abs(system.K.toarray() - K_oracle).max() <= 1e-12 * scale
 
     def test_symmetry(self, small_model, cfg):
         cloud, grid, mat, _ = small_model
         system = assemble_stiffness(cloud, grid, mat, cfg)
-        K = system.K_dense
+        K = system.K.toarray()
         assert np.abs(K - K.T).max() <= 1e-14 * np.abs(K).max()
 
     def test_rigid_body_modes_annihilated(self, small_model, cfg):
         cloud, grid, mat, _ = small_model
-        K = assemble_stiffness(cloud, grid, mat, cfg).K_dense
+        K = assemble_stiffness(cloud, grid, mat, cfg).K.toarray()
         n = cloud.n_nodes
         tx = np.tile([1.0, 0.0], n)
         ty = np.tile([0.0, 1.0], n)
@@ -115,7 +115,7 @@ class TestAssembly:
         system = assemble_stiffness(cloud_m, grid_for(cloud, pad=0.2),
                                     MaterialModel(10.0, 0.3), cfg,
                                     dof_map=dm)
-        K = system.K_dense
+        K = system.K.toarray()
         for nid in (7, 12):
             for axis in (0, 1):
                 d = dm.dof(nid, axis)
@@ -160,7 +160,7 @@ class TestApplyBcs:
         con = apply_bcs(raw, bc)
         dm = con.dof_map
         fixed = sorted(dm.dof(n, a) for n, a in bc.fixed_dofs)
-        K = con.K_dense
+        K = con.K.toarray()
         for d in fixed:
             assert K[d, d] == 1.0
             assert con.F[d] == 0.0
@@ -170,4 +170,4 @@ class TestApplyBcs:
         # free block untouched
         free = np.setdiff1d(np.arange(dm.n_dofs), fixed)
         assert np.allclose(K[np.ix_(free, free)],
-                           raw.K_dense[np.ix_(free, free)])
+                           raw.K.toarray()[np.ix_(free, free)])

@@ -60,6 +60,19 @@ class TestSolve:
         assert rc == 2
         assert "validation error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("section, key", [("grid", "origin"),
+                                              ("material", "E")])
+    def test_missing_key_is_validation_error(self, small_files, tmp_path,
+                                             capsys, section, key):
+        model, _ = small_files
+        data = json.loads(model.read_text())
+        del data[section][key]
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(data))
+        rc = main(["solve", str(bad), "-o", str(tmp_path / "out")])
+        assert rc == 2
+        assert f"missing '{key}'" in capsys.readouterr().err
+
 
 class TestReanalyze:
     def test_empty_mod_matches_baseline(self, small_files, tmp_path, capsys):
@@ -84,6 +97,16 @@ class TestReanalyze:
                    "--basis", "3", "-o", str(tmp_path / "ca_out")])
         assert rc == 0
         assert (tmp_path / "ca_out" / "fields.csv").exists()
+
+    def test_material_without_modulus_is_validation_error(
+            self, small_files, tmp_path, capsys):
+        model, _ = small_files
+        mod = tmp_path / "bad_mod.json"
+        mod.write_text(json.dumps({"material": {"nu": 0.3}}))
+        rc = main(["reanalyze", str(model), str(mod), "--method", "ifu",
+                   "-o", str(tmp_path / "out")])
+        assert rc == 2
+        assert "missing 'E'" in capsys.readouterr().err
 
     def test_real_modification(self, small_files, tmp_path, capsys):
         model, _ = small_files

@@ -10,7 +10,8 @@ from mkfree.interp import (basis_size, build_system, correlation, evaluate_at,
 from mkfree.model import NodeCloud
 
 from conftest import jittered_cloud
-from oracles import shape_oracle, spacing_oracle, support_oracle
+from oracles import (kriging_matrices_oracle, shape_oracle, spacing_oracle,
+                     support_oracle)
 
 
 def test_basis_size():
@@ -77,9 +78,9 @@ class TestBuildSystem:
         sel = select_support([3.3, 3.7], cloud, cfg)
         sys = build_system(sel, cfg.theta, cfg)
         n = sel.n
-        assert np.allclose(sys.P_poly @ sys.S_a + sys.R_corr @ sys.S_b,
-                           np.eye(n), atol=1e-10)
-        assert np.allclose(sys.P_poly.T @ sys.S_b, 0.0, atol=1e-10)
+        R, P = kriging_matrices_oracle(sel.node_coords, cfg.theta)
+        assert np.allclose(P @ sys.S_a + R @ sys.S_b, np.eye(n), atol=1e-10)
+        assert np.allclose(P.T @ sys.S_b, 0.0, atol=1e-10)
 
     def test_collinear_support_raises(self):
         cloud = NodeCloud(ids=np.arange(6),

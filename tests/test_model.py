@@ -43,19 +43,11 @@ class TestBackgroundGrid:
     def test_cells_and_bounds(self):
         g = BackgroundGrid(origin=[0, 0], cell_size=[1, 2], counts=(2, 3))
         assert g.dim == 2
-        assert len(g.all_cells()) == 6
+        assert len(g.cells()) == 6
         lo, hi = g.cell_bounds((1, 2))
         assert np.allclose(lo, [1, 4]) and np.allclose(hi, [2, 6])
         assert g.cell_of([1.5, 5.0]) == (1, 2)
         assert g.contains([2.0, 6.0]) and not g.contains([2.5, 0.0])
-
-    def test_active_subset(self):
-        g = BackgroundGrid(origin=[0, 0], cell_size=[1, 1], counts=(2, 2),
-                           active_cells=frozenset({(0, 0)}))
-        assert g.cells() == [(0, 0)]
-        with pytest.raises(ValidationError):
-            BackgroundGrid(origin=[0, 0], cell_size=[1, 1], counts=(2, 2),
-                           active_cells=frozenset({(5, 0)}))
 
 
 class TestMaterial:
@@ -86,9 +78,9 @@ class TestModification:
     def test_flags(self):
         assert Modification().is_empty
         m = Modification(removed_ids={4})
-        assert m.changes_nodes and not m.is_dof_constant
+        assert m.changes_nodes and not m.is_empty
         m2 = Modification(material_change=MaterialModel(1.0, 0.2))
-        assert m2.is_dof_constant and not m2.is_empty
+        assert not m2.changes_nodes and not m2.is_empty
 
     def test_rejects_overlap(self):
         with pytest.raises(ValidationError):

@@ -1,0 +1,104 @@
+"""prepare_modified on modifications that change more than the node set.
+
+Each case checks the prepared pair against independent references: the
+modified stiffness against a BC-applied global reassembly, the delta
+against K_m - K*, and IFU against a full re-solve.
+"""
+
+import numpy as np
+import pytest
+
+from mkfree.assembly import StiffnessSystem, apply_bcs, assemble_load
+from mkfree.model import (BoundaryConditions, MaterialModel, Modification,
+                          NodeCloud)
+from mkfree.pipeline import (full_analysis, prepare_modified,
+                             run_full_modified, run_ifu)
+from mkfree.recovery import error_metrics
+from mkfree.update import global_update
+
+from conftest import cantilever_bc
+
+
+@pytest.fixture
+def baseline(small_model):
+    return full_analysis(*small_model)
+
+
+def _right_column(cloud, band=0.5):
+    x = cloud.coords[:, 0]
+    return [int(i) for i in cloud.ids[x >= x.max() - band]]
+
+
+def _interior_node(cloud):
+    centroid = cloud.coords.mean(axis=0)
+    return int(cloud.ids[np.argmin(np.linalg.norm(cloud.coords - centroid,
+                                                  axis=1))])
+
+
+def _check_case(base, mod):
+    case = prepare_modified(base, mod)
+    cfg = base.cfg
+    ref_raw = global_update(case.cloud_mod, base.grid, case.material,
+                            case.dof_map, cfg)
+    F_raw = assemble_load(case.cloud_mod, case.bc, case.dof_map, cfg)
+    ref = apply_bcs(StiffnessSystem(K=ref_raw.K, F=F_raw,
+                                    dof_map=case.dof_map), case.bc)
+    K_ref = ref.K.toarray()
+    K_m = case.K_m.toarray()
+    scale = np.abs(K_ref).max()
+    assert np.abs(K_m - K_ref).max() <= 1e-12 * scale
+    assert np.abs((case.star.K + case.dK).toarray() - K_m).max() \
+        <= 1e-12 * scale
+    assert np.array_equal(case.F, ref.F)
+
+    _, fields, _ = run_ifu(case)
+    _, ref_fields, _ = run_full_modified(case)
+    E_u = error_metrics(fields, ref_fields)[0]
+    assert E_u <= 1e-7, f"IFU E_u {E_u:.2e} %"
+    return case
+
+
+def test_bc_only_change(baseline):
+    cloud = baseline.cloud
+    left = [n for n, _ in baseline.bc.fixed_dofs]
+    second = cloud.ids[np.argsort(cloud.coords[:, 0])][len(set(left))]
+    right = _right_column(cloud)
+    bc = BoundaryConditions(
+        fixed_dofs=baseline.bc.fixed_dofs + ((int(second), 0),),
+        point_loads=tuple((i, 0, 2.0 / len(right)) for i in right))
+    case = _check_case(baseline, Modification(bc_change=bc))
+    assert case.update_path == "local" and case.influence is None
+    assert case.fallback_reason is None
+    assert case.dK.nnz > 0      # the extra fixed DOF changes K
+
+
+def test_material_change_falls_back_to_global(baseline):
+    mod = Modification(material_change=MaterialModel(250.0, 0.25))
+    case = _check_case(baseline, mod)
+    assert case.update_path == "global"
+    assert "material" in case.fallback_reason
+
+
+def test_interior_removal_with_bc_change(baseline):
+    cloud = baseline.cloud
+    right = _right_column(cloud)
+    bc = BoundaryConditions(
+        fixed_dofs=baseline.bc.fixed_dofs,
+        point_loads=tuple((i, a, 0.5 / len(right)) for i in right
+                          for a in (0, 1)))
+    mod = Modification(removed_ids={_interior_node(cloud)}, bc_change=bc)
+    case = _check_case(baseline, mod)
+    assert case.update_path == "local" and case.influence is not None
+
+
+def test_loaded_node_removal_with_bc_change(baseline):
+    cloud = baseline.cloud
+    loaded = _right_column(cloud)
+    gone = loaded[len(loaded) // 2]
+    kept = cloud.ids[cloud.ids != gone]
+    coords = cloud.coords[cloud.ids != gone]
+    bc = cantilever_bc(NodeCloud(ids=kept, coords=coords, dim=cloud.dim))
+    assert all(n != gone for n, _, _ in bc.point_loads)
+    mod = Modification(removed_ids={gone}, bc_change=bc)
+    case = _check_case(baseline, mod)
+    assert case.update_path == "local" and case.influence is not None

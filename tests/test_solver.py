@@ -41,7 +41,7 @@ def test_unconstrained_model_raises_rigid_body(small_model, cfg):
         factorize(raw)   # no BCs applied: translations are in the null space
     null = err.value.null_vector
     assert null is not None
-    K = raw.K_dense
+    K = raw.K.toarray()
     assert np.linalg.norm(K @ null) <= 1e-6 * np.abs(K).max()
 
 

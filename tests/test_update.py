@@ -5,10 +5,9 @@ from mkfree.config import MeshlessConfig
 from mkfree.errors import ValidationError
 from mkfree.model import (MaterialModel, Modification, NodeCloud,
                           apply_modification)
-from mkfree.update import (InfluenceDomain, LocalUpdateUnavailableError,
-                           StiffnessDelta, build_influence_domain,
-                           changed_nodes, compute_delta, delta_for_bcs,
-                           global_update, local_delta)
+from mkfree.update import (LocalUpdateUnavailableError,
+                           build_influence_domain, changed_nodes,
+                           compute_delta, global_update, local_delta)
 
 from conftest import grid_for, jittered_cloud
 
@@ -61,18 +60,6 @@ class TestInfluenceDomain:
         rows, cols = delta.dK.nonzero()
         assert set(rows.tolist()) <= inf_dofs
         assert set(cols.tolist()) <= inf_dofs
-
-    def test_seed_cells_contain_changed_nodes(self, rng, cfg):
-        cloud = jittered_cloud(rng, 8, 8, jitter=0.2)
-        grid = grid_for(cloud, pad=0.2)
-        mod = random_modification(rng, cloud)
-        cloud_m, _ = apply_modification(cloud, mod)
-        dom = build_influence_domain(changed_nodes(mod), cloud, cloud_m,
-                                     grid, cfg)
-        for nid in changed_nodes(mod):
-            src = cloud_m if cloud_m.has_node(nid) else cloud
-            assert grid.cell_of(src.coord_of(nid)) in dom.seed_cells
-        assert dom.seed_cells <= dom.ring_cells
 
     def test_empty_change_rejected(self, rng, cfg):
         cloud = jittered_cloud(rng, 5, 5)
@@ -136,13 +123,3 @@ class TestLocalDeltaRefusals:
         assert dom is None
         assert delta.dK.nnz == 0
 
-
-def test_delta_for_bcs_zeroes_constrained():
-    import scipy.sparse as sp
-    dK = sp.csr_matrix(np.arange(16.0).reshape(4, 4))
-    delta = StiffnessDelta(dK=dK, touched_dofs=np.arange(4))
-    out = delta_for_bcs(delta, frozenset({1}))
-    D = out.dK.toarray()
-    assert np.all(D[1, :] == 0.0) and np.all(D[:, 1] == 0.0)
-    assert D[2, 3] == 11.0
-    assert 1 not in out.touched_dofs
