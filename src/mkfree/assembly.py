@@ -1,12 +1,15 @@
 """Global stiffness and load assembly by Gauss quadrature over background
 cells.
 
-Each cell carries a 2x2 (2x2x2 in 3D) Gauss-Legendre rule.  A Gauss point
-contributes only when it lies inside the material domain, which a node cloud
-represents implicitly: the point must have a cloud node within
-``activity_factor * d_c``.  Both the global assembler and the local
-delta updater share :func:`gauss_contribution`, so their per-point
-contributions are bitwise identical.
+Each cell carries a 2x2 (2x2x2 in 3D) Gauss-Legendre rule, cached on the
+grid as arrays (``BackgroundGrid.gauss``).  A Gauss point contributes only
+when it lies inside the material domain, which a node cloud represents
+implicitly: the point must have a cloud node within
+``activity_factor * d_c``.  The global assembler and the local delta
+updater both integrate through :func:`integrate_stiffness`, which runs the
+batched kernel of :mod:`mkfree.interp` and :func:`gauss_stiffness`; a
+point's contribution does not depend on the batch it is computed in, so
+the local delta matches a global reassembly.
 """
 
 from __future__ import annotations
@@ -17,65 +20,44 @@ import numpy as np
 import scipy.sparse as sp
 
 from .config import DEFAULT_CONFIG, MeshlessConfig
-from .errors import MkfreeError, ValidationError
-from .interp import (ShapeEval, build_system, local_spacing, select_support,
-                     shape_functions)
-from .model import (BackgroundGrid, BoundaryConditions, DofMap, MaterialModel,
-                    NodeCloud, identity_dof_map)
+from .errors import ValidationError
+from .interp import evaluate_at, evaluate_batch, find_supports, spacing
+from .model import (_GL, BackgroundGrid, BoundaryConditions, DofMap,
+                    MaterialModel, NodeCloud, identity_dof_map)
 
 __all__ = [
-    "GaussPoint",
     "StiffnessSystem",
-    "gauss_points",
-    "cell_gauss_points",
+    "active_supports",
     "gauss_point_active",
     "constitutive",
     "strain_displacement",
-    "gauss_contribution",
+    "gauss_stiffness",
+    "integrate_stiffness",
     "assemble_stiffness",
     "assemble_load",
     "apply_bcs",
 ]
 
-_GL = 1.0 / np.sqrt(3.0)   # 2-point Gauss-Legendre abscissae on [-1, 1]
+def active_supports(points, cloud: NodeCloud,
+                    cfg: MeshlessConfig = DEFAULT_CONFIG):
+    """Indices of the points that integrate for ``cloud`` and their
+    supports (deficient ones flagged, not raised).
 
-
-@dataclass(frozen=True)
-class GaussPoint:
-    position: np.ndarray
-    weight: float           # quadrature weight x jacobian (area/volume scaled)
-    cell: tuple
-
-
-def cell_gauss_points(grid: BackgroundGrid, cell: tuple) -> list[GaussPoint]:
-    """The 2^dim Gauss points of one cell; weights sum to the cell measure."""
-    lo, hi = grid.cell_bounds(cell)
-    center = 0.5 * (lo + hi)
-    half = 0.5 * (hi - lo)
-    d = grid.dim
-    w = float(np.prod(hi - lo)) / (2 ** d)
-    pts = []
-    for signs in np.ndindex(*(2,) * d):
-        offset = (2.0 * np.asarray(signs) - 1.0) * _GL * half
-        pts.append(GaussPoint(position=center + offset, weight=w, cell=cell))
-    return pts
-
-
-def gauss_points(grid: BackgroundGrid) -> list[GaussPoint]:
-    """All Gauss points of the grid's cells."""
-    out = []
-    for cell in grid.cells():
-        out.extend(cell_gauss_points(grid, cell))
-    return out
+    A point integrates only if a cloud node lies within
+    activity_factor * d_c of it (skips holes left by removed nodes).
+    """
+    points = np.asarray(points, dtype=float).reshape(-1, cloud.dim)
+    dist, d_c = spacing(points, cloud)
+    active = np.flatnonzero(dist <= cfg.activity_factor * d_c)
+    return active, find_supports(points[active], cloud, d_c[active], cfg)
 
 
 def gauss_point_active(point, cloud: NodeCloud,
                        cfg: MeshlessConfig = DEFAULT_CONFIG) -> bool:
-    """A point integrates only if a cloud node lies within
-    activity_factor * d_c of it (skips holes left by removed nodes)."""
-    dist, _ = cloud.tree.query(np.asarray(point, dtype=float), k=1)
-    d_c = local_spacing(point, cloud)
-    return bool(dist <= cfg.activity_factor * d_c)
+    """Whether one point integrates for ``cloud`` (see
+    :func:`active_supports`)."""
+    dist, d_c = spacing(point, cloud)
+    return bool(dist[0] <= cfg.activity_factor * d_c[0])
 
 
 def constitutive(mat: MaterialModel) -> np.ndarray:
@@ -96,52 +78,131 @@ def constitutive(mat: MaterialModel) -> np.ndarray:
     return D
 
 
-def strain_displacement(sf: ShapeEval) -> np.ndarray:
-    """Per-node strain-displacement blocks.
+def strain_displacement(grads: np.ndarray) -> np.ndarray:
+    """Per-node strain-displacement blocks of shape-function gradients
+    (..., n, d).
 
-    Returns (n, 3, 2) in 2D -- rows (eps_xx, eps_yy, gamma_xy) -- or
-    (n, 6, 3) in 3D with rows (xx, yy, zz, yz, zx, xy).
+    Returns (..., n, 3, 2) in 2D -- rows (eps_xx, eps_yy, gamma_xy) -- or
+    (..., n, 6, 3) in 3D with rows (xx, yy, zz, yz, zx, xy).
     """
-    g = sf.grads
-    n, d = g.shape
+    g = np.asarray(grads)
+    d = g.shape[-1]
     if d == 2:
-        B = np.zeros((n, 3, 2))
-        B[:, 0, 0] = g[:, 0]
-        B[:, 1, 1] = g[:, 1]
-        B[:, 2, 0] = g[:, 1]
-        B[:, 2, 1] = g[:, 0]
+        B = np.zeros(g.shape[:-1] + (3, 2))
+        B[..., 0, 0] = g[..., 0]
+        B[..., 1, 1] = g[..., 1]
+        B[..., 2, 0] = g[..., 1]
+        B[..., 2, 1] = g[..., 0]
     else:
-        B = np.zeros((n, 6, 3))
-        B[:, 0, 0] = g[:, 0]
-        B[:, 1, 1] = g[:, 1]
-        B[:, 2, 2] = g[:, 2]
-        B[:, 3, 1] = g[:, 2]
-        B[:, 3, 2] = g[:, 1]
-        B[:, 4, 0] = g[:, 2]
-        B[:, 4, 2] = g[:, 0]
-        B[:, 5, 0] = g[:, 1]
-        B[:, 5, 1] = g[:, 0]
+        B = np.zeros(g.shape[:-1] + (6, 3))
+        B[..., 0, 0] = g[..., 0]
+        B[..., 1, 1] = g[..., 1]
+        B[..., 2, 2] = g[..., 2]
+        B[..., 3, 1] = g[..., 2]
+        B[..., 3, 2] = g[..., 1]
+        B[..., 4, 0] = g[..., 2]
+        B[..., 4, 2] = g[..., 0]
+        B[..., 5, 0] = g[..., 1]
+        B[..., 5, 1] = g[..., 0]
     return B
 
 
-def gauss_contribution(point, weight: float, cloud: NodeCloud, D: np.ndarray,
-                       cfg: MeshlessConfig = DEFAULT_CONFIG):
-    """Stiffness contribution w*J * B^T D B of a single Gauss point.
+def gauss_stiffness(points, weights, cloud: NodeCloud, sup, D: np.ndarray,
+                    cfg: MeshlessConfig = DEFAULT_CONFIG, where=None):
+    """Stiffness contributions w * B^T D B of a batch of Gauss points with
+    supports ``sup`` (all non-deficient).
 
-    Returns (node_ids, k_local) with k_local of shape (n*d, n*d), or None
-    when the point is inactive for this cloud.
+    Yields ``(idx, rows, k)`` per kernel chunk: indices into ``points``,
+    support cloud rows (c, n) and k (c, n*d, n*d) in node-major DOF order,
+    symmetrized.
     """
-    if not gauss_point_active(point, cloud, cfg):
-        return None
-    sel = select_support(point, cloud, cfg)
-    sys = build_system(sel, cfg.theta, cfg)
-    sf = shape_functions(sel, sys, point)
-    Bblk = strain_displacement(sf)                 # (n, r, d)
-    n, r, d = Bblk.shape
-    Bmat = Bblk.transpose(1, 0, 2).reshape(r, n * d)
-    k = weight * (Bmat.T @ D @ Bmat)
-    k = 0.5 * (k + k.T)
-    return sf.node_ids, k
+    weights = np.asarray(weights, dtype=float)
+    for idx, rows, _, grads in evaluate_batch(points, cloud, sup, cfg, where):
+        B = strain_displacement(grads)                 # (c, n, r, d)
+        c, n, r, d = B.shape
+        Bmat = B.transpose(0, 2, 1, 3).reshape(c, r, n * d)
+        k = weights[idx][:, None, None] * (
+            (Bmat.transpose(0, 2, 1) @ D) @ Bmat)
+        yield idx, rows, 0.5 * (k + k.transpose(0, 2, 1))
+
+
+class _BlockPattern:
+    """Sum of d x d node-pair blocks on the pattern of every node pair that
+    shares a support.  Only blocks on or above the diagonal are
+    accumulated (the sum is symmetric); slots are found by binary search
+    on pair keys."""
+
+    def __init__(self, supports: list, n_nodes: int, d: int):
+        """``supports``: (ptr, positions) pairs, the ascending DOF-map node
+        positions of each point's support in CSR layout."""
+        incidence = sp.vstack([
+            sp.csr_matrix((np.ones(len(pos)), pos, ptr),
+                          shape=(len(ptr) - 1, n_nodes))
+            for ptr, pos in supports]).tocsr()
+        upper = sp.triu(incidence.T @ incidence).tocsr()
+        upper.sort_indices()
+        self.indptr, self.indices = upper.indptr, upper.indices
+        rows = np.repeat(np.arange(n_nodes, dtype=np.int64),
+                         np.diff(self.indptr))
+        self.keys = rows * n_nodes + self.indices
+        self.diagonal = rows == self.indices
+        self.n_nodes, self.d = n_nodes, d
+        self.data = np.zeros((len(self.keys), d, d))
+
+    def add(self, pos: np.ndarray, k: np.ndarray, sign: float = 1.0):
+        """Accumulate sign * k (c, n*d, n*d), symmetric, of supports at
+        ascending node positions ``pos`` (c, n)."""
+        c, n = pos.shape
+        d = self.d
+        a, b = np.triu_indices(n)
+        slot = np.searchsorted(
+            self.keys, (pos[:, a] * self.n_nodes + pos[:, b]).ravel())
+        blocks = k.reshape(c, n, d, n, d)
+        for i in range(d):
+            for j in range(d):
+                self.data[:, i, j] += sign * np.bincount(
+                    slot, weights=blocks[:, a, i, b, j].ravel(),
+                    minlength=len(self.keys))
+
+    def tocsr(self) -> sp.csr_matrix:
+        """The full symmetric matrix; halving the (symmetric) diagonal
+        blocks before adding the transpose is exact."""
+        N = self.n_nodes * self.d
+        self.data[self.diagonal] *= 0.5
+        upper = sp.bsr_matrix((self.data, self.indices, self.indptr),
+                              shape=(N, N)).tocsr()
+        return (upper + upper.T).tocsr()
+
+
+def integrate_stiffness(terms, points, weights, cells, D: np.ndarray,
+                        dof_map: DofMap, cfg: MeshlessConfig = DEFAULT_CONFIG
+                        ) -> sp.csr_matrix:
+    """sum over ``terms`` (cloud, sign) of sign * sum_g w_g B_g^T D B_g,
+    over the Gauss points active for each cloud, on ``dof_map``'s DOFs.
+
+    ``cells`` (G, dim) locates each point in error messages.
+    """
+    points = np.asarray(points, dtype=float)
+
+    def where(g):
+        return (f" (at Gauss point {points[g].tolist()} in cell "
+                f"{tuple(int(c) for c in cells[g])})")
+
+    batches = []
+    for cloud, sign in terms:
+        active, sup = active_supports(points, cloud, cfg)
+        sup.require(points[active], lambda g, a=active: where(a[g]))
+        pos = dof_map.positions(cloud.ids)
+        batches.append((cloud, sign, active, sup, pos))
+    pattern = _BlockPattern([(sup.ptr, pos[sup.rows])
+                             for _, _, _, sup, pos in batches],
+                            len(dof_map.node_ids), dof_map.dim)
+    for cloud, sign, active, sup, pos in batches:
+        for _, rows, k in gauss_stiffness(
+                points[active], weights[active], cloud, sup, D, cfg,
+                lambda g, a=active: where(a[g])):
+            pattern.add(pos[rows], k, sign)
+    return pattern.tocsr()
 
 
 @dataclass(frozen=True)
@@ -177,35 +238,13 @@ def assemble_stiffness(cloud: NodeCloud, grid: BackgroundGrid,
     if dof_map is None:
         dof_map = identity_dof_map(cloud)
     N = dof_map.n_dofs
-    D = constitutive(mat)
-    rows, cols, vals = [], [], []
-    for gp in gauss_points(grid):
-        try:
-            contrib = gauss_contribution(gp.position, gp.weight, cloud, D, cfg)
-        except MkfreeError as exc:
-            raise type(exc)(
-                f"{exc} (at Gauss point {np.asarray(gp.position).tolist()} "
-                f"in cell {gp.cell})") from exc
-        if contrib is None:
-            continue
-        node_ids, k = contrib
-        dofs = dof_map.dofs_of(node_ids)
-        rr, cc = np.meshgrid(dofs, dofs, indexing="ij")
-        rows.append(rr.ravel())
-        cols.append(cc.ravel())
-        vals.append(k.ravel())
-
+    points, weights, cells = grid.gauss
+    K = integrate_stiffness([(cloud, 1.0)], points, weights, cells,
+                            constitutive(mat), dof_map, cfg)
     absent = _absent_dofs(dof_map, cloud)
     if len(absent):
-        rows.append(absent)
-        cols.append(absent)
-        vals.append(np.ones(len(absent)))
-    if rows:
-        K = sp.coo_matrix(
-            (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-            shape=(N, N)).tocsr()
-    else:
-        K = sp.csr_matrix((N, N))
+        K = (K + sp.coo_matrix((np.ones(len(absent)), (absent, absent)),
+                               shape=(N, N))).tocsr()
     return StiffnessSystem(K=K, F=np.zeros(N), dof_map=dof_map)
 
 
@@ -213,7 +252,11 @@ def assemble_load(cloud: NodeCloud, bc: BoundaryConditions,
                   dof_map: DofMap | None = None,
                   cfg: MeshlessConfig = DEFAULT_CONFIG) -> np.ndarray:
     """Load vector: point loads scatter directly; edge tractions integrate
-    phi_I * q along each segment with 2-point Gauss quadrature."""
+    phi_I * q along each segment with 2-point Gauss quadrature.
+
+    Tractions have few quadrature points, so each goes through the
+    kernel's one-point view :func:`evaluate_at`.
+    """
     if dof_map is None:
         dof_map = identity_dof_map(cloud)
     F = np.zeros(dof_map.n_dofs)
@@ -226,15 +269,11 @@ def assemble_load(cloud: NodeCloud, bc: BoundaryConditions,
         half_len = 0.5 * float(np.linalg.norm(seg))
         mid = 0.5 * (tr.start + tr.end)
         for xi in (-_GL, _GL):
-            x_g = mid + xi * 0.5 * seg
-            sel = select_support(x_g, cloud, cfg)
-            sys = build_system(sel, cfg.theta, cfg)
-            sf = shape_functions(sel, sys, x_g)
+            sf = evaluate_at(mid + xi * 0.5 * seg, cloud, cfg)
+            dofs = dof_map.dofs_of(sf.node_ids).reshape(-1, dof_map.dim)
             for axis, q_a in enumerate(tr.q):
-                if q_a == 0.0:
-                    continue
-                dofs = dof_map.dofs_of(sf.node_ids).reshape(-1, dof_map.dim)
-                F[dofs[:, axis]] += half_len * q_a * sf.values
+                if q_a != 0.0:
+                    F[dofs[:, axis]] += half_len * q_a * sf.values
     return F
 
 

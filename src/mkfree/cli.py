@@ -177,7 +177,10 @@ def bench_one(entry: dict, repeats: int = 3):
     so include field recovery.
     """
     cloud, grid, mat, bc, mod = demos.bench_case(entry)
-    s = int(entry.get("basis", 6))
+    try:
+        s = int(entry.get("basis", 6))
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(f"malformed bench entry: basis {exc}") from exc
     base = full_analysis(cloud, grid, mat, bc)
     case = prepare_modified(base, mod)
     dofs = case.dof_map.n_dofs
@@ -212,9 +215,11 @@ def cmd_bench(args) -> int:
             family = json.load(fh)
         except json.JSONDecodeError as exc:
             raise ParseError(f"cannot parse {args.family}: {exc}") from exc
-    cases = family.get("cases")
+    cases = family.get("cases") if isinstance(family, dict) else None
     if not isinstance(cases, list) or not cases:
         raise ValidationError("family file needs a non-empty 'cases' list")
+    if not all(isinstance(entry, dict) for entry in cases):
+        raise ValidationError("every family case must be a JSON object")
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     fh, w = _open_csv(out, "bench",

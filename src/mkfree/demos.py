@@ -256,8 +256,13 @@ def bench_case(entry: dict):
         pitch = float(entry.get("pitch", 1.0))
         mod_d = entry["mod"]
         kind = mod_d["kind"]
-    except (KeyError, TypeError) as exc:
-        raise ValidationError(f"malformed bench entry: missing {exc}") from exc
+        if kind == "hole":
+            half = int(mod_d.get("half", 1)) * pitch
+        elif kind == "ellipse":
+            a, b = float(mod_d["a"]), float(mod_d["b"])
+    except (KeyError, TypeError, ValueError, AttributeError) as exc:
+        detail = f"missing {exc}" if isinstance(exc, KeyError) else exc
+        raise ValidationError(f"malformed bench entry: {detail}") from exc
     ids, coords = _grid_nodes(nx, ny, pitch)
     cloud = NodeCloud(ids=ids, coords=coords, dim=2)
     W, H = pitch * (nx - 1), pitch * (ny - 1)
@@ -270,11 +275,9 @@ def bench_case(entry: dict):
     )
     cx, cy = W / 2.0, H / 2.0
     if kind == "hole":
-        half = int(mod_d.get("half", 1)) * pitch
         sel = (np.abs(coords[:, 0] - cx) <= half + 1e-9) \
             & (np.abs(coords[:, 1] - cy) <= half + 1e-9)
     elif kind == "ellipse":
-        a, b = float(mod_d["a"]), float(mod_d["b"])
         sel = (((coords[:, 0] - cx) / a) ** 2
                + ((coords[:, 1] - cy) / b) ** 2) < 1.0
     else:

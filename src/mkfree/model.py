@@ -18,6 +18,8 @@ from scipy.spatial import cKDTree
 
 from .errors import ParseError, ValidationError
 
+_GL = 1.0 / np.sqrt(3.0)   # 2-point Gauss-Legendre abscissae on [-1, 1]
+
 __all__ = [
     "NodeCloud",
     "BackgroundGrid",
@@ -108,6 +110,30 @@ class BackgroundGrid:
     def cells(self):
         """Every cell index, in row-major order."""
         return list(np.ndindex(*self.counts))
+
+    @cached_property
+    def gauss(self):
+        """The 2^dim-point Gauss-Legendre rule of every cell, cells in
+        row-major order: read-only positions (G, dim), weights (G,) --
+        quadrature weight times jacobian, summing to each cell's measure --
+        and the owning cell indices (G, dim).  Computed on first use."""
+        d = self.dim
+        cells = np.array(self.cells(), dtype=np.int64).reshape(-1, d)
+        lo = self.origin + cells * self.cell_size
+        hi = lo + self.cell_size
+        center = 0.5 * (lo + hi)
+        half = 0.5 * (hi - lo)
+        signs = 2.0 * np.array(list(np.ndindex(*(2,) * d)), dtype=float) - 1.0
+        positions = center[:, None, :] + signs[None, :, :] * _GL * half[:, None, :]
+        measure = hi[:, 0] - lo[:, 0]
+        for k in range(1, d):
+            measure = measure * (hi[:, k] - lo[:, k])
+        weights = np.repeat(measure / 2 ** d, 2 ** d)
+        cells = np.repeat(cells, 2 ** d, axis=0)
+        out = (positions.reshape(-1, d), weights, cells)
+        for a in out:
+            a.flags.writeable = False
+        return out
 
     def cell_bounds(self, idx):
         lo = self.origin + np.asarray(idx, dtype=float) * self.cell_size
@@ -223,14 +249,6 @@ class Modification:
     def changes_nodes(self) -> bool:
         return bool(self.added_ids) or bool(self.removed_ids)
 
-    @property
-    def is_empty(self) -> bool:
-        return (
-            not self.changes_nodes
-            and self.material_change is None
-            and self.bc_change is None
-        )
-
 
 @dataclass(frozen=True)
 class DofMap:
@@ -239,35 +257,37 @@ class DofMap:
 
     node_ids: np.ndarray       # sorted union, (N,)
     dim: int
-    active_initial: np.ndarray    # (N*dim,) bool
     active_modified: np.ndarray   # (N*dim,) bool
 
     @property
     def n_dofs(self) -> int:
         return len(self.node_ids) * self.dim
 
-    @cached_property
-    def id_to_pos(self) -> dict:
-        return {int(i): k for k, i in enumerate(self.node_ids)}
+    def positions(self, node_ids) -> np.ndarray:
+        """Position of each node id in ``node_ids`` order; ValidationError
+        for an id not in the map."""
+        ids = np.asarray(node_ids, dtype=np.int64).ravel()
+        pos = np.searchsorted(self.node_ids, ids)
+        found = pos < len(self.node_ids)
+        found[found] = self.node_ids[pos[found]] == ids[found]
+        if not found.all():
+            raise ValidationError(
+                f"node {int(ids[~found][0])} is not in the DOF map")
+        return pos
 
     def dof(self, node_id: int, axis: int) -> int:
-        return self.id_to_pos[int(node_id)] * self.dim + axis
-
-    def node_of_dof(self, dof: int) -> tuple:
-        return int(self.node_ids[dof // self.dim]), dof % self.dim
+        return int(self.positions(node_id)[0]) * self.dim + axis
 
     def dofs_of(self, node_ids) -> np.ndarray:
-        pos = np.array([self.id_to_pos[int(i)] for i in node_ids], dtype=np.int64)
+        pos = self.positions(node_ids)
         return (pos[:, None] * self.dim + np.arange(self.dim)[None, :]).ravel()
 
 
 def identity_dof_map(cloud: NodeCloud) -> DofMap:
-    """DofMap for a single configuration (both masks all-true)."""
-    order = np.argsort(cloud.ids)
-    ids = cloud.ids[order]
-    mask = np.ones(len(ids) * cloud.dim, dtype=bool)
-    return DofMap(node_ids=ids, dim=cloud.dim, active_initial=mask,
-                  active_modified=mask.copy())
+    """DofMap for a single configuration (every DOF active)."""
+    ids = np.sort(cloud.ids)
+    return DofMap(node_ids=ids, dim=cloud.dim,
+                  active_modified=np.ones(len(ids) * cloud.dim, dtype=bool))
 
 
 def apply_modification(cloud: NodeCloud, mod: Modification,
@@ -304,14 +324,9 @@ def apply_modification(cloud: NodeCloud, mod: Modification,
     modified = NodeCloud(ids=new_ids, coords=new_coords, dim=cloud.dim)
 
     union_ids = np.union1d(cloud.ids, new_ids)
-    d = cloud.dim
-    in_initial = np.isin(union_ids, cloud.ids)
-    in_modified = np.isin(union_ids, new_ids)
-    active_initial = np.repeat(in_initial, d)
-    active_modified = np.repeat(in_modified, d)
-    dof_map = DofMap(node_ids=union_ids, dim=d,
-                     active_initial=active_initial,
-                     active_modified=active_modified)
+    dof_map = DofMap(node_ids=union_ids, dim=cloud.dim,
+                     active_modified=np.repeat(np.isin(union_ids, new_ids),
+                                               cloud.dim))
     return modified, dof_map
 
 

@@ -3,7 +3,11 @@
 The local strategy finds the Gauss points whose integration actually changes
 (support node set or material-domain activity differs between the initial
 and modified clouds) and re-integrates only those, giving a stiffness delta
-that matches a global reassembly difference exactly.  A material change
+that matches a global reassembly difference exactly.  The screen locates
+every point's support in both clouds with the batched kernel of
+:mod:`mkfree.interp`, and the delta integrates the affected points through
+:func:`mkfree.assembly.integrate_stiffness`, the global assembler's own
+path.  A material change
 alters every Gauss contribution, so the strategy refuses it and the global
 reassembly is the only option; a modification that leaves the node set
 unchanged otherwise (empty, or a BC-only change) has a zero delta.
@@ -16,11 +20,10 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .assembly import (StiffnessSystem, assemble_stiffness, constitutive,
-                       gauss_contribution, gauss_point_active, gauss_points)
+from .assembly import (StiffnessSystem, active_supports, assemble_stiffness,
+                       constitutive, integrate_stiffness)
 from .config import DEFAULT_CONFIG, MeshlessConfig
-from .errors import MkfreeError, SupportDeficiencyError, ValidationError
-from .interp import select_support
+from .errors import MkfreeError, ValidationError
 from .model import (BackgroundGrid, DofMap, MaterialModel, Modification,
                     NodeCloud)
 
@@ -45,23 +48,30 @@ def changed_nodes(mod: Modification) -> list[int]:
     return sorted(set(mod.added_ids) | mod.removed_ids)
 
 
-def _support_signature(point, cloud: NodeCloud, cfg: MeshlessConfig):
-    """Cheap fingerprint of a Gauss point's integration state: inactive,
-    support-deficient, or the exact support node-id tuple."""
-    if not gauss_point_active(point, cloud, cfg):
-        return ("inactive",)
-    try:
-        sel = select_support(point, cloud, cfg)
-    except SupportDeficiencyError:
-        return ("deficient",)
-    return tuple(int(i) for i in sel.node_ids)
+def _supports_of(points, cloud: NodeCloud, node_ids: np.ndarray,
+                 cfg: MeshlessConfig):
+    """Integration state of every point for ``cloud``: a code (G,) that is
+    -1 for an inactive point, -2 for a support-deficient one and the
+    support size otherwise, and the support incidence (G, len(node_ids))
+    of the supported points."""
+    active, sup = active_supports(points, cloud, cfg)
+    state = np.full(len(points), -1, dtype=np.int64)
+    state[active] = np.where(sup.deficient, -2, sup.sizes)
+    counts = np.zeros(len(points), dtype=np.int64)
+    counts[active] = np.where(sup.deficient, 0, sup.sizes)
+    rows = sup.rows[np.repeat(~sup.deficient, sup.sizes)]
+    cols = np.searchsorted(node_ids, cloud.ids[rows])
+    ptr = np.concatenate([[0], np.cumsum(counts)])
+    return state, sp.csr_matrix((np.ones(len(cols)), cols, ptr),
+                                shape=(len(points), len(node_ids)))
 
 
 @dataclass(frozen=True)
 class InfluenceDomain:
     """Gauss points and nodes affected by a node-set modification."""
 
-    affected_gauss: tuple            # GaussPoint objects
+    grid: BackgroundGrid
+    affected_gauss: np.ndarray       # indices into grid.gauss
     influence_node_ids: np.ndarray   # nodes supporting any affected point
     n_gauss_total: int
 
@@ -73,9 +83,9 @@ def build_influence_domain(changed: list[int], cloud_initial: NodeCloud,
     """Locate every Gauss point whose contribution differs between the
     initial and modified clouds.
 
-    Every Gauss point is screened with a cheap support-signature
-    comparison (activity plus the exact support node set), so the
-    resulting delta is exact by construction.
+    Every Gauss point is screened by comparing its integration state in
+    the two clouds -- inactive, support-deficient, or the exact support
+    node-id set -- so the resulting delta is exact by construction.
     """
     if not changed:
         raise ValidationError("influence domain of an empty modification")
@@ -87,24 +97,18 @@ def build_influence_domain(changed: list[int], cloud_initial: NodeCloud,
         if not grid.contains(pos):
             raise ValidationError(f"changed node at {pos.tolist()} outside grid")
 
-    affected = []
-    influence_nodes: set[int] = set()
-    n_total = 0
-    for gp in gauss_points(grid):
-        n_total += 1
-        sig_i = _support_signature(gp.position, cloud_initial, cfg)
-        sig_m = _support_signature(gp.position, cloud_modified, cfg)
-        if sig_i == sig_m:
-            continue
-        affected.append(gp)
-        for sig in (sig_i, sig_m):
-            if sig and isinstance(sig[0], int):
-                influence_nodes.update(sig)
-    influence_nodes.update(changed)
+    points = grid.gauss[0]
+    node_ids = np.union1d(cloud_initial.ids, cloud_modified.ids)
+    state_i, A_i = _supports_of(points, cloud_initial, node_ids, cfg)
+    state_m, A_m = _supports_of(points, cloud_modified, node_ids, cfg)
+    differs = (state_i != state_m) | (np.diff((A_i != A_m).indptr) > 0)
+    affected = np.flatnonzero(differs)
+    influence = np.concatenate([A_i[affected].indices, A_m[affected].indices])
     return InfluenceDomain(
-        affected_gauss=tuple(affected),
-        influence_node_ids=np.array(sorted(influence_nodes), dtype=np.int64),
-        n_gauss_total=n_total,
+        grid=grid,
+        affected_gauss=affected,
+        influence_node_ids=np.union1d(node_ids[influence], changed),
+        n_gauss_total=len(points),
     )
 
 
@@ -129,37 +133,17 @@ def compute_delta(dom: InfluenceDomain, cloud_initial: NodeCloud,
     gain the unit diagonal (+1) and an added node's DOFs lose it (-1).
     """
     N = dof_map.n_dofs
-    D = constitutive(mat)
-    rows, cols, vals = [], [], []
-    for gp in dom.affected_gauss:
-        for cloud, sign in ((cloud_modified, 1.0), (cloud_initial, -1.0)):
-            contrib = gauss_contribution(gp.position, gp.weight, cloud, D, cfg)
-            if contrib is None:
-                continue
-            node_ids, k = contrib
-            dofs = dof_map.dofs_of(node_ids)
-            rr, cc = np.meshgrid(dofs, dofs, indexing="ij")
-            rows.append(rr.ravel())
-            cols.append(cc.ravel())
-            vals.append(sign * k.ravel())
+    points, weights, cells = (a[dom.affected_gauss] for a in dom.grid.gauss)
+    dK = integrate_stiffness(
+        [(cloud_modified, 1.0), (cloud_initial, -1.0)], points, weights,
+        cells, constitutive(mat), dof_map, cfg)
 
     in_initial = np.isin(dof_map.node_ids, cloud_initial.ids)
     in_modified = np.isin(dof_map.node_ids, cloud_modified.ids)
-    removed_dofs = np.where(np.repeat(in_initial & ~in_modified, dof_map.dim))[0]
-    added_dofs = np.where(np.repeat(~in_initial & in_modified, dof_map.dim))[0]
-    for dofs, sign in ((removed_dofs, 1.0), (added_dofs, -1.0)):
-        if len(dofs):
-            rows.append(dofs)
-            cols.append(dofs)
-            vals.append(sign * np.ones(len(dofs)))
-
-    if rows:
-        dK = sp.coo_matrix(
-            (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-            shape=(N, N)).tocsr()
-    else:
-        dK = sp.csr_matrix((N, N))
-    return StiffnessDelta(dK=dK)
+    diag = np.repeat(in_initial.astype(float) - in_modified, dof_map.dim)
+    swap = np.flatnonzero(diag)
+    return StiffnessDelta(dK=(dK + sp.coo_matrix(
+        (diag[swap], (swap, swap)), shape=(N, N))).tocsr())
 
 
 def local_delta(mod: Modification, cloud_initial: NodeCloud,

@@ -2,44 +2,44 @@ import numpy as np
 import pytest
 
 from mkfree.assembly import (apply_bcs, assemble_load, assemble_stiffness,
-                             cell_gauss_points, constitutive,
-                             gauss_point_active, gauss_points,
+                             constitutive, gauss_point_active,
                              strain_displacement)
 from mkfree.config import MeshlessConfig
 from mkfree.interp import evaluate_at
 from mkfree.model import (BackgroundGrid, BoundaryConditions, MaterialModel,
                           Modification, NodeCloud, Traction,
-                          apply_modification)
+                          apply_modification, identity_dof_map)
 
 from conftest import cantilever_bc, grid_for, jittered_cloud
-from oracles import constitutive_oracle, dense_stiffness_oracle
+from oracles import (constitutive_oracle, dense_stiffness_oracle,
+                     shape_oracle, support_oracle)
 
 
 class TestGaussPoints:
     def test_weights_sum_to_measure(self):
         grid = BackgroundGrid(origin=[0, 0], cell_size=[2.0, 0.5],
                               counts=(3, 4))
-        pts = gauss_points(grid)
-        assert len(pts) == 3 * 4 * 4
-        assert np.isclose(sum(p.weight for p in pts), 3 * 2.0 * 4 * 0.5)
+        positions, weights, cells = grid.gauss
+        assert len(positions) == len(weights) == len(cells) == 3 * 4 * 4
+        assert np.isclose(weights.sum(), 3 * 2.0 * 4 * 0.5)
 
     def test_positions_inside_cells(self):
         grid = BackgroundGrid(origin=[1, 1], cell_size=[1, 1], counts=(2, 2))
-        for gp in gauss_points(grid):
-            lo, hi = grid.cell_bounds(gp.cell)
-            assert np.all(gp.position > lo) and np.all(gp.position < hi)
+        for position, cell in zip(grid.gauss[0], grid.gauss[2]):
+            lo, hi = grid.cell_bounds(cell)
+            assert np.all(position > lo) and np.all(position < hi)
 
     def test_quadrature_integrates_cubics(self):
         # 2-point Gauss-Legendre is exact through degree 3 per axis
         grid = BackgroundGrid(origin=[0, 0], cell_size=[1, 1], counts=(1, 1))
-        total = sum(gp.weight * gp.position[0] ** 3 * gp.position[1]
-                    for gp in cell_gauss_points(grid, (0, 0)))
+        positions, weights, _ = grid.gauss
+        total = np.sum(weights * positions[:, 0] ** 3 * positions[:, 1])
         assert np.isclose(total, 0.25 * 0.5)
 
     def test_3d_count(self):
         grid = BackgroundGrid(origin=[0, 0, 0], cell_size=[1, 1, 1],
                               counts=(2, 1, 1))
-        assert len(gauss_points(grid)) == 2 * 8
+        assert len(grid.gauss[0]) == 2 * 8
 
 
 class TestActivity:
@@ -70,7 +70,7 @@ class TestConstitutive:
 def test_strain_displacement_blocks(rng):
     cloud = jittered_cloud(rng, 6, 6)
     sf = evaluate_at([2.3, 2.7], cloud)
-    B = strain_displacement(sf)
+    B = strain_displacement(sf.grads)
     g = sf.grads
     assert B.shape == (len(g), 3, 2)
     k = 3
@@ -143,6 +143,30 @@ class TestLoad:
         F = assemble_load(cloud, BoundaryConditions(tractions=(tr,)))
         assert np.isclose(F[1::2].sum(), -3.0 * 7.0, rtol=1e-12)
         assert np.isclose(F[0::2].sum(), 0.0, atol=1e-12)
+
+    def test_tractions_match_per_point_quadrature(self, rng, cfg):
+        """Edge tractions against a 2-point line quadrature written out
+        point by point with the dense shape-function oracle."""
+        cloud = jittered_cloud(rng, 7, 5, jitter=0.2)
+        tractions = (Traction(start=[6.0, 0.0], end=[6.0, 2.0], q=[1.5, 0.0]),
+                     Traction(start=[6.0, 2.0], end=[6.0, 4.0], q=[1.5, -0.5]),
+                     Traction(start=[0.5, 4.0], end=[3.5, 4.0], q=[0.0, -2.0]))
+        F = assemble_load(cloud, BoundaryConditions(tractions=tractions),
+                          cfg=cfg)
+        dm = identity_dof_map(cloud)
+        ref = np.zeros(dm.n_dofs)
+        gl = 1.0 / np.sqrt(3.0)
+        for tr in tractions:
+            seg = tr.end - tr.start
+            for xi in (-gl, gl):
+                x = 0.5 * (tr.start + tr.end) + 0.5 * xi * seg
+                rows = support_oracle(x, cloud, cfg)
+                values, _ = shape_oracle(x, cloud.coords[rows], cfg.theta)
+                dofs = dm.dofs_of(cloud.ids[rows]).reshape(-1, 2)
+                for axis in range(2):
+                    ref[dofs[:, axis]] += (0.5 * np.linalg.norm(seg)
+                                           * tr.q[axis] * values)
+        assert np.abs(F - ref).max() <= 1e-12 * np.abs(ref).max()
 
     def test_unknown_node_rejected(self, rng):
         from mkfree.errors import ValidationError

@@ -191,3 +191,21 @@ class TestBench:
         family.write_text(json.dumps({"cases": []}))
         rc = main(["bench", str(family), "-o", str(tmp_path / "b.csv")])
         assert rc == 2
+
+    @pytest.mark.parametrize("family_json", [
+        [],
+        {"cases": [3]},
+        {"cases": [{"nx": "wide", "ny": 7, "mod": {"kind": "hole"}}]},
+        {"cases": [{"nx": 9, "ny": 7, "pitch": "x",
+                    "mod": {"kind": "hole"}}]},
+        {"cases": [{"nx": 9, "ny": 7, "mod": {"kind": "hole"},
+                    "basis": "many"}]},
+    ], ids=["list", "non-object-case", "non-numeric-nx", "non-numeric-pitch",
+            "non-numeric-basis"])
+    def test_malformed_family_is_validation_error(self, tmp_path, capsys,
+                                                  family_json):
+        family = tmp_path / "family.json"
+        family.write_text(json.dumps(family_json))
+        rc = main(["bench", str(family), "-o", str(tmp_path / "b.csv")])
+        assert rc == 2
+        assert "validation error" in capsys.readouterr().err

@@ -76,11 +76,11 @@ class TestBoundaryConditions:
 
 class TestModification:
     def test_flags(self):
-        assert Modification().is_empty
+        assert not Modification().changes_nodes
         m = Modification(removed_ids={4})
-        assert m.changes_nodes and not m.is_empty
+        assert m.changes_nodes
         m2 = Modification(material_change=MaterialModel(1.0, 0.2))
-        assert not m2.changes_nodes and not m2.is_empty
+        assert not m2.changes_nodes
 
     def test_rejects_overlap(self):
         with pytest.raises(ValidationError):
@@ -100,11 +100,10 @@ class TestApplyModification:
         assert sorted(cloud2.ids.tolist()) == [0, 2, 9]
         assert dm.node_ids.tolist() == [0, 1, 2, 9]
         assert dm.n_dofs == 8
-        # removed node active initially, not after; added the reverse
-        assert dm.active_initial[dm.dof(1, 0)]
+        # removed node inactive after the modification, added node active
         assert not dm.active_modified[dm.dof(1, 0)]
-        assert not dm.active_initial[dm.dof(9, 0)]
         assert dm.active_modified[dm.dof(9, 1)]
+        assert dm.active_modified[dm.dof(0, 0)]
 
     def test_remove_loaded_node_requires_bc_change(self):
         bc = BoundaryConditions(point_loads=((1, 0, 1.0),))
@@ -130,8 +129,18 @@ class TestDofMap:
         dm = identity_dof_map(cloud)
         assert np.all(np.diff(dm.node_ids) > 0)
         assert dm.dof(dm.node_ids[0], 1) == 1
-        nid, axis = dm.node_of_dof(5)
-        assert dm.dof(nid, axis) == 5
+        assert dm.dof(dm.node_ids[2], 1) == 5
+
+    def test_dofs_of_rejects_unknown_id(self):
+        dm = identity_dof_map(NodeCloud(
+            ids=[2, 5, 9], coords=[[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]],
+            dim=2))
+        assert dm.dofs_of([9, 2]).tolist() == [4, 5, 0, 1]
+        for unknown in ([3], [2, 10], [-1], [11]):
+            with pytest.raises(ValidationError):
+                dm.dofs_of(unknown)
+        with pytest.raises(ValidationError):
+            dm.dof(4, 0)
 
     @given(st.sets(st.integers(0, 50), min_size=2, max_size=12))
     @settings(max_examples=40, deadline=None)

@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
-from mkfree.assembly import constitutive
+from mkfree.assembly import constitutive, strain_displacement
 from mkfree.errors import ValidationError
-from mkfree.model import MaterialModel
+from mkfree.interp import evaluate_at
+from mkfree.model import MaterialModel, identity_dof_map
 from mkfree.recovery import error_metrics, recover_fields, von_mises
 
 from conftest import jittered_cloud
@@ -106,6 +107,34 @@ class TestRecoverFields:
         U = np.zeros(2 * cloud.n_nodes)
         fields = recover_fields(U, shuffled, MaterialModel(1.0, 0.3), cfg)
         assert np.all(np.diff(fields.node_ids) > 0)
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_matches_per_node_evaluation(self, rng, cfg, dim):
+        """The batched recovery against a per-node evaluate_at loop."""
+        if dim == 2:
+            cloud = jittered_cloud(rng, 7, 6, jitter=0.2)
+            mat = MaterialModel(100.0, 0.3)
+        else:
+            cloud = jittered_cloud(rng, 4, 4, nz=3, jitter=0.15)
+            mat = MaterialModel(100.0, 0.3, mode="solid_3d")
+        perm = rng.permutation(cloud.n_nodes)
+        from mkfree.model import NodeCloud
+        cloud = NodeCloud(ids=cloud.ids[perm] * 3 + 1,
+                          coords=cloud.coords[perm], dim=dim)
+        dm = identity_dof_map(cloud)
+        U = rng.standard_normal(dm.n_dofs)
+        fields = recover_fields(U, cloud, mat, cfg)
+        strain = []
+        for nid in fields.node_ids:
+            sf = evaluate_at(cloud.coord_of(nid), cloud, cfg)
+            u = U[dm.dofs_of(sf.node_ids)].reshape(-1, dim)
+            strain.append(np.einsum("nrd,nd->r",
+                                    strain_displacement(sf.grads), u))
+        strain = np.array(strain)
+        scale = np.abs(strain).max()
+        assert np.abs(fields.strain - strain).max() <= 1e-12 * scale
+        assert np.array_equal(fields.displacements,
+                              U[dm.dofs_of(fields.node_ids)].reshape(-1, dim))
 
     def test_length_mismatch(self, rng, cfg):
         cloud = jittered_cloud(rng, 4, 4)

@@ -16,7 +16,6 @@ def test_factor_solve_matches_numpy(rng):
     import scipy.sparse as sp
     from mkfree.model import DofMap
     dm = DofMap(node_ids=np.arange(15), dim=2,
-                active_initial=np.ones(30, bool),
                 active_modified=np.ones(30, bool))
     system = StiffnessSystem(K=sp.csr_matrix(K), F=F, dof_map=dm)
     factor = factorize(system)

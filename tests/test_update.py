@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 
+from mkfree.assembly import gauss_point_active
 from mkfree.config import MeshlessConfig
-from mkfree.errors import ValidationError
+from mkfree.errors import SupportDeficiencyError, ValidationError
+from mkfree.interp import select_support
 from mkfree.model import (MaterialModel, Modification, NodeCloud,
                           apply_modification)
 from mkfree.update import (LocalUpdateUnavailableError,
@@ -39,6 +41,18 @@ def random_modification(rng, cloud, n_change=3):
                         removed_ids=frozenset(removed))
 
 
+def support_signature(point, cloud, cfg):
+    """One point's integration state: inactive, support-deficient, or the
+    exact support node-id tuple (the per-point screen)."""
+    if not gauss_point_active(point, cloud, cfg):
+        return ("inactive",)
+    try:
+        sel = select_support(point, cloud, cfg)
+    except SupportDeficiencyError:
+        return ("deficient",)
+    return tuple(int(i) for i in sel.node_ids)
+
+
 class TestChangedNodes:
     def test_sorted_union(self):
         mod = Modification(added_ids=(9, 4), added_coords=[[0, 0], [1, 1]],
@@ -60,6 +74,30 @@ class TestInfluenceDomain:
         rows, cols = delta.dK.nonzero()
         assert set(rows.tolist()) <= inf_dofs
         assert set(cols.tolist()) <= inf_dofs
+
+    def test_screen_matches_per_point_signatures(self, rng):
+        """The batched screen against a per-point signature comparison,
+        including configurations with holes and deficient supports."""
+        for trial in range(8):
+            cfg = MeshlessConfig(alpha=(3.0, 0.6)[trial % 2])
+            cloud = jittered_cloud(rng, 9, 7, jitter=0.2)
+            grid = grid_for(cloud, pad=0.2)
+            mod = random_modification(rng, cloud, n_change=6)
+            cloud_m, _ = apply_modification(cloud, mod)
+            dom = build_influence_domain(changed_nodes(mod), cloud, cloud_m,
+                                         grid, cfg)
+            affected, nodes = [], set(changed_nodes(mod))
+            for g, x in enumerate(grid.gauss[0]):
+                sig_i = support_signature(x, cloud, cfg)
+                sig_m = support_signature(x, cloud_m, cfg)
+                if sig_i != sig_m:
+                    affected.append(g)
+                    for sig in (sig_i, sig_m):
+                        if isinstance(sig[0], int):
+                            nodes.update(sig)
+            assert dom.affected_gauss.tolist() == affected
+            assert dom.influence_node_ids.tolist() == sorted(nodes)
+            assert dom.n_gauss_total == len(grid.gauss[0])
 
     def test_empty_change_rejected(self, rng, cfg):
         cloud = jittered_cloud(rng, 5, 5)
