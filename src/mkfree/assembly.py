@@ -212,7 +212,6 @@ class StiffnessSystem:
     K: sp.csr_matrix
     F: np.ndarray
     dof_map: DofMap
-    constrained: frozenset = frozenset()
 
     @property
     def n_dofs(self) -> int:
@@ -222,30 +221,22 @@ class StiffnessSystem:
         return replace(self, F=np.asarray(F, dtype=float))
 
 
-def _absent_dofs(dof_map: DofMap, cloud: NodeCloud) -> np.ndarray:
-    present = np.isin(dof_map.node_ids, cloud.ids)
-    return np.where(~np.repeat(present, dof_map.dim))[0]
-
-
 def assemble_stiffness(cloud: NodeCloud, grid: BackgroundGrid,
                        mat: MaterialModel, cfg: MeshlessConfig = DEFAULT_CONFIG,
                        dof_map: DofMap | None = None) -> StiffnessSystem:
     """Assemble the sparse global stiffness matrix for one configuration.
 
-    Union DOFs whose node is absent from ``cloud`` receive a unit diagonal
-    and zero coupling, so they decouple and solve to zero.
+    Union DOFs whose node is absent from ``cloud`` receive the unit
+    diagonal of :meth:`DofMap.absent_unit`, so they decouple and solve to
+    zero.
     """
     if dof_map is None:
         dof_map = identity_dof_map(cloud)
-    N = dof_map.n_dofs
     points, weights, cells = grid.gauss
     K = integrate_stiffness([(cloud, 1.0)], points, weights, cells,
                             constitutive(mat), dof_map, cfg)
-    absent = _absent_dofs(dof_map, cloud)
-    if len(absent):
-        K = (K + sp.coo_matrix((np.ones(len(absent)), (absent, absent)),
-                               shape=(N, N))).tocsr()
-    return StiffnessSystem(K=K, F=np.zeros(N), dof_map=dof_map)
+    K = (K + dof_map.absent_unit(cloud)).tocsr()
+    return StiffnessSystem(K=K, F=np.zeros(dof_map.n_dofs), dof_map=dof_map)
 
 
 def assemble_load(cloud: NodeCloud, bc: BoundaryConditions,
@@ -287,7 +278,7 @@ def apply_bcs(system: StiffnessSystem, bc: BoundaryConditions
     dm = system.dof_map
     fixed = sorted({dm.dof(n, a) for n, a in bc.fixed_dofs})
     if not fixed:
-        return replace(system, constrained=frozenset())
+        return system
     N = system.n_dofs
     free = np.ones(N)
     free[fixed] = 0.0
@@ -296,5 +287,4 @@ def apply_bcs(system: StiffnessSystem, bc: BoundaryConditions
     K = K + sp.coo_matrix((np.ones(len(fixed)), (fixed, fixed)), shape=(N, N))
     F = system.F.copy()
     F[fixed] = 0.0
-    return StiffnessSystem(K=K.tocsr(), F=F, dof_map=dm,
-                           constrained=frozenset(fixed))
+    return StiffnessSystem(K=K.tocsr(), F=F, dof_map=dm)

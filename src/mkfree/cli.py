@@ -210,6 +210,8 @@ def bench_one(entry: dict, repeats: int = 3):
 
 
 def cmd_bench(args) -> int:
+    if args.repeats < 1:
+        raise ValidationError(f"--repeats must be >= 1, got {args.repeats}")
     with open(args.family) as fh:
         try:
             family = json.load(fh)

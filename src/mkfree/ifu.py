@@ -51,15 +51,13 @@ def measurement(K_m: sp.spmatrix, K_m_star: sp.spmatrix, delta: np.ndarray
     return np.asarray(rowsum).ravel() + np.abs(delta)
 
 
-def unbalanced_set(meas: np.ndarray, tol: float | None = None) -> np.ndarray:
-    """Ascending indices of the unbalanced DOFs.
+def unbalanced_set(meas: np.ndarray, tol: float) -> np.ndarray:
+    """Ascending indices of the DOFs whose measurement exceeds ``tol``.
 
-    The default tolerance 1e-12 * max(meas) keeps floating-point assembly
-    noise out of the set while being inert on clean problems.
+    The tolerance policy lives in :func:`ifu_solve`, whose scale-aware
+    default keeps floating-point assembly noise out of the set.
     """
     meas = np.asarray(meas, dtype=float)
-    if tol is None:
-        tol = 1e-12 * float(meas.max(initial=0.0))
     if tol < 0:
         raise ValueError("tolerance must be nonnegative")
     return np.where(np.abs(meas) > tol)[0]

@@ -14,6 +14,7 @@ from dataclasses import dataclass, field, replace
 from functools import cached_property
 
 import numpy as np
+import scipy.sparse as sp
 from scipy.spatial import cKDTree
 
 from .errors import ParseError, ValidationError
@@ -139,13 +140,6 @@ class BackgroundGrid:
         lo = self.origin + np.asarray(idx, dtype=float) * self.cell_size
         return lo, lo + self.cell_size
 
-    def cell_of(self, point) -> tuple:
-        """Cell index containing ``point`` (clipped to the grid range)."""
-        rel = (np.asarray(point, dtype=float) - self.origin) / self.cell_size
-        idx = np.floor(rel).astype(int)
-        idx = np.clip(idx, 0, np.asarray(self.counts) - 1)
-        return tuple(int(i) for i in idx)
-
     def contains(self, point) -> bool:
         p = np.asarray(point, dtype=float)
         hi = self.origin + np.asarray(self.counts) * self.cell_size
@@ -253,11 +247,12 @@ class Modification:
 @dataclass(frozen=True)
 class DofMap:
     """Deterministic DOF ordering over the union of initial and modified
-    node sets: sorted by node id, then axis."""
+    node sets: sorted by node id, then axis.  It alone decides which DOFs
+    a configuration carries; the others decouple through
+    :meth:`absent_unit` and a zero load."""
 
     node_ids: np.ndarray       # sorted union, (N,)
     dim: int
-    active_modified: np.ndarray   # (N*dim,) bool
 
     @property
     def n_dofs(self) -> int:
@@ -282,12 +277,21 @@ class DofMap:
         pos = self.positions(node_ids)
         return (pos[:, None] * self.dim + np.arange(self.dim)[None, :]).ravel()
 
+    def carries(self, cloud: NodeCloud) -> np.ndarray:
+        """(n_dofs,) bool: the DOFs of the map's nodes that ``cloud`` holds."""
+        return np.repeat(np.isin(self.node_ids, cloud.ids), self.dim)
+
+    def absent_unit(self, cloud: NodeCloud) -> sp.csr_matrix:
+        """Unit diagonal on the DOFs ``cloud`` does not carry, zero
+        elsewhere: the term that decouples them on the union space."""
+        absent = np.flatnonzero(~self.carries(cloud))
+        return sp.csr_matrix((np.ones(len(absent)), (absent, absent)),
+                             shape=(self.n_dofs, self.n_dofs))
+
 
 def identity_dof_map(cloud: NodeCloud) -> DofMap:
-    """DofMap for a single configuration (every DOF active)."""
-    ids = np.sort(cloud.ids)
-    return DofMap(node_ids=ids, dim=cloud.dim,
-                  active_modified=np.ones(len(ids) * cloud.dim, dtype=bool))
+    """DofMap for a single configuration (it carries every DOF)."""
+    return DofMap(node_ids=np.sort(cloud.ids), dim=cloud.dim)
 
 
 def apply_modification(cloud: NodeCloud, mod: Modification,
@@ -323,10 +327,7 @@ def apply_modification(cloud: NodeCloud, mod: Modification,
     new_coords = np.vstack([cloud.coords[keep], added_coords])
     modified = NodeCloud(ids=new_ids, coords=new_coords, dim=cloud.dim)
 
-    union_ids = np.union1d(cloud.ids, new_ids)
-    dof_map = DofMap(node_ids=union_ids, dim=cloud.dim,
-                     active_modified=np.repeat(np.isin(union_ids, new_ids),
-                                               cloud.dim))
+    dof_map = DofMap(node_ids=np.union1d(cloud.ids, new_ids), dim=cloud.dim)
     return modified, dof_map
 
 

@@ -2,8 +2,9 @@
 test suite.
 
 A baseline full analysis produces the initial stiffness, factor, and
-displacement.  For a modification, everything is lifted onto the union DOF
-space (initial U modified nodes); the modified stiffness comes from the
+displacement.  For a modification, one lift carries them and the initial
+factor onto the union DOF space (initial U modified nodes), so reanalysis
+never refactorizes; the modified stiffness comes from the
 local updating strategy, or from a global reassembly when a material
 change rules the local strategy out.
 """
@@ -62,47 +63,48 @@ def full_analysis(cloud: NodeCloud, grid: BackgroundGrid, mat: MaterialModel,
                     raw=raw, system=system, factor=factor, U=U)
 
 
-def _expand_to_union(system: StiffnessSystem, dof_map: DofMap
-                     ) -> StiffnessSystem:
-    """Lift an initial-space system onto the union DOF space; union DOFs of
-    nodes absent initially get a unit diagonal and zero load."""
-    n_init = system.n_dofs
-    N = dof_map.n_dofs
-    if N == n_init:
-        return StiffnessSystem(K=system.K, F=system.F, dof_map=dof_map,
-                               constrained=system.constrained)
-    perm = dof_map.dofs_of(system.dof_map.node_ids)
-    P = sp.coo_matrix((np.ones(n_init), (perm, np.arange(n_init))),
-                      shape=(N, n_init)).tocsr()
-    K = (P @ system.K @ P.T).tocsr()
-    absent = np.setdiff1d(np.arange(N), perm)
-    K = K + sp.coo_matrix((np.ones(len(absent)), (absent, absent)),
-                          shape=(N, N))
-    F = np.zeros(N)
-    F[perm] = system.F
-    constrained = frozenset(int(perm[c]) for c in system.constrained)
-    return StiffnessSystem(K=K.tocsr(), F=F, dof_map=dof_map,
-                           constrained=constrained)
+def _lift(baseline: Baseline, dof_map: DofMap):
+    """Lift the baseline onto the union DOF space of ``dof_map``.
 
+    With ``perm`` the union positions of the initial DOFs, ``P`` the N x n
+    embedding ``P[perm[k], k] = 1`` and ``I_a = I - P P^T`` the unit
+    diagonal on the DOFs the initial cloud does not carry, a matrix A lifts
+    to ``P A P^T + I_a`` and a vector v to ``P v``.  The factor lifts the same way for every id order:
+    as ``P^T P = I`` and ``P^T I_a = 0``, ``L = P L0 P^T + I_a`` gives
+    ``L L^T = P K* P^T + I_a``, and as ``perm`` increases (both id lists
+    are sorted), L is lower triangular with a positive diagonal: the
+    Cholesky factor of the lifted K*.  This is the simplest case of
+    inserting rows and columns into a factor (Davis & Hager, SIAM J.
+    Matrix Anal. Appl. 20(3), 1999).
 
-def _expand_factor(baseline: Baseline, system_u: StiffnessSystem,
-                   dof_map: DofMap) -> CholeskyFactor:
-    """Reuse the baseline factor on the union space.
-
-    When added node ids sort after every initial id, the union stiffness is
-    block diagonal [[K*, 0], [0, I]] and the factor extends for free;
-    otherwise the (permuted) union stiffness is re-factorized.
+    Returns the lifted BC-applied system, raw K, factor and displacement;
+    with no added node the matrices and the factor are returned uncopied.
     """
-    n_init = baseline.system.n_dofs
+    system = baseline.system
+    perm = dof_map.dofs_of(system.dof_map.node_ids)
     N = dof_map.n_dofs
-    if N == n_init:
-        return baseline.factor
-    perm = dof_map.dofs_of(baseline.system.dof_map.node_ids)
-    if np.array_equal(perm, np.arange(n_init)):
-        L0 = np.eye(N)
-        L0[:n_init, :n_init] = baseline.factor.L0
-        return CholeskyFactor(L0=L0)
-    return factorize(system_u)
+    U_star = np.zeros(N)
+    U_star[perm] = baseline.U
+    if len(perm) == N:
+        return system, baseline.raw.K, baseline.factor, U_star
+
+    unit = dof_map.absent_unit(baseline.cloud)
+
+    def lift(A):
+        A = A.tocoo()
+        return (sp.csr_matrix((A.data, (perm[A.row], perm[A.col])),
+                              shape=(N, N)) + unit).tocsr()
+
+    F_star = np.zeros(N)
+    F_star[perm] = system.F
+    # L0 goes in one run of consecutive union positions at a time, from
+    # the run's first row down: the rows above it are zero in L0
+    L0 = np.eye(N)
+    starts = np.flatnonzero(np.diff(perm, prepend=-2) != 1)
+    for a, b in zip(starts, np.append(starts[1:], len(perm))):
+        L0[perm[a:], perm[a]:perm[a] + b - a] = baseline.factor.L0[a:, a:b]
+    return (StiffnessSystem(K=lift(system.K), F=F_star, dof_map=dof_map),
+            lift(baseline.raw.K), CholeskyFactor(L0=L0), U_star)
 
 
 @dataclass(frozen=True)
@@ -129,12 +131,14 @@ class ModifiedCase:
 def prepare_modified(baseline: Baseline, mod: Modification) -> ModifiedCase:
     """Build the union-space systems and the stiffness delta for ``mod``.
 
-    The modified pre-BC stiffness is the initial one plus the local delta,
-    or a global reassembly when the local strategy refuses the modification
-    (a material change; the reason is kept in ``fallback_reason``).  The
-    modified boundary conditions are then applied to it, and the delta is
-    taken between the two BC-applied matrices, so CA and IFU see one
-    consistent pair whatever changed.
+    The initial systems and factor reach the union space through
+    :func:`_lift`, whatever ids the added nodes have; nothing is factorized
+    here.  The modified pre-BC stiffness is the initial one plus the local
+    delta, or a global reassembly when the local strategy refuses the
+    modification (a material change; the reason is kept in
+    ``fallback_reason``).  The modified boundary conditions are then
+    applied to it, and the delta is taken between the two BC-applied
+    matrices, so CA and IFU see one consistent pair whatever changed.
     """
     cfg = baseline.cfg
     cloud_mod, dof_map = apply_modification(baseline.cloud, mod, baseline.bc)
@@ -142,10 +146,7 @@ def prepare_modified(baseline: Baseline, mod: Modification) -> ModifiedCase:
     bc_new = mod.bc_change or baseline.bc
     bc_new.validate_against(cloud_mod)
 
-    star = _expand_to_union(baseline.system, dof_map)
-    factor = _expand_factor(baseline, star, dof_map)
-    U_star = np.zeros(dof_map.n_dofs)
-    U_star[dof_map.dofs_of(baseline.system.dof_map.node_ids)] = baseline.U
+    star, K_raw, factor, U_star = _lift(baseline, dof_map)
 
     influence = fallback = None
     try:
@@ -157,8 +158,7 @@ def prepare_modified(baseline: Baseline, mod: Modification) -> ModifiedCase:
         K_m_raw = global_update(cloud_mod, baseline.grid, mat_new, dof_map,
                                 cfg).K
     else:
-        K_m_raw = (_expand_to_union(baseline.raw, dof_map).K
-                   + delta_raw.dK).tocsr()
+        K_m_raw = (K_raw + delta_raw.dK).tocsr()
 
     F_mod = assemble_load(cloud_mod, bc_new, dof_map, cfg)
     modified = apply_bcs(StiffnessSystem(K=K_m_raw, F=F_mod, dof_map=dof_map),
@@ -181,8 +181,9 @@ def _restrict(case: ModifiedCase, U: np.ndarray) -> FieldSolution:
 
 def run_ca(case: ModifiedCase, s: int = 10):
     """CA reanalysis; returns (U, FieldSolution, diagnostics dict)."""
+    mask = case.dof_map.carries(case.cloud_mod)
     U, basis, reduced = _ca.ca_solve(case.factor, case.dK, case.K_m, case.F,
-                                     s, mask=case.dof_map.active_modified)
+                                     s, mask=mask)
     diag = {"method": "ca", "s": s, "rank": reduced.rank,
             "update_path": case.update_path}
     return U, _restrict(case, U), diag

@@ -129,21 +129,18 @@ def compute_delta(dom: InfluenceDomain, cloud_initial: NodeCloud,
                   ) -> StiffnessDelta:
     """Re-integrate only the affected Gauss points and difference them.
 
-    Includes the union-space diagonal bookkeeping: a removed node's DOFs
-    gain the unit diagonal (+1) and an added node's DOFs lose it (-1).
+    The delta is taken between two stiffness matrices on the union space,
+    so it also carries the difference of their decoupling diagonals
+    (:meth:`DofMap.absent_unit` of the modified cloud minus that of the
+    initial one): +1 on a removed node's DOFs and -1 on an added node's.
     """
-    N = dof_map.n_dofs
     points, weights, cells = (a[dom.affected_gauss] for a in dom.grid.gauss)
     dK = integrate_stiffness(
         [(cloud_modified, 1.0), (cloud_initial, -1.0)], points, weights,
         cells, constitutive(mat), dof_map, cfg)
-
-    in_initial = np.isin(dof_map.node_ids, cloud_initial.ids)
-    in_modified = np.isin(dof_map.node_ids, cloud_modified.ids)
-    diag = np.repeat(in_initial.astype(float) - in_modified, dof_map.dim)
-    swap = np.flatnonzero(diag)
-    return StiffnessDelta(dK=(dK + sp.coo_matrix(
-        (diag[swap], (swap, swap)), shape=(N, N))).tocsr())
+    unit = (dof_map.absent_unit(cloud_modified)
+            - dof_map.absent_unit(cloud_initial))
+    return StiffnessDelta(dK=(dK + unit).tocsr())
 
 
 def local_delta(mod: Modification, cloud_initial: NodeCloud,

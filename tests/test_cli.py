@@ -192,6 +192,17 @@ class TestBench:
         rc = main(["bench", str(family), "-o", str(tmp_path / "b.csv")])
         assert rc == 2
 
+    @pytest.mark.parametrize("repeats", ["0", "-1"])
+    def test_nonpositive_repeats_is_validation_error(self, tmp_path, capsys,
+                                                     repeats):
+        family = tmp_path / "family.json"
+        family.write_text(json.dumps({"cases": [
+            {"name": "tiny", "nx": 9, "ny": 7, "mod": {"kind": "hole"}}]}))
+        rc = main(["bench", str(family), "--repeats", repeats,
+                   "-o", str(tmp_path / "b.csv")])
+        assert rc == 2
+        assert "validation error" in capsys.readouterr().err
+
     @pytest.mark.parametrize("family_json", [
         [],
         {"cases": [3]},

@@ -1,4 +1,5 @@
-"""prepare_modified on modifications that change more than the node set.
+"""prepare_modified on modifications that change more than the node set,
+and on insertions whose ids sort among the initial ones.
 
 Each case checks the prepared pair against independent references: the
 modified stiffness against a BC-applied global reassembly, the delta
@@ -8,6 +9,7 @@ against K_m - K*, and IFU against a full re-solve.
 import numpy as np
 import pytest
 
+from mkfree import demos, pipeline
 from mkfree.assembly import StiffnessSystem, apply_bcs, assemble_load
 from mkfree.model import (BoundaryConditions, MaterialModel, Modification,
                           NodeCloud)
@@ -35,8 +37,9 @@ def _interior_node(cloud):
                                                   axis=1))])
 
 
-def _check_case(base, mod):
-    case = prepare_modified(base, mod)
+def _check_case(base, mod, case=None):
+    if case is None:
+        case = prepare_modified(base, mod)
     cfg = base.cfg
     ref_raw = global_update(case.cloud_mod, base.grid, case.material,
                             case.dof_map, cfg)
@@ -102,3 +105,51 @@ def test_loaded_node_removal_with_bc_change(baseline):
     mod = Modification(removed_ids={gone}, bc_change=bc)
     case = _check_case(baseline, mod)
     assert case.update_path == "local" and case.influence is not None
+
+
+def _interleaved_2d(small_model):
+    """small_model with even ids, and two added nodes with odd ids."""
+    cloud, grid, mat, _ = small_model
+    even = NodeCloud(ids=2 * cloud.ids, coords=cloud.coords, dim=2)
+    mod = Modification(added_ids=(21, 77),
+                       added_coords=[[2.5, 1.5], [6.5, 3.5]])
+    return (even, grid, mat, cantilever_bc(even)), mod
+
+
+def _interleaved_3d():
+    """The 3D L-frame with even ids; its fillet nodes get odd ids spread
+    over the initial range."""
+    cloud, grid, mat, bc, mod = demos.l_frame_3d()
+    even = NodeCloud(ids=2 * cloud.ids, coords=cloud.coords, dim=3)
+    bc = BoundaryConditions(
+        fixed_dofs=tuple((2 * n, a) for n, a in bc.fixed_dofs),
+        point_loads=tuple((2 * n, a, v) for n, a, v in bc.point_loads))
+    odd = 2 * np.linspace(1, cloud.n_nodes - 2,
+                          len(mod.added_ids)).astype(int) + 1
+    return (even, grid, mat, bc), Modification(
+        added_ids=tuple(odd), added_coords=mod.added_coords)
+
+
+def _refuse_factorize(*_):
+    raise AssertionError("prepare_modified must reuse the initial factor")
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_insertion_with_interleaved_ids(small_model, monkeypatch, dim):
+    model, mod = (_interleaved_2d(small_model) if dim == 2
+                  else _interleaved_3d())
+    base = full_analysis(*model)
+    ids = base.cloud.ids
+    assert all(ids.min() < i < ids.max() for i in mod.added_ids)
+    with monkeypatch.context() as m:
+        m.setattr(pipeline, "factorize", _refuse_factorize)
+        case = prepare_modified(base, mod)
+    _check_case(base, mod, case)
+    K = case.star.K.toarray()
+    L0 = case.factor.L0
+    assert np.abs(L0 @ L0.T - K).max() <= 1e-13 * np.abs(K).max()
+    # the run-by-run copy is the plain scatter of the initial factor
+    perm = case.dof_map.dofs_of(np.sort(ids))
+    ref = np.eye(case.dof_map.n_dofs)
+    ref[np.ix_(perm, perm)] = base.factor.L0
+    assert np.array_equal(L0, ref)
