@@ -5,7 +5,7 @@ Each cell carries a 2x2 (2x2x2 in 3D) Gauss-Legendre rule, cached on the
 grid as arrays (``BackgroundGrid.gauss``).  A Gauss point contributes only
 when it lies inside the material domain, which a node cloud represents
 implicitly: the point must have a cloud node within
-``activity_factor * d_c``.  The global assembler and the local delta
+``ACTIVITY_FACTOR * d_c``.  The global assembler and the local delta
 updater both integrate through :func:`integrate_stiffness`, which runs the
 batched kernel of :mod:`mkfree.interp` and :func:`gauss_stiffness`; a
 point's contribution does not depend on the batch it is computed in, so
@@ -38,26 +38,27 @@ __all__ = [
     "apply_bcs",
 ]
 
+# A Gauss point integrates only if its nearest node lies within
+# ACTIVITY_FACTOR * d_c; this skips points in holes left by removed nodes.
+ACTIVITY_FACTOR = 1.0
+
+
 def active_supports(points, cloud: NodeCloud,
                     cfg: MeshlessConfig = DEFAULT_CONFIG):
-    """Indices of the points that integrate for ``cloud`` and their
-    supports (deficient ones flagged, not raised).
-
-    A point integrates only if a cloud node lies within
-    activity_factor * d_c of it (skips holes left by removed nodes).
-    """
+    """Indices of the points that integrate for ``cloud`` (see
+    ACTIVITY_FACTOR) and their supports (deficient ones flagged, not
+    raised)."""
     points = np.asarray(points, dtype=float).reshape(-1, cloud.dim)
     dist, d_c = spacing(points, cloud)
-    active = np.flatnonzero(dist <= cfg.activity_factor * d_c)
+    active = np.flatnonzero(dist <= ACTIVITY_FACTOR * d_c)
     return active, find_supports(points[active], cloud, d_c[active], cfg)
 
 
-def gauss_point_active(point, cloud: NodeCloud,
-                       cfg: MeshlessConfig = DEFAULT_CONFIG) -> bool:
+def gauss_point_active(point, cloud: NodeCloud) -> bool:
     """Whether one point integrates for ``cloud`` (see
     :func:`active_supports`)."""
     dist, d_c = spacing(point, cloud)
-    return bool(dist[0] <= cfg.activity_factor * d_c[0])
+    return bool(dist[0] <= ACTIVITY_FACTOR * d_c[0])
 
 
 def constitutive(mat: MaterialModel) -> np.ndarray:

@@ -179,7 +179,7 @@ def bench_one(entry: dict, repeats: int = 3):
     cloud, grid, mat, bc, mod = demos.bench_case(entry)
     try:
         s = int(entry.get("basis", 6))
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ValidationError(f"malformed bench entry: basis {exc}") from exc
     base = full_analysis(cloud, grid, mat, bc)
     case = prepare_modified(base, mod)

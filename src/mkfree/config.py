@@ -11,23 +11,18 @@ class MeshlessConfig:
 
     alpha            scale factor of the support radius (d_m = alpha * d_c)
     theta            Gaussian correlation parameter, units 1/length^2
-    activity_factor  a Gauss point integrates only if its nearest node lies
-                     within activity_factor * d_c (skips points that fall in
-                     holes left by removed nodes)
     support_growth   one-shot radius growth applied when a support captures
                      fewer nodes than the polynomial basis size
-    jitter_scale     diagonal jitter (relative to trace/n) retried once when
-                     the correlation matrix fails to factor
-    system_residual_tol  relative residual accepted for the interpolation
-                     system identities
+
+    The fixed constants of the kernel live beside their one reader:
+    ``assembly.ACTIVITY_FACTOR`` (which Gauss points integrate), and in
+    ``interp`` the Cholesky jitter and the residual tolerance of the
+    interpolation systems.
     """
 
     alpha: float = 3.0
     theta: float = 1.0
-    activity_factor: float = 1.0
     support_growth: float = 1.5
-    jitter_scale: float = 1e-12
-    system_residual_tol: float = 1e-10
 
     def __post_init__(self):
         if self.alpha <= 0:

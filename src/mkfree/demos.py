@@ -93,15 +93,13 @@ def patch(nx: int = 5, ny: int = 5, pitch: float = 1.0, q: float = 1.0,
 _CANTILEVER = dict(L=48.0, D=12.0, E=3.0e7, nu=0.3, P=1000.0)
 
 
-def cantilever_tip_deflection(L=None, D=None, E=None, nu=None, P=None) -> float:
+def cantilever_tip_deflection() -> float:
     """Closed-form downward tip deflection of the end-loaded cantilever:
     bending PL^3/(3EI) plus the shear correction P(4+5nu)D^2L/(24EI)."""
-    c = {**_CANTILEVER, **{k: v for k, v in dict(L=L, D=D, E=E, nu=nu, P=P).items()
-                           if v is not None}}
-    I = c["D"] ** 3 / 12.0
-    return (c["P"] * c["L"] ** 3 / (3.0 * c["E"] * I)
-            + c["P"] * (4.0 + 5.0 * c["nu"]) * c["D"] ** 2 * c["L"]
-            / (24.0 * c["E"] * I))
+    L, D, E, nu, P = (_CANTILEVER[k] for k in ("L", "D", "E", "nu", "P"))
+    I = D ** 3 / 12.0
+    return (P * L ** 3 / (3.0 * E * I)
+            + P * (4.0 + 5.0 * nu) * D ** 2 * L / (24.0 * E * I))
 
 
 def cantilever(nx: int = 33, ny: int = 9, refine: int = 2):
@@ -145,27 +143,48 @@ def cantilever(nx: int = 33, ny: int = 9, refine: int = 2):
     return cloud, grid, mat, bc, tip_node
 
 
+def _tension_plate(nx: int, ny: int, pitch: float, keep=None,
+                   top: float | None = None):
+    """The nx x ny grid plate (only the nodes where ``keep(coords)`` holds,
+    if given) on one-pitch cells: the left edge is clamped and a unit
+    x-traction pulls the right edge from y = 0 up to ``top`` (default: the
+    full height).  Returns (cloud, grid, mat, bc)."""
+    ids, coords = _grid_nodes(nx, ny, pitch)
+    if keep is not None:
+        sel = keep(coords)
+        ids, coords = ids[sel], coords[sel]
+    W, H = pitch * (nx - 1), pitch * (ny - 1)
+    top = H if top is None else top
+    left = ids[coords[:, 0] == 0.0]
+    bc = BoundaryConditions(
+        fixed_dofs=tuple((int(i), a) for i in left for a in (0, 1)),
+        tractions=split_edge([W, 0.0], [W, top], int(round(top / pitch)),
+                             [1.0, 0.0]),
+    )
+    return (NodeCloud(ids=ids, coords=coords, dim=2), _rect_grid(W, H, pitch),
+            MaterialModel(young_modulus=1000.0, poisson_ratio=0.3), bc)
+
+
+def _cut_plate(nx: int, ny: int, pitch: float, inside):
+    """The full tension plate and the modification that removes the nodes
+    for which ``inside(dx, dy)`` holds, dx and dy being the node offsets
+    from the plate center."""
+    cloud, grid, mat, bc = _tension_plate(nx, ny, pitch)
+    cx, cy = pitch * (nx - 1) / 2.0, pitch * (ny - 1) / 2.0
+    sel = inside(cloud.coords[:, 0] - cx, cloud.coords[:, 1] - cy)
+    mod = Modification(removed_ids=cloud.ids[sel])
+    return cloud, grid, mat, bc, mod
+
+
+def _ellipse(a: float, b: float):
+    return lambda dx, dy: (dx / a) ** 2 + (dy / b) ** 2 < 1.0
+
+
 def plate_with_hole(nx: int = 51, ny: int = 26, pitch: float = 2.0,
                     a: float = 36.0, b: float = 16.0):
     """Tension plate whose modification removes an elliptical region
     (roughly a third of the DOFs): the large-redesign demo."""
-    ids, coords = _grid_nodes(nx, ny, pitch)
-    cloud = NodeCloud(ids=ids, coords=coords, dim=2)
-    W, H = pitch * (nx - 1), pitch * (ny - 1)
-    grid = _rect_grid(W, H, pitch)
-    mat = MaterialModel(young_modulus=1000.0, poisson_ratio=0.3)
-    left = [int(i) for i, x in zip(ids, coords) if x[0] == 0.0]
-    bc = BoundaryConditions(
-        fixed_dofs=tuple((i, a) for i in left for a in (0, 1)),
-        tractions=split_edge([W, 0.0], [W, H], ny - 1, [1.0, 0.0]),
-    )
-    cx, cy = W / 2.0, H / 2.0
-    removed = frozenset(
-        int(i) for i, (x, y) in zip(ids, coords)
-        if ((x - cx) / a) ** 2 + ((y - cy) / b) ** 2 < 1.0
-    )
-    mod = Modification(removed_ids=removed)
-    return cloud, grid, mat, bc, mod
+    return _cut_plate(nx, ny, pitch, _ellipse(a, b))
 
 
 def notch_fill(nx: int = 25, ny: int = 13, pitch: float = 1.0,
@@ -173,19 +192,10 @@ def notch_fill(nx: int = 25, ny: int = 13, pitch: float = 1.0,
     """Plate with a rectangular corner notch; the modification adds a small
     triangular fillet of nodes at the re-entrant corner (~3% of the DOFs):
     the node-addition demo."""
-    ids, coords = _grid_nodes(nx, ny, pitch)
-    keep = ~((coords[:, 0] >= notch_x) & (coords[:, 1] >= notch_y))
-    cloud = NodeCloud(ids=ids[keep], coords=coords[keep], dim=2)
-    W, H = pitch * (nx - 1), pitch * (ny - 1)
-    grid = _rect_grid(W, H, pitch)
-    mat = MaterialModel(young_modulus=1000.0, poisson_ratio=0.3)
-    left = [int(i) for i in cloud.ids if cloud.coord_of(i)[0] == 0.0]
-    bc = BoundaryConditions(
-        fixed_dofs=tuple((i, a) for i in left for a in (0, 1)),
-        tractions=split_edge([W, 0.0], [W, notch_y - pitch],
-                             int(round((notch_y - pitch) / pitch)), [1.0, 0.0]),
-    )
-    next_id = int(ids.max()) + 1
+    cloud, grid, mat, bc = _tension_plate(
+        nx, ny, pitch, lambda c: (c[:, 0] < notch_x) | (c[:, 1] < notch_y),
+        top=notch_y - pitch)
+    next_id = nx * ny
     added = []
     for dx in range(fillet + 2):
         for dy in range(fillet + 2):
@@ -216,7 +226,6 @@ def l_frame_3d(n: int = 7, nz: int = 3, pitch: float = 1.0):
     ids = np.asarray(idx)
     cloud = NodeCloud(ids=ids, coords=coords, dim=3)
     side = pitch * (n - 1)
-    depth = pitch * (nz - 1)
     grid = BackgroundGrid(origin=np.zeros(3),
                           cell_size=np.array([pitch] * 3),
                           counts=(n - 1, n - 1, nz - 1))
@@ -260,30 +269,18 @@ def bench_case(entry: dict):
             half = int(mod_d.get("half", 1)) * pitch
         elif kind == "ellipse":
             a, b = float(mod_d["a"]), float(mod_d["b"])
-    except (KeyError, TypeError, ValueError, AttributeError) as exc:
+    except (KeyError, TypeError, ValueError, AttributeError,
+            OverflowError) as exc:
         detail = f"missing {exc}" if isinstance(exc, KeyError) else exc
         raise ValidationError(f"malformed bench entry: {detail}") from exc
-    ids, coords = _grid_nodes(nx, ny, pitch)
-    cloud = NodeCloud(ids=ids, coords=coords, dim=2)
-    W, H = pitch * (nx - 1), pitch * (ny - 1)
-    grid = _rect_grid(W, H, pitch)
-    mat = MaterialModel(young_modulus=1000.0, poisson_ratio=0.3)
-    left = [int(i) for i, x in zip(ids, coords) if x[0] == 0.0]
-    bc = BoundaryConditions(
-        fixed_dofs=tuple((i, a) for i in left for a in (0, 1)),
-        tractions=split_edge([W, 0.0], [W, H], ny - 1, [1.0, 0.0]),
-    )
-    cx, cy = W / 2.0, H / 2.0
     if kind == "hole":
-        sel = (np.abs(coords[:, 0] - cx) <= half + 1e-9) \
-            & (np.abs(coords[:, 1] - cy) <= half + 1e-9)
+        def inside(dx, dy):
+            return (np.abs(dx) <= half + 1e-9) & (np.abs(dy) <= half + 1e-9)
     elif kind == "ellipse":
-        sel = (((coords[:, 0] - cx) / a) ** 2
-               + ((coords[:, 1] - cy) / b) ** 2) < 1.0
+        inside = _ellipse(a, b)
     else:
         raise ValidationError(f"unknown bench modification kind {kind!r}")
-    mod = Modification(removed_ids=frozenset(int(i) for i in ids[sel]))
-    return cloud, grid, mat, bc, mod
+    return _cut_plate(nx, ny, pitch, inside)
 
 
 def default_bench_family() -> dict:

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.linalg import LinAlgError, solve_triangular
+from scipy.linalg import LinAlgError
 
 from .errors import NumericalError
 from .solver import CholeskyFactor
@@ -64,23 +64,21 @@ def unbalanced_set(meas: np.ndarray, tol: float) -> np.ndarray:
 
 
 def constrain_factor(factor: CholeskyFactor, S_d: np.ndarray):
-    """Constrain a (deep-copied) factor at the unbalanced DOFs.
+    """Constrain a copy of the factor at the unbalanced DOFs.
 
-    For each recorded DOF, in descending order: move its factor column into
-    V (diagonal slot zeroed), then zero the row and column and set a unit
-    diagonal.  Returns (L0_mod, V).
+    V holds the factor columns at S_d with the rows S_d zeroed; L0_mod is
+    the factor with rows and columns S_d zeroed and a unit diagonal there.
+    This equals moving the columns out one DOF at a time in descending
+    order, because L0 is lower triangular: column s has no entry in a row
+    above s, so zeroing the rows of the other unbalanced DOFs first cannot
+    change what it contributes.  Returns (L0_mod, V).
     """
     L0 = factor.L0.copy()
-    n = L0.shape[0]
-    n_d = len(S_d)
-    V = np.zeros((n, n_d))
-    for i in range(n_d - 1, -1, -1):
-        s = int(S_d[i])
-        V[:, i] = L0[:, s]
-        V[s, i] = 0.0
-        L0[s, :] = 0.0
-        L0[:, s] = 0.0
-        L0[s, s] = 1.0
+    V = L0.take(S_d, axis=1)     # C order, unlike L0[:, S_d]
+    V[S_d, :] = 0.0
+    L0[S_d, :] = 0.0
+    L0[:, S_d] = 0.0
+    L0[S_d, S_d] = 1.0
     return L0, V
 
 
@@ -103,7 +101,7 @@ def constraint_rhs(K_m: sp.spmatrix, S_d: np.ndarray) -> np.ndarray:
 
 
 def fundamental_solutions(L0_mod: np.ndarray, V: np.ndarray, R: np.ndarray
-                          ) -> np.ndarray:
+                          ) -> tuple[np.ndarray, float]:
     """Solve (L0_mod L0_mod^T + V V^T) B = R through SMW.
 
     All inverse applications are triangular solves on L0_mod; the n_d
@@ -114,24 +112,17 @@ def fundamental_solutions(L0_mod: np.ndarray, V: np.ndarray, R: np.ndarray
     if n_d == 0:
         return R.copy(), 0.0
 
-    def apply_Ainv(X):
-        Y = solve_triangular(L0_mod, X, lower=True)
-        return solve_triangular(L0_mod, Y, lower=True, trans="T")
-
-    if V.size == 0 or not np.any(V):
-        B = apply_Ainv(R)
-    else:
-        AinvRV = apply_Ainv(np.hstack([R, V]))
-        AinvR = AinvRV[:, :n_d]
-        AinvV = AinvRV[:, n_d:]
-        C = np.eye(V.shape[1]) + V.T @ AinvV
-        try:
-            Z = np.linalg.solve(C, V.T @ AinvR)
-        except LinAlgError as exc:
-            raise NumericalError(
-                "SMW capacitance matrix is singular; fall back to a full "
-                "re-factorization") from exc
-        B = AinvR - AinvV @ Z
+    AinvRV = CholeskyFactor(L0_mod).apply_inverse(np.hstack([R, V]))
+    AinvR = AinvRV[:, :n_d]
+    AinvV = AinvRV[:, n_d:]
+    C = np.eye(V.shape[1]) + V.T @ AinvV
+    try:
+        Z = np.linalg.solve(C, V.T @ AinvR)
+    except LinAlgError as exc:
+        raise NumericalError(
+            "SMW capacitance matrix is singular; fall back to a full "
+            "re-factorization") from exc
+    B = AinvR - AinvV @ Z
 
     res = L0_mod @ (L0_mod.T @ B) + V @ (V.T @ B) - R
     rel = float(np.linalg.norm(res) / max(np.linalg.norm(R), 1e-300))

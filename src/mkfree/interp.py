@@ -11,9 +11,9 @@ recovery share: :func:`spacing` and :func:`find_supports` locate the
 supports of all points with vectorized KD-tree queries, and
 :func:`evaluate_batch` groups the points by support size and builds and
 evaluates the stacked Kriging systems a memory-bounded chunk at a time.
-The one-point functions (``local_spacing``, ``select_support``,
-``build_system``, ``shape_functions``, ``evaluate_at``) run the same
-stages on a batch of one.  A point's results do not depend on the batch it sits in: every
+The one-point functions (``select_support``, ``build_system``,
+``shape_functions``, ``evaluate_at``) run the same stages on a batch of
+one.  A point's results do not depend on the batch it sits in: every
 stacked operation acts on each point's own matrices only, and sums over
 coordinates are written out in a fixed order.
 """
@@ -35,9 +35,7 @@ __all__ = [
     "Supports",
     "KrigingSystem",
     "ShapeEval",
-    "correlation",
     "spacing",
-    "local_spacing",
     "find_supports",
     "select_support",
     "kriging_systems",
@@ -53,18 +51,17 @@ __all__ = [
 # the stacked systems and the per-point stiffness blocks bounded in memory.
 _CHUNK_DOUBLES = 1 << 21
 
+# Diagonal jitter, relative to trace(R)/n, of the one retry when a
+# correlation matrix R fails to factor.
+_JITTER_SCALE = 1e-12
+
+# Relative residual accepted for the two identities of each Kriging system.
+_SYSTEM_RESIDUAL_TOL = 1e-10
+
 
 def basis_size(dim: int) -> int:
     """Linear polynomial basis: [1 x y] in 2D, [1 x y z] in 3D."""
     return dim + 1
-
-
-def correlation(x_i, x_j, theta: float) -> float:
-    """Gaussian correlation exp(-theta * ||x_i - x_j||^2)."""
-    if theta <= 0:
-        raise ValidationError("theta must be positive")
-    diff = np.asarray(x_i, dtype=float) - np.asarray(x_j, dtype=float)
-    return float(np.exp(-theta * np.dot(diff, diff)))
 
 
 def _nowhere(g: int) -> str:
@@ -97,11 +94,6 @@ def spacing(points, cloud: NodeCloud):
     if np.any(d_c <= 0):
         raise ValidationError("degenerate node spacing")
     return dist, d_c
-
-
-def local_spacing(point, cloud: NodeCloud) -> float:
-    """d_c around one point (see :func:`spacing`)."""
-    return float(spacing(point, cloud)[1][0])
 
 
 @dataclass(frozen=True)
@@ -217,14 +209,14 @@ def _poly_rows(points: np.ndarray) -> np.ndarray:
     return np.concatenate([ones, points], axis=-1)
 
 
-def _cholesky(R: np.ndarray, cfg: MeshlessConfig, where, g: int):
+def _cholesky(R: np.ndarray, where, g: int):
     """Lower Cholesky factor of one correlation matrix, retried once with
     a diagonal jitter (relative to trace/n) if R fails to factor."""
     c, info = dpotrf(R, lower=1)
     if info == 0:
         return c
     n = len(R)
-    c, info = dpotrf(R + cfg.jitter_scale * np.trace(R) / n * np.eye(n),
+    c, info = dpotrf(R + _JITTER_SCALE * np.trace(R) / n * np.eye(n),
                      lower=1)
     if info == 0:
         return c
@@ -233,8 +225,7 @@ def _cholesky(R: np.ndarray, cfg: MeshlessConfig, where, g: int):
         cond_estimate=float(np.linalg.cond(R)))
 
 
-def kriging_systems(X: np.ndarray, theta: float,
-                    cfg: MeshlessConfig = DEFAULT_CONFIG, where=_nowhere):
+def kriging_systems(X: np.ndarray, theta: float, where=_nowhere):
     """Transfer matrices S_a (G, m, n) and S_b (G, n, n) of a stack of
     supports X (G, n, dim).
 
@@ -254,7 +245,7 @@ def kriging_systems(X: np.ndarray, theta: float,
     factors = []
     RiP = np.empty_like(P)                     # R^-1 P
     for g in range(G):
-        factors.append(_cholesky(R[g], cfg, where, g))
+        factors.append(_cholesky(R[g], where, g))
         RiP[g] = dpotrs(factors[g], P[g], lower=1)[0]
     M = Pt @ RiP                               # (G, m, m)
     cond_M = np.linalg.cond(M)
@@ -275,7 +266,7 @@ def kriging_systems(X: np.ndarray, theta: float,
     res1 = np.linalg.norm(P @ S_a + R @ S_b - eye, axis=(1, 2)) / np.sqrt(n)
     res2 = np.linalg.norm(Pt @ S_b, axis=(1, 2)) / np.maximum(
         1.0, np.linalg.norm(S_b, axis=(1, 2)))
-    tol = cfg.system_residual_tol
+    tol = _SYSTEM_RESIDUAL_TOL
     bad = np.flatnonzero((res1 > tol) | (res2 > tol))
     if len(bad):
         g = int(bad[0])
@@ -292,7 +283,7 @@ def build_system(sel: SupportSelection, theta: float | None = None,
     :func:`kriging_systems`)."""
     if theta is None:
         theta = cfg.theta
-    S_a, S_b = kriging_systems(sel.node_coords[None], theta, cfg)
+    S_a, S_b = kriging_systems(sel.node_coords[None], theta)
     return KrigingSystem(S_a=S_a[0], S_b=S_b[0], theta=theta)
 
 
@@ -348,8 +339,7 @@ def evaluate_batch(points, cloud: NodeCloud, sup: Supports,
         for lo in range(0, len(group), step):
             idx = group[lo:lo + step]
             X = cloud.coords[rows[lo:lo + step]]
-            S_a, S_b = kriging_systems(X, cfg.theta, cfg,
-                                       lambda j: where(idx[j]))
+            S_a, S_b = kriging_systems(X, cfg.theta, lambda j: where(idx[j]))
             values, grads = shape_values(S_a, S_b, X, points[idx], cfg.theta)
             yield idx, rows[lo:lo + step], values, grads
 

@@ -37,6 +37,30 @@ __all__ = [
 ]
 
 
+def _integer(value, what: str) -> int:
+    """``value`` as an int; ValidationError unless it is an integer (a
+    bool, a float such as 4.9 or 4.0, or a string is not)."""
+    if type(value) is int or isinstance(value, np.integer):
+        return int(value)
+    raise ValidationError(f"{what} must be an integer, got {value!r}")
+
+
+def _integers(values, what: str) -> np.ndarray:
+    """:func:`_integer` of each value (a string is one value), as int64."""
+    if isinstance(values, np.ndarray) and values.dtype.kind in "iu":
+        return np.asarray(values, dtype=np.int64)
+    values = [values] if isinstance(values, str) else values
+    return np.array([_integer(v, what) for v in values], dtype=np.int64)
+
+
+def _finite(values, what: str) -> np.ndarray:
+    """``values`` as a float array; ValidationError unless all are finite."""
+    arr = np.asarray(values, dtype=float)
+    if not np.isfinite(arr).all():
+        raise ValidationError(f"{what} must be finite")
+    return arr
+
+
 @dataclass(frozen=True)
 class NodeCloud:
     """Scattered nodes of one configuration: stable integer ids + coordinates."""
@@ -46,8 +70,8 @@ class NodeCloud:
     dim: int
 
     def __post_init__(self):
-        ids = np.asarray(self.ids, dtype=np.int64)
-        coords = np.asarray(self.coords, dtype=float)
+        ids = _integers(self.ids, "node id")
+        coords = _finite(self.coords, "node coordinates")
         object.__setattr__(self, "ids", ids)
         object.__setattr__(self, "coords", coords)
         if self.dim not in (2, 3):
@@ -58,8 +82,6 @@ class NodeCloud:
             raise ValidationError("ids and coords length mismatch")
         if len(np.unique(ids)) != len(ids):
             raise ValidationError("node ids must be unique")
-        if not np.all(np.isfinite(coords)):
-            raise ValidationError("node coordinates must be finite")
         if len(coords) >= 2:
             d, _ = self.tree.query(coords, k=2)
             if np.min(d[:, 1]) <= 0.0:
@@ -93,9 +115,9 @@ class BackgroundGrid:
     counts: tuple           # (dim,) ints
 
     def __post_init__(self):
-        origin = np.asarray(self.origin, dtype=float)
-        cell_size = np.asarray(self.cell_size, dtype=float)
-        counts = tuple(int(c) for c in self.counts)
+        origin = _finite(self.origin, "grid origin")
+        cell_size = _finite(self.cell_size, "grid cell_size")
+        counts = tuple(_integer(c, "grid count") for c in self.counts)
         object.__setattr__(self, "origin", origin)
         object.__setattr__(self, "cell_size", cell_size)
         object.__setattr__(self, "counts", counts)
@@ -155,8 +177,8 @@ class MaterialModel:
     mode: str = "plane_stress"   # "plane_stress" | "solid_3d"
 
     def __post_init__(self):
-        if self.young_modulus <= 0:
-            raise ValidationError("Young's modulus must be positive")
+        if not (0.0 < self.young_modulus < np.inf):
+            raise ValidationError("Young's modulus must be finite and > 0")
         if not (0.0 <= self.poisson_ratio < 0.5):
             raise ValidationError("Poisson ratio must satisfy 0 <= nu < 0.5")
         if self.mode not in ("plane_stress", "solid_3d"):
@@ -187,15 +209,17 @@ class BoundaryConditions:
     tractions: tuple = ()        # (Traction, ...)
 
     def __post_init__(self):
-        object.__setattr__(
-            self, "fixed_dofs", tuple((int(n), int(a)) for n, a in self.fixed_dofs)
-        )
-        object.__setattr__(
-            self,
-            "point_loads",
-            tuple((int(n), int(a), float(v)) for n, a, v in self.point_loads),
-        )
+        object.__setattr__(self, "fixed_dofs", tuple(
+            (_integer(n, "fixed DOF node id"), _integer(a, "fixed DOF axis"))
+            for n, a in self.fixed_dofs))
+        object.__setattr__(self, "point_loads", tuple(
+            (_integer(n, "point load node id"), _integer(a, "point load axis"),
+             float(v)) for n, a, v in self.point_loads))
         object.__setattr__(self, "tractions", tuple(self.tractions))
+        # one check for every load number: cheaper than one per traction
+        _finite(np.concatenate([[v for *_, v in self.point_loads]] + [
+            a for t in self.tractions for a in (t.start, t.end, t.q)]),
+            "point load and traction values")
 
     def validate_against(self, cloud: NodeCloud):
         fixed = set(self.fixed_dofs)
@@ -227,13 +251,13 @@ class Modification:
     bc_change: BoundaryConditions | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "added_ids", tuple(int(i) for i in self.added_ids))
+        object.__setattr__(self, "added_ids", tuple(
+            _integers(self.added_ids, "added node id").tolist()))
         object.__setattr__(
             self, "added_coords", np.asarray(self.added_coords, dtype=float)
         )
-        object.__setattr__(
-            self, "removed_ids", frozenset(int(i) for i in self.removed_ids)
-        )
+        object.__setattr__(self, "removed_ids", frozenset(
+            _integers(self.removed_ids, "removed node id").tolist()))
         if set(self.added_ids) & self.removed_ids:
             raise ValidationError("added and removed node sets overlap")
         if len(self.added_ids) != len(self.added_coords):
@@ -382,15 +406,16 @@ def _load_json(path, what: str, parse, *args):
             raise ParseError(f"cannot parse {path}: {exc}") from exc
     try:
         return parse(data, *args)
-    except (KeyError, TypeError, ValueError, AttributeError) as exc:
+    except (KeyError, TypeError, ValueError, AttributeError,
+            OverflowError) as exc:
         detail = f"missing {exc}" if isinstance(exc, KeyError) else exc
         raise ValidationError(f"malformed {what}: {detail}") from exc
 
 
 def _parse_model_dict(data: dict):
-    dim = int(data["dim"])
+    dim = _integer(data["dim"], "dim")
     nodes = data["nodes"]
-    cloud = NodeCloud(ids=np.asarray([n["id"] for n in nodes]),
+    cloud = NodeCloud(ids=[n["id"] for n in nodes],
                       coords=np.asarray([n["x"] for n in nodes], dtype=float),
                       dim=dim)
     grid_d = data["grid"]

@@ -7,6 +7,8 @@ scatter), deliberately sharing no code paths with the package internals.
 
 import numpy as np
 
+from mkfree.assembly import ACTIVITY_FACTOR
+
 _GL = 1.0 / np.sqrt(3.0)
 
 
@@ -135,7 +137,7 @@ def dense_stiffness_oracle(cloud, grid, mat, cfg):
         for signs in np.ndindex(*(2,) * d):
             gp = center + (2.0 * np.asarray(signs) - 1.0) * _GL * half
             dist = _distances(gp, cloud.coords)
-            if dist.min() > cfg.activity_factor * spacing_oracle(gp, cloud):
+            if dist.min() > ACTIVITY_FACTOR * spacing_oracle(gp, cloud):
                 continue
             rows = support_oracle(gp, cloud, cfg)
             assert rows is not None, "oracle hit a deficient support"

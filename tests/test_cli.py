@@ -1,5 +1,8 @@
 import csv
 import json
+import runpy
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -72,6 +75,69 @@ class TestSolve:
         rc = main(["solve", str(bad), "-o", str(tmp_path / "out")])
         assert rc == 2
         assert f"missing '{key}'" in capsys.readouterr().err
+
+
+def _edited(model, tmp_path, path, value):
+    """Copy of the model file with the entry at ``path`` set to ``value``
+    (written with json's NaN/Infinity literals, which it parses back)."""
+    data = json.loads(model.read_text())
+    target = data
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = value
+    bad = tmp_path / "edited.json"
+    bad.write_text(json.dumps(data))
+    return bad
+
+
+class TestInvalidNumbers:
+    @pytest.mark.parametrize("path, value", [
+        (("nodes", 15, "id"), 15.5),
+        (("bc", "fixed", 0, 1), 0.5),
+        (("dim",), 2.0),
+        (("grid", "counts", 0), 3.5),
+    ], ids=["node-id", "fixed-axis", "dim", "grid-count"])
+    def test_non_integer_is_validation_error(self, small_files, tmp_path,
+                                             capsys, path, value):
+        model, _ = small_files
+        bad = _edited(model, tmp_path, path, value)
+        rc = main(["solve", str(bad), "-o", str(tmp_path / "out")])
+        assert rc == 2
+        assert "must be an integer" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("path, value", [
+        (("bc", "point_loads"), [[5, 1, float("nan")]]),
+        (("material", "E"), float("inf")),
+        (("grid", "origin", 0), float("nan")),
+        (("bc", "tractions", 0, "q", 0), float("inf")),
+    ], ids=["point-load", "modulus", "grid-origin", "traction-q"])
+    def test_non_finite_is_validation_error(self, small_files, tmp_path,
+                                            capsys, path, value):
+        model, _ = small_files
+        bad = _edited(model, tmp_path, path, value)
+        rc = main(["solve", str(bad), "-o", str(tmp_path / "out")])
+        assert rc == 2
+        assert "must be finite" in capsys.readouterr().err
+
+    def test_overflowing_number_is_validation_error(self, small_files,
+                                                    tmp_path, capsys):
+        model, _ = small_files
+        bad = _edited(model, tmp_path, ("material", "E"), 10 ** 400)
+        rc = main(["solve", str(bad), "-o", str(tmp_path / "out")])
+        assert rc == 2
+        assert "too large" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("remove", ["55", [5, 6.9]],
+                             ids=["string", "fraction"])
+    def test_removed_id_not_integer_is_validation_error(
+            self, small_files, tmp_path, capsys, remove):
+        model, _ = small_files
+        mod = tmp_path / "bad_mod.json"
+        mod.write_text(json.dumps({"remove": remove}))
+        rc = main(["reanalyze", str(model), str(mod), "--method", "ifu",
+                   "-o", str(tmp_path / "out")])
+        assert rc == 2
+        assert "removed node id must be an integer" in capsys.readouterr().err
 
 
 class TestReanalyze:
@@ -211,8 +277,11 @@ class TestBench:
                     "mod": {"kind": "hole"}}]},
         {"cases": [{"nx": 9, "ny": 7, "mod": {"kind": "hole"},
                     "basis": "many"}]},
+        {"cases": [{"nx": float("inf"), "ny": 7, "mod": {"kind": "hole"}}]},
+        {"cases": [{"nx": 9, "ny": 7, "mod": {"kind": "hole"},
+                    "basis": float("inf")}]},
     ], ids=["list", "non-object-case", "non-numeric-nx", "non-numeric-pitch",
-            "non-numeric-basis"])
+            "non-numeric-basis", "infinite-nx", "infinite-basis"])
     def test_malformed_family_is_validation_error(self, tmp_path, capsys,
                                                   family_json):
         family = tmp_path / "family.json"
@@ -220,3 +289,17 @@ class TestBench:
         rc = main(["bench", str(family), "-o", str(tmp_path / "b.csv")])
         assert rc == 2
         assert "validation error" in capsys.readouterr().err
+
+
+class TestDemoScript:
+    def test_written_demos_run_through_the_cli(self, tmp_path, monkeypatch):
+        script = Path(__file__).resolve().parents[1] / "scripts" \
+            / "make_demos.py"
+        out = tmp_path / "demos"
+        monkeypatch.setattr(sys, "argv", [str(script), str(out)])
+        runpy.run_path(str(script), run_name="__main__")
+        assert main(["solve", str(out / "cantilever.json"),
+                     "-o", str(tmp_path / "solve")]) == 0
+        assert main(["reanalyze", str(out / "notch_fill.json"),
+                     str(out / "notch_fill.mod.json"), "--method", "ifu",
+                     "--compare", "-o", str(tmp_path / "re")]) == 0

@@ -5,8 +5,8 @@ from hypothesis import strategies as st
 
 from mkfree.config import MeshlessConfig
 from mkfree.errors import ConditioningError, SupportDeficiencyError
-from mkfree.interp import (basis_size, build_system, correlation, evaluate_at,
-                           local_spacing, select_support, shape_functions)
+from mkfree.interp import (basis_size, build_system, evaluate_at,
+                           select_support, shape_functions, spacing)
 from mkfree.model import NodeCloud
 
 from conftest import jittered_cloud
@@ -19,23 +19,17 @@ def test_basis_size():
     assert basis_size(3) == 4
 
 
-def test_correlation_values():
-    assert correlation([0.0, 0.0], [0.0, 0.0], 1.0) == 1.0
-    assert np.isclose(correlation([0.0, 0.0], [1.0, 1.0], 0.5),
-                      np.exp(-1.0))
-
-
 def test_local_spacing_uniform_grid(rng):
     cloud = jittered_cloud(rng, 8, 8, jitter=0.0)
     # interior point: the three nearest neighbors all sit one pitch away
-    assert np.isclose(local_spacing([3.4, 3.6], cloud), 1.0)
+    assert np.isclose(spacing([3.4, 3.6], cloud)[1][0], 1.0)
 
 
 def test_local_spacing_matches_oracle(rng):
     cloud = jittered_cloud(rng, 7, 6, jitter=0.25)
     for _ in range(20):
         p = rng.uniform(0.5, 4.5, 2)
-        assert np.isclose(local_spacing(p, cloud), spacing_oracle(p, cloud),
+        assert np.isclose(spacing(p, cloud)[1][0], spacing_oracle(p, cloud),
                           rtol=1e-12)
 
 

@@ -38,6 +38,12 @@ class TestNodeCloud:
         with pytest.raises(ValidationError):
             NodeCloud(ids=[1], coords=[[0.0]], dim=1)
 
+    @pytest.mark.parametrize("ids", [[1, 2.7], np.array([1.0, 2.0]),
+                                     ["1", "2"]])
+    def test_rejects_ids_that_are_not_integers(self, ids):
+        with pytest.raises(ValidationError, match="node id"):
+            NodeCloud(ids=ids, coords=[[0, 0], [1, 0]], dim=2)
+
 
 class TestBackgroundGrid:
     def test_cells_and_bounds(self):
@@ -48,6 +54,15 @@ class TestBackgroundGrid:
         assert np.allclose(lo, [1, 4]) and np.allclose(hi, [2, 6])
         assert g.contains([2.0, 6.0]) and not g.contains([2.5, 0.0])
 
+    @pytest.mark.parametrize("origin, cell_size, counts", [
+        ([np.nan, 0], [1, 1], (2, 2)),
+        ([0, 0], [np.inf, 1], (2, 2)),
+        ([0, 0], [1, 1], (2, 2.5)),
+    ], ids=["nan-origin", "inf-cell", "fractional-count"])
+    def test_rejects_nonfinite_or_fractional(self, origin, cell_size, counts):
+        with pytest.raises(ValidationError):
+            BackgroundGrid(origin=origin, cell_size=cell_size, counts=counts)
+
 
 class TestMaterial:
     def test_validation(self):
@@ -56,6 +71,11 @@ class TestMaterial:
         with pytest.raises(ValidationError):
             MaterialModel(young_modulus=1.0, poisson_ratio=0.5)
         assert MaterialModel(1.0, 0.0, "solid_3d").dim == 3
+
+    @pytest.mark.parametrize("E", [np.inf, np.nan])
+    def test_rejects_nonfinite_modulus(self, E):
+        with pytest.raises(ValidationError):
+            MaterialModel(young_modulus=E, poisson_ratio=0.3)
 
 
 class TestBoundaryConditions:
@@ -72,6 +92,25 @@ class TestBoundaryConditions:
                                point_loads=((0, 0, 1.0),)
                                ).validate_against(cloud)
 
+    @pytest.mark.parametrize("kwargs", [
+        {"fixed_dofs": ((0.9, 0),)},
+        {"fixed_dofs": ((0, 1.5),)},
+        {"point_loads": (("1", 1, 2.0),)},
+        {"point_loads": ((1, 1.0, 2.0),)},
+    ], ids=["fixed-node", "fixed-axis", "load-node", "load-axis"])
+    def test_rejects_ids_and_axes_that_are_not_integers(self, kwargs):
+        with pytest.raises(ValidationError, match="must be an integer"):
+            BoundaryConditions(**kwargs)
+
+    @pytest.mark.parametrize("kwargs", [
+        {"point_loads": ((1, 1, np.nan),)},
+        {"tractions": (Traction(start=[0, 0], end=[0, 1], q=[np.inf, 0]),)},
+        {"tractions": (Traction(start=[0, np.nan], end=[0, 1], q=[1, 0]),)},
+    ], ids=["load", "traction-q", "traction-start"])
+    def test_rejects_nonfinite_loads(self, kwargs):
+        with pytest.raises(ValidationError, match="must be finite"):
+            BoundaryConditions(**kwargs)
+
 
 class TestModification:
     def test_flags(self):
@@ -85,6 +124,23 @@ class TestModification:
         with pytest.raises(ValidationError):
             Modification(added_ids=(1,), added_coords=[[0, 0]],
                          removed_ids={1})
+
+    @pytest.mark.parametrize("removed", ["400", [400, 4.9], [400, 4.0],
+                                         [400, True]],
+                             ids=["string", "fraction", "float", "bool"])
+    def test_rejects_removed_ids_that_are_not_integers(self, removed):
+        with pytest.raises(ValidationError, match="removed node id"):
+            Modification(removed_ids=removed)
+
+    def test_rejects_added_id_that_is_not_an_integer(self):
+        with pytest.raises(ValidationError, match="added node id"):
+            Modification(added_ids=(2.5,), added_coords=[[0, 0]])
+
+    def test_integer_ids_of_any_integer_type_are_kept(self):
+        m = Modification(added_ids=np.array([7], dtype=np.int32),
+                         added_coords=[[0, 0]],
+                         removed_ids=np.array([3, 5]))
+        assert m.added_ids == (7,) and m.removed_ids == {3, 5}
 
 
 class TestApplyModification:

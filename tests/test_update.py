@@ -44,7 +44,7 @@ def random_modification(rng, cloud, n_change=3):
 def support_signature(point, cloud, cfg):
     """One point's integration state: inactive, support-deficient, or the
     exact support node-id tuple (the per-point screen)."""
-    if not gauss_point_active(point, cloud, cfg):
+    if not gauss_point_active(point, cloud):
         return ("inactive",)
     try:
         sel = select_support(point, cloud, cfg)
