@@ -6,10 +6,12 @@ grid as arrays (``BackgroundGrid.gauss``).  A Gauss point contributes only
 when it lies inside the material domain, which a node cloud represents
 implicitly: the point must have a cloud node within
 ``ACTIVITY_FACTOR * d_c``.  The global assembler and the local delta
-updater both integrate through :func:`integrate_stiffness`, which runs the
-batched kernel of :mod:`mkfree.interp` and :func:`gauss_stiffness`; a
-point's contribution does not depend on the batch it is computed in, so
-the local delta matches a global reassembly.
+updater both integrate through :func:`integrate_stiffness`, which writes
+each point's strain-displacement rows from the batched kernel of
+:mod:`mkfree.interp` into one sparse B and forms K = B^T (W D B) as a
+single sparse product; no per-point stiffness block is built.  A point's
+rows do not depend on the batch they are computed in, so the local delta
+matches a global reassembly to roundoff.
 """
 
 from __future__ import annotations
@@ -31,7 +33,6 @@ __all__ = [
     "gauss_point_active",
     "constitutive",
     "strain_displacement",
-    "gauss_stiffness",
     "integrate_stiffness",
     "assemble_stiffness",
     "assemble_load",
@@ -108,71 +109,13 @@ def strain_displacement(grads: np.ndarray) -> np.ndarray:
     return B
 
 
-def gauss_stiffness(points, weights, cloud: NodeCloud, sup, D: np.ndarray,
-                    cfg: MeshlessConfig = DEFAULT_CONFIG, where=None):
-    """Stiffness contributions w * B^T D B of a batch of Gauss points with
-    supports ``sup`` (all non-deficient).
-
-    Yields ``(idx, rows, k)`` per kernel chunk: indices into ``points``,
-    support cloud rows (c, n) and k (c, n*d, n*d) in node-major DOF order,
-    symmetrized.
-    """
-    weights = np.asarray(weights, dtype=float)
-    for idx, rows, _, grads in evaluate_batch(points, cloud, sup, cfg, where):
-        B = strain_displacement(grads)                 # (c, n, r, d)
-        c, n, r, d = B.shape
-        Bmat = B.transpose(0, 2, 1, 3).reshape(c, r, n * d)
-        k = weights[idx][:, None, None] * (
-            (Bmat.transpose(0, 2, 1) @ D) @ Bmat)
-        yield idx, rows, 0.5 * (k + k.transpose(0, 2, 1))
-
-
-class _BlockPattern:
-    """Sum of d x d node-pair blocks on the pattern of every node pair that
-    shares a support.  Only blocks on or above the diagonal are
-    accumulated (the sum is symmetric); slots are found by binary search
-    on pair keys."""
-
-    def __init__(self, supports: list, n_nodes: int, d: int):
-        """``supports``: (ptr, positions) pairs, the ascending DOF-map node
-        positions of each point's support in CSR layout."""
-        incidence = sp.vstack([
-            sp.csr_matrix((np.ones(len(pos)), pos, ptr),
-                          shape=(len(ptr) - 1, n_nodes))
-            for ptr, pos in supports]).tocsr()
-        upper = sp.triu(incidence.T @ incidence).tocsr()
-        upper.sort_indices()
-        self.indptr, self.indices = upper.indptr, upper.indices
-        rows = np.repeat(np.arange(n_nodes, dtype=np.int64),
-                         np.diff(self.indptr))
-        self.keys = rows * n_nodes + self.indices
-        self.diagonal = rows == self.indices
-        self.n_nodes, self.d = n_nodes, d
-        self.data = np.zeros((len(self.keys), d, d))
-
-    def add(self, pos: np.ndarray, k: np.ndarray, sign: float = 1.0):
-        """Accumulate sign * k (c, n*d, n*d), symmetric, of supports at
-        ascending node positions ``pos`` (c, n)."""
-        c, n = pos.shape
-        d = self.d
-        a, b = np.triu_indices(n)
-        slot = np.searchsorted(
-            self.keys, (pos[:, a] * self.n_nodes + pos[:, b]).ravel())
-        blocks = k.reshape(c, n, d, n, d)
-        for i in range(d):
-            for j in range(d):
-                self.data[:, i, j] += sign * np.bincount(
-                    slot, weights=blocks[:, a, i, b, j].ravel(),
-                    minlength=len(self.keys))
-
-    def tocsr(self) -> sp.csr_matrix:
-        """The full symmetric matrix; halving the (symmetric) diagonal
-        blocks before adding the transpose is exact."""
-        N = self.n_nodes * self.d
-        self.data[self.diagonal] *= 0.5
-        upper = sp.bsr_matrix((self.data, self.indices, self.indptr),
-                              shape=(N, N)).tocsr()
-        return (upper + upper.T).tocsr()
+def _csr_rows(data: np.ndarray, cols: np.ndarray, n_cols: int
+              ) -> sp.csr_matrix:
+    """CSR matrix of dense rows ``data`` (R, m) at columns ``cols``
+    (R, m)."""
+    R, m = data.shape
+    return sp.csr_matrix((data.ravel(), cols.ravel(),
+                          np.arange(0, R * m + 1, m)), shape=(R, n_cols))
 
 
 def integrate_stiffness(terms, points, weights, cells, D: np.ndarray,
@@ -181,29 +124,41 @@ def integrate_stiffness(terms, points, weights, cells, D: np.ndarray,
     """sum over ``terms`` (cloud, sign) of sign * sum_g w_g B_g^T D B_g,
     over the Gauss points active for each cloud, on ``dof_map``'s DOFs.
 
+    Every active point adds its strain rows to one sparse B (columns are
+    its support's DOFs) and the same rows times sign * w_g * D to W D B;
+    the sum is then the one sparse product B^T (W D B), symmetrized.
     ``cells`` (G, dim) locates each point in error messages.
     """
     points = np.asarray(points, dtype=float)
+    weights = np.asarray(weights, dtype=float)
+    d, N = dof_map.dim, dof_map.n_dofs
 
     def where(g):
         return (f" (at Gauss point {points[g].tolist()} in cell "
                 f"{tuple(int(c) for c in cells[g])})")
 
-    batches = []
+    B_rows, WDB_rows = [], []
     for cloud, sign in terms:
         active, sup = active_supports(points, cloud, cfg)
-        sup.require(points[active], lambda g, a=active: where(a[g]))
+        locate = lambda g, a=active: where(a[g])
+        sup.require(points[active], locate)
         pos = dof_map.positions(cloud.ids)
-        batches.append((cloud, sign, active, sup, pos))
-    pattern = _BlockPattern([(sup.ptr, pos[sup.rows])
-                             for _, _, _, sup, pos in batches],
-                            len(dof_map.node_ids), dof_map.dim)
-    for cloud, sign, active, sup, pos in batches:
-        for _, rows, k in gauss_stiffness(
-                points[active], weights[active], cloud, sup, D, cfg,
-                lambda g, a=active: where(a[g])):
-            pattern.add(pos[rows], k, sign)
-    return pattern.tocsr()
+        for idx, rows, _, grads in evaluate_batch(points[active], cloud, sup,
+                                                  cfg, locate):
+            B = strain_displacement(grads)                 # (c, n, r, d)
+            c, n, r, _ = B.shape
+            B = B.transpose(0, 2, 1, 3).reshape(c, r, n * d)
+            dofs = (pos[rows][:, :, None] * d + np.arange(d)).reshape(c, 1, -1)
+            cols = np.broadcast_to(dofs, B.shape).reshape(c * r, -1)
+            WDB = (sign * weights[active[idx]])[:, None, None] * (D @ B)
+            B_rows.append(_csr_rows(B.reshape(c * r, -1), cols, N))
+            WDB_rows.append(_csr_rows(WDB.reshape(c * r, -1), cols, N))
+    if not B_rows:
+        return sp.csr_matrix((N, N))
+    B = sp.vstack(B_rows, format="csr")
+    B.eliminate_zeros()
+    K = (B.T @ sp.vstack(WDB_rows, format="csr")).tocsr()
+    return (0.5 * (K + K.T)).tocsr()
 
 
 @dataclass(frozen=True)

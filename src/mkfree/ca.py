@@ -29,7 +29,6 @@ class BasisMatrix:
     """n x s matrix of basis vectors; column 1 is the initial solution."""
 
     U_B: np.ndarray
-    s: int
 
 
 @dataclass(frozen=True)
@@ -65,7 +64,7 @@ def build_basis(factor: CholeskyFactor, dK: sp.spmatrix, F: np.ndarray,
     cols = [project(factor.apply_inverse(np.asarray(F, dtype=float)))]
     for _ in range(s - 1):
         cols.append(project(-factor.apply_inverse(dK @ cols[-1])))
-    return BasisMatrix(U_B=np.column_stack(cols), s=s)
+    return BasisMatrix(U_B=np.column_stack(cols))
 
 
 def reduce_and_solve(U_B: np.ndarray, K_m: sp.spmatrix, F: np.ndarray

@@ -40,7 +40,7 @@ import numpy as np
 from . import demos
 from .assembly import StiffnessSystem
 from .errors import NumericalError, ParseError, ValidationError
-from .model import load_model, load_modification
+from .model import _integer, load_model, load_modification
 from .pipeline import (full_analysis, prepare_modified, run_ca,
                        run_full_modified, run_ifu)
 from .recovery import FieldSolution, error_metrics
@@ -177,10 +177,7 @@ def bench_one(entry: dict, repeats: int = 3):
     so include field recovery.
     """
     cloud, grid, mat, bc, mod = demos.bench_case(entry)
-    try:
-        s = int(entry.get("basis", 6))
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ValidationError(f"malformed bench entry: basis {exc}") from exc
+    s = _integer(entry.get("basis", 6), "bench entry basis")
     base = full_analysis(cloud, grid, mat, bc)
     case = prepare_modified(base, mod)
     dofs = case.dof_map.n_dofs

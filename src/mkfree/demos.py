@@ -14,7 +14,7 @@ import numpy as np
 from .config import MeshlessConfig
 from .errors import ValidationError
 from .model import (BackgroundGrid, BoundaryConditions, MaterialModel,
-                    Modification, NodeCloud, Traction)
+                    Modification, NodeCloud, Traction, _integer)
 
 __all__ = [
     "split_edge",
@@ -261,12 +261,13 @@ def bench_case(entry: dict):
     elliptical region with semi-axes a, b.
     """
     try:
-        nx, ny = int(entry["nx"]), int(entry["ny"])
+        nx = _integer(entry["nx"], "bench entry nx")
+        ny = _integer(entry["ny"], "bench entry ny")
         pitch = float(entry.get("pitch", 1.0))
         mod_d = entry["mod"]
         kind = mod_d["kind"]
         if kind == "hole":
-            half = int(mod_d.get("half", 1)) * pitch
+            half = _integer(mod_d.get("half", 1), "bench entry half") * pitch
         elif kind == "ellipse":
             a, b = float(mod_d["a"]), float(mod_d["b"])
     except (KeyError, TypeError, ValueError, AttributeError,

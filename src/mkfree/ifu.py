@@ -153,7 +153,11 @@ class IfuDiagnostics:
     n_d: int
     fund_residual: float
     solve_residual: float
-    short_circuit: bool
+
+    @property
+    def short_circuit(self) -> bool:
+        """No DOF was unbalanced, so U* was returned unchanged."""
+        return self.n_d == 0
 
 
 def ifu_solve(factor: CholeskyFactor, K_m_star: sp.spmatrix, K_m: sp.spmatrix,
@@ -178,7 +182,7 @@ def ifu_solve(factor: CholeskyFactor, K_m_star: sp.spmatrix, K_m: sp.spmatrix,
     S_d = unbalanced_set(meas, tol)
     if len(S_d) == 0:
         return U_star.copy(), IfuDiagnostics(
-            n_d=0, fund_residual=0.0, solve_residual=0.0, short_circuit=True)
+            n_d=0, fund_residual=0.0, solve_residual=0.0)
 
     L0_mod, V = constrain_factor(factor, S_d)
     R = constraint_rhs(K_m, S_d)
@@ -188,4 +192,4 @@ def ifu_solve(factor: CholeskyFactor, K_m_star: sp.spmatrix, K_m: sp.spmatrix,
     solve_rel = float(np.linalg.norm(K_m @ U - F)
                       / max(np.linalg.norm(F), 1e-300))
     return U, IfuDiagnostics(n_d=len(S_d), fund_residual=fund_rel,
-                             solve_residual=solve_rel, short_circuit=False)
+                             solve_residual=solve_rel)

@@ -123,9 +123,13 @@ class ModifiedCase:
     dK: sp.csr_matrix            # BC-applied stiffness delta, K_m - star.K
     K_m: sp.csr_matrix           # BC-applied modified stiffness
     F: np.ndarray                # modified load, constrained entries zeroed
-    update_path: str             # "local" | "global"
     influence: object = None     # InfluenceDomain for the local path
     fallback_reason: str | None = None
+
+    @property
+    def update_path(self) -> str:
+        """How K_m was built: "local", or "global" after a refusal."""
+        return "local" if self.fallback_reason is None else "global"
 
 
 def prepare_modified(baseline: Baseline, mod: Modification) -> ModifiedCase:
@@ -169,9 +173,8 @@ def prepare_modified(baseline: Baseline, mod: Modification) -> ModifiedCase:
     return ModifiedCase(
         baseline=baseline, mod=mod, cloud_mod=cloud_mod, dof_map=dof_map,
         material=mat_new, bc=bc_new, star=star, factor=factor, U_star=U_star,
-        dK=dK, K_m=modified.K, F=modified.F,
-        update_path="local" if fallback is None else "global",
-        influence=influence, fallback_reason=fallback)
+        dK=dK, K_m=modified.K, F=modified.F, influence=influence,
+        fallback_reason=fallback)
 
 
 def _restrict(case: ModifiedCase, U: np.ndarray) -> FieldSolution:

@@ -3,14 +3,15 @@
 The local strategy finds the Gauss points whose integration actually changes
 (support node set or material-domain activity differs between the initial
 and modified clouds) and re-integrates only those, giving a stiffness delta
-that matches a global reassembly difference exactly.  The screen locates
-every point's support in both clouds with the batched kernel of
-:mod:`mkfree.interp`, and the delta integrates the affected points through
-:func:`mkfree.assembly.integrate_stiffness`, the global assembler's own
-path.  A material change
-alters every Gauss contribution, so the strategy refuses it and the global
-reassembly is the only option; a modification that leaves the node set
-unchanged otherwise (empty, or a BC-only change) has a zero delta.
+that matches a global reassembly difference to roundoff.  The screen
+locates every point's support in both clouds with the batched kernel of
+:mod:`mkfree.interp`, and the delta is the global assembler's own sparse
+product (:func:`mkfree.assembly.integrate_stiffness`) over the affected
+points, the modified cloud's term signed + and the initial one's -.  A
+material change alters every Gauss contribution, so the strategy refuses
+it and the global reassembly is the only option; a modification that
+leaves the node set unchanged otherwise (empty, or a BC-only change) has
+a zero delta.
 """
 
 from __future__ import annotations
@@ -85,7 +86,7 @@ def build_influence_domain(changed: list[int], cloud_initial: NodeCloud,
 
     Every Gauss point is screened by comparing its integration state in
     the two clouds -- inactive, support-deficient, or the exact support
-    node-id set -- so the resulting delta is exact by construction.
+    node-id set -- so no point whose contribution changed is missed.
     """
     if not changed:
         raise ValidationError("influence domain of an empty modification")

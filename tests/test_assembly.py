@@ -3,12 +3,13 @@ import pytest
 
 from mkfree.assembly import (apply_bcs, assemble_load, assemble_stiffness,
                              constitutive, gauss_point_active,
-                             strain_displacement)
+                             integrate_stiffness, strain_displacement)
 from mkfree.config import MeshlessConfig
 from mkfree.interp import evaluate_at
 from mkfree.model import (BackgroundGrid, BoundaryConditions, MaterialModel,
                           Modification, NodeCloud, Traction,
                           apply_modification, identity_dof_map)
+from mkfree.update import local_delta
 
 from conftest import cantilever_bc, grid_for, jittered_cloud
 from oracles import (constitutive_oracle, dense_stiffness_oracle,
@@ -123,6 +124,50 @@ class TestAssembly:
                 assert row[d] == 1.0
                 row[d] = 0.0
                 assert np.all(row == 0.0)
+
+
+def _edited_model(rng, dim):
+    """A 2D or 3D jittered cloud, the cloud after removing one interior
+    node and adding one, and the grid, material and union DOF map."""
+    if dim == 2:
+        cloud = jittered_cloud(rng, 7, 6, jitter=0.2)
+        mat = MaterialModel(100.0, 0.3)
+    else:
+        cloud = jittered_cloud(rng, 5, 4, nz=4, jitter=0.15)
+        mat = MaterialModel(100.0, 0.3, mode="solid_3d")
+    centre = cloud.coords.mean(axis=0)
+    removed = int(cloud.ids[np.argmin(
+        np.linalg.norm(cloud.coords - centre, axis=1))])
+    mod = Modification(added_ids=(int(cloud.ids.max()) + 1,),
+                       added_coords=[centre + 0.5], removed_ids={removed})
+    cloud_m, dm = apply_modification(cloud, mod)
+    return cloud, cloud_m, mod, grid_for(cloud, pad=0.2), mat, dm
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+class TestIntegrateStiffness:
+    def test_signed_terms_are_the_difference(self, rng, cfg, dim):
+        cloud, cloud_m, _, grid, mat, dm = _edited_model(rng, dim)
+        points, weights, cells = grid.gauss
+        D = constitutive(mat)
+
+        def integrate(terms):
+            return integrate_stiffness(terms, points, weights, cells, D, dm,
+                                       cfg).toarray()
+
+        K_m, K = integrate([(cloud_m, 1.0)]), integrate([(cloud, 1.0)])
+        both = integrate([(cloud_m, 1.0), (cloud, -1.0)])
+        scale = max(np.abs(K_m).max(), np.abs(K).max())
+        assert np.abs(both - (K_m - K)).max() <= 1e-14 * scale
+        assert np.abs(both).max() > 1e-3 * scale
+
+    def test_stiffness_and_delta_exactly_symmetric(self, rng, cfg, dim):
+        cloud, cloud_m, mod, grid, mat, dm = _edited_model(rng, dim)
+        K = assemble_stiffness(cloud, grid, mat, cfg, dof_map=dm).K
+        _, delta = local_delta(mod, cloud, cloud_m, grid, mat, dm, cfg)
+        for A in (K, delta.dK):
+            assert A.nnz > 0
+            assert (A != A.T).nnz == 0
 
 
 class TestLoad:

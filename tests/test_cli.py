@@ -280,8 +280,13 @@ class TestBench:
         {"cases": [{"nx": float("inf"), "ny": 7, "mod": {"kind": "hole"}}]},
         {"cases": [{"nx": 9, "ny": 7, "mod": {"kind": "hole"},
                     "basis": float("inf")}]},
+        {"cases": [{"nx": 9.7, "ny": 7, "mod": {"kind": "hole"}}]},
+        {"cases": [{"nx": 9, "ny": 7, "mod": {"kind": "hole", "half": 1.6}}]},
+        {"cases": [{"nx": 9, "ny": 7, "mod": {"kind": "hole"},
+                    "basis": 6.5}]},
     ], ids=["list", "non-object-case", "non-numeric-nx", "non-numeric-pitch",
-            "non-numeric-basis", "infinite-nx", "infinite-basis"])
+            "non-numeric-basis", "infinite-nx", "infinite-basis",
+            "fractional-nx", "fractional-half", "fractional-basis"])
     def test_malformed_family_is_validation_error(self, tmp_path, capsys,
                                                   family_json):
         family = tmp_path / "family.json"

@@ -9,8 +9,7 @@ import numpy as np
 import pytest
 
 from mkfree import interp
-from mkfree.assembly import (active_supports, assemble_stiffness,
-                             constitutive, gauss_stiffness)
+from mkfree.assembly import active_supports, assemble_stiffness
 from mkfree.config import MeshlessConfig
 from mkfree.errors import ConditioningError, SupportDeficiencyError
 from mkfree.interp import evaluate_at, evaluate_batch, find_supports, spacing
@@ -19,51 +18,44 @@ from mkfree.model import BackgroundGrid, MaterialModel, NodeCloud
 from conftest import grid_for, jittered_cloud
 
 
-def kernel_results(points, weights, cloud, D, cfg):
-    """{point index: (values, grads, k)} for the active points of a batch."""
+def kernel_results(points, cloud, cfg):
+    """{point index: (values, grads)} for the active points of a batch."""
     active, sup = active_supports(points, cloud, cfg)
     out = {}
     for idx, _, values, grads in evaluate_batch(points[active], cloud, sup,
                                                 cfg):
         for j, i in enumerate(active[idx]):
             out[int(i)] = [values[j], grads[j]]
-    for idx, _, k in gauss_stiffness(points[active], weights[active], cloud,
-                                     sup, D, cfg):
-        for j, i in enumerate(active[idx]):
-            out[int(i)].append(k[j])
     return out
 
 
 def _model(rng, dim):
     if dim == 2:
         cloud = jittered_cloud(rng, 7, 6, jitter=0.2)
-        mat = MaterialModel(100.0, 0.3)
     else:
         cloud = jittered_cloud(rng, 4, 4, nz=4, jitter=0.15)
-        mat = MaterialModel(100.0, 0.3, mode="solid_3d")
-    return cloud, grid_for(cloud, pad=0.2), constitutive(mat)
+    return cloud, grid_for(cloud, pad=0.2)
 
 
 @pytest.mark.parametrize("dim", [2, 3])
 def test_point_results_independent_of_batch(rng, cfg, dim, monkeypatch):
-    cloud, grid, D = _model(rng, dim)
-    points, weights, _ = grid.gauss
-    full = kernel_results(points, weights, cloud, D, cfg)
+    cloud, grid = _model(rng, dim)
+    points = grid.gauss[0]
+    full = kernel_results(points, cloud, cfg)
     sizes = {i: len(v[0]) for i, v in full.items()}
     targets = [min(full), max(full), max(sizes, key=sizes.get),
                min(sizes, key=sizes.get)]
     for t in targets:
-        alone = kernel_results(points[[t]], weights[[t]], cloud, D, cfg)[0]
+        alone = kernel_results(points[[t]], cloud, cfg)[0]
         group = [i for i in full if sizes[i] == sizes[t]]
-        in_group = kernel_results(points[group], weights[group], cloud, D,
-                                  cfg)[group.index(t)]
+        in_group = kernel_results(points[group], cloud, cfg)[group.index(t)]
         sf = evaluate_at(points[t], cloud, cfg)
         for got in (alone, in_group, [sf.values, sf.grads]):
             for a, b in zip(got, full[t]):
                 assert np.array_equal(a, b)
     # groups split into chunks of a few points give the same results
     monkeypatch.setattr(interp, "_CHUNK_DOUBLES", 3 * (40 * dim) ** 2)
-    chunked = kernel_results(points, weights, cloud, D, cfg)
+    chunked = kernel_results(points, cloud, cfg)
     assert chunked.keys() == full.keys()
     for i, got in chunked.items():
         for a, b in zip(got, full[i]):
@@ -124,9 +116,9 @@ def test_support_grows_once_then_raises(rng):
 
 
 def test_cholesky_failure_retries_that_point_only(rng, cfg, monkeypatch):
-    cloud, grid, D = _model(rng, 2)
-    points, weights, _ = grid.gauss
-    reference = kernel_results(points, weights, cloud, D, cfg)
+    cloud, grid = _model(rng, 2)
+    points = grid.gauss[0]
+    reference = kernel_results(points, cloud, cfg)
     target = sorted(reference)[len(reference) // 2]
     active, sup = active_supports(points, cloud, cfg)
     rows = sup.rows[sup.ptr[np.searchsorted(active, target)]:][
@@ -143,11 +135,11 @@ def test_cholesky_failure_retries_that_point_only(rng, cfg, monkeypatch):
         return (a, 1) if hit else real(a, lower=lower)
 
     monkeypatch.setattr(interp, "dpotrf", failing)
-    forced = kernel_results(points, weights, cloud, D, cfg)
-    # one call per point (shape values and k each), plus one retry with
-    # the jittered matrix for the target in each pass
-    assert calls.count(True) == 2
-    assert len(calls) == 2 * (len(reference) + 1)
+    forced = kernel_results(points, cloud, cfg)
+    # one call per point, plus one retry with the jittered matrix for the
+    # target
+    assert calls.count(True) == 1
+    assert len(calls) == len(reference) + 1
     for i, got in forced.items():
         for a, b in zip(got, reference[i]):
             if i == target:
