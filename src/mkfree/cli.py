@@ -109,7 +109,8 @@ def cmd_reanalyze(args) -> int:
     print(f"method {args.method}, update path {case.update_path}")
     if case.fallback_reason:
         print(f"local update unavailable: {case.fallback_reason}")
-    for key in ("s", "rank", "n_d", "fund_residual", "solve_residual",
+    for key in ("s", "rank", "residual", "n_d", "n_coupled",
+                "capacitance_cond", "fund_residual", "solve_residual",
                 "short_circuit"):
         if key in diag:
             print(f"{key} = {diag[key]}")

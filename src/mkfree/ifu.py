@@ -2,13 +2,28 @@
 system by constraining the initial Cholesky factor at the unbalanced DOFs
 and correcting through the Sherman-Morrison-Woodbury identity.
 
-The constrained factor satisfies L0_mod L0_mod^T + V V^T = K* with the
-unbalanced rows/columns replaced by identity; this reconstruction identity
-is validated on toy systems in the test suite, and every production run
-re-checks the fundamental-solution residual before the correction is
-trusted.  Note the fundamental right-hand sides carry the *negated*
-stiffness column: with the positive column the balanced equations are not
-annihilated and the method loses exactness.
+Constraining the factor L0 of K* at the unbalanced set S_d gives
+L0_mod L0_mod^T + V V^T = K* with rows and columns S_d replaced by the
+identity.  That operator is block-diagonal: a row is *decoupled* when the
+factor has a unit diagonal there and no other entry in that row or column,
+and the row of V is zero.  The rows S_d are decoupled by construction, and
+so is every DOF the factor already carries as a unit row (BC-eliminated
+DOFs, DOFs a configuration does not carry).  On decoupled rows the
+fundamental solution equals the right-hand side; on the coupled rows r the
+operator is K*[r, r] = L_rr L_rr^T + V_r V_r^T, and SMW (Hager, SIAM
+Review 31(2), 1989) solves it with one forward and one back triangular
+solve on L_rr and a Cholesky factor of the SPD capacitance matrix.
+:func:`_coupled` holds the rule; :func:`ifu_solve` and
+:func:`fundamental_solutions` both call it, so they solve the same block
+and return the same B bit for bit.
+
+Guards: :func:`ifu_solve` checks the fundamental solutions against the
+sparse K*[r, r] it receives, and the answer against the modified system;
+:func:`fundamental_solutions`, which has no K*, checks the dense block
+L_rr L_rr^T + V_r V_r^T.  Each raises :class:`NumericalError` above 1e-9.
+The fundamental right-hand sides carry the *negated* stiffness column:
+with the positive column the balanced equations are not annihilated and
+the method loses exactness.
 """
 
 from __future__ import annotations
@@ -17,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.linalg import LinAlgError
+from scipy.linalg import LinAlgError, cholesky, solve_triangular
 
 from .errors import NumericalError
 from .solver import CholeskyFactor
@@ -34,7 +49,17 @@ __all__ = [
     "ifu_solve",
 ]
 
-_FUND_RESIDUAL_TOL = 1e-9
+_RESIDUAL_TOL = 1e-9
+
+
+def _guard(what: str, res: np.ndarray, ref: np.ndarray) -> float:
+    """Relative residual ||res|| / ||ref||; NumericalError above 1e-9."""
+    rel = float(np.linalg.norm(res) / max(np.linalg.norm(ref), 1e-300))
+    if not rel <= _RESIDUAL_TOL:
+        raise NumericalError(
+            f"{what} residual {rel:.2e} exceeds {_RESIDUAL_TOL:.0e}; fall "
+            f"back to a full re-factorization")
+    return rel
 
 
 def residual(K_m: sp.spmatrix, F: np.ndarray, U_star: np.ndarray) -> np.ndarray:
@@ -72,6 +97,10 @@ def constrain_factor(factor: CholeskyFactor, S_d: np.ndarray):
     order, because L0 is lower triangular: column s has no entry in a row
     above s, so zeroing the rows of the other unbalanced DOFs first cannot
     change what it contributes.  Returns (L0_mod, V).
+
+    This is the hand-checkable phase: it builds the dense n x n constrained
+    factor.  :func:`ifu_solve` never does; it gathers the coupled blocks of
+    L0_mod and V straight from ``factor.L0``.
     """
     L0 = factor.L0.copy()
     V = L0.take(S_d, axis=1)     # C order, unlike L0[:, S_d]
@@ -100,36 +129,69 @@ def constraint_rhs(K_m: sp.spmatrix, S_d: np.ndarray) -> np.ndarray:
     return R
 
 
-def fundamental_solutions(L0_mod: np.ndarray, V: np.ndarray, R: np.ndarray
-                          ) -> tuple[np.ndarray, float]:
-    """Solve (L0_mod L0_mod^T + V V^T) B = R through SMW.
+def _coupled(L: np.ndarray, V: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Mask over ``rows``: True where L L^T + V V^T, restricted to rows x
+    rows, couples the row to others.
 
-    All inverse applications are triangular solves on L0_mod; the n_d
-    right-hand sides are batched into single BLAS-3 solves.  Returns
-    (B, relative residual of the solved system).
+    ``V`` holds one row per entry of ``rows``.  A row is decoupled when L
+    has a unit diagonal there and no other entry in that row or column of
+    the block, and its row of V is zero.  Only unit-diagonal rows are
+    inspected, so the check reads a few rows and columns of L.
     """
-    n_d = R.shape[1]
-    if n_d == 0:
-        return R.copy(), 0.0
+    cand = np.flatnonzero(np.diagonal(L)[rows] == 1.0)
+    i = rows[cand]
+    alone = ((np.count_nonzero(L[np.ix_(i, rows)], axis=1) == 1)
+             & (np.count_nonzero(L[np.ix_(rows, i)], axis=0) == 1)
+             & ~V[cand].any(axis=1))
+    keep = np.ones(len(rows), dtype=bool)
+    keep[cand[alone]] = False
+    return keep
 
-    AinvRV = CholeskyFactor(L0_mod).apply_inverse(np.hstack([R, V]))
-    AinvR = AinvRV[:, :n_d]
-    AinvV = AinvRV[:, n_d:]
-    C = np.eye(V.shape[1]) + V.T @ AinvV
+
+def _smw(L: np.ndarray, V: np.ndarray, R: np.ndarray):
+    """Solve (L L^T + V V^T) X = R for lower-triangular L through SMW.
+
+    With Y = L^-1 R and W = L^-1 V from one forward solve, the capacitance
+    C = I + W^T W = G G^T is SPD and X = L^-T (Y - Z Z^T Y) with
+    Z^T = G^-1 W^T; Z Z^T Y is grouped by whichever of n_r and n_d is
+    smaller.  Returns X and (max/min of diag G)^2, a lower bound on cond(C).
+    """
+    n_r, n_d = R.shape
+    YW = solve_triangular(L, np.hstack([R, V]), lower=True,
+                          check_finite=False)
+    Y, W = YW[:, :n_d], YW[:, n_d:]
     try:
-        Z = np.linalg.solve(C, V.T @ AinvR)
+        G = cholesky(np.eye(n_d) + W.T @ W, lower=True, check_finite=False)
     except LinAlgError as exc:
         raise NumericalError(
             "SMW capacitance matrix is singular; fall back to a full "
             "re-factorization") from exc
-    B = AinvR - AinvV @ Z
+    Zt = solve_triangular(G, W.T, lower=True, check_finite=False)
+    ZZtY = (Zt.T @ Zt) @ Y if n_r < n_d else Zt.T @ (Zt @ Y)
+    X = solve_triangular(L, Y - ZZtY, lower=True, trans="T",
+                         check_finite=False)
+    d = np.diagonal(G)
+    return X, float((d.max() / d.min()) ** 2)
 
-    res = L0_mod @ (L0_mod.T @ B) + V @ (V.T @ B) - R
-    rel = float(np.linalg.norm(res) / max(np.linalg.norm(R), 1e-300))
-    if rel > _FUND_RESIDUAL_TOL:
-        raise NumericalError(
-            f"fundamental-solution residual {rel:.2e} exceeds "
-            f"{_FUND_RESIDUAL_TOL:.0e}; fall back to a full re-factorization")
+
+def fundamental_solutions(L0_mod: np.ndarray, V: np.ndarray, R: np.ndarray
+                          ) -> tuple[np.ndarray, float]:
+    """Solve (L0_mod L0_mod^T + V V^T) B = R through SMW.
+
+    Decoupled rows keep B = R; SMW solves the coupled block, which a dense
+    residual check then guards.  Returns (B, relative residual of the
+    solved system).
+    """
+    n, n_d = R.shape
+    if n_d == 0:
+        return R.copy(), 0.0
+    r = np.flatnonzero(_coupled(L0_mod, V, np.arange(n)))
+    L, V_r, R_r = L0_mod[np.ix_(r, r)], V[r], R[r]
+    B_r, _ = _smw(L, V_r, R_r)
+    rel = _guard("fundamental-solution",
+                 L @ (L.T @ B_r) + V_r @ (V_r.T @ B_r) - R_r, R)
+    B = R.copy()
+    B[r] = B_r
     return B, rel
 
 
@@ -153,6 +215,8 @@ class IfuDiagnostics:
     n_d: int
     fund_residual: float
     solve_residual: float
+    n_coupled: int              # rows SMW solved; the rest keep B = R
+    capacitance_cond: float     # lower bound on cond(I + W^T W)
 
     @property
     def short_circuit(self) -> bool:
@@ -165,7 +229,7 @@ def ifu_solve(factor: CholeskyFactor, K_m_star: sp.spmatrix, K_m: sp.spmatrix,
     """Full IFU pipeline; returns (U, IfuDiagnostics).
 
     Exact up to solver roundoff: the returned displacement satisfies the
-    modified system to the residual reported in the diagnostics.
+    modified system to 1e-9 relative, or NumericalError is raised.
     """
     F = np.asarray(F, dtype=float)
     delta = residual(K_m, F, U_star)
@@ -182,14 +246,25 @@ def ifu_solve(factor: CholeskyFactor, K_m_star: sp.spmatrix, K_m: sp.spmatrix,
     S_d = unbalanced_set(meas, tol)
     if len(S_d) == 0:
         return U_star.copy(), IfuDiagnostics(
-            n_d=0, fund_residual=0.0, solve_residual=0.0)
+            n_d=0, fund_residual=0.0, solve_residual=0.0, n_coupled=0,
+            capacitance_cond=1.0)
 
-    L0_mod, V = constrain_factor(factor, S_d)
+    # the blocks of constrain_factor's (L0_mod, V) off the rows S_d
+    L0 = factor.L0
+    rest = np.delete(np.arange(factor.n), S_d)
+    V = L0[np.ix_(rest, S_d)]
+    keep = _coupled(L0, V, rest)
+    r = rest[keep]
     R = constraint_rhs(K_m, S_d)
-    B, fund_rel = fundamental_solutions(L0_mod, V, R)
+    R_r = R[r]
+    B_r, cond = _smw(L0[np.ix_(r, r)], V[keep], R_r)
+    fund_rel = _guard("fundamental-solution",
+                      sp.csr_matrix(K_m_star)[r][:, r] @ B_r - R_r, R)
+    B = R               # B = R on the decoupled rows; R is not read again
+    B[r] = B_r
     _, _, y = reduce_unbalanced(K_m, S_d, B, delta)
     U = U_star + B @ y
-    solve_rel = float(np.linalg.norm(K_m @ U - F)
-                      / max(np.linalg.norm(F), 1e-300))
+    solve_rel = _guard("IFU solve", K_m @ U - F, F)
     return U, IfuDiagnostics(n_d=len(S_d), fund_residual=fund_rel,
-                             solve_residual=solve_rel)
+                             solve_residual=solve_rel, n_coupled=len(r),
+                             capacitance_cond=cond)

@@ -187,8 +187,10 @@ def run_ca(case: ModifiedCase, s: int = 10):
     mask = case.dof_map.carries(case.cloud_mod)
     U, basis, reduced = _ca.ca_solve(case.factor, case.dK, case.K_m, case.F,
                                      s, mask=mask)
+    residual = float(np.linalg.norm(case.K_m @ U - case.F)
+                     / max(np.linalg.norm(case.F), 1e-300))
     diag = {"method": "ca", "s": s, "rank": reduced.rank,
-            "update_path": case.update_path}
+            "residual": residual, "update_path": case.update_path}
     return U, _restrict(case, U), diag
 
 
@@ -197,7 +199,8 @@ def run_ifu(case: ModifiedCase, tol: float | None = None):
     U, d = _ifu.ifu_solve(case.factor, case.star.K, case.K_m, case.F,
                           case.U_star, tol)
     diag = {"method": "ifu", "n_d": d.n_d, "fund_residual": d.fund_residual,
-            "solve_residual": d.solve_residual,
+            "solve_residual": d.solve_residual, "n_coupled": d.n_coupled,
+            "capacitance_cond": d.capacitance_cond,
             "short_circuit": d.short_circuit,
             "update_path": case.update_path}
     return U, _restrict(case, U), diag

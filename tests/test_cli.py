@@ -157,12 +157,15 @@ class TestReanalyze:
         assert "short_circuit = True" in out
         assert "E_u" in out
 
-    def test_ca_method_runs(self, small_files, tmp_path):
+    def test_ca_method_runs(self, small_files, tmp_path, capsys):
         model, mod = small_files
         rc = main(["reanalyze", str(model), str(mod), "--method", "ca",
                    "--basis", "3", "-o", str(tmp_path / "ca_out")])
         assert rc == 0
         assert (tmp_path / "ca_out" / "fields.csv").exists()
+        import re
+        res = re.search(r"^residual = (\S+)$", capsys.readouterr().out, re.M)
+        assert res and np.isfinite(float(res.group(1)))
 
     def test_material_without_modulus_is_validation_error(
             self, small_files, tmp_path, capsys):
@@ -190,6 +193,12 @@ class TestReanalyze:
                 re.findall(r"E_\w+ = ([0-9.e+-]+) %", out)]
         assert len(vals) == 3
         assert all(v < 1e-6 for v in vals)
+        n_d = int(re.search(r"^n_d = (\d+)$", out, re.M).group(1))
+        n_coupled = int(re.search(r"^n_coupled = (\d+)$", out, re.M).group(1))
+        cond = float(re.search(r"^capacitance_cond = (\S+)$", out,
+                               re.M).group(1))
+        assert n_d > 0 and n_coupled >= 0
+        assert cond >= 1.0
 
 
 def _remove_one(cloud):

@@ -1,11 +1,15 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from mkfree import demos, ifu
 from mkfree.errors import NumericalError
 from mkfree.ifu import (constrain_factor, constraint_rhs,
                         fundamental_solutions, ifu_solve, measurement,
                         reduce_unbalanced, residual, unbalanced_set)
+from mkfree.pipeline import full_analysis, prepare_modified
 from mkfree.solver import CholeskyFactor
 
 from oracles import ifu_hand_steps, random_spd
@@ -24,6 +28,16 @@ def _modified_pair(rng, n, dofs):
     M = rng.standard_normal((len(d), len(d)))
     K_m[np.ix_(d, d)] += M @ M.T + len(d) * np.eye(len(d))
     return K_star, K_m
+
+
+def _clamped(K, dofs):
+    """K with rows and columns ``dofs`` replaced by the identity, the way
+    BC elimination leaves a clamped DOF."""
+    K = K.copy()
+    K[dofs, :] = 0.0
+    K[:, dofs] = 0.0
+    K[dofs, dofs] = 1.0
+    return K
 
 
 class TestMeasurement:
@@ -170,3 +184,107 @@ class TestIfuSolve:
         with pytest.raises(NumericalError):
             ifu_solve(_factor(K_star), sp.csr_matrix(K_star),
                       sp.csr_matrix(K_m), F, U_star)
+
+    def test_unchecked_answer_raises(self, rng, monkeypatch):
+        K_star, K_m = _modified_pair(rng, 12, [3, 7])
+        F = rng.standard_normal(12)
+        U_star = np.linalg.solve(K_star, F)
+        real = ifu.reduce_unbalanced
+
+        def perturbed(*args):
+            K_R, delta_u, y = real(*args)
+            return K_R, delta_u, y * (1.0 + 1e-6)
+
+        monkeypatch.setattr(ifu, "reduce_unbalanced", perturbed)
+        with pytest.raises(NumericalError, match="IFU solve residual"):
+            ifu_solve(_factor(K_star), sp.csr_matrix(K_star),
+                      sp.csr_matrix(K_m), F, U_star)
+
+
+class TestCoupledBlock:
+    def test_unit_row_outside_S_d_keeps_rhs(self, rng):
+        """A clamped DOF is a unit row of the factor: B equals R there, and
+        the coupled block alone solves the constrained system."""
+        K_star = _clamped(random_spd(rng, 9), [4])
+        S_d = np.array([1, 6])
+        L_mod, V = constrain_factor(_factor(K_star), S_d)
+        R = constraint_rhs(sp.csr_matrix(random_spd(rng, 9)), S_d)
+        B, rel = fundamental_solutions(L_mod, V, R)
+        exact = np.linalg.solve(L_mod @ L_mod.T + V @ V.T, R)
+        assert np.abs(B - exact).max() <= 1e-12 * np.abs(exact).max()
+        assert np.array_equal(B[[1, 4, 6]], R[[1, 4, 6]])
+        assert rel <= 1e-12
+
+    @given(seed=st.integers(0, 2 ** 32 - 1))
+    @settings(max_examples=30, deadline=None)
+    def test_exact_with_unit_rows(self, seed):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(4, 24))
+        dofs = rng.permutation(n)
+        k = int(rng.integers(1, n - 1))
+        n_unit = int(rng.integers(0, n - k))
+        changed, unit = np.sort(dofs[:k]), np.sort(dofs[k:k + n_unit])
+        K_star = _clamped(random_spd(rng, n), unit)
+        K_m = K_star.copy()
+        M = rng.standard_normal((k, k))
+        K_m[np.ix_(changed, changed)] += M @ M.T + k * np.eye(k)
+        F = rng.standard_normal(n)
+        F[unit] = 0.0
+        U_star = np.linalg.solve(K_star, F)
+        K_m_csr = sp.csr_matrix(K_m)
+        U, diag = ifu_solve(_factor(K_star), sp.csr_matrix(K_star),
+                            K_m_csr, F, U_star)
+        exact = np.linalg.solve(K_m, F)
+        assert np.linalg.norm(U - exact) <= 1e-10 * np.linalg.norm(exact)
+        assert diag.n_d == k
+        assert diag.n_coupled == n - k - n_unit
+        # the public phases find the same unit rows and the same answer
+        L_mod, V = constrain_factor(_factor(K_star), changed)
+        B, _ = fundamental_solutions(L_mod, V,
+                                     constraint_rhs(K_m_csr, changed))
+        _, _, y = reduce_unbalanced(K_m_csr, changed, B,
+                                    residual(K_m_csr, F, U_star))
+        assert np.array_equal(U_star + B @ y, U)
+        # the reported bound does not exceed the capacitance's condition
+        r = np.setdiff1d(np.arange(n), np.union1d(changed, unit))
+        W = np.linalg.solve(L_mod[np.ix_(r, r)], V[r])
+        cond = np.linalg.cond(np.eye(k) + W.T @ W)
+        assert 1.0 <= diag.capacitance_cond <= cond * (1 + 1e-10)
+
+
+@pytest.fixture(scope="module", params=["plate_with_hole", "notch_fill",
+                                        "l_frame_3d"])
+def demo_case(request):
+    cloud, grid, mat, bc, mod = demos.DEMO_BUILDERS[request.param]()
+    return prepare_modified(full_analysis(cloud, grid, mat, bc), mod)
+
+
+class TestDemoComposition:
+    """The public phases, composed as a reader would, give ifu_solve's
+    answer bit for bit; both guards read roundoff on the demos."""
+
+    def test_phases_reproduce_ifu_solve(self, demo_case):
+        c = demo_case
+        U, diag = ifu_solve(c.factor, c.star.K, c.K_m, c.F, c.U_star)
+        delta = residual(c.K_m, c.F, c.U_star)
+        S_d = unbalanced_set(measurement(c.K_m, c.star.K, delta),
+                             _default_tol(c))
+        assert len(S_d) == diag.n_d > 0
+        L_mod, V = constrain_factor(c.factor, S_d)
+        R = constraint_rhs(c.K_m, S_d)
+        B, rel = fundamental_solutions(L_mod, V, R)
+        _, _, y = reduce_unbalanced(c.K_m, S_d, B, delta)
+        assert np.array_equal(c.U_star + B @ y, U)
+
+        dense = L_mod @ (L_mod.T @ B) + V @ (V.T @ B) - R
+        assert np.linalg.norm(dense) <= 1e-12 * np.linalg.norm(R)
+        assert rel <= 1e-12
+        assert diag.fund_residual <= 1e-12
+        assert diag.solve_residual <= 1e-9
+
+
+def _default_tol(c):
+    """ifu_solve's default unbalanced-set tolerance."""
+    k_scale = float(abs(c.K_m).max())
+    u_scale = float(np.abs(c.U_star).max())
+    return 1e-9 * (k_scale * max(1.0, u_scale) + float(np.abs(c.F).max()))

@@ -13,7 +13,7 @@ from mkfree import demos, pipeline
 from mkfree.assembly import StiffnessSystem, apply_bcs, assemble_load
 from mkfree.model import (BoundaryConditions, MaterialModel, Modification,
                           NodeCloud)
-from mkfree.pipeline import (full_analysis, prepare_modified,
+from mkfree.pipeline import (full_analysis, prepare_modified, run_ca,
                              run_full_modified, run_ifu)
 from mkfree.recovery import error_metrics
 from mkfree.update import global_update
@@ -92,6 +92,16 @@ def test_interior_removal_with_bc_change(baseline):
     mod = Modification(removed_ids={_interior_node(cloud)}, bc_change=bc)
     case = _check_case(baseline, mod)
     assert case.update_path == "local" and case.influence is not None
+
+
+def test_ca_reports_its_residual(baseline):
+    mod = Modification(removed_ids={_interior_node(baseline.cloud)})
+    case = prepare_modified(baseline, mod)
+    U, _, diag = run_ca(case, s=3)
+    direct = (np.linalg.norm(case.K_m.toarray() @ U - case.F)
+              / np.linalg.norm(case.F))
+    assert np.isfinite(diag["residual"])
+    assert diag["residual"] == pytest.approx(direct, rel=1e-12)
 
 
 def test_loaded_node_removal_with_bc_change(baseline):
