@@ -13,9 +13,14 @@ fundamental solution equals the right-hand side; on the coupled rows r the
 operator is K*[r, r] = L_rr L_rr^T + V_r V_r^T, and SMW (Hager, SIAM
 Review 31(2), 1989) solves it with one forward and one back triangular
 solve on L_rr and a Cholesky factor of the SPD capacitance matrix.
-:func:`_coupled` holds the rule; :func:`ifu_solve` and
-:func:`fundamental_solutions` both call it, so they solve the same block
-and return the same B bit for bit.
+
+Everything runs on the banded factor: :func:`ifu_solve` gathers V and L_rr
+from its band, and the triangular solves go by panels of the band
+(:meth:`CholeskyFactor.panel_solve`), so no dense n x n factor is built.
+:func:`_coupled` holds the decoupling rule; :func:`ifu_solve` and
+:func:`fundamental_solutions` both call it and take L_rr with
+:meth:`CholeskyFactor.principal`, so they solve the same block and return
+the same B bit for bit.
 
 Guards: :func:`ifu_solve` checks the fundamental solutions against the
 sparse K*[r, r] it receives, and the answer against the modified system;
@@ -100,9 +105,9 @@ def constrain_factor(factor: CholeskyFactor, S_d: np.ndarray):
 
     This is the hand-checkable phase: it builds the dense n x n constrained
     factor.  :func:`ifu_solve` never does; it gathers the coupled blocks of
-    L0_mod and V straight from ``factor.L0``.
+    L0_mod and V straight from the band of ``factor``.
     """
-    L0 = factor.L0.copy()
+    L0 = factor.L0               # built afresh from the band
     V = L0.take(S_d, axis=1)     # C order, unlike L0[:, S_d]
     V[S_d, :] = 0.0
     L0[S_d, :] = 0.0
@@ -129,36 +134,30 @@ def constraint_rhs(K_m: sp.spmatrix, S_d: np.ndarray) -> np.ndarray:
     return R
 
 
-def _coupled(L: np.ndarray, V: np.ndarray, rows: np.ndarray) -> np.ndarray:
+def _coupled(L: CholeskyFactor, V: np.ndarray, rows: np.ndarray
+             ) -> np.ndarray:
     """Mask over ``rows``: True where L L^T + V V^T, restricted to rows x
     rows, couples the row to others.
 
-    ``V`` holds one row per entry of ``rows``.  A row is decoupled when L
-    has a unit diagonal there and no other entry in that row or column of
-    the block, and its row of V is zero.  Only unit-diagonal rows are
-    inspected, so the check reads a few rows and columns of L.
+    ``V`` holds one row per DOF of L.  A row is decoupled when L has a unit
+    diagonal there and no other entry in that row or column of the block,
+    and its row of V is zero.
     """
-    cand = np.flatnonzero(np.diagonal(L)[rows] == 1.0)
-    i = rows[cand]
-    alone = ((np.count_nonzero(L[np.ix_(i, rows)], axis=1) == 1)
-             & (np.count_nonzero(L[np.ix_(rows, i)], axis=0) == 1)
-             & ~V[cand].any(axis=1))
-    keep = np.ones(len(rows), dtype=bool)
-    keep[cand[alone]] = False
-    return keep
+    return ~L.unit_rows(rows) | V[rows].any(axis=1)
 
 
-def _smw(L: np.ndarray, V: np.ndarray, R: np.ndarray):
+def _smw(L: CholeskyFactor, V: np.ndarray, R: np.ndarray):
     """Solve (L L^T + V V^T) X = R for lower-triangular L through SMW.
 
-    With Y = L^-1 R and W = L^-1 V from one forward solve, the capacitance
-    C = I + W^T W = G G^T is SPD and X = L^-T (Y - Z Z^T Y) with
-    Z^T = G^-1 W^T; Z Z^T Y is grouped by whichever of n_r and n_d is
+    With Y = L^-1 R and W = L^-1 V from one forward panel solve, the
+    capacitance C = I + W^T W = G G^T is SPD and X = L^-T (Y - Z Z^T Y)
+    with Z^T = G^-1 W^T; Z Z^T Y is grouped by whichever of n_r and n_d is
     smaller.  Returns X and (max/min of diag G)^2, a lower bound on cond(C).
     """
     n_r, n_d = R.shape
-    YW = solve_triangular(L, np.hstack([R, V]), lower=True,
-                          check_finite=False)
+    YW = np.empty((n_r, 2 * n_d))
+    YW[:, :n_d], YW[:, n_d:] = R, V
+    L.panel_solve(YW)
     Y, W = YW[:, :n_d], YW[:, n_d:]
     try:
         G = cholesky(np.eye(n_d) + W.T @ W, lower=True, check_finite=False)
@@ -168,8 +167,7 @@ def _smw(L: np.ndarray, V: np.ndarray, R: np.ndarray):
             "re-factorization") from exc
     Zt = solve_triangular(G, W.T, lower=True, check_finite=False)
     ZZtY = (Zt.T @ Zt) @ Y if n_r < n_d else Zt.T @ (Zt @ Y)
-    X = solve_triangular(L, Y - ZZtY, lower=True, trans="T",
-                         check_finite=False)
+    X = L.panel_solve(Y - ZZtY, trans=True)
     d = np.diagonal(G)
     return X, float((d.max() / d.min()) ** 2)
 
@@ -178,16 +176,18 @@ def fundamental_solutions(L0_mod: np.ndarray, V: np.ndarray, R: np.ndarray
                           ) -> tuple[np.ndarray, float]:
     """Solve (L0_mod L0_mod^T + V V^T) B = R through SMW.
 
-    Decoupled rows keep B = R; SMW solves the coupled block, which a dense
-    residual check then guards.  Returns (B, relative residual of the
-    solved system).
+    Decoupled rows keep B = R; SMW solves the coupled block on its band,
+    which a dense residual check then guards.  Returns (B, relative
+    residual of the solved system).
     """
     n, n_d = R.shape
     if n_d == 0:
         return R.copy(), 0.0
-    r = np.flatnonzero(_coupled(L0_mod, V, np.arange(n)))
-    L, V_r, R_r = L0_mod[np.ix_(r, r)], V[r], R[r]
-    B_r, _ = _smw(L, V_r, R_r)
+    factor = CholeskyFactor(L0=L0_mod)
+    r = np.flatnonzero(_coupled(factor, V, np.arange(n)))
+    V_r, R_r = V[r], R[r]
+    B_r, _ = _smw(factor.principal(r), V_r, R_r)
+    L = L0_mod[np.ix_(r, r)]
     rel = _guard("fundamental-solution",
                  L @ (L.T @ B_r) + V_r @ (V_r.T @ B_r) - R_r, R)
     B = R.copy()
@@ -249,15 +249,14 @@ def ifu_solve(factor: CholeskyFactor, K_m_star: sp.spmatrix, K_m: sp.spmatrix,
             n_d=0, fund_residual=0.0, solve_residual=0.0, n_coupled=0,
             capacitance_cond=1.0)
 
-    # the blocks of constrain_factor's (L0_mod, V) off the rows S_d
-    L0 = factor.L0
+    # on the rows r, which avoid S_d, constrain_factor's V is L0[r, S_d]
+    # and L0_mod[r, r] is L0[r, r]
+    V = factor.columns(S_d)
     rest = np.delete(np.arange(factor.n), S_d)
-    V = L0[np.ix_(rest, S_d)]
-    keep = _coupled(L0, V, rest)
-    r = rest[keep]
+    r = rest[_coupled(factor, V, rest)]
     R = constraint_rhs(K_m, S_d)
     R_r = R[r]
-    B_r, cond = _smw(L0[np.ix_(r, r)], V[keep], R_r)
+    B_r, cond = _smw(factor.principal(r), V[r], R_r)
     fund_rel = _guard("fundamental-solution",
                       sp.csr_matrix(K_m_star)[r][:, r] @ B_r - R_r, R)
     B = R               # B = R on the decoupled rows; R is not read again

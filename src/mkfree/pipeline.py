@@ -69,13 +69,14 @@ def _lift(baseline: Baseline, dof_map: DofMap):
     With ``perm`` the union positions of the initial DOFs, ``P`` the N x n
     embedding ``P[perm[k], k] = 1`` and ``I_a = I - P P^T`` the unit
     diagonal on the DOFs the initial cloud does not carry, a matrix A lifts
-    to ``P A P^T + I_a`` and a vector v to ``P v``.  The factor lifts the same way for every id order:
-    as ``P^T P = I`` and ``P^T I_a = 0``, ``L = P L0 P^T + I_a`` gives
-    ``L L^T = P K* P^T + I_a``, and as ``perm`` increases (both id lists
-    are sorted), L is lower triangular with a positive diagonal: the
-    Cholesky factor of the lifted K*.  This is the simplest case of
-    inserting rows and columns into a factor (Davis & Hager, SIAM J.
-    Matrix Anal. Appl. 20(3), 1999).
+    to ``P A P^T + I_a`` and a vector v to ``P v``.  The factor lifts the
+    same way for every id order: as ``P^T P = I`` and ``P^T I_a = 0``,
+    ``L = P L0 P^T + I_a`` gives ``L L^T = P K* P^T + I_a``, and as
+    ``perm`` increases (both id lists are sorted), L is lower triangular
+    with a positive diagonal: the Cholesky factor of the lifted K*.  This
+    is the simplest case of inserting rows and columns into a factor (Davis
+    & Hager, SIAM J. Matrix Anal. Appl. 20(3), 1999), done on the band by
+    :meth:`CholeskyFactor.embed`.
 
     Returns the lifted BC-applied system, raw K, factor and displacement;
     with no added node the matrices and the factor are returned uncopied.
@@ -97,14 +98,8 @@ def _lift(baseline: Baseline, dof_map: DofMap):
 
     F_star = np.zeros(N)
     F_star[perm] = system.F
-    # L0 goes in one run of consecutive union positions at a time, from
-    # the run's first row down: the rows above it are zero in L0
-    L0 = np.eye(N)
-    starts = np.flatnonzero(np.diff(perm, prepend=-2) != 1)
-    for a, b in zip(starts, np.append(starts[1:], len(perm))):
-        L0[perm[a:], perm[a]:perm[a] + b - a] = baseline.factor.L0[a:, a:b]
     return (StiffnessSystem(K=lift(system.K), F=F_star, dof_map=dof_map),
-            lift(baseline.raw.K), CholeskyFactor(L0=L0), U_star)
+            lift(baseline.raw.K), baseline.factor.embed(perm, N), U_star)
 
 
 @dataclass(frozen=True)

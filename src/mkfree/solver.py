@@ -1,65 +1,213 @@
-"""Direct solution of the constrained system K U = F via dense Cholesky.
+"""Direct solution of the constrained system K U = F via a banded Cholesky
+factor.
 
 The factor is kept in original DOF order (no fill-reducing permutation) so
-that reanalysis can address factor columns by DOF index directly.
+that reanalysis can address factor columns by DOF index directly.  It is
+stored as its lower band, ``ab[i - j, j] = L[i, j]`` for
+``0 <= i - j <= b``, with b the half-bandwidth of K: (b + 1) n doubles
+instead of n^2.  Only this module knows that layout.  One right-hand side
+goes through LAPACK's banded solve; a block of them goes through
+:meth:`CholeskyFactor.panel_solve`, which runs level-3 BLAS on panels of
+the band.  Reanalysis reads the factor through its ``columns``,
+``unit_rows``, ``principal`` and ``embed`` methods, none of which builds a
+dense n x n matrix.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 import scipy.sparse as sp
-from scipy.linalg import LinAlgError, cholesky, eigh, solve_triangular
+from scipy.linalg import LinAlgError, cho_solve_banded, cholesky_banded
+from scipy.linalg.blas import dgemm, dtrsm
+from scipy.sparse.linalg import ArpackError, eigsh
 
 from .assembly import StiffnessSystem
 from .errors import RigidBodyError
 
 __all__ = ["CholeskyFactor", "factorize", "solve"]
 
+# rows per panel of CholeskyFactor.panel_solve; measured fastest on 2
+# cores from 64 to 256 for half-bandwidths of 250-430
+_PANEL = 128
 
-@dataclass(frozen=True)
+
+def _lower_band(A) -> np.ndarray:
+    """Lower band ``ab[i - j, j] = A[i, j]`` of a matrix, dense or sparse,
+    as wide as the nonzeros of its lower triangle."""
+    T = sp.tril(A, format="coo")
+    T.sum_duplicates()
+    d = T.row - T.col
+    ab = np.zeros((int(np.max(d, initial=0)) + 1, A.shape[0]))
+    ab[d, T.col] = T.data
+    return ab
+
+
+def _strip(ab: np.ndarray, k0: int, k1: int) -> np.ndarray:
+    """L[k0:k1 + b, k0:k1] of the band ``ab`` as a Fortran-ordered array,
+    zero where the band holds nothing (rows past n included).
+
+    In a Fortran array with leading dimension ld, diagonal d of column j
+    sits at flat offset j (ld + 1) + d, so a (p, ld + 1) view of the buffer
+    takes the band's columns as its rows.
+    """
+    w = ab.shape[0]
+    p = k1 - k0
+    ld = p + w - 1
+    buf = np.zeros(p * (ld + 1))
+    buf.reshape(p, ld + 1)[:, :w] = ab[:, k0:k1].T
+    return buf[:p * ld].reshape(p, ld).T
+
+
 class CholeskyFactor:
-    """Lower-triangular factor L0 with K = L0 L0^T, in DOF order."""
+    """Lower-triangular factor L with K = L L^T, in DOF order, stored as its
+    band ``ab[i - j, j] = L[i, j]``.  ``CholeskyFactor(L0=L)`` takes a
+    dense factor and ``L0`` returns one, for IFU's hand-checkable phases
+    and for tests; the solver paths use only the band."""
 
-    L0: np.ndarray
+    __slots__ = ("ab",)
+
+    def __init__(self, L0: np.ndarray | None = None, *,
+                 ab: np.ndarray | None = None):
+        if (L0 is None) == (ab is None):
+            raise TypeError("give exactly one of L0 and ab")
+        if ab is None:
+            ab = _lower_band(np.asarray(L0, dtype=float))
+        self.ab = ab
 
     @property
     def n(self) -> int:
-        return self.L0.shape[0]
+        return self.ab.shape[1]
+
+    @property
+    def L0(self) -> np.ndarray:
+        """The dense n x n factor, built afresh on each access."""
+        return self.columns(np.arange(self.n))
+
+    def columns(self, cols: np.ndarray) -> np.ndarray:
+        """Dense L[:, cols]."""
+        w, n = self.ab.shape
+        i = cols + np.arange(w)[:, None]
+        ok = i < n
+        out = np.zeros((n, len(cols)))
+        out[i[ok], np.broadcast_to(np.arange(len(cols)), i.shape)[ok]] = \
+            self.ab[:, cols][ok]
+        return out
+
+    def unit_rows(self, rows: np.ndarray) -> np.ndarray:
+        """Mask over ascending ``rows``: True where L[rows, rows] has a unit
+        diagonal and no other entry in that row or column.  Only the
+        unit-diagonal rows are inspected, a few columns of the band."""
+        w, n = self.ab.shape
+        cand = np.flatnonzero(self.ab[0, rows] == 1.0)
+        i = rows[cand][:, None]
+        d = np.arange(1, w)
+        inside = np.zeros(n, dtype=bool)
+        inside[rows] = True
+        below, left = i + d, i - d          # L[i + d, i] and L[i, i - d]
+        ok_b, ok_l = below < n, left >= 0
+        below, left = np.where(ok_b, below, 0), np.where(ok_l, left, 0)
+        linked = ((ok_b & inside[below] & (self.ab[d, i] != 0.0))
+                  | (ok_l & inside[left] & (self.ab[d, left] != 0.0)))
+        unit = np.zeros(len(rows), dtype=bool)
+        unit[cand[~linked.any(axis=1)]] = True
+        return unit
+
+    def principal(self, r: np.ndarray) -> "CholeskyFactor":
+        """L[r, r] for ascending ``r``, a lower-triangular factor in its own
+        right, on a band as wide as its nonzeros.  Entry (r[c + d], r[c])
+        lies r[c + d] - r[c] >= d rows below the diagonal of L, so that
+        band is no wider than L's."""
+        w, n_r = self.ab.shape[0], len(r)
+        sub = np.zeros((w, n_r))
+        for d in range(min(w, n_r)):
+            gap = r[d:] - r[:n_r - d]
+            ok = gap < w
+            sub[d, :n_r - d][ok] = self.ab[gap[ok], r[:n_r - d][ok]]
+        return CholeskyFactor(
+            ab=sub[:np.flatnonzero(sub.any(axis=1)).max(initial=0) + 1])
+
+    def embed(self, perm: np.ndarray, N: int) -> "CholeskyFactor":
+        """The factor of P K P^T + I_a on N DOFs, with P[perm[k], k] = 1 and
+        I_a the unit diagonal off ``perm``, for increasing ``perm``.
+
+        L scatters to P L P^T, which stays lower triangular as ``perm``
+        increases: band entry (d, j) moves to diagonal perm[j + d] - perm[j]
+        of column perm[j], and the band widens to the widest such gap.
+        """
+        w, n = self.ab.shape
+        i = np.arange(n) + np.arange(w)[:, None]
+        ok = i < n
+        col = np.broadcast_to(perm, i.shape)[ok]
+        gap = perm[i[ok]] - col
+        ab = np.zeros((int(gap.max(initial=0)) + 1, N))
+        ab[0] = 1.0
+        ab[gap, col] = self.ab[ok]
+        return CholeskyFactor(ab=ab)
 
     def apply_inverse(self, rhs: np.ndarray) -> np.ndarray:
-        """K^-1 rhs through the two triangular solves."""
-        y = solve_triangular(self.L0, rhs, lower=True)
-        return solve_triangular(self.L0, y, lower=True, trans="T")
+        """K^-1 rhs through the two banded triangular solves."""
+        return cho_solve_banded((self.ab, True), rhs, check_finite=False)
+
+    def panel_solve(self, X: np.ndarray, trans: bool = False) -> np.ndarray:
+        """Solve L Y = X, or L^T Y = X with ``trans``, for a block X.
+
+        The rows go in panels of up to ``_PANEL``: a dense triangular solve
+        (``dtrsm``) on each diagonal block, and one product (``dgemm``)
+        with the b rows of the band below it, which carries the panel into
+        the next ones.  ``X`` (n x m) must be C-ordered: its row panels are
+        then the column blocks of the Fortran-ordered X^T, which BLAS
+        overwrites in place as it solves Y^T L^T = X^T (or Y^T L = X^T).
+        Returns ``X``, holding Y.
+        """
+        if not X.flags.c_contiguous:
+            raise ValueError("panel_solve needs a C-ordered right-hand side")
+        w, n = self.ab.shape
+        XT = X.T
+        starts = range(0, n, _PANEL)
+        for k0 in (reversed(starts) if trans else starts):
+            k1 = min(k0 + _PANEL, n)
+            e = min(k1 + w - 1, n)
+            S = _strip(self.ab, k0, k1)
+            D, E = S[:k1 - k0], S[k1 - k0:e - k0]
+            Xk, Xe = XT[:, k0:k1], XT[:, k1:e]
+            if trans:       # Y_k^T = (X_k^T - Y_e^T E) D^-1
+                if e > k1:
+                    dgemm(-1.0, Xe, E, 1.0, Xk, overwrite_c=1)
+                dtrsm(1.0, D, Xk, side=1, lower=1, overwrite_b=1)
+            else:           # Y_k^T = X_k^T D^-T, then X_e^T -= Y_k^T E^T
+                dtrsm(1.0, D, Xk, side=1, lower=1, trans_a=1, overwrite_b=1)
+                if e > k1:
+                    dgemm(-1.0, Xk, E, 1.0, Xe, trans_b=1, overwrite_c=1)
+        return X
 
 
-def _near_null_vector(K: np.ndarray) -> np.ndarray | None:
-    if K.shape[0] > 2000:
-        return None
+def _near_null_vector(K) -> np.ndarray | None:
+    """Eigenvector of the eigenvalue of K nearest zero, by shift-invert
+    Lanczos about a shift just below zero, so that K - sigma I is SPD for
+    a positive semi-definite K."""
+    K = sp.csc_matrix(K)
     try:
-        w, v = eigh(K, subset_by_index=[0, 0])
-    except LinAlgError:
+        _, v = eigsh(K, k=1, sigma=-1e-8 * float(abs(K).max()), which="LM")
+    except (ArpackError, LinAlgError, RuntimeError, ValueError):
         return None
     return v[:, 0]
 
 
 def factorize(system: StiffnessSystem) -> CholeskyFactor:
-    """Cholesky-factor the BC-applied stiffness matrix.
+    """Cholesky-factor the BC-applied stiffness matrix on its band.
 
-    Raises RigidBodyError (with a near-null vector when affordable) if the
-    matrix is not positive definite, i.e. the model is under-constrained.
+    Raises RigidBodyError, with a near-null vector, if the matrix is not
+    positive definite, i.e. the model is under-constrained.
     """
-    K = system.K.toarray() if sp.issparse(system.K) else np.asarray(system.K)
     try:
-        L0 = cholesky(K, lower=True)
+        ab = cholesky_banded(_lower_band(system.K), lower=True,
+                             check_finite=False)
     except LinAlgError as exc:
-        null = _near_null_vector(K)
         raise RigidBodyError(
             "stiffness matrix is not positive definite; the model is likely "
             "under-constrained (rigid-body mode present)",
-            null_vector=null) from exc
-    return CholeskyFactor(L0=L0)
+            null_vector=_near_null_vector(system.K)) from exc
+    return CholeskyFactor(ab=ab)
 
 
 def solve(factor: CholeskyFactor, F: np.ndarray) -> np.ndarray:

@@ -1,16 +1,18 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from mkfree import demos, ifu
+from mkfree import demos, ifu, solver
+from mkfree.assembly import StiffnessSystem
 from mkfree.errors import NumericalError
 from mkfree.ifu import (constrain_factor, constraint_rhs,
                         fundamental_solutions, ifu_solve, measurement,
                         reduce_unbalanced, residual, unbalanced_set)
+from mkfree.model import DofMap
 from mkfree.pipeline import full_analysis, prepare_modified
-from mkfree.solver import CholeskyFactor
+from mkfree.solver import CholeskyFactor, factorize
 
 from oracles import ifu_hand_steps, random_spd
 
@@ -28,6 +30,14 @@ def _modified_pair(rng, n, dofs):
     M = rng.standard_normal((len(d), len(d)))
     K_m[np.ix_(d, d)] += M @ M.T + len(d) * np.eye(len(d))
     return K_star, K_m
+
+
+def _banded_spd(rng, n, b):
+    """Diagonally dominant SPD matrix of half-bandwidth exactly b."""
+    i, j = np.indices((n, n))
+    K = np.where(np.abs(i - j) <= b, random_spd(rng, n), 0.0)
+    K[np.abs(i - j) == b] += 1.0        # no cancellation narrows the band
+    return K + np.diag(np.abs(K).sum(axis=1))
 
 
 def _clamped(K, dofs):
@@ -215,31 +225,68 @@ class TestCoupledBlock:
         assert np.array_equal(B[[1, 4, 6]], R[[1, 4, 6]])
         assert rel <= 1e-12
 
-    @given(seed=st.integers(0, 2 ** 32 - 1))
+    def test_row_linked_only_to_S_d_is_decoupled(self, rng):
+        """DOF 0 has a unit diagonal and couples only to the unbalanced
+        DOF 2; constraining DOF 2 leaves it a unit row, so SMW skips it."""
+        K_star = np.diag([1.0, 5.0, 4.0, 6.0])
+        K_star[0, 2] = K_star[2, 0] = 0.5
+        K_star[1, 3] = K_star[3, 1] = 1.0
+        K_m = K_star.copy()
+        K_m[2, 2] += 3.0
+        F = rng.standard_normal(4)
+        U_star = np.linalg.solve(K_star, F)
+        U, diag = ifu_solve(_factor(K_star), sp.csr_matrix(K_star),
+                            sp.csr_matrix(K_m), F, U_star)
+        assert diag.n_d == 1 and diag.n_coupled == 2
+        exact = np.linalg.solve(K_m, F)
+        assert np.linalg.norm(U - exact) <= 1e-12 * np.linalg.norm(exact)
+
+    @given(seed=st.integers(0, 2 ** 32 - 1),
+           n=st.integers(4, 3 * solver._PANEL + 40),
+           b=st.one_of(st.just(0), st.just(-1), st.integers(1, 60)))
+    @example(seed=1, n=9, b=0)
+    @example(seed=2, n=23, b=-1)
+    @example(seed=3, n=2 * solver._PANEL + 37, b=-1)
+    @example(seed=4, n=3 * solver._PANEL + 40, b=25)
     @settings(max_examples=30, deadline=None)
-    def test_exact_with_unit_rows(self, seed):
+    def test_exact_with_unit_rows(self, seed, n, b):
+        """Random banded K* (half-bandwidth b; -1 means n - 1) with unit
+        rows, from one panel or less up to several that do not divide the
+        coupled block evenly."""
         rng = np.random.default_rng(seed)
-        n = int(rng.integers(4, 24))
+        b = n - 1 if b < 0 else min(b, n - 1)
         dofs = rng.permutation(n)
-        k = int(rng.integers(1, n - 1))
+        k = int(rng.integers(1, min(n - 1, 40)))
         n_unit = int(rng.integers(0, n - k))
         changed, unit = np.sort(dofs[:k]), np.sort(dofs[k:k + n_unit])
-        K_star = _clamped(random_spd(rng, n), unit)
+        K_star = _clamped(_banded_spd(rng, n, b), unit)
         K_m = K_star.copy()
         M = rng.standard_normal((k, k))
         K_m[np.ix_(changed, changed)] += M @ M.T + k * np.eye(k)
         F = rng.standard_normal(n)
         F[unit] = 0.0
         U_star = np.linalg.solve(K_star, F)
+        # the banded kernels against their dense counterparts
+        factor = factorize(StiffnessSystem(
+            K=sp.csr_matrix(K_star), F=F,
+            dof_map=DofMap(node_ids=np.arange(n), dim=1)))
+        assert factor.ab.shape[0] <= b + 1
+        L = np.linalg.cholesky(K_star)
+        assert np.abs(factor.L0 - L).max() <= 1e-12 * np.abs(L).max()
+        assert (np.linalg.norm(factor.apply_inverse(F) - U_star)
+                <= 1e-10 * np.linalg.norm(U_star))
+        X = rng.standard_normal((n, 3))
+        for trans, A in ((False, L), (True, L.T)):
+            Y = factor.panel_solve(X.copy(), trans=trans)
+            assert np.abs(A @ Y - X).max() <= 1e-10 * np.abs(X).max()
         K_m_csr = sp.csr_matrix(K_m)
-        U, diag = ifu_solve(_factor(K_star), sp.csr_matrix(K_star),
-                            K_m_csr, F, U_star)
+        U, diag = ifu_solve(factor, sp.csr_matrix(K_star), K_m_csr, F, U_star)
         exact = np.linalg.solve(K_m, F)
         assert np.linalg.norm(U - exact) <= 1e-10 * np.linalg.norm(exact)
         assert diag.n_d == k
         assert diag.n_coupled == n - k - n_unit
         # the public phases find the same unit rows and the same answer
-        L_mod, V = constrain_factor(_factor(K_star), changed)
+        L_mod, V = constrain_factor(factor, changed)
         B, _ = fundamental_solutions(L_mod, V,
                                      constraint_rhs(K_m_csr, changed))
         _, _, y = reduce_unbalanced(K_m_csr, changed, B,

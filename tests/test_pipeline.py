@@ -16,6 +16,7 @@ from mkfree.model import (BoundaryConditions, MaterialModel, Modification,
 from mkfree.pipeline import (full_analysis, prepare_modified, run_ca,
                              run_full_modified, run_ifu)
 from mkfree.recovery import error_metrics
+from mkfree.solver import CholeskyFactor
 from mkfree.update import global_update
 
 from conftest import cantilever_bc
@@ -163,3 +164,34 @@ def test_insertion_with_interleaved_ids(small_model, monkeypatch, dim):
     ref = np.eye(case.dof_map.n_dofs)
     ref[np.ix_(perm, perm)] = base.factor.L0
     assert np.array_equal(L0, ref)
+
+
+def _half_bandwidth(K):
+    coo = K.tocoo()
+    return int(np.max(np.abs(coo.row - coo.col), initial=0))
+
+
+def test_production_path_builds_no_dense_factor(monkeypatch):
+    """The baseline and the reanalysis of a removal and of an insertion
+    run on the band of the factor alone, which holds at most (b + 1) n
+    doubles for the half-bandwidth b of the matrix it factors."""
+    def dense(_):
+        raise AssertionError("a dense n x n factor was built")
+
+    monkeypatch.setattr(CholeskyFactor, "L0", property(dense))
+    cloud, grid, mat, bc, hole = demos.plate_with_hole()
+    base = full_analysis(cloud, grid, mat, bc)
+    # two nodes at cell centres near the plate's middle, ids appended
+    n = int(cloud.ids.max()) + 1
+    insertion = Modification(added_ids=(n, n + 1),
+                             added_coords=[[49.0, 23.0], [53.0, 27.0]])
+    assert base.factor.ab.size \
+        <= (_half_bandwidth(base.system.K) + 1) * base.factor.n
+    for mod in (hole, insertion):
+        case = prepare_modified(base, mod)
+        assert case.factor.ab.size \
+            <= (_half_bandwidth(case.star.K) + 1) * case.factor.n
+        _, _, diag = run_ifu(case)
+        assert diag["n_d"] > 0 and diag["solve_residual"] <= 1e-9
+        _, _, diag = run_ca(case)
+        assert diag["rank"] >= 1

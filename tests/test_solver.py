@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from mkfree import demos
 from mkfree.assembly import StiffnessSystem, apply_bcs, assemble_load, \
     assemble_stiffness
 from mkfree.errors import RigidBodyError
@@ -41,6 +42,20 @@ def test_unconstrained_model_raises_rigid_body(small_model, cfg):
     assert null is not None
     K = raw.K.toarray()
     assert np.linalg.norm(K @ null) <= 1e-6 * np.abs(K).max()
+
+
+def test_rigid_body_null_vector_above_2000_dofs(cfg):
+    """The near-null vector comes from a sparse eigensolver, so it is
+    reported at every size."""
+    cloud, grid, mat, _, _ = demos.plate_with_hole()
+    raw = assemble_stiffness(cloud, grid, mat, cfg)
+    assert raw.n_dofs > 2000
+    with pytest.raises(RigidBodyError) as err:
+        factorize(raw)
+    null = err.value.null_vector
+    assert null is not None
+    assert np.linalg.norm(raw.K @ null) \
+        <= 1e-8 * abs(raw.K).max() * np.linalg.norm(null)
 
 
 def test_constrained_model_solves(small_model, cfg):
