@@ -30,7 +30,6 @@ from .model import (_GL, BackgroundGrid, BoundaryConditions, DofMap,
 __all__ = [
     "StiffnessSystem",
     "active_supports",
-    "gauss_point_active",
     "constitutive",
     "strain_displacement",
     "integrate_stiffness",
@@ -53,13 +52,6 @@ def active_supports(points, cloud: NodeCloud,
     dist, d_c = spacing(points, cloud)
     active = np.flatnonzero(dist <= ACTIVITY_FACTOR * d_c)
     return active, find_supports(points[active], cloud, d_c[active], cfg)
-
-
-def gauss_point_active(point, cloud: NodeCloud) -> bool:
-    """Whether one point integrates for ``cloud`` (see
-    :func:`active_supports`)."""
-    dist, d_c = spacing(point, cloud)
-    return bool(dist[0] <= ACTIVITY_FACTOR * d_c[0])
 
 
 def constitutive(mat: MaterialModel) -> np.ndarray:

@@ -2,8 +2,8 @@
 system by constraining the initial Cholesky factor at the unbalanced DOFs
 and correcting through the Sherman-Morrison-Woodbury identity.
 
-Constraining the factor L0 of K* at the unbalanced set S_d gives
-L0_mod L0_mod^T + V V^T = K* with rows and columns S_d replaced by the
+Constraining the factor L of K* at the unbalanced set S_d gives
+L_mod L_mod^T + V V^T = K* with rows and columns S_d replaced by the
 identity.  That operator is block-diagonal: a row is *decoupled* when the
 factor has a unit diagonal there and no other entry in that row or column,
 and the row of V is zero.  The rows S_d are decoupled by construction, and
@@ -14,21 +14,21 @@ operator is K*[r, r] = L_rr L_rr^T + V_r V_r^T, and SMW (Hager, SIAM
 Review 31(2), 1989) solves it with one forward and one back triangular
 solve on L_rr and a Cholesky factor of the SPD capacitance matrix.
 
-Everything runs on the banded factor: :func:`ifu_solve` gathers V and L_rr
-from its band, and the triangular solves go by panels of the band
-(:meth:`CholeskyFactor.panel_solve`), so no dense n x n factor is built.
-:func:`_coupled` holds the decoupling rule; :func:`ifu_solve` and
-:func:`fundamental_solutions` both call it and take L_rr with
-:meth:`CholeskyFactor.principal`, so they solve the same block and return
-the same B bit for bit.
+:func:`ifu_solve` is the composition of the public phases below, and
+every phase runs on the banded factor: :func:`constrain_factor` copies
+the band with S_d constrained, :func:`fundamental_solutions` takes the
+coupled rows r and L_rr from that copy (:meth:`CholeskyFactor.unit_rows`,
+:meth:`CholeskyFactor.principal`), and the triangular solves and products
+go by panels of the band.  No n x n array is built.
 
-Guards: :func:`ifu_solve` checks the fundamental solutions against the
-sparse K*[r, r] it receives, and the answer against the modified system;
-:func:`fundamental_solutions`, which has no K*, checks the dense block
-L_rr L_rr^T + V_r V_r^T.  Each raises :class:`NumericalError` above 1e-9.
-The fundamental right-hand sides carry the *negated* stiffness column:
-with the positive column the balanced equations are not annihilated and
-the method loses exactness.
+Guards: the fundamental solutions are checked against the operator SMW
+solved, L_rr L_rr^T + V_r V_r^T, by panel products on the band.  The
+answer is checked against the modified system, which also catches a
+factor that is inconsistent with K*: on the balanced rows the answer
+residual is delta_r + (K*[r, r] B_r - R_r) y.  Each guard raises
+:class:`NumericalError` above 1e-9.  The fundamental right-hand sides
+carry the *negated* stiffness column: with the positive column the
+balanced equations are not annihilated and the method loses exactness.
 """
 
 from __future__ import annotations
@@ -94,26 +94,20 @@ def unbalanced_set(meas: np.ndarray, tol: float) -> np.ndarray:
 
 
 def constrain_factor(factor: CholeskyFactor, S_d: np.ndarray):
-    """Constrain a copy of the factor at the unbalanced DOFs.
+    """Constrain a copy of the factor at the unbalanced DOFs; returns
+    (L_mod, V).
 
-    V holds the factor columns at S_d with the rows S_d zeroed; L0_mod is
-    the factor with rows and columns S_d zeroed and a unit diagonal there.
-    This equals moving the columns out one DOF at a time in descending
-    order, because L0 is lower triangular: column s has no entry in a row
-    above s, so zeroing the rows of the other unbalanced DOFs first cannot
-    change what it contributes.  Returns (L0_mod, V).
-
-    This is the hand-checkable phase: it builds the dense n x n constrained
-    factor.  :func:`ifu_solve` never does; it gathers the coupled blocks of
-    L0_mod and V straight from the band of ``factor``.
+    L_mod is a :class:`CholeskyFactor` on the band of ``factor``, with rows
+    and columns S_d zeroed and a unit diagonal there; V (n x n_d) holds the
+    factor columns at S_d with the rows S_d zeroed.  This equals moving
+    the columns out one DOF at a time in descending order, because L is
+    lower triangular: column s has no entry in a row above s, so zeroing
+    the rows of the other unbalanced DOFs first cannot change what it
+    contributes.
     """
-    L0 = factor.L0               # built afresh from the band
-    V = L0.take(S_d, axis=1)     # C order, unlike L0[:, S_d]
+    V = factor.columns(S_d)
     V[S_d, :] = 0.0
-    L0[S_d, :] = 0.0
-    L0[:, S_d] = 0.0
-    L0[S_d, S_d] = 1.0
-    return L0, V
+    return factor.constrained(S_d), V
 
 
 def constraint_rhs(K_m: sp.spmatrix, S_d: np.ndarray) -> np.ndarray:
@@ -132,18 +126,6 @@ def constraint_rhs(K_m: sp.spmatrix, S_d: np.ndarray) -> np.ndarray:
     R[S_d, :] = 0.0
     R[S_d, np.arange(n_d)] = 1.0
     return R
-
-
-def _coupled(L: CholeskyFactor, V: np.ndarray, rows: np.ndarray
-             ) -> np.ndarray:
-    """Mask over ``rows``: True where L L^T + V V^T, restricted to rows x
-    rows, couples the row to others.
-
-    ``V`` holds one row per DOF of L.  A row is decoupled when L has a unit
-    diagonal there and no other entry in that row or column of the block,
-    and its row of V is zero.
-    """
-    return ~L.unit_rows(rows) | V[rows].any(axis=1)
 
 
 def _smw(L: CholeskyFactor, V: np.ndarray, R: np.ndarray):
@@ -172,26 +154,33 @@ def _smw(L: CholeskyFactor, V: np.ndarray, R: np.ndarray):
     return X, float((d.max() / d.min()) ** 2)
 
 
-def fundamental_solutions(L0_mod: np.ndarray, V: np.ndarray, R: np.ndarray
-                          ) -> tuple[np.ndarray, float]:
-    """Solve (L0_mod L0_mod^T + V V^T) B = R through SMW.
+def _fundamental(L_mod: CholeskyFactor, V: np.ndarray, R: np.ndarray):
+    """Solve (L_mod L_mod^T + V V^T) B = R with SMW on the coupled rows r,
+    guarded by the residual of that block operator, computed on the band.
+    B equals R on the other rows, so B overwrites R.  Returns (B, relative
+    residual, number of coupled rows, capacitance bound)."""
+    r = np.flatnonzero(~L_mod.unit_rows() | V.any(axis=1))
+    L, V_r, R_r = L_mod.principal(r), V[r], R[r]
+    B_r, cond = _smw(L, V_r, R_r)
+    res = L.panel_multiply(L.panel_multiply(B_r.copy(), trans=True))
+    n_r, n_d = B_r.shape
+    res += (V_r @ V_r.T) @ B_r if n_r < n_d else V_r @ (V_r.T @ B_r)
+    res -= R_r
+    rel = _guard("fundamental-solution", res, R)
+    R[r] = B_r
+    return R, rel, len(r), cond
 
-    Decoupled rows keep B = R; SMW solves the coupled block on its band,
-    which a dense residual check then guards.  Returns (B, relative
-    residual of the solved system).
+
+def fundamental_solutions(L_mod: CholeskyFactor, V: np.ndarray,
+                          R: np.ndarray) -> tuple[np.ndarray, float]:
+    """Solve (L_mod L_mod^T + V V^T) B = R through SMW.
+
+    Decoupled rows keep B = R; SMW solves the coupled block on its band.
+    Returns (B, relative residual of the solved system).
     """
-    n, n_d = R.shape
-    if n_d == 0:
+    if R.shape[1] == 0:
         return R.copy(), 0.0
-    factor = CholeskyFactor(L0=L0_mod)
-    r = np.flatnonzero(_coupled(factor, V, np.arange(n)))
-    V_r, R_r = V[r], R[r]
-    B_r, _ = _smw(factor.principal(r), V_r, R_r)
-    L = L0_mod[np.ix_(r, r)]
-    rel = _guard("fundamental-solution",
-                 L @ (L.T @ B_r) + V_r @ (V_r.T @ B_r) - R_r, R)
-    B = R.copy()
-    B[r] = B_r
+    B, rel, _, _ = _fundamental(L_mod, V, R.copy())
     return B, rel
 
 
@@ -245,25 +234,18 @@ def ifu_solve(factor: CholeskyFactor, K_m_star: sp.spmatrix, K_m: sp.spmatrix,
         tol = 1e-9 * (k_scale * max(1.0, u_scale) + f_scale)
     S_d = unbalanced_set(meas, tol)
     if len(S_d) == 0:
+        # U* is the answer; its residual K_m U* - F is -delta, so the gate
+        # needs no new product (and a NaN in K_m or F trips it)
         return U_star.copy(), IfuDiagnostics(
-            n_d=0, fund_residual=0.0, solve_residual=0.0, n_coupled=0,
+            n_d=0, fund_residual=0.0,
+            solve_residual=_guard("IFU solve", delta, F), n_coupled=0,
             capacitance_cond=1.0)
-
-    # on the rows r, which avoid S_d, constrain_factor's V is L0[r, S_d]
-    # and L0_mod[r, r] is L0[r, r]
-    V = factor.columns(S_d)
-    rest = np.delete(np.arange(factor.n), S_d)
-    r = rest[_coupled(factor, V, rest)]
+    L_mod, V = constrain_factor(factor, S_d)
     R = constraint_rhs(K_m, S_d)
-    R_r = R[r]
-    B_r, cond = _smw(factor.principal(r), V[r], R_r)
-    fund_rel = _guard("fundamental-solution",
-                      sp.csr_matrix(K_m_star)[r][:, r] @ B_r - R_r, R)
-    B = R               # B = R on the decoupled rows; R is not read again
-    B[r] = B_r
+    B, fund_rel, n_coupled, cond = _fundamental(L_mod, V, R)
     _, _, y = reduce_unbalanced(K_m, S_d, B, delta)
     U = U_star + B @ y
     solve_rel = _guard("IFU solve", K_m @ U - F, F)
     return U, IfuDiagnostics(n_d=len(S_d), fund_residual=fund_rel,
-                             solve_residual=solve_rel, n_coupled=len(r),
+                             solve_residual=solve_rel, n_coupled=n_coupled,
                              capacitance_cond=cond)

@@ -158,10 +158,6 @@ class BackgroundGrid:
             a.flags.writeable = False
         return out
 
-    def cell_bounds(self, idx):
-        lo = self.origin + np.asarray(idx, dtype=float) * self.cell_size
-        return lo, lo + self.cell_size
-
     def contains(self, point) -> bool:
         p = np.asarray(point, dtype=float)
         hi = self.origin + np.asarray(self.counts) * self.cell_size

@@ -7,10 +7,12 @@ stored as its lower band, ``ab[i - j, j] = L[i, j]`` for
 ``0 <= i - j <= b``, with b the half-bandwidth of K: (b + 1) n doubles
 instead of n^2.  Only this module knows that layout.  One right-hand side
 goes through LAPACK's banded solve; a block of them goes through
-:meth:`CholeskyFactor.panel_solve`, which runs level-3 BLAS on panels of
-the band.  Reanalysis reads the factor through its ``columns``,
-``unit_rows``, ``principal`` and ``embed`` methods, none of which builds a
-dense n x n matrix.
+:meth:`CholeskyFactor.panel_solve`, and a block product with L or L^T
+through :meth:`CholeskyFactor.panel_multiply`, both level-3 BLAS on panels
+of the band.  Reanalysis reads the factor through its ``columns``,
+``constrained``, ``unit_rows``, ``principal`` and ``embed`` methods, none
+of which builds a dense n x n matrix; ``np.asarray(factor)`` (its
+``__array__``) is the one dense view, for tests.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from __future__ import annotations
 import numpy as np
 import scipy.sparse as sp
 from scipy.linalg import LinAlgError, cho_solve_banded, cholesky_banded
-from scipy.linalg.blas import dgemm, dtrsm
+from scipy.linalg.blas import dgemm, dtrmm, dtrsm
 from scipy.sparse.linalg import ArpackError, eigsh
 
 from .assembly import StiffnessSystem
@@ -61,8 +63,8 @@ def _strip(ab: np.ndarray, k0: int, k1: int) -> np.ndarray:
 class CholeskyFactor:
     """Lower-triangular factor L with K = L L^T, in DOF order, stored as its
     band ``ab[i - j, j] = L[i, j]``.  ``CholeskyFactor(L0=L)`` takes a
-    dense factor and ``L0`` returns one, for IFU's hand-checkable phases
-    and for tests; the solver paths use only the band."""
+    dense factor and ``np.asarray(factor)`` returns one, for tests; the
+    solver and IFU paths use only the band."""
 
     __slots__ = ("ab",)
 
@@ -78,9 +80,10 @@ class CholeskyFactor:
     def n(self) -> int:
         return self.ab.shape[1]
 
-    @property
-    def L0(self) -> np.ndarray:
-        """The dense n x n factor, built afresh on each access."""
+    def __array__(self, dtype=None, copy=None) -> np.ndarray:
+        """The dense n x n factor, built afresh on each call."""
+        if copy is False:
+            raise ValueError("the dense factor is always built afresh")
         return self.columns(np.arange(self.n))
 
     def columns(self, cols: np.ndarray) -> np.ndarray:
@@ -93,24 +96,26 @@ class CholeskyFactor:
             self.ab[:, cols][ok]
         return out
 
-    def unit_rows(self, rows: np.ndarray) -> np.ndarray:
-        """Mask over ascending ``rows``: True where L[rows, rows] has a unit
-        diagonal and no other entry in that row or column.  Only the
-        unit-diagonal rows are inspected, a few columns of the band."""
+    def constrained(self, S_d: np.ndarray) -> "CholeskyFactor":
+        """A copy of L with rows and columns ``S_d`` zeroed and a unit
+        diagonal there, on the same band."""
+        ab = self.ab.copy()
+        ab[:, S_d] = 0.0
+        ab[0, S_d] = 1.0
+        for d in range(1, ab.shape[0]):     # L[s, s - d] = ab[d, s - d]
+            ab[d, S_d[S_d >= d] - d] = 0.0
+        return CholeskyFactor(ab=ab)
+
+    def unit_rows(self) -> np.ndarray:
+        """Mask over the DOFs: True where L has a unit diagonal and no other
+        entry in that row or column."""
         w, n = self.ab.shape
-        cand = np.flatnonzero(self.ab[0, rows] == 1.0)
-        i = rows[cand][:, None]
-        d = np.arange(1, w)
-        inside = np.zeros(n, dtype=bool)
-        inside[rows] = True
-        below, left = i + d, i - d          # L[i + d, i] and L[i, i - d]
-        ok_b, ok_l = below < n, left >= 0
-        below, left = np.where(ok_b, below, 0), np.where(ok_l, left, 0)
-        linked = ((ok_b & inside[below] & (self.ab[d, i] != 0.0))
-                  | (ok_l & inside[left] & (self.ab[d, left] != 0.0)))
-        unit = np.zeros(len(rows), dtype=bool)
-        unit[cand[~linked.any(axis=1)]] = True
-        return unit
+        linked = np.zeros(n, dtype=bool)
+        for d in range(1, w):       # L[j + d, j] links column j and row j + d
+            nz = self.ab[d, :n - d] != 0.0
+            linked[:n - d] |= nz
+            linked[d:] |= nz
+        return (self.ab[0] == 1.0) & ~linked
 
     def principal(self, r: np.ndarray) -> "CholeskyFactor":
         """L[r, r] for ascending ``r``, a lower-triangular factor in its own
@@ -148,36 +153,54 @@ class CholeskyFactor:
         """K^-1 rhs through the two banded triangular solves."""
         return cho_solve_banded((self.ab, True), rhs, check_finite=False)
 
-    def panel_solve(self, X: np.ndarray, trans: bool = False) -> np.ndarray:
-        """Solve L Y = X, or L^T Y = X with ``trans``, for a block X.
-
-        The rows go in panels of up to ``_PANEL``: a dense triangular solve
-        (``dtrsm``) on each diagonal block, and one product (``dgemm``)
-        with the b rows of the band below it, which carries the panel into
-        the next ones.  ``X`` (n x m) must be C-ordered: its row panels are
-        then the column blocks of the Fortran-ordered X^T, which BLAS
-        overwrites in place as it solves Y^T L^T = X^T (or Y^T L = X^T).
-        Returns ``X``, holding Y.
-        """
+    def _panels(self, X: np.ndarray, descending: bool):
+        """Per panel k0:k1 of up to ``_PANEL`` rows: its diagonal block
+        D = L[k0:k1, k0:k1], the block E = L[k1:k1 + b, k0:k1] below it, and
+        the matching column blocks of X^T.  ``X`` must be C-ordered, so that
+        X^T is Fortran-ordered and BLAS overwrites its blocks in place."""
         if not X.flags.c_contiguous:
-            raise ValueError("panel_solve needs a C-ordered right-hand side")
+            raise ValueError("panel kernels need a C-ordered right-hand side")
         w, n = self.ab.shape
         XT = X.T
         starts = range(0, n, _PANEL)
-        for k0 in (reversed(starts) if trans else starts):
+        for k0 in (reversed(starts) if descending else starts):
             k1 = min(k0 + _PANEL, n)
             e = min(k1 + w - 1, n)
             S = _strip(self.ab, k0, k1)
-            D, E = S[:k1 - k0], S[k1 - k0:e - k0]
-            Xk, Xe = XT[:, k0:k1], XT[:, k1:e]
+            yield S[:k1 - k0], S[k1 - k0:e - k0], XT[:, k0:k1], XT[:, k1:e]
+
+    def panel_solve(self, X: np.ndarray, trans: bool = False) -> np.ndarray:
+        """Solve L Y = X, or L^T Y = X with ``trans``, for a C-ordered block
+        X, in place: a dense triangular solve (``dtrsm``) on each diagonal
+        block, and one product (``dgemm``) with the block below it, which
+        carries the panel into the next ones.  Returns ``X``, holding Y.
+        """
+        for D, E, Xk, Xe in self._panels(X, descending=trans):
             if trans:       # Y_k^T = (X_k^T - Y_e^T E) D^-1
-                if e > k1:
+                if E.size:
                     dgemm(-1.0, Xe, E, 1.0, Xk, overwrite_c=1)
                 dtrsm(1.0, D, Xk, side=1, lower=1, overwrite_b=1)
             else:           # Y_k^T = X_k^T D^-T, then X_e^T -= Y_k^T E^T
                 dtrsm(1.0, D, Xk, side=1, lower=1, trans_a=1, overwrite_b=1)
-                if e > k1:
+                if E.size:
                     dgemm(-1.0, Xk, E, 1.0, Xe, trans_b=1, overwrite_c=1)
+        return X
+
+    def panel_multiply(self, X: np.ndarray, trans: bool = False
+                       ) -> np.ndarray:
+        """Y = L X, or L^T X with ``trans``, for a C-ordered block X, in place:
+        ``dtrmm`` on each diagonal block, ``dgemm`` with the block below it,
+        in the panel order that reads each block of X before overwriting it.
+        Returns ``X``, holding Y."""
+        for D, E, Xk, Xe in self._panels(X, descending=not trans):
+            if trans:       # Y_k^T = X_k^T D + X_e^T E
+                dtrmm(1.0, D, Xk, side=1, lower=1, overwrite_b=1)
+                if E.size:
+                    dgemm(1.0, Xe, E, 1.0, Xk, overwrite_c=1)
+            else:           # X_e^T += X_k^T E^T, then Y_k^T = X_k^T D^T
+                if E.size:
+                    dgemm(1.0, Xk, E, 1.0, Xe, trans_b=1, overwrite_c=1)
+                dtrmm(1.0, D, Xk, side=1, lower=1, trans_a=1, overwrite_b=1)
         return X
 
 

@@ -46,6 +46,13 @@ def cantilever_bc(cloud, load=1.0, band=0.5):
     )
 
 
+def ifu_default_tol(case):
+    """ifu_solve's default unbalanced-set tolerance for a prepared case."""
+    k_scale = float(abs(case.K_m).max())
+    u_scale = float(np.abs(case.U_star).max())
+    return 1e-9 * (k_scale * max(1.0, u_scale) + float(np.abs(case.F).max()))
+
+
 def pytest_runtest_logreport(report):
     """One PASS/FAIL line per acceptance criterion, independent of capture."""
     if report.when != "call" or "test_acceptance" not in report.nodeid:

@@ -61,6 +61,13 @@ def spacing_oracle(point, cloud):
     return float(np.mean(d2[1:1 + k]))
 
 
+def active_oracle(point, cloud):
+    """Whether ``point`` integrates for ``cloud``: its nearest node lies
+    within ACTIVITY_FACTOR * d_c."""
+    return bool(_distances(point, cloud.coords).min()
+                <= ACTIVITY_FACTOR * spacing_oracle(point, cloud))
+
+
 def support_oracle(point, cloud, cfg):
     """Closed-ball support rows (sorted by node id) mirroring the selection
     rule: radius alpha*d_c with a 1e-12 pad, one growth retry, or None if
@@ -136,8 +143,7 @@ def dense_stiffness_oracle(cloud, grid, mat, cfg):
         w = np.prod(hi - lo) / 2 ** d
         for signs in np.ndindex(*(2,) * d):
             gp = center + (2.0 * np.asarray(signs) - 1.0) * _GL * half
-            dist = _distances(gp, cloud.coords)
-            if dist.min() > ACTIVITY_FACTOR * spacing_oracle(gp, cloud):
+            if not active_oracle(gp, cloud):
                 continue
             rows = support_oracle(gp, cloud, cfg)
             assert rows is not None, "oracle hit a deficient support"

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from mkfree.assembly import (apply_bcs, assemble_load, assemble_stiffness,
-                             constitutive, gauss_point_active,
+from mkfree.assembly import (active_supports, apply_bcs, assemble_load,
+                             assemble_stiffness, constitutive,
                              integrate_stiffness, strain_displacement)
 from mkfree.config import MeshlessConfig
 from mkfree.interp import evaluate_at
@@ -12,8 +12,8 @@ from mkfree.model import (BackgroundGrid, BoundaryConditions, MaterialModel,
 from mkfree.update import local_delta
 
 from conftest import cantilever_bc, grid_for, jittered_cloud
-from oracles import (constitutive_oracle, dense_stiffness_oracle,
-                     shape_oracle, support_oracle)
+from oracles import (active_oracle, constitutive_oracle,
+                     dense_stiffness_oracle, shape_oracle, support_oracle)
 
 
 class TestGaussPoints:
@@ -27,7 +27,8 @@ class TestGaussPoints:
     def test_positions_inside_cells(self):
         grid = BackgroundGrid(origin=[1, 1], cell_size=[1, 1], counts=(2, 2))
         for position, cell in zip(grid.gauss[0], grid.gauss[2]):
-            lo, hi = grid.cell_bounds(cell)
+            lo = grid.origin + cell * grid.cell_size
+            hi = lo + grid.cell_size
             assert np.all(position > lo) and np.all(position < hi)
 
     def test_quadrature_integrates_cubics(self):
@@ -50,9 +51,11 @@ class TestActivity:
                  & (np.abs(cloud.coords[:, 1] - 4.5) < 2.0))
         holey = NodeCloud(ids=cloud.ids[keep], coords=cloud.coords[keep],
                           dim=2)
-        assert gauss_point_active([4.5, 4.5], cloud)
-        assert not gauss_point_active([4.5, 4.5], holey)
-        assert gauss_point_active([0.5, 0.5], holey)
+        points = [[4.5, 4.5], [0.5, 0.5]]
+        for c, active in ((cloud, [0, 1]), (holey, [1])):
+            assert active_supports(points, c)[0].tolist() == active
+            assert [active_oracle(p, c) for p in points] \
+                == [k in active for k in range(2)]
 
 
 class TestConstitutive:

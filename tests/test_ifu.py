@@ -14,6 +14,7 @@ from mkfree.model import DofMap
 from mkfree.pipeline import full_analysis, prepare_modified
 from mkfree.solver import CholeskyFactor, factorize
 
+from conftest import ifu_default_tol
 from oracles import ifu_hand_steps, random_spd
 
 
@@ -80,7 +81,8 @@ class TestConstrainFactor:
         K_star = random_spd(rng, 10)
         S_d = np.array([2, 6, 7])
         L_mod, V = constrain_factor(_factor(K_star), S_d)
-        A = L_mod @ L_mod.T + V @ V.T
+        L = np.asarray(L_mod)
+        A = L @ L.T + V @ V.T
         expect = K_star.copy()
         expect[S_d, :] = 0.0
         expect[:, S_d] = 0.0
@@ -90,9 +92,9 @@ class TestConstrainFactor:
     def test_original_factor_untouched(self, rng):
         K_star = random_spd(rng, 6)
         factor = _factor(K_star)
-        before = factor.L0.copy()
+        before = np.asarray(factor)
         constrain_factor(factor, np.array([1, 4]))
-        assert np.array_equal(factor.L0, before)
+        assert np.array_equal(np.asarray(factor), before)
 
 
 class TestConstraintRhs:
@@ -152,7 +154,8 @@ class TestHandExecutedSteps:
         L_mod, V = constrain_factor(_factor(K_star), S_d)
         R_bad = -constraint_rhs(sp.csr_matrix(K_m), S_d)
         R_bad[S_d, 0] = 1.0
-        A = L_mod @ L_mod.T + V @ V.T
+        L = np.asarray(L_mod)
+        A = L @ L.T + V @ V.T
         B_bad = np.linalg.solve(A, R_bad)
         _, _, y = reduce_unbalanced(sp.csr_matrix(K_m), S_d, B_bad,
                                     residual(sp.csr_matrix(K_m), F, U_star))
@@ -182,6 +185,40 @@ class TestIfuSolve:
                             F, U_star)
         assert diag.short_circuit and diag.n_d == 0
         assert np.array_equal(U, U_star)
+        # the answer gate ran on the residual of U*
+        delta = residual(sp.csr_matrix(K), F, U_star)
+        rel = np.linalg.norm(delta) / np.linalg.norm(F)
+        assert diag.solve_residual == pytest.approx(rel, rel=1e-12, abs=0)
+        assert 0.0 < diag.solve_residual <= 1e-9
+
+    @pytest.mark.parametrize("where", ["K_m", "F"])
+    def test_short_circuit_gates_nan(self, rng, where):
+        """A NaN makes the scale-aware tolerance NaN, so no DOF looks
+        unbalanced; the answer gate must still refuse U*."""
+        K = random_spd(rng, 6)
+        F = rng.standard_normal(6)
+        U_star = np.linalg.solve(K, F)
+        K_m = K.copy()
+        if where == "K_m":
+            K_m[3, 3] = np.nan
+        else:
+            F[1] = np.nan
+        with pytest.raises(NumericalError, match="IFU solve residual"):
+            ifu_solve(_factor(K), sp.csr_matrix(K), sp.csr_matrix(K_m), F,
+                      U_star)
+
+    def test_factor_inconsistent_with_K_star_raises(self, rng):
+        """A factor of K* + eps E, with E coupled to the change, solves its
+        own operator to roundoff; the answer gate still sees the mismatch
+        with the K* it is given, through (K*[r, r] B_r - R_r) y."""
+        K_star, K_m = _modified_pair(rng, 12, [3, 7])
+        F = rng.standard_normal(12)
+        U_star = np.linalg.solve(K_star, F)
+        E = np.zeros((12, 12))
+        E[1, 2] = E[2, 1] = 1e-6 * np.abs(K_star).max()
+        with pytest.raises(NumericalError):
+            ifu_solve(_factor(K_star + E), sp.csr_matrix(K_star),
+                      sp.csr_matrix(K_m), F, U_star)
 
     def test_disconnected_modification_raises(self, rng):
         # zeroing a row/col entirely makes the reduced system singular
@@ -220,7 +257,8 @@ class TestCoupledBlock:
         L_mod, V = constrain_factor(_factor(K_star), S_d)
         R = constraint_rhs(sp.csr_matrix(random_spd(rng, 9)), S_d)
         B, rel = fundamental_solutions(L_mod, V, R)
-        exact = np.linalg.solve(L_mod @ L_mod.T + V @ V.T, R)
+        L = np.asarray(L_mod)
+        exact = np.linalg.solve(L @ L.T + V @ V.T, R)
         assert np.abs(B - exact).max() <= 1e-12 * np.abs(exact).max()
         assert np.array_equal(B[[1, 4, 6]], R[[1, 4, 6]])
         assert rel <= 1e-12
@@ -238,6 +276,23 @@ class TestCoupledBlock:
         U, diag = ifu_solve(_factor(K_star), sp.csr_matrix(K_star),
                             sp.csr_matrix(K_m), F, U_star)
         assert diag.n_d == 1 and diag.n_coupled == 2
+        exact = np.linalg.solve(K_m, F)
+        assert np.linalg.norm(U - exact) <= 1e-12 * np.linalg.norm(exact)
+
+    def test_unit_diagonal_rows_with_links_stay_coupled(self, rng):
+        """Rows 0 and 2 of the factor have a unit diagonal, but row 0 has an
+        entry in its column, on the widest diagonal of the band, and row 2
+        one in its row; both stay in the SMW block."""
+        L = np.diag([1.0, 2.0, 1.0, 2.0, 2.0])
+        L[2, 1] = L[3, 0] = L[3, 1] = L[4, 3] = 0.5
+        K_star = L @ L.T
+        K_m = K_star.copy()
+        K_m[4, 4] += 3.0
+        F = rng.standard_normal(5)
+        U_star = np.linalg.solve(K_star, F)
+        U, diag = ifu_solve(CholeskyFactor(L0=L), sp.csr_matrix(K_star),
+                            sp.csr_matrix(K_m), F, U_star)
+        assert diag.n_d == 1 and diag.n_coupled == 4
         exact = np.linalg.solve(K_m, F)
         assert np.linalg.norm(U - exact) <= 1e-12 * np.linalg.norm(exact)
 
@@ -272,13 +327,16 @@ class TestCoupledBlock:
             dof_map=DofMap(node_ids=np.arange(n), dim=1)))
         assert factor.ab.shape[0] <= b + 1
         L = np.linalg.cholesky(K_star)
-        assert np.abs(factor.L0 - L).max() <= 1e-12 * np.abs(L).max()
+        assert np.abs(np.asarray(factor) - L).max() <= 1e-12 * np.abs(L).max()
         assert (np.linalg.norm(factor.apply_inverse(F) - U_star)
                 <= 1e-10 * np.linalg.norm(U_star))
         X = rng.standard_normal((n, 3))
         for trans, A in ((False, L), (True, L.T)):
             Y = factor.panel_solve(X.copy(), trans=trans)
             assert np.abs(A @ Y - X).max() <= 1e-10 * np.abs(X).max()
+            Y = factor.panel_multiply(X.copy(), trans=trans)
+            assert np.abs(Y - A @ X).max() \
+                <= 1e-12 * np.abs(A).max() * np.abs(X).max() * n
         K_m_csr = sp.csr_matrix(K_m)
         U, diag = ifu_solve(factor, sp.csr_matrix(K_star), K_m_csr, F, U_star)
         exact = np.linalg.solve(K_m, F)
@@ -294,7 +352,7 @@ class TestCoupledBlock:
         assert np.array_equal(U_star + B @ y, U)
         # the reported bound does not exceed the capacitance's condition
         r = np.setdiff1d(np.arange(n), np.union1d(changed, unit))
-        W = np.linalg.solve(L_mod[np.ix_(r, r)], V[r])
+        W = np.linalg.solve(np.asarray(L_mod)[np.ix_(r, r)], V[r])
         cond = np.linalg.cond(np.eye(k) + W.T @ W)
         assert 1.0 <= diag.capacitance_cond <= cond * (1 + 1e-10)
 
@@ -315,7 +373,7 @@ class TestDemoComposition:
         U, diag = ifu_solve(c.factor, c.star.K, c.K_m, c.F, c.U_star)
         delta = residual(c.K_m, c.F, c.U_star)
         S_d = unbalanced_set(measurement(c.K_m, c.star.K, delta),
-                             _default_tol(c))
+                             ifu_default_tol(c))
         assert len(S_d) == diag.n_d > 0
         L_mod, V = constrain_factor(c.factor, S_d)
         R = constraint_rhs(c.K_m, S_d)
@@ -323,15 +381,10 @@ class TestDemoComposition:
         _, _, y = reduce_unbalanced(c.K_m, S_d, B, delta)
         assert np.array_equal(c.U_star + B @ y, U)
 
-        dense = L_mod @ (L_mod.T @ B) + V @ (V.T @ B) - R
+        L = np.asarray(L_mod)
+        dense = L @ (L.T @ B) + V @ (V.T @ B) - R
         assert np.linalg.norm(dense) <= 1e-12 * np.linalg.norm(R)
         assert rel <= 1e-12
         assert diag.fund_residual <= 1e-12
         assert diag.solve_residual <= 1e-9
 
-
-def _default_tol(c):
-    """ifu_solve's default unbalanced-set tolerance."""
-    k_scale = float(abs(c.K_m).max())
-    u_scale = float(np.abs(c.U_star).max())
-    return 1e-9 * (k_scale * max(1.0, u_scale) + float(np.abs(c.F).max()))

@@ -50,8 +50,6 @@ class TestBackgroundGrid:
         g = BackgroundGrid(origin=[0, 0], cell_size=[1, 2], counts=(2, 3))
         assert g.dim == 2
         assert len(g.cells()) == 6
-        lo, hi = g.cell_bounds((1, 2))
-        assert np.allclose(lo, [1, 4]) and np.allclose(hi, [2, 6])
         assert g.contains([2.0, 6.0]) and not g.contains([2.5, 0.0])
 
     @pytest.mark.parametrize("origin, cell_size, counts", [

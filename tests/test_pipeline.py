@@ -9,7 +9,7 @@ against K_m - K*, and IFU against a full re-solve.
 import numpy as np
 import pytest
 
-from mkfree import demos, pipeline
+from mkfree import demos, ifu, pipeline
 from mkfree.assembly import StiffnessSystem, apply_bcs, assemble_load
 from mkfree.model import (BoundaryConditions, MaterialModel, Modification,
                           NodeCloud)
@@ -19,7 +19,7 @@ from mkfree.recovery import error_metrics
 from mkfree.solver import CholeskyFactor
 from mkfree.update import global_update
 
-from conftest import cantilever_bc
+from conftest import cantilever_bc, ifu_default_tol
 
 
 @pytest.fixture
@@ -157,12 +157,12 @@ def test_insertion_with_interleaved_ids(small_model, monkeypatch, dim):
         case = prepare_modified(base, mod)
     _check_case(base, mod, case)
     K = case.star.K.toarray()
-    L0 = case.factor.L0
+    L0 = np.asarray(case.factor)
     assert np.abs(L0 @ L0.T - K).max() <= 1e-13 * np.abs(K).max()
     # the run-by-run copy is the plain scatter of the initial factor
     perm = case.dof_map.dofs_of(np.sort(ids))
     ref = np.eye(case.dof_map.n_dofs)
-    ref[np.ix_(perm, perm)] = base.factor.L0
+    ref[np.ix_(perm, perm)] = np.asarray(base.factor)
     assert np.array_equal(L0, ref)
 
 
@@ -172,13 +172,14 @@ def _half_bandwidth(K):
 
 
 def test_production_path_builds_no_dense_factor(monkeypatch):
-    """The baseline and the reanalysis of a removal and of an insertion
-    run on the band of the factor alone, which holds at most (b + 1) n
-    doubles for the half-bandwidth b of the matrix it factors."""
-    def dense(_):
+    """The baseline and the reanalysis of a removal and of an insertion,
+    and IFU's public phases on them, run on the band of the factor alone,
+    which holds at most (b + 1) n doubles for the half-bandwidth b of the
+    matrix it factors."""
+    def dense(*_, **__):
         raise AssertionError("a dense n x n factor was built")
 
-    monkeypatch.setattr(CholeskyFactor, "L0", property(dense))
+    monkeypatch.setattr(CholeskyFactor, "__array__", dense)
     cloud, grid, mat, bc, hole = demos.plate_with_hole()
     base = full_analysis(cloud, grid, mat, bc)
     # two nodes at cell centres near the plate's middle, ids appended
@@ -193,5 +194,15 @@ def test_production_path_builds_no_dense_factor(monkeypatch):
             <= (_half_bandwidth(case.star.K) + 1) * case.factor.n
         _, _, diag = run_ifu(case)
         assert diag["n_d"] > 0 and diag["solve_residual"] <= 1e-9
+        S_d = ifu.unbalanced_set(
+            ifu.measurement(case.K_m, case.star.K,
+                            ifu.residual(case.K_m, case.F, case.U_star)),
+            ifu_default_tol(case))
+        assert len(S_d) == diag["n_d"]
+        L_mod, V = ifu.constrain_factor(case.factor, S_d)
+        assert L_mod.ab.shape == case.factor.ab.shape
+        _, rel = ifu.fundamental_solutions(
+            L_mod, V, ifu.constraint_rhs(case.K_m, S_d))
+        assert rel <= 1e-9
         _, _, diag = run_ca(case)
         assert diag["rank"] >= 1

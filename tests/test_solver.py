@@ -1,5 +1,10 @@
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
+
+import mkfree
 
 from mkfree import demos
 from mkfree.assembly import StiffnessSystem, apply_bcs, assemble_load, \
@@ -21,9 +26,10 @@ def test_factor_solve_matches_numpy(rng):
     factor = factorize(system)
     U = solve(factor, F)
     assert np.allclose(U, np.linalg.solve(K, F), rtol=1e-12, atol=1e-12)
-    assert np.allclose(factor.L0 @ factor.L0.T, K, atol=1e-10)
+    L = np.asarray(factor)
+    assert np.allclose(L @ L.T, K, atol=1e-10)
     # the factor is lower triangular in natural DOF order
-    assert np.allclose(np.triu(factor.L0, 1), 0.0)
+    assert np.allclose(np.triu(L, 1), 0.0)
 
 
 def test_apply_inverse_matches_solve(rng):
@@ -76,3 +82,13 @@ def test_rhs_length_mismatch():
     factor = CholeskyFactor(L0=np.eye(4))
     with pytest.raises(ValueError):
         solve(factor, np.zeros(5))
+
+
+def test_only_the_solver_reads_the_band():
+    """The band layout of CholeskyFactor is the solver's alone: no other
+    module of the package reads ``.ab``."""
+    src = Path(mkfree.__file__).parent
+    readers = [p.name for p in sorted(src.glob("*.py"))
+               if p.name != "solver.py"
+               and re.search(r"\.ab\b", p.read_text())]
+    assert readers == []

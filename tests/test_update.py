@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 
-from mkfree.assembly import gauss_point_active
 from mkfree.config import MeshlessConfig
 from mkfree.errors import SupportDeficiencyError, ValidationError
 from mkfree.interp import select_support
@@ -12,6 +11,7 @@ from mkfree.update import (LocalUpdateUnavailableError,
                            compute_delta, global_update, local_delta)
 
 from conftest import grid_for, jittered_cloud
+from oracles import active_oracle
 
 
 def random_modification(rng, cloud, n_change=3):
@@ -44,7 +44,7 @@ def random_modification(rng, cloud, n_change=3):
 def support_signature(point, cloud, cfg):
     """One point's integration state: inactive, support-deficient, or the
     exact support node-id tuple (the per-point screen)."""
-    if not gauss_point_active(point, cloud):
+    if not active_oracle(point, cloud):
         return ("inactive",)
     try:
         sel = select_support(point, cloud, cfg)
