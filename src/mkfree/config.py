@@ -16,7 +16,7 @@ class MeshlessConfig:
 
     The fixed constants of the kernel live beside their one reader:
     ``assembly.ACTIVITY_FACTOR`` (which Gauss points integrate), and in
-    ``interp`` the Cholesky jitter and the residual tolerance of the
+    ``interp`` the trace(R^-1) limit and the residual tolerance of the
     interpolation systems.
     """
 

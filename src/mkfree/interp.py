@@ -7,12 +7,38 @@ contains the constant and linear terms.
 
 Every stage works on a batch of points at once.  This is the Gauss-point
 kernel that stiffness assembly, the local update, load assembly and field
-recovery share: :func:`spacing` and :func:`find_supports` locate the
-supports of all points with vectorized KD-tree queries, and
-:func:`evaluate_batch` groups the points by support size and builds and
-evaluates the stacked Kriging systems a memory-bounded chunk at a time.
+recovery share.  Its stages:
+
+1. :func:`spacing` and :func:`find_supports` locate the supports of all
+   points with vectorized KD-tree queries.
+2. :func:`evaluate_batch` groups the points by support size n and cuts
+   each group into chunks whose (c, n, n) arrays stay memory-bounded.
+3. Per chunk, :func:`_systems` builds the correlation matrices R (one
+   coordinate at a time), factors the whole stack with one Cholesky call,
+   forms L^-1 by forward substitution vectorized across the chunk, and
+   from it L^-1 P and M = P^T R^-1 P.
+4. :func:`_shapes` solves for the shape functions and their gradients at
+   once: with b = [r(x) dr/dx] and q = [p(x) dp/dx], the multipliers are
+   Lam = M^-1 (P^T R^-1 b - q) and [phi dphi/dx] = R^-1 (b - P Lam).
+
+No transfer matrix is formed.  The textbook form phi = p^T S_a + r^T S_b
+builds the n x n S_b = R^-1 (I - P S_a) for every point, to use it on
+only dim + 1 vectors; here R^-1 only ever acts on those vectors, through
+L^-1.
+
+Guards, each raising :class:`ConditioningError` that names the point:
+
+- a correlation matrix that fails to factor;
+- trace(R^-1) = ||L^-1||_F^2 above ``_TRACE_LIMIT`` (1e5): near-coincident
+  nodes, or a spacing too small for theta.  As 0 <= S_b <= R^-1, it also
+  bounds the transfer matrix the shape functions implicitly apply;
+- cond(M) above 1e12: a rank-deficient polynomial system (collinear
+  supports);
+- a residual above 1e-10 in the system actually evaluated,
+  R phi + P Lam = b and P^T phi = q.
+
 The one-point functions (``select_support``, ``build_system``,
-``shape_functions``, ``evaluate_at``) run the same stages on a batch of
+``shape_functions``, ``evaluate_at``) run the same kernel on a batch of
 one.  A point's results do not depend on the batch it sits in: every
 stacked operation acts on each point's own matrices only, and sums over
 coordinates are written out in a fixed order.
@@ -24,7 +50,7 @@ from dataclasses import dataclass
 from itertools import chain
 
 import numpy as np
-from scipy.linalg.lapack import dpotrf, dpotrs
+from numpy.linalg import LinAlgError, cholesky
 
 from .config import DEFAULT_CONFIG, MeshlessConfig
 from .errors import ConditioningError, SupportDeficiencyError, ValidationError
@@ -38,22 +64,25 @@ __all__ = [
     "spacing",
     "find_supports",
     "select_support",
-    "kriging_systems",
     "build_system",
-    "shape_values",
     "shape_functions",
     "evaluate_batch",
     "evaluate_at",
     "basis_size",
 ]
 
-# Doubles one chunk of a support-size group may hold per matrix stage; keeps
-# the stacked systems and the per-point stiffness blocks bounded in memory.
-_CHUNK_DOUBLES = 1 << 21
+# Doubles each (c, n, n) array of a chunk of c supports of n nodes may hold.
+# The kernel keeps three alive at its peak (R, its Cholesky factor and
+# L^-1), so a chunk stays near 6 MB whatever n is; larger chunks measured
+# no faster.
+_CHUNK_DOUBLES = 1 << 18
 
-# Diagonal jitter, relative to trace(R)/n, of the one retry when a
-# correlation matrix R fails to factor.
-_JITTER_SCALE = 1e-12
+# Largest trace(R^-1) = ||L^-1||_F^2 accepted for a correlation matrix R.
+# It bounds ||R^-1|| and, as 0 <= S_b <= R^-1 for the transfer matrix
+# S_b = R^-1 (I - P (P^T R^-1 P)^-1 P^T R^-1), the size of S_b too, which
+# the error of phi grows with.  Supports of the test and benchmark clouds
+# read at most about 250.
+_TRACE_LIMIT = 1e5
 
 # Relative residual accepted for the two identities of each Kriging system.
 _SYSTEM_RESIDUAL_TOL = 1e-10
@@ -195,11 +224,14 @@ def select_support(point, cloud: NodeCloud, cfg: MeshlessConfig = DEFAULT_CONFIG
 
 @dataclass(frozen=True)
 class KrigingSystem:
-    """Transfer matrices of one support selection's correlation/polynomial
-    system."""
+    """Factor data of the correlation/polynomial systems of a stack of
+    supports; every array has a leading point axis (a stack of one from
+    :func:`build_system`)."""
 
-    S_a: np.ndarray       # (m, n)
-    S_b: np.ndarray       # (n, n)
+    R: np.ndarray         # (c, n, n) correlation matrices
+    L_inv: np.ndarray     # (c, n, n) inverse Cholesky factors, R = L L^T
+    LiP: np.ndarray       # (c, n, m) L^-1 P
+    M: np.ndarray         # (c, m, m) P^T R^-1 P = (L^-1 P)^T (L^-1 P)
     theta: float
 
 
@@ -209,45 +241,67 @@ def _poly_rows(points: np.ndarray) -> np.ndarray:
     return np.concatenate([ones, points], axis=-1)
 
 
-def _cholesky(R: np.ndarray, where, g: int):
-    """Lower Cholesky factor of one correlation matrix, retried once with
-    a diagonal jitter (relative to trace/n) if R fails to factor."""
-    c, info = dpotrf(R, lower=1)
-    if info == 0:
-        return c
-    n = len(R)
-    c, info = dpotrf(R + _JITTER_SCALE * np.trace(R) / n * np.eye(n),
-                     lower=1)
-    if info == 0:
-        return c
-    raise ConditioningError(
-        f"correlation matrix is numerically singular{where(g)}",
-        cond_estimate=float(np.linalg.cond(R)))
+def _correlation(X: np.ndarray, theta: float) -> np.ndarray:
+    """Gaussian correlation matrices (c, n, n) of supports X (c, n, dim),
+    the squared distances summed one coordinate at a time."""
+    diff = X[:, :, None, 0] - X[:, None, :, 0]
+    sq = diff * diff
+    for k in range(1, X.shape[-1]):
+        diff = X[:, :, None, k] - X[:, None, :, k]
+        sq += diff * diff
+    sq *= -theta
+    return np.exp(sq, out=sq)
 
 
-def kriging_systems(X: np.ndarray, theta: float, where=_nowhere):
-    """Transfer matrices S_a (G, m, n) and S_b (G, n, n) of a stack of
-    supports X (G, n, dim).
+def _cholesky(R: np.ndarray, where) -> np.ndarray:
+    """Lower Cholesky factors of a stack of correlation matrices; a matrix
+    that fails to factor raises ConditioningError naming its point."""
+    try:
+        return cholesky(R)
+    except LinAlgError:
+        for g, R_g in enumerate(R):         # find the point that failed
+            try:
+                cholesky(R_g)
+            except LinAlgError:
+                raise ConditioningError(
+                    "correlation matrix is not positive definite "
+                    f"(coincident support nodes?){where(g)}",
+                    cond_estimate=float(np.linalg.cond(R_g))) from None
+        raise
 
-    S_a = (P^T R^-1 P)^-1 P^T R^-1 and S_b = R^-1 (I - P S_a).  Every
-    point's polynomial system must have cond <= 1e12, and both defining
-    identities P S_a + R S_b = I and P^T S_b = 0 are residual-checked;
-    failures raise ConditioningError, with ``where(g)`` naming the point.
 
-    The correlation matrices are factored and solved point by point with
-    LAPACK's Cholesky routines (NumPy has no stacked triangular solve, and
-    its stacked LU is slower here); everything else is stacked.
+def _lower_inverse(L: np.ndarray) -> np.ndarray:
+    """Inverses (c, n, n) of a stack of lower-triangular matrices, by
+    forward substitution over the rows: row i of L^-1 is
+    (e_i - L[i, :i] L^-1[:i]) / L[i, i]."""
+    Li = np.zeros_like(L)
+    for i in range(L.shape[1]):
+        Li[:, i, i] = 1.0
+        Li[:, i, :i + 1] -= (L[:, i, None, :i] @ Li[:, :i, :i + 1])[:, 0]
+        Li[:, i, :i + 1] /= L[:, i, i, None]
+    return Li
+
+
+def _systems(X: np.ndarray, theta: float, where=_nowhere) -> KrigingSystem:
+    """Factor the Kriging systems of a stack of supports X (c, n, dim).
+
+    Guards, each raising ConditioningError with ``where(g)`` naming the
+    point: R must factor; trace(R^-1) = ||L^-1||_F^2 must not exceed
+    ``_TRACE_LIMIT``; and the polynomial system must have cond(M) <= 1e12.
     """
-    G, n, _ = X.shape
-    R = np.exp(-theta * _sqnorm(X[:, :, None, :] - X[:, None, :, :]))
-    P = _poly_rows(X)
-    Pt = P.transpose(0, 2, 1)
-    factors = []
-    RiP = np.empty_like(P)                     # R^-1 P
-    for g in range(G):
-        factors.append(_cholesky(R[g], where, g))
-        RiP[g] = dpotrs(factors[g], P[g], lower=1)[0]
-    M = Pt @ RiP                               # (G, m, m)
+    R = _correlation(X, theta)
+    L_inv = _lower_inverse(_cholesky(R, where))
+    trace = np.einsum("cij,cij->c", L_inv, L_inv)
+    bad = np.flatnonzero(~(trace <= _TRACE_LIMIT))
+    if len(bad):
+        g = int(bad[0])
+        raise ConditioningError(
+            f"correlation matrix is ill-conditioned: trace(R^-1) = "
+            f"{trace[g]:.2e} exceeds {_TRACE_LIMIT:.0e} (near-coincident "
+            f"support nodes, or theta too small for the spacing?){where(g)}",
+            cond_estimate=float(np.linalg.cond(R[g])))
+    LiP = L_inv @ _poly_rows(X)
+    M = LiP.transpose(0, 2, 1) @ LiP
     cond_M = np.linalg.cond(M)
     bad = np.flatnonzero(~(np.isfinite(cond_M) & (cond_M <= 1e12)))
     if len(bad):
@@ -255,36 +309,54 @@ def kriging_systems(X: np.ndarray, theta: float, where=_nowhere):
         raise ConditioningError(
             "polynomial system is rank deficient (collinear support "
             f"nodes?){where(g)}", cond_estimate=float(cond_M[g]))
-    S_a = np.linalg.solve(M, RiP.transpose(0, 2, 1))    # (G, m, n)
-    eye = np.eye(n)
-    rhs = eye - P @ S_a
-    S_b = np.empty_like(R)
-    for g, c in enumerate(factors):
-        S_b[g] = dpotrs(c, rhs[g], lower=1)[0]
+    return KrigingSystem(R=R, L_inv=L_inv, LiP=LiP, M=M, theta=theta)
 
-    # residual checks of the defining identities
-    res1 = np.linalg.norm(P @ S_a + R @ S_b - eye, axis=(1, 2)) / np.sqrt(n)
-    res2 = np.linalg.norm(Pt @ S_b, axis=(1, 2)) / np.maximum(
-        1.0, np.linalg.norm(S_b, axis=(1, 2)))
+
+def _shapes(sys: KrigingSystem, X: np.ndarray, x: np.ndarray,
+            where=_nowhere):
+    """Shape functions of a stack of systems at points x (c, dim); returns
+    values (c, n) and grads (c, n, dim).
+
+    With b = [r(x) dr/dx] and q = [p(x) dp/dx], the Lagrange multipliers
+    are Lam = M^-1 (P^T R^-1 b - q) and [phi dphi/dx] = R^-1 (b - P Lam),
+    both through L^-1.  The evaluated system R phi + P Lam = b,
+    P^T phi = q is residual-checked; a failure raises ConditioningError.
+    """
+    c, n, dim = X.shape
+    diff = x[:, None, :] - X                   # (c, n, dim)
+    b = np.empty((c, n, dim + 1))
+    b[:, :, 0] = np.exp(-sys.theta * _sqnorm(diff))
+    b[:, :, 1:] = -2.0 * sys.theta * diff * b[:, :, :1]
+    q = np.zeros((c, dim + 1, dim + 1))
+    q[:, :, 0] = _poly_rows(x)
+    q[:, 1:, 1:] = np.eye(dim)
+    Wb = sys.L_inv @ b
+    Lam = np.linalg.solve(sys.M, sys.LiP.transpose(0, 2, 1) @ Wb - q)
+    phi = sys.L_inv.transpose(0, 2, 1) @ (Wb - sys.LiP @ Lam)
+
+    P = _poly_rows(X)
+    res1 = np.linalg.norm(sys.R @ phi + P @ Lam - b, axis=(1, 2)) \
+        / np.maximum(1.0, np.linalg.norm(b, axis=(1, 2)))
+    res2 = np.linalg.norm(P.transpose(0, 2, 1) @ phi - q, axis=(1, 2)) \
+        / np.maximum(1.0, np.linalg.norm(q, axis=(1, 2)))
     tol = _SYSTEM_RESIDUAL_TOL
-    bad = np.flatnonzero((res1 > tol) | (res2 > tol))
+    bad = np.flatnonzero(~((res1 <= tol) & (res2 <= tol)))
     if len(bad):
         g = int(bad[0])
         raise ConditioningError(
             f"interpolation system residuals too large ({res1[g]:.2e}, "
             f"{res2[g]:.2e}){where(g)}",
-            cond_estimate=float(np.linalg.cond(R[g])))
-    return S_a, S_b
+            cond_estimate=float(np.linalg.cond(sys.R[g])))
+    return phi[:, :, 0], phi[:, :, 1:]
 
 
 def build_system(sel: SupportSelection, theta: float | None = None,
                  cfg: MeshlessConfig = DEFAULT_CONFIG) -> KrigingSystem:
-    """Kriging system of one support selection (see
-    :func:`kriging_systems`)."""
+    """Kriging system of one support selection: a stack of one (see
+    :func:`_systems`)."""
     if theta is None:
         theta = cfg.theta
-    S_a, S_b = kriging_systems(sel.node_coords[None], theta)
-    return KrigingSystem(S_a=S_a[0], S_b=S_b[0], theta=theta)
+    return _systems(sel.node_coords[None], theta)
 
 
 @dataclass(frozen=True)
@@ -296,26 +368,11 @@ class ShapeEval:
     node_ids: np.ndarray
 
 
-def shape_values(S_a: np.ndarray, S_b: np.ndarray, X: np.ndarray,
-                 x: np.ndarray, theta: float):
-    """phi_I(x) = p(x)^T S_a + r(x)^T S_b and its gradient for a stack of
-    systems; returns values (G, n) and grads (G, n, dim)."""
-    diff = x[:, None, :] - X                   # (G, n, d)
-    r = np.exp(-theta * _sqnorm(diff))         # (G, n)
-    p = _poly_rows(x)                          # (G, m)
-    values = (p[:, None, :] @ S_a + r[:, None, :] @ S_b)[:, 0, :]
-    dr = -2.0 * theta * diff * r[:, :, None]   # dr_k/dx_i
-    # d p / dx_i selects row i+1 of S_a
-    grads = S_a[:, 1:, :] + dr.transpose(0, 2, 1) @ S_b
-    return values, grads.transpose(0, 2, 1)
-
-
 def shape_functions(sel: SupportSelection, sys: KrigingSystem, point
                     ) -> ShapeEval:
     """Shape functions of one system at ``point``."""
     x = np.asarray(point, dtype=float)
-    values, grads = shape_values(sys.S_a[None], sys.S_b[None],
-                                 sel.node_coords[None], x[None], sys.theta)
+    values, grads = _shapes(sys, sel.node_coords[None], x[None])
     return ShapeEval(values=values[0], grads=grads[0], node_ids=sel.node_ids)
 
 
@@ -335,12 +392,13 @@ def evaluate_batch(points, cloud: NodeCloud, sup: Supports,
     for n in np.unique(sizes):
         group = np.flatnonzero(sizes == n)
         rows = sup.rows[sup.ptr[group][:, None] + np.arange(n)]
-        step = max(1, _CHUNK_DOUBLES // (n * n * cloud.dim ** 2))
+        step = max(1, _CHUNK_DOUBLES // (n * n))
         for lo in range(0, len(group), step):
             idx = group[lo:lo + step]
             X = cloud.coords[rows[lo:lo + step]]
-            S_a, S_b = kriging_systems(X, cfg.theta, lambda j: where(idx[j]))
-            values, grads = shape_values(S_a, S_b, X, points[idx], cfg.theta)
+            locate = lambda j: where(idx[j])
+            sys = _systems(X, cfg.theta, locate)
+            values, grads = _shapes(sys, X, points[idx], locate)
             yield idx, rows[lo:lo + step], values, grads
 
 

@@ -32,6 +32,12 @@ __all__ = ["CholeskyFactor", "factorize", "solve"]
 # cores from 64 to 256 for half-bandwidths of 250-430
 _PANEL = 128
 
+# Smallest pivot L_jj^2, relative to max diag K, that factorize accepts.
+# The bundled constrained models read 1.5e-4 and up, except the slender
+# 33x9 cantilever, held only at its root, at 1.2e-8; the rigid-body modes
+# of the unconstrained plate_with_hole factor with a pivot of 3e-14.
+_PIVOT_TOL = 1e-10
+
 
 def _lower_band(A) -> np.ndarray:
     """Lower band ``ab[i - j, j] = A[i, j]`` of a matrix, dense or sparse,
@@ -121,13 +127,36 @@ class CholeskyFactor:
         """L[r, r] for ascending ``r``, a lower-triangular factor in its own
         right, on a band as wide as its nonzeros.  Entry (r[c + d], r[c])
         lies r[c + d] - r[c] >= d rows below the diagonal of L, so that
-        band is no wider than L's."""
+        band is no wider than L's.
+
+        r splits into maximal runs of consecutive DOFs.  The band of a run's
+        leading columns, whose rows all lie in the run, is copied as one
+        block.  From the other columns of a run to the rows of a run at or
+        after it, band diagonal d of L becomes diagonal d - shift of
+        L[r, r], with shift the number of DOFs outside r between the two
+        runs: one masked block copy per pair of runs within the band.
+        """
         w, n_r = self.ab.shape[0], len(r)
+        starts = np.flatnonzero(np.diff(r, prepend=-2) != 1)
+        runs = list(zip(starts, np.r_[starts[1:], n_r]))
         sub = np.zeros((w, n_r))
-        for d in range(min(w, n_r)):
-            gap = r[d:] - r[:n_r - d]
-            ok = gap < w
-            sub[d, :n_r - d][ok] = self.ab[gap[ok], r[:n_r - d][ok]]
+        for i, (c0, c1) in enumerate(runs):         # columns r[c0:c1]
+            j0, j1 = r[c0], r[c1 - 1] + 1
+            m = max(0, j1 - j0 - w + 1)
+            sub[:, c0:c0 + m] = self.ab[:, j0:j0 + m]
+            for a, b in runs[i:]:                   # rows r[a:b]
+                k0, k1 = r[a], r[b - 1] + 1
+                if k0 >= j1 - 1 + w:
+                    break
+                j = max(j0 + m, k0 - w + 1)        # first column reaching k0
+                if j >= j1:
+                    continue
+                lo, hi = max(0, k0 - (j1 - 1)), min(w, k1 - j)
+                shift = (k0 - a) - (j0 - c0)
+                row = np.arange(j, j1) + np.arange(lo, hi)[:, None]
+                np.copyto(sub[lo - shift:hi - shift, c0 + j - j0:c1],
+                          self.ab[lo:hi, j:j1],
+                          where=(row >= k0) & (row < k1))
         return CholeskyFactor(
             ab=sub[:np.flatnonzero(sub.any(axis=1)).max(initial=0) + 1])
 
@@ -153,16 +182,17 @@ class CholeskyFactor:
         """K^-1 rhs through the two banded triangular solves."""
         return cho_solve_banded((self.ab, True), rhs, check_finite=False)
 
-    def _panels(self, X: np.ndarray, descending: bool):
-        """Per panel k0:k1 of up to ``_PANEL`` rows: its diagonal block
-        D = L[k0:k1, k0:k1], the block E = L[k1:k1 + b, k0:k1] below it, and
-        the matching column blocks of X^T.  ``X`` must be C-ordered, so that
-        X^T is Fortran-ordered and BLAS overwrites its blocks in place."""
+    def _panels(self, X: np.ndarray, descending: bool, first: int = 0):
+        """Per panel k0:k1 of up to ``_PANEL`` rows, from the panel holding
+        row ``first`` on: its diagonal block D = L[k0:k1, k0:k1], the block
+        E = L[k1:k1 + b, k0:k1] below it, and the matching column blocks of
+        X^T.  ``X`` must be C-ordered, so that X^T is Fortran-ordered and
+        BLAS overwrites its blocks in place."""
         if not X.flags.c_contiguous:
             raise ValueError("panel kernels need a C-ordered right-hand side")
         w, n = self.ab.shape
         XT = X.T
-        starts = range(0, n, _PANEL)
+        starts = range(first - first % _PANEL, n, _PANEL)
         for k0 in (reversed(starts) if descending else starts):
             k1 = min(k0 + _PANEL, n)
             e = min(k1 + w - 1, n)
@@ -174,8 +204,11 @@ class CholeskyFactor:
         X, in place: a dense triangular solve (``dtrsm``) on each diagonal
         block, and one product (``dgemm``) with the block below it, which
         carries the panel into the next ones.  Returns ``X``, holding Y.
+        Leading zero rows of X solve to zero rows of Y in L Y = X, so that
+        solve starts at the panel of the first nonzero row.
         """
-        for D, E, Xk, Xe in self._panels(X, descending=trans):
+        first = 0 if trans else int(np.append(X.any(axis=1), True).argmax())
+        for D, E, Xk, Xe in self._panels(X, descending=trans, first=first):
             if trans:       # Y_k^T = (X_k^T - Y_e^T E) D^-1
                 if E.size:
                     dgemm(-1.0, Xe, E, 1.0, Xk, overwrite_c=1)
@@ -220,16 +253,21 @@ def factorize(system: StiffnessSystem) -> CholeskyFactor:
     """Cholesky-factor the BC-applied stiffness matrix on its band.
 
     Raises RigidBodyError, with a near-null vector, if the matrix is not
-    positive definite, i.e. the model is under-constrained.
+    positive definite or its smallest pivot L_jj^2 is at most
+    ``_PIVOT_TOL`` times its largest diagonal entry, i.e. the model is
+    under-constrained: a rigid-body mode can factor by roundoff alone.
     """
+    band = _lower_band(system.K)
     try:
-        ab = cholesky_banded(_lower_band(system.K), lower=True,
-                             check_finite=False)
-    except LinAlgError as exc:
+        ab = cholesky_banded(band, lower=True, check_finite=False)
+    except LinAlgError:
+        ab = None
+    if ab is None or not np.min(ab[0] ** 2) > _PIVOT_TOL * band[0].max():
         raise RigidBodyError(
-            "stiffness matrix is not positive definite; the model is likely "
+            "stiffness matrix is not positive definite, or its smallest "
+            "pivot is at roundoff level; the model is likely "
             "under-constrained (rigid-body mode present)",
-            null_vector=_near_null_vector(system.K)) from exc
+            null_vector=_near_null_vector(system.K))
     return CholeskyFactor(ab=ab)
 
 

@@ -22,16 +22,24 @@ def kriging_matrices_oracle(X, theta):
     return R, P
 
 
+def transfer_matrices_oracle(X, theta):
+    """R, P and the transfer matrices S_a = (P^T R^-1 P)^-1 P^T R^-1 and
+    S_b = R^-1 (I - P S_a) of support coordinates ``X``, via explicit
+    inverses; phi(x) = p(x)^T S_a + r(x)^T S_b."""
+    R, P = kriging_matrices_oracle(X, theta)
+    Ri = np.linalg.inv(R)
+    S_a = np.linalg.inv(P.T @ Ri @ P) @ P.T @ Ri
+    S_b = Ri @ (np.eye(len(R)) - P @ S_a)
+    return R, P, S_a, S_b
+
+
 def shape_oracle(point, X, theta):
     """Moving-Kriging shape values and analytic gradients at ``point`` from
     support coordinates ``X``, via explicit inverses."""
     point = np.asarray(point, dtype=float)
     X = np.asarray(X, dtype=float)
     n, d = X.shape
-    R, P = kriging_matrices_oracle(X, theta)
-    Ri = np.linalg.inv(R)
-    A = np.linalg.inv(P.T @ Ri @ P) @ P.T @ Ri
-    B = Ri @ (np.eye(n) - P @ A)
+    _, _, A, B = transfer_matrices_oracle(X, theta)
 
     dx = point[None, :] - X
     r = np.exp(-theta * (dx ** 2).sum(axis=1))

@@ -296,6 +296,20 @@ class TestCoupledBlock:
         exact = np.linalg.solve(K_m, F)
         assert np.linalg.norm(U - exact) <= 1e-12 * np.linalg.norm(exact)
 
+    def test_blocked_outer_product_matches_dense(self, rng):
+        """The guard's V (V^T B) by row-restricted column blocks equals the
+        dense product, over several blocks and with empty columns."""
+        n = 700
+        K = _clamped(_banded_spd(rng, n, 15), np.arange(40, 60))
+        factor = CholeskyFactor(L0=np.linalg.cholesky(K))
+        S_d = np.sort(rng.choice(n, 3 * ifu._V_BLOCK + 5, replace=False))
+        _, V = constrain_factor(factor, S_d)
+        B = rng.standard_normal((n, len(S_d)))
+        out = rng.standard_normal(B.shape)
+        expect = out + V @ (V.T @ B)
+        ifu._add_outer(out, V, B)
+        assert np.abs(out - expect).max() <= 1e-12 * np.abs(expect).max()
+
     @given(seed=st.integers(0, 2 ** 32 - 1),
            n=st.integers(4, 3 * solver._PANEL + 40),
            b=st.one_of(st.just(0), st.just(-1), st.integers(1, 60)))
@@ -331,9 +345,12 @@ class TestCoupledBlock:
         assert (np.linalg.norm(factor.apply_inverse(F) - U_star)
                 <= 1e-10 * np.linalg.norm(U_star))
         X = rng.standard_normal((n, 3))
+        lead = X.copy()
+        lead[:n // 2 + 1] = 0.0             # the forward solve skips these
         for trans, A in ((False, L), (True, L.T)):
-            Y = factor.panel_solve(X.copy(), trans=trans)
-            assert np.abs(A @ Y - X).max() <= 1e-10 * np.abs(X).max()
+            for rhs in (X, lead):
+                Y = factor.panel_solve(rhs.copy(), trans=trans)
+                assert np.abs(A @ Y - rhs).max() <= 1e-10 * np.abs(X).max()
             Y = factor.panel_multiply(X.copy(), trans=trans)
             assert np.abs(Y - A @ X).max() \
                 <= 1e-12 * np.abs(A).max() * np.abs(X).max() * n
@@ -343,6 +360,11 @@ class TestCoupledBlock:
         assert np.linalg.norm(U - exact) <= 1e-10 * np.linalg.norm(exact)
         assert diag.n_d == k
         assert diag.n_coupled == n - k - n_unit
+        # principal submatrices of the band, runs of r with and without gaps
+        for r in (np.flatnonzero(rng.random(n) < 0.7), np.arange(1, n),
+                  np.setdiff1d(np.arange(n), changed)):
+            assert np.array_equal(np.asarray(factor.principal(r)),
+                                  np.asarray(factor)[np.ix_(r, r)])
         # the public phases find the same unit rows and the same answer
         L_mod, V = constrain_factor(factor, changed)
         B, _ = fundamental_solutions(L_mod, V,

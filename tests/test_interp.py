@@ -10,8 +10,8 @@ from mkfree.interp import (basis_size, build_system, evaluate_at,
 from mkfree.model import NodeCloud
 
 from conftest import jittered_cloud
-from oracles import (kriging_matrices_oracle, shape_oracle, spacing_oracle,
-                     support_oracle)
+from oracles import (shape_oracle, spacing_oracle, support_oracle,
+                     transfer_matrices_oracle)
 
 
 def test_basis_size():
@@ -68,13 +68,31 @@ class TestSelectSupport:
 
 class TestBuildSystem:
     def test_transfer_identities(self, rng, cfg):
+        """The kernel's values and gradients satisfy the system it evaluates,
+        R phi + P Lam = [r dr] and P^T phi = [p dp], with the multipliers
+        Lam = S_a ([r dr] - R S_a^T [p dp]) of the oracle's transfer
+        matrices, and equal p^T S_a + r^T S_b."""
         cloud = jittered_cloud(rng, 8, 8)
         sel = select_support([3.3, 3.7], cloud, cfg)
         sys = build_system(sel, cfg.theta, cfg)
+        R, P, S_a, S_b = transfer_matrices_oracle(sel.node_coords, cfg.theta)
         n = sel.n
-        R, P = kriging_matrices_oracle(sel.node_coords, cfg.theta)
-        assert np.allclose(P @ sys.S_a + R @ sys.S_b, np.eye(n), atol=1e-10)
-        assert np.allclose(P.T @ sys.S_b, 0.0, atol=1e-10)
+        assert np.allclose(P @ S_a + R @ S_b, np.eye(n), atol=1e-10)
+        assert np.allclose(P.T @ S_b, 0.0, atol=1e-10)
+        for x in ([3.3, 3.7], [2.9, 4.1], sel.node_coords[3]):
+            x = np.asarray(x, dtype=float)
+            sf = shape_functions(sel, sys, x)
+            phi = np.column_stack([sf.values, sf.grads])       # (n, 3)
+            diff = x - sel.node_coords
+            r = np.exp(-cfg.theta * (diff ** 2).sum(axis=1))
+            b = np.column_stack([r, -2.0 * cfg.theta * diff * r[:, None]])
+            q = np.column_stack([np.concatenate([[1.0], x]),
+                                 np.vstack([np.zeros(2), np.eye(2)])])
+            Lam = S_a @ (b - R @ S_a.T @ q)
+            assert np.allclose(R @ phi + P @ Lam, b, rtol=0.0, atol=1e-10)
+            assert np.allclose(P.T @ phi, q, rtol=0.0, atol=1e-10)
+            assert np.allclose(phi, S_a.T @ q + S_b.T @ b, rtol=0.0,
+                               atol=1e-10)
 
     def test_collinear_support_raises(self):
         cloud = NodeCloud(ids=np.arange(6),

@@ -1,9 +1,11 @@
 """Contract of the batched Gauss-point kernel: a point's results do not
-depend on the batch it is evaluated in, and the error semantics of the
-one-point path (one support growth, jitter retry, conditioning guard, the
-failing Gauss point named in the message) hold inside a batch."""
+depend on the batch it is evaluated in, the error semantics of the
+one-point path (one support growth, the conditioning guards, the failing
+Gauss point named in the message) hold inside a batch, and the guards
+reject every near-singular support."""
 
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -12,7 +14,9 @@ from mkfree import interp
 from mkfree.assembly import active_supports, assemble_stiffness
 from mkfree.config import MeshlessConfig
 from mkfree.errors import ConditioningError, SupportDeficiencyError
-from mkfree.interp import evaluate_at, evaluate_batch, find_supports, spacing
+from mkfree.interp import (build_system, evaluate_at, evaluate_batch,
+                           find_supports, select_support, shape_functions,
+                           spacing)
 from mkfree.model import BackgroundGrid, MaterialModel, NodeCloud
 
 from conftest import grid_for, jittered_cloud
@@ -54,7 +58,7 @@ def test_point_results_independent_of_batch(rng, cfg, dim, monkeypatch):
             for a, b in zip(got, full[t]):
                 assert np.array_equal(a, b)
     # groups split into chunks of a few points give the same results
-    monkeypatch.setattr(interp, "_CHUNK_DOUBLES", 3 * (40 * dim) ** 2)
+    monkeypatch.setattr(interp, "_CHUNK_DOUBLES", 3 * 40 ** 2)
     chunked = kernel_results(points, cloud, cfg)
     assert chunked.keys() == full.keys()
     for i, got in chunked.items():
@@ -117,35 +121,117 @@ def test_support_grows_once_then_raises(rng):
     assert np.all(point > lo) and np.all(point < hi)
 
 
-def test_cholesky_failure_retries_that_point_only(rng, cfg, monkeypatch):
+def _middle_point(rng, cfg):
+    """Model, Gauss points, active points and supports, and the position
+    in ``active`` of a point in the middle of the batch."""
     cloud, grid = _model(rng, 2)
     points = grid.gauss[0]
-    reference = kernel_results(points, cloud, cfg)
-    target = sorted(reference)[len(reference) // 2]
     active, sup = active_supports(points, cloud, cfg)
-    rows = sup.rows[sup.ptr[np.searchsorted(active, target)]:][
-        :len(reference[target][0])]
-    X = cloud.coords[rows]
+    return cloud, grid, points, active, sup, len(active) // 2
+
+
+def test_cholesky_failure_names_the_gauss_point(rng, cfg, monkeypatch):
+    cloud, grid, points, active, sup, j = _middle_point(rng, cfg)
+    X = cloud.coords[sup.rows[sup.ptr[j]:sup.ptr[j + 1]]]
     R_target = np.exp(-cfg.theta * ((X[:, None] - X[None]) ** 2).sum(-1))
 
-    real = interp.dpotrf
+    real = interp.cholesky
+    failed = []
+
+    def failing(a):
+        stack = a.reshape(-1, *a.shape[-2:])
+        if a.shape[-1] == len(X) and any(np.array_equal(R, R_target)
+                                         for R in stack):
+            failed.append(len(stack))
+            raise np.linalg.LinAlgError("Matrix is not positive definite")
+        return real(a)
+
+    monkeypatch.setattr(interp, "cholesky", failing)
+    with pytest.raises(ConditioningError) as err:
+        assemble_stiffness(cloud, grid, MaterialModel(10.0, 0.3), cfg)
+    assert "not positive definite" in str(err.value)
+    point, _ = _located(str(err.value))
+    assert np.array_equal(point, points[active[j]])
+    # the stacked call of the chunk failed, then the point's own call
+    assert len(failed) == 2 and failed[0] > 1 and failed[1] == 1
+
+
+def test_duplicate_support_node_names_the_gauss_point(rng, cfg):
+    """A support holding one node twice (an exact duplicate) is rejected,
+    and the error names the point it belongs to."""
+    cloud, _, points, active, sup, j = _middle_point(rng, cfg)
+    rows = sup.rows.copy()
+    rows[sup.ptr[j + 1] - 1] = rows[sup.ptr[j]]
+    sup = interp.Supports(ptr=sup.ptr, rows=rows, radius=sup.radius,
+                          deficient=sup.deficient)
+    where = lambda g: f" (at point {g})"
+    with pytest.raises(ConditioningError) as err:
+        for _ in evaluate_batch(points[active], cloud, sup, cfg, where):
+            pass
+    assert str(err.value).endswith(f" (at point {j})")
+
+
+def _rejected(sel, x, cfg):
+    """Whether the kernel rejects the support ``sel`` evaluated at x."""
+    try:
+        shape_functions(sel, build_system(sel, cfg.theta, cfg), x)
+    except ConditioningError:
+        return True
+    return False
+
+
+def test_near_singular_supports_rejected(cfg):
+    """Guard sweep: a support plus a copy of one of its nodes at a shrinking
+    distance, and a support scaled by a shrinking h at theta = 1.  The
+    transfer-matrix residual gate, the guard before trace(R^-1), rejected
+    distances <= 3e-4 and scales <= 0.25 here; every one of those must
+    still be rejected, and well-spaced supports must still pass."""
+    cloud = jittered_cloud(np.random.default_rng(7), 5, 5, jitter=0.2)
+    x = np.array([2.3, 1.8])
+    sel = select_support(x, cloud, cfg)
+    distances = [3e-2, 1e-2, 3e-3, 1e-3, 3e-4, 1e-4, 1e-5, 1e-6, 1e-8, 0.0]
+    rejected = []
+    for dist in distances:
+        copy = cloud.coords[12] + dist * np.array([0.6, 0.8])
+        near = replace(sel, node_ids=np.append(sel.node_ids, 99),
+                       node_coords=np.vstack([sel.node_coords, copy]))
+        rejected.append(_rejected(near, x, cfg))
+    residual_gate = [d <= 3e-4 for d in distances]
+    assert all(r for r, old in zip(rejected, residual_gate) if old)
+    assert rejected == [d <= 3e-3 for d in distances]
+
+    cloud = jittered_cloud(np.random.default_rng(8), 8, 8, jitter=0.2)
+    x = np.array([3.3, 3.6])
+    sel = select_support(x, cloud, cfg)
+    scales = [1.0, 0.5, 0.35, 0.3, 0.25, 0.2, 0.15, 0.1, 0.05]
+    rejected = [_rejected(replace(sel, node_coords=h * sel.node_coords),
+                          h * x, cfg) for h in scales]
+    residual_gate = [h <= 0.25 for h in scales]
+    assert all(r for r, old in zip(rejected, residual_gate) if old)
+    assert rejected == [h <= 0.35 for h in scales]
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_one_cholesky_call_per_chunk(rng, cfg, dim, monkeypatch):
+    """Assembly factors each chunk of a support-size group with one stacked
+    Cholesky call: the calls count chunks, not points."""
+    cloud, grid = _model(rng, dim)
+    points = grid.gauss[0]
+    _, sup = active_supports(points, cloud, cfg)
+    sizes, counts = np.unique(sup.sizes, return_counts=True)
+    steps = np.maximum(1, interp._CHUNK_DOUBLES // (sizes * sizes))
+    chunks = int(np.sum(-(-counts // steps)))
+    assert chunks < len(sup.sizes) / 4
+
+    real = interp.cholesky
     calls = []
 
-    def failing(a, lower=0):
-        hit = a.shape == R_target.shape and np.array_equal(a, R_target)
-        calls.append(hit)
-        return (a, 1) if hit else real(a, lower=lower)
+    def counted(a):
+        calls.append(a.shape)
+        return real(a)
 
-    monkeypatch.setattr(interp, "dpotrf", failing)
-    forced = kernel_results(points, cloud, cfg)
-    # one call per point, plus one retry with the jittered matrix for the
-    # target
-    assert calls.count(True) == 1
-    assert len(calls) == len(reference) + 1
-    for i, got in forced.items():
-        for a, b in zip(got, reference[i]):
-            if i == target:
-                assert np.allclose(a, b, rtol=0.0,
-                                   atol=1e-8 * np.abs(b).max())
-            else:
-                assert np.array_equal(a, b)
+    monkeypatch.setattr(interp, "cholesky", counted)
+    mode = "plane_stress" if dim == 2 else "solid_3d"
+    assemble_stiffness(cloud, grid, MaterialModel(10.0, 0.3, mode=mode), cfg)
+    assert len(calls) == chunks
+    assert sum(shape[0] for shape in calls) == len(sup.sizes)

@@ -3,6 +3,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 import mkfree
 
@@ -19,7 +20,6 @@ from oracles import random_spd
 def test_factor_solve_matches_numpy(rng):
     K = random_spd(rng, 30)
     F = rng.standard_normal(30)
-    import scipy.sparse as sp
     from mkfree.model import DofMap
     dm = DofMap(node_ids=np.arange(15), dim=2)
     system = StiffnessSystem(K=sp.csr_matrix(K), F=F, dof_map=dm)
@@ -58,6 +58,20 @@ def test_rigid_body_null_vector_above_2000_dofs(cfg):
     assert raw.n_dofs > 2000
     with pytest.raises(RigidBodyError) as err:
         factorize(raw)
+    null = err.value.null_vector
+    assert null is not None
+    assert np.linalg.norm(raw.K @ null) \
+        <= 1e-8 * abs(raw.K).max() * np.linalg.norm(null)
+
+
+def test_rigid_body_detected_by_pivot_not_by_failure(small_model, cfg):
+    """An unconstrained stiffness shifted by 1e-13 max|K| I factors, but
+    its smallest pivot still marks the rigid-body modes."""
+    cloud, grid, mat, bc = small_model
+    raw = assemble_stiffness(cloud, grid, mat, cfg)
+    K = raw.K + 1e-13 * abs(raw.K).max() * sp.identity(raw.n_dofs)
+    with pytest.raises(RigidBodyError) as err:
+        factorize(StiffnessSystem(K=K.tocsr(), F=raw.F, dof_map=raw.dof_map))
     null = err.value.null_vector
     assert null is not None
     assert np.linalg.norm(raw.K @ null) \
