@@ -15,20 +15,13 @@ import scipy.sparse as sp
 from .errors import NumericalError, ValidationError
 from .solver import CholeskyFactor
 
-__all__ = ["BasisMatrix", "ReducedSystem", "build_basis", "reduce_and_solve",
-           "combine", "ca_solve"]
+__all__ = ["ReducedSystem", "build_basis", "reduce_and_solve", "combine",
+           "ca_solve"]
 
 # columns with relative norm below this are treated as numerically zero,
 # singular values below this fraction of the largest as linearly dependent
 _NEGLIGIBLE = 1e-14
 _RANK_TOL = 1e-12
-
-
-@dataclass(frozen=True)
-class BasisMatrix:
-    """n x s matrix of basis vectors; column 1 is the initial solution."""
-
-    U_B: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -40,8 +33,9 @@ class ReducedSystem:
 
 
 def build_basis(factor: CholeskyFactor, dK: sp.spmatrix, F: np.ndarray,
-                s: int, mask: np.ndarray | None = None) -> BasisMatrix:
-    """Krylov-style recurrence basis.
+                s: int, mask: np.ndarray | None = None) -> np.ndarray:
+    """Krylov-style recurrence basis U_B, n x s; column 1 is the initial
+    solution.
 
     ``mask`` (a boolean active-DOF vector) zeroes each vector on DOFs the
     modified configuration does not carry.  The exact modified solution is
@@ -64,7 +58,7 @@ def build_basis(factor: CholeskyFactor, dK: sp.spmatrix, F: np.ndarray,
     cols = [project(factor.apply_inverse(np.asarray(F, dtype=float)))]
     for _ in range(s - 1):
         cols.append(project(-factor.apply_inverse(dK @ cols[-1])))
-    return BasisMatrix(U_B=np.column_stack(cols))
+    return np.column_stack(cols)
 
 
 def reduce_and_solve(U_B: np.ndarray, K_m: sp.spmatrix, F: np.ndarray
@@ -106,7 +100,7 @@ def combine(U_B: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 def ca_solve(factor: CholeskyFactor, dK: sp.spmatrix, K_m: sp.spmatrix,
              F: np.ndarray, s: int, mask: np.ndarray | None = None):
-    """Full CA pipeline; returns (U, BasisMatrix, ReducedSystem)."""
-    basis = build_basis(factor, dK, F, s, mask=mask)
-    reduced = reduce_and_solve(basis.U_B, K_m, F)
-    return combine(basis.U_B, reduced.y), basis, reduced
+    """Full CA pipeline; returns (U, U_B, ReducedSystem)."""
+    U_B = build_basis(factor, dK, F, s, mask=mask)
+    reduced = reduce_and_solve(U_B, K_m, F)
+    return combine(U_B, reduced.y), U_B, reduced

@@ -9,20 +9,18 @@ from dataclasses import dataclass
 class MeshlessConfig:
     """Parameters of the interpolation and quadrature machinery.
 
-    alpha            scale factor of the support radius (d_m = alpha * d_c)
-    theta            Gaussian correlation parameter, units 1/length^2
-    support_growth   one-shot radius growth applied when a support captures
-                     fewer nodes than the polynomial basis size
+    alpha   scale factor of the support radius (d_m = alpha * d_c)
+    theta   Gaussian correlation parameter, units 1/length^2
 
     The fixed constants of the kernel live beside their one reader:
     ``assembly.ACTIVITY_FACTOR`` (which Gauss points integrate), and in
-    ``interp`` the trace(R^-1) limit and the residual tolerance of the
-    interpolation systems.
+    ``interp`` the one-shot radius growth of a support that captures fewer
+    nodes than the polynomial basis size, the trace(R^-1) limit and the
+    residual tolerance of the interpolation systems.
     """
 
     alpha: float = 3.0
     theta: float = 1.0
-    support_growth: float = 1.5
 
     def __post_init__(self):
         if self.alpha <= 0:

@@ -274,10 +274,19 @@ def bench_case(entry: dict):
             OverflowError) as exc:
         detail = f"missing {exc}" if isinstance(exc, KeyError) else exc
         raise ValidationError(f"malformed bench entry: {detail}") from exc
+    if not 0.0 < pitch < np.inf:
+        raise ValidationError(f"bench entry pitch must be finite and > 0, "
+                              f"got {pitch}")
     if kind == "hole":
+        if half < 0:
+            raise ValidationError("bench entry half must be >= 0")
+
         def inside(dx, dy):
             return (np.abs(dx) <= half + 1e-9) & (np.abs(dy) <= half + 1e-9)
     elif kind == "ellipse":
+        if not (0.0 < a < np.inf and 0.0 < b < np.inf):
+            raise ValidationError(f"bench entry a and b must be finite and "
+                                  f"> 0, got {a}, {b}")
         inside = _ellipse(a, b)
     else:
         raise ValidationError(f"unknown bench modification kind {kind!r}")

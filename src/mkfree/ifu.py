@@ -22,8 +22,9 @@ coupled rows r and L_rr from that copy (:meth:`CholeskyFactor.unit_rows`,
 go by panels of the band.  No n x n array is built.
 
 Guards: the fundamental solutions are checked against the operator SMW
-solved, L_rr L_rr^T + V_r V_r^T, by panel products on the band and, for
-V_r, by blocks of its columns over the rows each block touches.  The
+solved, L_rr L_rr^T + V_r V_r^T, by panel products on the band and one
+blocked V_r (V_r^T B_r) product, each block of columns of V_r over the
+rows it touches, whether V_r has more rows or more columns.  The
 answer is checked against the modified system, which also catches a
 factor that is inconsistent with K*: on the balanced rows the answer
 residual is delta_r + (K*[r, r] B_r - R_r) y.  Each guard raises
@@ -57,8 +58,10 @@ __all__ = [
 
 _RESIDUAL_TOL = 1e-9
 
-# columns of V per block of the fundamental guard's V (V^T B) product; on
-# plate-3024 it took 4 ms against 12 ms for the dense product
+# columns of V per block of the fundamental guard's V (V^T B) product; with
+# 64/128/256 it took 10.3/8.6/8.9 ms on a 20 % large-redesign cut-out
+# (n_r 762 < n_d 1110; dense (V V^T) B 24.2 ms) and 4.6/3.7/4.0 ms on a
+# 9-node local-edits removal (n_r 2558, n_d 262; dense V (V^T B) 10.3 ms)
 _V_BLOCK = 128
 
 
@@ -175,18 +178,15 @@ def _add_outer(out: np.ndarray, V: np.ndarray, B: np.ndarray):
 
 def _fundamental(L_mod: CholeskyFactor, V: np.ndarray, R: np.ndarray):
     """Solve (L_mod L_mod^T + V V^T) B = R with SMW on the coupled rows r,
-    guarded by the residual of that block operator, computed on the band.
-    B equals R on the other rows, so B overwrites R.  Returns (B, relative
-    residual, number of coupled rows, capacitance bound)."""
+    guarded by the residual of that block operator: L_rr L_rr^T B_r by
+    panels of the band plus V_r (V_r^T B_r) by :func:`_add_outer`.  B equals
+    R on the other rows, so B overwrites R.  Returns (B, relative residual,
+    number of coupled rows, capacitance bound)."""
     r = np.flatnonzero(~L_mod.unit_rows() | V.any(axis=1))
     L, V_r, R_r = L_mod.principal(r), V[r], R[r]
     B_r, cond = _smw(L, V_r, R_r)
     res = L.panel_multiply(L.panel_multiply(B_r.copy(), trans=True))
-    n_r, n_d = B_r.shape
-    if n_r < n_d:
-        res += (V_r @ V_r.T) @ B_r
-    else:
-        _add_outer(res, V_r, B_r)
+    _add_outer(res, V_r, B_r)
     res -= R_r
     rel = _guard("fundamental-solution", res, R)
     R[r] = B_r

@@ -77,6 +77,9 @@ __all__ = [
 # no faster.
 _CHUNK_DOUBLES = 1 << 18
 
+# Radius factor of the one retry of a support short of basis_size nodes.
+_SUPPORT_GROWTH = 1.5
+
 # Largest trace(R^-1) = ||L^-1||_F^2 accepted for a correlation matrix R.
 # It bounds ||R^-1|| and, as 0 <= S_b <= R^-1 for the transfer matrix
 # S_b = R^-1 (I - P (P^T R^-1 P)^-1 P^T R^-1), the size of S_b too, which
@@ -165,7 +168,7 @@ def find_supports(points, cloud: NodeCloud, d_c, cfg: MeshlessConfig
     """Closed-ball supports of radius d_m = alpha * d_c around each point.
 
     A point whose ball captures fewer nodes than the polynomial basis size
-    is searched once more with the radius grown by ``cfg.support_growth``;
+    is searched once more with the radius grown by ``_SUPPORT_GROWTH``;
     if it is still short it is flagged ``deficient``.
     """
     points = np.asarray(points, dtype=float).reshape(-1, cloud.dim)
@@ -177,7 +180,7 @@ def find_supports(points, cloud: NodeCloud, d_c, cfg: MeshlessConfig
     short = np.flatnonzero(counts < m)
     if len(short):
         radius = radius.copy()
-        radius[short] *= cfg.support_growth
+        radius[short] *= _SUPPORT_GROWTH
         grown = _ball_rows(cloud, points[short], radius[short])
         for g, rows in zip(short, grown):
             lists[g] = rows

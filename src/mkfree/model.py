@@ -130,10 +130,6 @@ class BackgroundGrid:
     def dim(self) -> int:
         return len(self.counts)
 
-    def cells(self):
-        """Every cell index, in row-major order."""
-        return list(np.ndindex(*self.counts))
-
     @cached_property
     def gauss(self):
         """The 2^dim-point Gauss-Legendre rule of every cell, cells in
@@ -141,7 +137,7 @@ class BackgroundGrid:
         quadrature weight times jacobian, summing to each cell's measure --
         and the owning cell indices (G, dim).  Computed on first use."""
         d = self.dim
-        cells = np.array(self.cells(), dtype=np.int64).reshape(-1, d)
+        cells = np.indices(self.counts).reshape(d, -1).T
         lo = self.origin + cells * self.cell_size
         hi = lo + self.cell_size
         center = 0.5 * (lo + hi)

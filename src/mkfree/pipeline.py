@@ -180,8 +180,8 @@ def _restrict(case: ModifiedCase, U: np.ndarray) -> FieldSolution:
 def run_ca(case: ModifiedCase, s: int = 10):
     """CA reanalysis; returns (U, FieldSolution, diagnostics dict)."""
     mask = case.dof_map.carries(case.cloud_mod)
-    U, basis, reduced = _ca.ca_solve(case.factor, case.dK, case.K_m, case.F,
-                                     s, mask=mask)
+    U, _, reduced = _ca.ca_solve(case.factor, case.dK, case.K_m, case.F, s,
+                                 mask=mask)
     residual = float(np.linalg.norm(case.K_m @ U - case.F)
                      / max(np.linalg.norm(case.F), 1e-300))
     diag = {"method": "ca", "s": s, "rank": reduced.rank,

@@ -119,10 +119,6 @@ class StiffnessDelta:
 
     dK: sp.csr_matrix
 
-    @classmethod
-    def zero(cls, n: int) -> "StiffnessDelta":
-        return cls(dK=sp.csr_matrix((n, n)))
-
 
 def compute_delta(dom: InfluenceDomain, cloud_initial: NodeCloud,
                   cloud_modified: NodeCloud, mat: MaterialModel,
@@ -156,7 +152,8 @@ def local_delta(mod: Modification, cloud_initial: NodeCloud,
             "material change alters every Gauss contribution; "
             "use the global updating strategy")
     if not mod.changes_nodes:
-        return None, StiffnessDelta.zero(dof_map.n_dofs)
+        n = dof_map.n_dofs
+        return None, StiffnessDelta(dK=sp.csr_matrix((n, n)))
     dom = build_influence_domain(changed_nodes(mod), cloud_initial,
                                  cloud_modified, grid, cfg)
     return dom, compute_delta(dom, cloud_initial, cloud_modified, mat,

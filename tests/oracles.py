@@ -8,6 +8,7 @@ scatter), deliberately sharing no code paths with the package internals.
 import numpy as np
 
 from mkfree.assembly import ACTIVITY_FACTOR
+from mkfree.interp import _SUPPORT_GROWTH
 
 _GL = 1.0 / np.sqrt(3.0)
 
@@ -83,7 +84,7 @@ def support_oracle(point, cloud, cfg):
     d_c = spacing_oracle(point, cloud)
     m = cloud.dim + 1
     dist = _distances(point, cloud.coords)
-    for radius in (cfg.alpha * d_c, cfg.alpha * d_c * cfg.support_growth):
+    for radius in (cfg.alpha * d_c, cfg.alpha * d_c * _SUPPORT_GROWTH):
         rows = np.where(dist <= radius * (1.0 + 1e-12))[0]
         if len(rows) >= m:
             return rows[np.argsort(cloud.ids[rows])]

@@ -28,21 +28,21 @@ def _random_system(rng, n, delta_scale=0.1):
 class TestBuildBasis:
     def test_matches_dense_oracle(self, rng):
         K_star, dK, F = _random_system(rng, 10)
-        basis = build_basis(_factor(K_star), dK, F, 4)
+        U_B = build_basis(_factor(K_star), dK, F, 4)
         expect = ca_basis_oracle(K_star, dK.toarray(), F, 4)
-        assert np.allclose(basis.U_B, expect, rtol=1e-10, atol=1e-12)
+        assert np.allclose(U_B, expect, rtol=1e-10, atol=1e-12)
 
     def test_first_column_is_initial_solution(self, rng):
         K_star, dK, F = _random_system(rng, 8)
-        basis = build_basis(_factor(K_star), dK, F, 3)
-        assert np.allclose(basis.U_B[:, 0], np.linalg.solve(K_star, F))
+        U_B = build_basis(_factor(K_star), dK, F, 3)
+        assert np.allclose(U_B[:, 0], np.linalg.solve(K_star, F))
 
     def test_mask_zeroes_inactive_rows(self, rng):
         K_star, dK, F = _random_system(rng, 8)
         mask = np.ones(8, bool)
         mask[[2, 5]] = False
-        basis = build_basis(_factor(K_star), dK, F, 4, mask=mask)
-        assert np.all(basis.U_B[[2, 5], :] == 0.0)
+        U_B = build_basis(_factor(K_star), dK, F, 4, mask=mask)
+        assert np.all(U_B[[2, 5], :] == 0.0)
 
     def test_invalid_s(self, rng):
         K_star, dK, F = _random_system(rng, 5)
@@ -56,18 +56,18 @@ class TestReduceAndSolve:
     def test_galerkin_residual_orthogonality(self, rng):
         K_star, dK, F = _random_system(rng, 20)
         K_m = sp.csr_matrix(K_star + dK.toarray())
-        basis = build_basis(_factor(K_star), dK, F, 5)
-        red = reduce_and_solve(basis.U_B, K_m, F)
-        U = combine(basis.U_B, red.y)
+        U_B = build_basis(_factor(K_star), dK, F, 5)
+        red = reduce_and_solve(U_B, K_m, F)
+        U = combine(U_B, red.y)
         # residual orthogonal to the basis subspace
         r = F - K_m @ U
-        assert np.abs(basis.U_B.T @ r).max() <= 1e-8 * np.linalg.norm(F)
+        assert np.abs(U_B.T @ r).max() <= 1e-8 * np.linalg.norm(F)
 
     def test_zero_load(self, rng):
         K_star, dK, _ = _random_system(rng, 6)
-        basis = build_basis(_factor(K_star), dK, np.zeros(6), 3)
-        red = reduce_and_solve(basis.U_B, sp.csr_matrix(K_star), np.zeros(6))
-        assert np.all(combine(basis.U_B, red.y) == 0.0)
+        U_B = build_basis(_factor(K_star), dK, np.zeros(6), 3)
+        red = reduce_and_solve(U_B, sp.csr_matrix(K_star), np.zeros(6))
+        assert np.all(combine(U_B, red.y) == 0.0)
 
     def test_collinear_columns_truncated(self, rng):
         K_star, _, F = _random_system(rng, 8)

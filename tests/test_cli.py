@@ -293,9 +293,19 @@ class TestBench:
         {"cases": [{"nx": 9, "ny": 7, "mod": {"kind": "hole", "half": 1.6}}]},
         {"cases": [{"nx": 9, "ny": 7, "mod": {"kind": "hole"},
                     "basis": 6.5}]},
+        {"cases": [{"nx": 9, "ny": 7, "pitch": 0, "mod": {"kind": "hole"}}]},
+        {"cases": [{"nx": 9, "ny": 7, "pitch": float("nan"),
+                    "mod": {"kind": "hole"}}]},
+        {"cases": [{"nx": 9, "ny": 7, "mod": {"kind": "hole", "half": -1}}]},
+        {"cases": [{"nx": 9, "ny": 7,
+                    "mod": {"kind": "ellipse", "a": 0, "b": 2}}]},
+        {"cases": [{"nx": 9, "ny": 7,
+                    "mod": {"kind": "ellipse", "a": -3, "b": 2}}]},
     ], ids=["list", "non-object-case", "non-numeric-nx", "non-numeric-pitch",
             "non-numeric-basis", "infinite-nx", "infinite-basis",
-            "fractional-nx", "fractional-half", "fractional-basis"])
+            "fractional-nx", "fractional-half", "fractional-basis",
+            "zero-pitch", "nan-pitch", "negative-half", "zero-axis",
+            "negative-axis"])
     def test_malformed_family_is_validation_error(self, tmp_path, capsys,
                                                   family_json):
         family = tmp_path / "family.json"

@@ -298,17 +298,22 @@ class TestCoupledBlock:
 
     def test_blocked_outer_product_matches_dense(self, rng):
         """The guard's V (V^T B) by row-restricted column blocks equals the
-        dense product, over several blocks and with empty columns."""
+        dense product, over several blocks and with empty columns, for V and
+        for V_r, V on the rows it touches, which has more columns than rows
+        (n_r < n_d)."""
         n = 700
         K = _clamped(_banded_spd(rng, n, 15), np.arange(40, 60))
         factor = CholeskyFactor(L0=np.linalg.cholesky(K))
         S_d = np.sort(rng.choice(n, 3 * ifu._V_BLOCK + 5, replace=False))
         _, V = constrain_factor(factor, S_d)
-        B = rng.standard_normal((n, len(S_d)))
-        out = rng.standard_normal(B.shape)
-        expect = out + V @ (V.T @ B)
-        ifu._add_outer(out, V, B)
-        assert np.abs(out - expect).max() <= 1e-12 * np.abs(expect).max()
+        V_r = V[V.any(axis=1)]
+        assert V_r.shape[0] < V_r.shape[1]
+        for W in (V, V_r):
+            B = rng.standard_normal((len(W), len(S_d)))
+            out = rng.standard_normal(B.shape)
+            expect = out + W @ (W.T @ B)
+            ifu._add_outer(out, W, B)
+            assert np.abs(out - expect).max() <= 1e-12 * np.abs(expect).max()
 
     @given(seed=st.integers(0, 2 ** 32 - 1),
            n=st.integers(4, 3 * solver._PANEL + 40),

@@ -52,7 +52,7 @@ class TestSelectSupport:
         cloud = NodeCloud(ids=np.arange(5),
                           coords=[[0, 0], [1.2, 0], [0, 1.2], [1.2, 1.2],
                                   [2.4, 0]], dim=2)
-        cfg = MeshlessConfig(alpha=0.8, support_growth=1.5)
+        cfg = MeshlessConfig(alpha=0.8)
         sel = select_support([0.0, 0.0], cloud, cfg)
         assert sel.n >= 3
         assert sel.radius > cfg.alpha * sel.d_c
@@ -60,7 +60,7 @@ class TestSelectSupport:
     def test_deficiency_raises(self):
         cloud = NodeCloud(ids=[0, 1, 2],
                           coords=[[0, 0], [10, 0], [0, 10]], dim=2)
-        cfg = MeshlessConfig(alpha=0.1, support_growth=1.1)
+        cfg = MeshlessConfig(alpha=0.1)
         with pytest.raises(SupportDeficiencyError) as err:
             select_support([5.0, 5.0], cloud, cfg)
         assert err.value.needed == 3

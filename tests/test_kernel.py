@@ -96,7 +96,7 @@ def test_support_grows_once_then_raises(rng):
     cloud = jittered_cloud(rng, 5, 5, jitter=0.0)
     points = np.array([[2.5, 2.5], [2.0, 2.0]])
     _, d_c = spacing(points, cloud)
-    cfg = MeshlessConfig(alpha=0.75, support_growth=1.5)
+    cfg = MeshlessConfig(alpha=0.75)
     sup = find_supports(points, cloud, d_c, cfg)
     # the first ball holds 4 nodes; the second holds 1 and grows once
     assert sup.sizes.tolist() == [4, 5]
@@ -104,10 +104,10 @@ def test_support_grows_once_then_raises(rng):
     assert sup.radius[1] == 0.75 * d_c[1] * 1.5
     assert not sup.deficient.any()
 
-    cfg = MeshlessConfig(alpha=0.3, support_growth=1.1)
+    cfg = MeshlessConfig(alpha=0.3)
     sup = find_supports(points, cloud, d_c, cfg)
     assert sup.deficient.tolist() == [True, True]
-    assert np.allclose(sup.radius, 0.3 * 1.1 * d_c)
+    assert np.allclose(sup.radius, 0.3 * 1.5 * d_c)
     with pytest.raises(SupportDeficiencyError) as err:
         sup.require(points)
     assert (err.value.found, err.value.needed) == (0, 3)
