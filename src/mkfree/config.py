@@ -4,6 +4,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .errors import ValidationError
+
 
 @dataclass(frozen=True)
 class MeshlessConfig:
@@ -23,10 +25,9 @@ class MeshlessConfig:
     theta: float = 1.0
 
     def __post_init__(self):
-        if self.alpha <= 0:
-            raise ValueError("alpha must be positive")
-        if self.theta <= 0:
-            raise ValueError("theta must be positive")
+        for name in ("alpha", "theta"):
+            if not 0 < getattr(self, name) < float("inf"):
+                raise ValidationError(f"{name} must be finite and positive")
 
 
 DEFAULT_CONFIG = MeshlessConfig()

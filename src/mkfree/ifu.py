@@ -16,9 +16,9 @@ solve on L_rr and a Cholesky factor of the SPD capacitance matrix.
 
 :func:`ifu_solve` is the composition of the public phases below, and
 every phase runs on the banded factor: :func:`constrain_factor` copies
-the band with S_d constrained, :func:`fundamental_solutions` takes the
-coupled rows r and L_rr from that copy (:meth:`CholeskyFactor.unit_rows`,
-:meth:`CholeskyFactor.principal`), and the triangular solves and products
+the band with S_d constrained, :func:`fundamental_solutions` re-indexes
+that copy onto its coupled rows r (:meth:`CholeskyFactor.unit_rows`,
+:meth:`CholeskyFactor.reindex`), and the triangular solves and products
 go by panels of the band.  No n x n array is built.
 
 Guards: the fundamental solutions are checked against the operator SMW
@@ -178,12 +178,13 @@ def _add_outer(out: np.ndarray, V: np.ndarray, B: np.ndarray):
 
 def _fundamental(L_mod: CholeskyFactor, V: np.ndarray, R: np.ndarray):
     """Solve (L_mod L_mod^T + V V^T) B = R with SMW on the coupled rows r,
-    guarded by the residual of that block operator: L_rr L_rr^T B_r by
-    panels of the band plus V_r (V_r^T B_r) by :func:`_add_outer`.  B equals
-    R on the other rows, so B overwrites R.  Returns (B, relative residual,
-    number of coupled rows, capacitance bound)."""
+    on L_rr = ``L_mod.reindex(r)``: the other rows are unit rows of L_mod,
+    linked to no row of r, and B equals R there, so B overwrites R.  The
+    guard is the residual of the block operator: L_rr L_rr^T B_r by panels
+    of the band plus V_r (V_r^T B_r) by :func:`_add_outer`.  Returns (B,
+    relative residual, number of coupled rows, capacitance bound)."""
     r = np.flatnonzero(~L_mod.unit_rows() | V.any(axis=1))
-    L, V_r, R_r = L_mod.principal(r), V[r], R[r]
+    L, V_r, R_r = L_mod.reindex(r), V[r], R[r]
     B_r, cond = _smw(L, V_r, R_r)
     res = L.panel_multiply(L.panel_multiply(B_r.copy(), trans=True))
     _add_outer(res, V_r, B_r)

@@ -214,6 +214,10 @@ class BoundaryConditions:
             "point load and traction values")
 
     def validate_against(self, cloud: NodeCloud):
+        for k, t in enumerate(self.tractions):
+            if any(a.shape != (cloud.dim,) for a in (t.start, t.end, t.q)):
+                raise ValidationError(f"traction {k}: start, end and q need "
+                                      f"{cloud.dim} components each")
         fixed = set(self.fixed_dofs)
         for node_id, axis in self.fixed_dofs:
             if not cloud.has_node(node_id):

@@ -70,13 +70,10 @@ def _lift(baseline: Baseline, dof_map: DofMap):
     embedding ``P[perm[k], k] = 1`` and ``I_a = I - P P^T`` the unit
     diagonal on the DOFs the initial cloud does not carry, a matrix A lifts
     to ``P A P^T + I_a`` and a vector v to ``P v``.  The factor lifts the
-    same way for every id order: as ``P^T P = I`` and ``P^T I_a = 0``,
-    ``L = P L0 P^T + I_a`` gives ``L L^T = P K* P^T + I_a``, and as
-    ``perm`` increases (both id lists are sorted), L is lower triangular
-    with a positive diagonal: the Cholesky factor of the lifted K*.  This
-    is the simplest case of inserting rows and columns into a factor (Davis
-    & Hager, SIAM J. Matrix Anal. Appl. 20(3), 1999), done on the band by
-    :meth:`CholeskyFactor.embed`.
+    same way for every id order, ``L = P L0 P^T + I_a``, which is
+    :meth:`CholeskyFactor.reindex` of L0 with union DOF ``perm[k]`` taken
+    from initial DOF k and the others unit.  As ``perm`` increases (both
+    id lists are sorted), L is the Cholesky factor of the lifted K*.
 
     Returns the lifted BC-applied system, raw K, factor and displacement;
     with no added node the matrices and the factor are returned uncopied.
@@ -98,8 +95,10 @@ def _lift(baseline: Baseline, dof_map: DofMap):
 
     F_star = np.zeros(N)
     F_star[perm] = system.F
+    src = np.full(N, -1)
+    src[perm] = np.arange(len(perm))
     return (StiffnessSystem(K=lift(system.K), F=F_star, dof_map=dof_map),
-            lift(baseline.raw.K), baseline.factor.embed(perm, N), U_star)
+            lift(baseline.raw.K), baseline.factor.reindex(src), U_star)
 
 
 @dataclass(frozen=True)

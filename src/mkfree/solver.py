@@ -10,8 +10,10 @@ goes through LAPACK's banded solve; a block of them goes through
 :meth:`CholeskyFactor.panel_solve`, and a block product with L or L^T
 through :meth:`CholeskyFactor.panel_multiply`, both level-3 BLAS on panels
 of the band.  Reanalysis reads the factor through its ``columns``,
-``constrained``, ``unit_rows``, ``principal`` and ``embed`` methods, none
-of which builds a dense n x n matrix; ``np.asarray(factor)`` (its
+``constrained`` and ``unit_rows`` methods, and moves it to another DOF set
+through ``reindex``: IFU takes the coupled rows of a constrained factor,
+and a node insertion lifts the initial factor onto the union DOF space.
+None of them builds a dense n x n matrix; ``np.asarray(factor)`` (its
 ``__array__``) is the one dense view, for tests.
 """
 
@@ -123,60 +125,44 @@ class CholeskyFactor:
             linked[d:] |= nz
         return (self.ab[0] == 1.0) & ~linked
 
-    def principal(self, r: np.ndarray) -> "CholeskyFactor":
-        """L[r, r] for ascending ``r``, a lower-triangular factor in its own
-        right, on a band as wide as its nonzeros.  Entry (r[c + d], r[c])
-        lies r[c + d] - r[c] >= d rows below the diagonal of L, so that
-        band is no wider than L's.
+    def reindex(self, src: np.ndarray) -> "CholeskyFactor":
+        """R with R[t', t] = L[src[t'], src[t]], and a decoupled unit DOF t
+        where ``src[t] < 0``, on a band as wide as its nonzeros.
 
-        r splits into maximal runs of consecutive DOFs.  The band of a run's
-        leading columns, whose rows all lie in the run, is copied as one
-        block.  From the other columns of a run to the rows of a run at or
-        after it, band diagonal d of L becomes diagonal d - shift of
-        L[r, r], with shift the number of DOFs outside r between the two
-        runs: one masked block copy per pair of runs within the band.
-        """
-        w, n_r = self.ab.shape[0], len(r)
-        starts = np.flatnonzero(np.diff(r, prepend=-2) != 1)
-        runs = list(zip(starts, np.r_[starts[1:], n_r]))
-        sub = np.zeros((w, n_r))
-        for i, (c0, c1) in enumerate(runs):         # columns r[c0:c1]
-            j0, j1 = r[c0], r[c1 - 1] + 1
-            m = max(0, j1 - j0 - w + 1)
-            sub[:, c0:c0 + m] = self.ab[:, j0:j0 + m]
-            for a, b in runs[i:]:                   # rows r[a:b]
-                k0, k1 = r[a], r[b - 1] + 1
-                if k0 >= j1 - 1 + w:
-                    break
-                j = max(j0 + m, k0 - w + 1)        # first column reaching k0
-                if j >= j1:
-                    continue
-                lo, hi = max(0, k0 - (j1 - 1)), min(w, k1 - j)
-                shift = (k0 - a) - (j0 - c0)
-                row = np.arange(j, j1) + np.arange(lo, hi)[:, None]
-                np.copyto(sub[lo - shift:hi - shift, c0 + j - j0:c1],
-                          self.ab[lo:hi, j:j1],
-                          where=(row >= k0) & (row < k1))
-        return CholeskyFactor(
-            ab=sub[:np.flatnonzero(sub.any(axis=1)).max(initial=0) + 1])
-
-    def embed(self, perm: np.ndarray, N: int) -> "CholeskyFactor":
-        """The factor of P K P^T + I_a on N DOFs, with P[perm[k], k] = 1 and
-        I_a the unit diagonal off ``perm``, for increasing ``perm``.
-
-        L scatters to P L P^T, which stays lower triangular as ``perm``
-        increases: band entry (d, j) moves to diagonal perm[j + d] - perm[j]
-        of column perm[j], and the band widens to the widest such gap.
+        ``src`` must increase on its kept entries, DOFs of L (ValueError
+        otherwise), so entry (t', t) with t < t' comes from below L's
+        diagonal: R is lower triangular, and R R^T is L L^T re-indexed alike.
+        So R is the Cholesky factor of that matrix when no column ``src``
+        drops has an entry in a row it keeps: the coupled rows of a
+        constrained factor, or an insertion of unit DOFs (Davis & Hager, SIAM
+        J. Matrix Anal. Appl. 20(3), 1999).  A kept gap src[t'] - src[t] is
+        at least t' - t less the unit DOFs between, and L has no gap past
+        w - 1, so R has at most w + (unit DOFs) diagonals: each is one
+        gather from the flat band, kept where the gap is in 1..w - 1 (a unit
+        DOF, at column -w, puts all its gaps outside).
         """
         w, n = self.ab.shape
-        i = np.arange(n) + np.arange(w)[:, None]
-        ok = i < n
-        col = np.broadcast_to(perm, i.shape)[ok]
-        gap = perm[i[ok]] - col
-        ab = np.zeros((int(gap.max(initial=0)) + 1, N))
-        ab[0] = 1.0
-        ab[gap, col] = self.ab[ok]
-        return CholeskyFactor(ab=ab)
+        src = np.asarray(src, dtype=np.intp)
+        unit = src < 0
+        kept = src[~unit]
+        if src.ndim != 1 or np.any(kept >= n) or np.any(np.diff(kept) <= 0):
+            raise ValueError(f"src must be increasing where >= 0, and < {n}")
+        N = len(src)
+        out = np.zeros((min(w + N - len(kept), N) if len(kept) > 1 else 1, N))
+        out[0] = 1.0
+        out[0, ~unit] = self.ab[0, kept]
+        ab = self.ab if self.ab.flags.forc else np.ascontiguousarray(self.ab)
+        flat = ab.ravel("K")                # ab[g, c] at g step + c stride
+        step, stride = (s // ab.itemsize for s in ab.strides)
+        col = np.where(unit, -w, src)
+        off = col * stride
+        for e in range(1, out.shape[0]):
+            gap = col[e:] - col[:N - e]
+            np.copyto(out[e, :N - e],
+                      flat.take(gap * step + off[:N - e], mode="clip"),
+                      where=(gap > 0) & (gap < w))
+        return CholeskyFactor(
+            ab=out[:np.flatnonzero(out.any(axis=1)).max(initial=0) + 1])
 
     def apply_inverse(self, rhs: np.ndarray) -> np.ndarray:
         """K^-1 rhs through the two banded triangular solves."""

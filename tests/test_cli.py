@@ -119,6 +119,17 @@ class TestInvalidNumbers:
         assert rc == 2
         assert "must be finite" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key, value", [
+        ("from", [7, 0, 0]), ("q", [1, 0, 5]), ("to", [7]), ("q", [1]),
+    ], ids=["long-from", "long-q", "short-to", "short-q"])
+    def test_traction_of_wrong_length_is_validation_error(
+            self, small_files, tmp_path, capsys, key, value):
+        model, _ = small_files
+        bad = _edited(model, tmp_path, ("bc", "tractions", 0, key), value)
+        rc = main(["solve", str(bad), "-o", str(tmp_path / "out")])
+        assert rc == 2
+        assert "traction 0" in capsys.readouterr().err
+
     def test_overflowing_number_is_validation_error(self, small_files,
                                                     tmp_path, capsys):
         model, _ = small_files

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mkfree.config import MeshlessConfig
 from mkfree.errors import ParseError, ValidationError
 from mkfree.model import (BackgroundGrid, BoundaryConditions, MaterialModel,
                           Modification, NodeCloud, Traction,
@@ -74,6 +75,15 @@ class TestMaterial:
     def test_rejects_nonfinite_modulus(self, E):
         with pytest.raises(ValidationError):
             MaterialModel(young_modulus=E, poisson_ratio=0.3)
+
+
+class TestMeshlessConfig:
+    @pytest.mark.parametrize("value", [0.0, -1.0, np.nan, np.inf])
+    @pytest.mark.parametrize("name", ["alpha", "theta"])
+    def test_rejects_values_that_are_not_finite_and_positive(self, name,
+                                                             value):
+        with pytest.raises(ValidationError, match=f"{name} must be finite"):
+            MeshlessConfig(**{name: value})
 
 
 class TestBoundaryConditions:

@@ -6,20 +6,22 @@ modified stiffness against a BC-applied global reassembly, the delta
 against K_m - K*, and IFU against a full re-solve.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from mkfree import demos, ifu, pipeline
 from mkfree.assembly import StiffnessSystem, apply_bcs, assemble_load
 from mkfree.model import (BoundaryConditions, MaterialModel, Modification,
-                          NodeCloud)
+                          NodeCloud, apply_modification)
 from mkfree.pipeline import (full_analysis, prepare_modified, run_ca,
                              run_full_modified, run_ifu)
 from mkfree.recovery import error_metrics
 from mkfree.solver import CholeskyFactor
 from mkfree.update import global_update
 
-from conftest import cantilever_bc, ifu_default_tol
+from conftest import cantilever_bc, grid_for, ifu_default_tol, jittered_cloud
 
 
 @pytest.fixture
@@ -159,11 +161,38 @@ def test_insertion_with_interleaved_ids(small_model, monkeypatch, dim):
     K = case.star.K.toarray()
     L0 = np.asarray(case.factor)
     assert np.abs(L0 @ L0.T - K).max() <= 1e-13 * np.abs(K).max()
-    # the run-by-run copy is the plain scatter of the initial factor
+    # the lifted factor is the plain scatter of the initial one
     perm = case.dof_map.dofs_of(np.sort(ids))
     ref = np.eye(case.dof_map.n_dofs)
     ref[np.ix_(perm, perm)] = np.asarray(base.factor)
     assert np.array_equal(L0, ref)
+
+
+def test_insertion_lift_memory_stays_near_the_lifted_band():
+    """Lifting the baseline for a 3-node insertion holds at most 2.5 times
+    the bytes of the lifted band at its peak.  Shuffled ids widen the band
+    to about n, so the band, not the sparse stiffness, is the largest array
+    the lift makes; a lift that builds band-sized index arrays exceeds the
+    bound."""
+    rng = np.random.default_rng(3)
+    lattice = jittered_cloud(rng, 24, 12, jitter=0.2)
+    cloud = NodeCloud(ids=rng.permutation(lattice.n_nodes),
+                      coords=lattice.coords, dim=2)
+    base = full_analysis(cloud, grid_for(cloud, pad=0.3),
+                         MaterialModel(100.0, 0.3), cantilever_bc(cloud))
+    n = cloud.n_nodes
+    mod = Modification(added_ids=(n, n + 1, n + 2),
+                       added_coords=[[11.5, 5.5], [6.5, 6.5], [17.5, 3.5]])
+    _, dof_map = apply_modification(base.cloud, mod, base.bc)
+    tracemalloc.start()
+    try:
+        _, _, factor, _ = pipeline._lift(base, dof_map)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert factor.n == base.factor.n + 6
+    assert factor.ab.shape[0] >= 0.9 * factor.n
+    assert peak <= 2.5 * factor.ab.nbytes
 
 
 def _half_bandwidth(K):

@@ -106,3 +106,71 @@ def test_only_the_solver_reads_the_band():
                if p.name != "solver.py"
                and re.search(r"\.ab\b", p.read_text())]
     assert readers == []
+
+
+def _banded_factor(rng, n, b, layout):
+    """A random lower-triangular factor of half-bandwidth at most b, with
+    scattered zeros in its band, stored C-ordered (a copied band),
+    Fortran-ordered (factorize leaves LAPACK's order) or as a strided view."""
+    i, j = np.indices((n, n))
+    L = np.where((i >= j) & (i - j <= b) & (rng.random((n, n)) < 0.8),
+                 rng.standard_normal((n, n)), 0.0)
+    L[np.arange(n), np.arange(n)] = 1.0 + rng.random(n)
+    ab = CholeskyFactor(L0=L).ab
+    if layout == "F":
+        ab = np.asfortranarray(ab)
+    elif layout == "strided":
+        ab = np.repeat(ab, 2, axis=1)[:, ::2]
+    return L, CholeskyFactor(ab=ab)
+
+
+def _reindexed(L, src):
+    """Dense oracle of CholeskyFactor.reindex: L[src, src], with the
+    identity's row and column where src < 0."""
+    out = np.eye(len(src))
+    t = np.flatnonzero(src >= 0)
+    out[np.ix_(t, t)] = L[np.ix_(src[t], src[t])]
+    return out
+
+
+def _increasing_map(rng, n, kind):
+    """An increasing map onto a subset of range(n) ("drop"), onto all of it
+    with unit DOFs inserted ("insert"), or both."""
+    keep = (np.sort(rng.choice(n, int(rng.integers(0, n + 1)), replace=False))
+            if kind != "insert" else np.arange(n))
+    N = len(keep) + (int(rng.integers(1, 6)) if kind != "drop" else 0)
+    src = np.full(N, -1)
+    src[np.sort(rng.choice(N, len(keep), replace=False))] = keep
+    return src
+
+
+@pytest.mark.parametrize("kind", ["drop", "insert", "both"])
+def test_reindex_matches_dense_oracle(kind):
+    """reindex equals L[src, src] with unit DOFs, bit for bit, on a band
+    as wide as its nonzeros and no wider than w plus the unit DOFs; the
+    maps include empty results (N = 0) and diagonal factors (w = 1)."""
+    rng = np.random.default_rng(["drop", "insert", "both"].index(kind))
+    cases = [(0, 0), (1, 0), (6, 0), (12, 0)] + [
+        (n, int(rng.integers(0, n))) for n in rng.integers(1, 40, 100)]
+    for k, (n, b) in enumerate(cases):
+        L, factor = _banded_factor(rng, n, b, ("C", "F", "strided")[k % 3])
+        maps = [_increasing_map(rng, n, kind) for _ in range(3)]
+        if kind == "drop":
+            maps.append(np.zeros(0, dtype=int))
+        for src in maps:
+            R = factor.reindex(src)
+            assert np.array_equal(np.asarray(R), _reindexed(L, src))
+            widest = np.flatnonzero(R.ab.any(axis=1)).max(initial=0)
+            assert R.ab.shape[0] == widest + 1
+            assert R.ab.shape[0] <= factor.ab.shape[0] + np.sum(src < 0)
+
+
+@pytest.mark.parametrize("src", [[1, 0, 2], [0, 2, 2], [-1, 3, -1, 1],
+                                 [0, 4]],
+                         ids=["decreasing", "repeated", "decreasing-past-unit",
+                              "out-of-range"])
+def test_reindex_rejects_a_map_that_is_not_increasing(src):
+    factor = CholeskyFactor(L0=np.linalg.cholesky(random_spd(
+        np.random.default_rng(0), 4)))
+    with pytest.raises(ValueError, match="increasing"):
+        factor.reindex(np.array(src))
