@@ -12,7 +12,13 @@ DOFs, DOFs a configuration does not carry).  On decoupled rows the
 fundamental solution equals the right-hand side; on the coupled rows r the
 operator is K*[r, r] = L_rr L_rr^T + V_r V_r^T, and SMW (Hager, SIAM
 Review 31(2), 1989) solves it with one forward and one back triangular
-solve on L_rr and a Cholesky factor of the SPD capacitance matrix.
+solve on L_rr and a Cholesky factor of the SPD capacitance matrix, taken
+on the smaller side: I + W W^T over the coupled rows SMW reaches when
+they are fewer than the n_d columns (the push-through form), I + W^T W
+otherwise.  The fundamental solutions are the identity on S_d, so the
+reduced system K_R = K_u B over S_d is K_m[S_d, S_d] plus the product of
+K_u's other columns with B, and its rows that are a removed node's lone
+diagonal are read off without the dense LU.
 
 :func:`ifu_solve` is the composition of the public phases below, and
 every phase runs on the banded factor: :func:`constrain_factor` copies
@@ -40,6 +46,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 from scipy.linalg import LinAlgError, cho_solve, cholesky
+from scipy.linalg.blas import dtrsm
 
 from .errors import NumericalError
 from .solver import CholeskyFactor
@@ -134,30 +141,37 @@ def constraint_rhs(K_m: sp.spmatrix, S_d: np.ndarray) -> np.ndarray:
 def _smw(L: CholeskyFactor, V: np.ndarray, R: np.ndarray):
     """Solve (L L^T + V V^T) X = R for lower-triangular L through SMW.
 
-    With Y = L^-1 R and W = L^-1 V from one forward panel solve, the
-    capacitance C = I + W^T W = G G^T is SPD and
-    X = L^-T (Y - W C^-1 W^T Y).  Rows of [R V] above its first nonzero
-    row k give zero rows of Y and W, so the products run on rows k: only,
-    and W C^-1 W^T Y is grouped by whichever of n_r - k and n_d is
-    smaller.  Returns X and (max/min of diag G)^2, a lower bound on
-    cond(C).
+    With Y = L^-1 R and W = L^-1 V from one forward panel solve,
+    X = L^-T (Y - W (I + W^T W)^-1 W^T Y).  Rows of [R V] above its first
+    nonzero row k give zero rows of Y and W, so the dense work runs on the
+    n_r' = n_r - k rows below.  The capacitance is factored on the smaller
+    side: when 0 < n_r' < n_d, the push-through identity gives
+    Y - W (I + W^T W)^-1 W^T Y = (I + W W^T)^-1 Y, one Cholesky factor of
+    the n_r' x n_r' matrix and two triangular solves on Y in place;
+    otherwise I + W^T W (n_d x n_d) is factored, and with n_r' = 0 X is
+    zero.  Either capacitance is SPD, G G^T.  Returns X and
+    (max/min of diag G)^2, a lower bound on cond(G G^T).
     """
     n_r, n_d = R.shape
     YW = np.empty((n_r, 2 * n_d))
     YW[:, :n_d], YW[:, n_d:] = R, V
     k = int(np.append(YW.any(axis=1), True).argmax())
     Y, W = L.panel_solve(YW)[k:, :n_d], YW[k:, n_d:]
+    push = 0 < n_r - k < n_d
     try:
-        G = cholesky(np.eye(n_d) + W.T @ W, lower=True, check_finite=False)
+        G = cholesky(np.eye(n_r - k) + W @ W.T if push
+                     else np.eye(n_d) + W.T @ W,
+                     lower=True, check_finite=False)
     except LinAlgError as exc:
         raise NumericalError(
             "SMW capacitance matrix is singular; fall back to a full "
             "re-factorization") from exc
     X = np.zeros((n_r, n_d))
     X[k:] = Y
-    if n_r - k < n_d:
-        X[k:] -= (W @ cho_solve((G, True), W.T, check_finite=False)) @ Y
-    else:
+    if push:        # X^T G G^T = Y^T by two triangular solves, in place
+        dtrsm(1.0, G, X[k:].T, side=1, lower=1, trans_a=1, overwrite_b=1)
+        dtrsm(1.0, G, X[k:].T, side=1, lower=1, overwrite_b=1)
+    elif k < n_r:
         X[k:] -= W @ cho_solve((G, True), W.T @ Y, check_finite=False)
     L.panel_solve(X, trans=True)
     d = np.diagonal(G)
@@ -209,12 +223,39 @@ def fundamental_solutions(L_mod: CholeskyFactor, V: np.ndarray,
 
 def reduce_unbalanced(K_m: sp.spmatrix, S_d: np.ndarray, B: np.ndarray,
                       delta: np.ndarray):
-    """Reduced system over the unbalanced DOFs: K_R = K_u B, K_R y = delta_u."""
+    """Reduced system over the unbalanced DOFs: K_R = K_u B, K_R y = delta_u,
+    with K_u the rows S_d of K_m.
+
+    B must be the identity on its rows S_d, as the fundamental solutions
+    are (those rows are decoupled, where B = R).  So K_R is
+    K_m[S_d, S_d] plus K_u B with K_u's entries in S_d columns left out.
+    A row of K_u whose only entry is its own diagonal K_ss (typically a
+    removed node's DOF) is a scaled unit row of K_R: y there is
+    delta_u / K_ss, and the dense LU runs on the other rows only.
+    Returns (K_R, delta_u, y); NumericalError when K_R is singular.
+    """
     K_u = sp.csr_matrix(K_m)[S_d, :]
+    K_u.sum_duplicates()
+    K_u.eliminate_zeros()
     delta_u = np.asarray(delta, dtype=float)[S_d]
+    K_uu = K_u[:, S_d].tocoo()
+    lone = np.diff(K_u.indptr) == (K_uu.diagonal() != 0.0)
+    lone, rest = np.flatnonzero(lone), np.flatnonzero(~lone)
+    in_sd = np.zeros(K_u.shape[1], dtype=bool)
+    in_sd[S_d] = True
+    K_u.data[in_sd[K_u.indices]] = 0.0
+    K_u.eliminate_zeros()
     K_R = K_u @ B
+    K_R[K_uu.row, K_uu.col] += K_uu.data
+    K_ss = K_R[lone, lone]
+    y = np.empty(len(S_d))
     try:
-        y = np.linalg.solve(K_R, delta_u)
+        if not np.all(K_ss != 0.0):
+            raise LinAlgError("a lone diagonal is zero")
+        y[lone] = delta_u[lone] / K_ss
+        y[rest] = np.linalg.solve(
+            K_R[np.ix_(rest, rest)],
+            delta_u[rest] - K_R[np.ix_(rest, lone)] @ y[lone])
     except LinAlgError as exc:
         raise NumericalError(
             "reduced unbalanced system is singular; the modification likely "
@@ -228,7 +269,7 @@ class IfuDiagnostics:
     fund_residual: float
     solve_residual: float
     n_coupled: int              # rows SMW solved; the rest keep B = R
-    capacitance_cond: float     # lower bound on cond(I + W^T W)
+    capacitance_cond: float     # lower bound on cond(factored capacitance)
 
     @property
     def short_circuit(self) -> bool:

@@ -73,7 +73,10 @@ def _lift(baseline: Baseline, dof_map: DofMap):
     same way for every id order, ``L = P L0 P^T + I_a``, which is
     :meth:`CholeskyFactor.reindex` of L0 with union DOF ``perm[k]`` taken
     from initial DOF k and the others unit.  As ``perm`` increases (both
-    id lists are sorted), L is the Cholesky factor of the lifted K*.
+    id lists are sorted), L is the Cholesky factor of the lifted K*, and a
+    CSR matrix lifts by scattering its arrays: row k moves to row perm[k]
+    with columns perm[indices], in the same order, and each absent DOF
+    gets a row holding its unit diagonal.
 
     Returns the lifted BC-applied system, raw K, factor and displacement;
     with no added node the matrices and the factor are returned uncopied.
@@ -86,12 +89,23 @@ def _lift(baseline: Baseline, dof_map: DofMap):
     if len(perm) == N:
         return system, baseline.raw.K, baseline.factor, U_star
 
-    unit = dof_map.absent_unit(baseline.cloud)
+    absent = np.setdiff1d(np.arange(N), perm)
+    before = absent - np.arange(len(absent))    # initial DOFs before each
 
     def lift(A):
-        A = A.tocoo()
-        return (sp.csr_matrix((A.data, (perm[A.row], perm[A.col])),
-                              shape=(N, N)) + unit).tocsr()
+        A = sp.csr_matrix(A)
+        at = A.indptr[before]
+        counts = np.ones(N, dtype=A.indptr.dtype)
+        counts[perm] = np.diff(A.indptr)
+        indptr = np.zeros(N + 1, dtype=A.indptr.dtype)
+        np.cumsum(counts, out=indptr[1:])
+        out = sp.csr_matrix(
+            (np.insert(A.data, at, 1.0),
+             np.insert(perm.astype(A.indices.dtype)[A.indices], at, absent),
+             indptr), shape=(N, N))
+        out.sum_duplicates()        # canonical and without stored zeros,
+        out.eliminate_zeros()       # whatever form A has
+        return out
 
     F_star = np.zeros(N)
     F_star[perm] = system.F

@@ -384,6 +384,115 @@ class TestCoupledBlock:
         assert 1.0 <= diag.capacitance_cond <= cond * (1 + 1e-10)
 
 
+class TestSmw:
+    """_smw factors the capacitance on the smaller side, I + W W^T when the
+    rows below the first nonzero row of [R V] (n_r') are fewer than the
+    columns (n_d), else I + W^T W, and solves the same system either way."""
+
+    @pytest.mark.parametrize("n_r_prime, n_d", [(20, 45), (30, 30),
+                                                (60, 25), (0, 12)])
+    def test_matches_dense_solve_on_the_smaller_side(self, rng, monkeypatch,
+                                                     n_r_prime, n_d):
+        n, b = 70, 6
+        L = np.linalg.cholesky(_banded_spd(rng, n, b))
+        factor = CholeskyFactor(L0=L)
+        k = n - n_r_prime
+        R = np.zeros((n, n_d))
+        V = np.zeros((n, n_d))
+        R[k:] = rng.standard_normal((n_r_prime, n_d))
+        V[k:] = rng.standard_normal((n_r_prime, n_d))
+        if n_r_prime:
+            R[k] = 1.0          # row k is the first nonzero one
+        factored = []
+        real = ifu.cholesky
+
+        def recording(C, **kwargs):
+            factored.append(C.copy())
+            return real(C, **kwargs)
+
+        monkeypatch.setattr(ifu, "cholesky", recording)
+        X, cond = ifu._smw(factor, V.copy(), R.copy())
+        exact = np.linalg.solve(L @ L.T + V @ V.T, R)
+        assert np.abs(X - exact).max() <= 1e-12 * max(np.abs(exact).max(), 1)
+        side = min(n_r_prime, n_d) or n_d
+        W = np.linalg.solve(L, V)[k:]
+        C = (np.eye(n_r_prime) + W @ W.T if 0 < n_r_prime < n_d
+             else np.eye(n_d) + W.T @ W)
+        assert [G.shape for G in factored] == [C.shape] == [(side, side)]
+        assert np.abs(factored[0] - C).max() <= 1e-12 * np.abs(C).max()
+        assert 1.0 <= cond <= np.linalg.cond(C) * (1 + 1e-10)
+        if n_r_prime == 0:
+            assert not X.any() and cond == 1.0
+
+    def test_singular_capacitance_raises_on_either_side(self, rng,
+                                                        monkeypatch):
+        factor = CholeskyFactor(L0=np.eye(8))
+
+        def failing(C, **kwargs):
+            raise ifu.LinAlgError("not positive definite")
+
+        monkeypatch.setattr(ifu, "cholesky", failing)
+        for n_d in (3, 12):
+            with pytest.raises(NumericalError, match="capacitance"):
+                ifu._smw(factor, rng.standard_normal((8, n_d)),
+                         rng.standard_normal((8, n_d)))
+
+
+class TestReduceUnbalanced:
+    """reduce_unbalanced against a dense solve of K_u B: rows of K_u whose
+    only entry is their diagonal are read off as delta_u / K_ss."""
+
+    @staticmethod
+    def _system(rng, lone_diag):
+        n = 30
+        S_d = np.array([2, 5, 9, 14, 20, 27])
+        K_m = random_spd(rng, n)
+        lone = S_d[[1, 4]]
+        for s, K_ss in zip(lone, lone_diag):
+            K_m[s, :] = K_m[:, s] = 0.0
+            K_m[s, s] = K_ss
+        B = rng.standard_normal((n, len(S_d)))
+        B[S_d] = np.eye(len(S_d))
+        return sp.csr_matrix(K_m), S_d, B, rng.standard_normal(n)
+
+    @pytest.mark.parametrize("lone_diag", [(), (1.0, 1.0), (3.5, 0.25)],
+                             ids=["no-lone-rows", "unit", "scaled"])
+    def test_matches_dense_solve(self, rng, lone_diag):
+        K_m, S_d, B, delta = self._system(rng, lone_diag)
+        K_R, delta_u, y = reduce_unbalanced(K_m, S_d, B, delta)
+        K_u = K_m.toarray()[S_d]
+        assert np.abs(K_R - K_u @ B).max() <= 1e-13 * np.abs(K_u @ B).max()
+        assert np.array_equal(delta_u, delta[S_d])
+        exact = np.linalg.solve(K_u @ B, delta[S_d])
+        assert np.abs(y - exact).max() <= 1e-12 * np.abs(exact).max()
+
+    def test_row_with_one_entry_off_its_diagonal_is_not_lone(self, rng):
+        """A row of K_u holding one entry, in another column than its own
+        diagonal, is a general row of K_R; it goes through the LU."""
+        K_m, S_d, B, delta = self._system(rng, (2.0,))
+        K = K_m.toarray()
+        K[S_d[2], :] = 0.0
+        K[S_d[2], 3] = 1.5
+        K_R, _, y = reduce_unbalanced(sp.csr_matrix(K), S_d, B, delta)
+        exact = np.linalg.solve(K[S_d] @ B, delta[S_d])
+        assert np.abs(y - exact).max() <= 1e-12 * np.abs(exact).max()
+
+    @pytest.mark.parametrize("stored", [False, True])
+    def test_zero_lone_diagonal_raises(self, rng, stored):
+        """A lone row whose diagonal is zero, absent or stored, makes K_R
+        singular."""
+        K_m, S_d, B, delta = self._system(rng, (2.0, 0.0))
+        if stored:
+            A = K_m.tocoo()
+            K_m = sp.csr_matrix((np.append(A.data, 0.0),
+                                 (np.append(A.row, S_d[4]),
+                                  np.append(A.col, S_d[4]))), shape=A.shape)
+        assert K_m[S_d[4]].nnz == stored
+        with pytest.raises(NumericalError, match="reduced unbalanced system "
+                                                 "is singular"):
+            reduce_unbalanced(K_m, S_d, B, delta)
+
+
 @pytest.fixture(scope="module", params=["plate_with_hole", "notch_fill",
                                         "l_frame_3d"])
 def demo_case(request):

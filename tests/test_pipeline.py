@@ -10,6 +10,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from mkfree import demos, ifu, pipeline
 from mkfree.assembly import StiffnessSystem, apply_bcs, assemble_load
@@ -193,6 +194,67 @@ def test_insertion_lift_memory_stays_near_the_lifted_band():
     assert factor.n == base.factor.n + 6
     assert factor.ab.shape[0] >= 0.9 * factor.n
     assert peak <= 2.5 * factor.ab.nbytes
+
+
+def _coo_lift(A, perm, unit):
+    """The lift P A P^T + I_a through a COO scatter, the reference for the
+    CSR arrays :func:`pipeline._lift` builds directly."""
+    A = A.tocoo()
+    N = unit.shape[0]
+    return (sp.csr_matrix((A.data, (perm[A.row], perm[A.col])), shape=(N, N))
+            + unit).tocsr()
+
+
+def _appended(small_model):
+    cloud, grid, mat, bc = small_model
+    n = int(cloud.ids.max()) + 1
+    return (cloud, grid, mat, bc), Modification(
+        added_ids=(n, n + 1, n + 2),
+        added_coords=[[2.5, 1.5], [6.5, 3.5], [4.5, 2.5]])
+
+
+@pytest.mark.parametrize("ids", ["appended", "interleaved-2d",
+                                 "interleaved-3d"])
+def test_lifted_stiffness_equals_the_coo_scatter(small_model, ids):
+    """The CSR arrays of both lifted stiffness matrices equal those of the
+    COO scatter plus the unit diagonal, entry for entry."""
+    model, mod = {"appended": lambda: _appended(small_model),
+                  "interleaved-2d": lambda: _interleaved_2d(small_model),
+                  "interleaved-3d": _interleaved_3d}[ids]()
+    base = full_analysis(*model)
+    _, dof_map = apply_modification(base.cloud, mod, base.bc)
+    perm = dof_map.dofs_of(base.system.dof_map.node_ids)
+    unit = dof_map.absent_unit(base.cloud)
+    star, K_raw, _, _ = pipeline._lift(base, dof_map)
+    for got, A in ((star.K, base.system.K), (K_raw, base.raw.K)):
+        ref = _coo_lift(A, perm, unit)
+        assert got.shape == ref.shape and got.has_canonical_format
+        for attr in ("data", "indices", "indptr"):
+            assert np.array_equal(getattr(got, attr), getattr(ref, attr))
+
+
+def test_natural_order_lift_memory_stays_near_the_lifted_band():
+    """On the natural-order 48 x 30 plate the two sparse stiffness lifts,
+    not the band, dominate a 3-node insertion's lift: the three results
+    hold 2.7 times the bytes of the lifted band.  Scattering the CSR
+    arrays directly keeps the peak at 2.8 times (3.7 times through a COO
+    scatter)."""
+    cloud = jittered_cloud(np.random.default_rng(5), 48, 30, jitter=0.0)
+    base = full_analysis(cloud, grid_for(cloud), MaterialModel(100.0, 0.3),
+                         cantilever_bc(cloud))
+    n = cloud.n_nodes
+    mod = Modification(added_ids=(n, n + 1, n + 2),
+                       added_coords=[[20.5, 10.5], [30.5, 15.5], [10.5, 5.5]])
+    _, dof_map = apply_modification(base.cloud, mod, base.bc)
+    tracemalloc.start()
+    try:
+        star, _, factor, _ = pipeline._lift(base, dof_map)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert factor.n == base.factor.n + 6
+    assert star.K.nnz > factor.ab.size / 2
+    assert peak <= 3.0 * factor.ab.nbytes
 
 
 def _half_bandwidth(K):
