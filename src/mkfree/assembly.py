@@ -5,13 +5,20 @@ Each cell carries a 2x2 (2x2x2 in 3D) Gauss-Legendre rule, cached on the
 grid as arrays (``BackgroundGrid.gauss``).  A Gauss point contributes only
 when it lies inside the material domain, which a node cloud represents
 implicitly: the point must have a cloud node within
-``ACTIVITY_FACTOR * d_c``.  The global assembler and the local delta
-updater both integrate through :func:`integrate_stiffness`, which writes
-each point's strain-displacement rows from the batched kernel of
-:mod:`mkfree.interp` into one sparse B and forms K = B^T (W D B) as a
-single sparse product; no per-point stiffness block is built.  A point's
-rows do not depend on the batch they are computed in, so the local delta
-matches a global reassembly to roundoff.
+``ACTIVITY_FACTOR * d_c``.
+
+One pass of the batched kernel of :mod:`mkfree.interp` gives a
+:class:`GaussState`: the points that integrate for a cloud, their
+supports and their shape-function gradients.  :func:`assemble_stiffness`
+keeps the state it computed on the :class:`StiffnessSystem` it returns,
+so the local delta reads the initial cloud's rows from it instead of
+evaluating them again.  The global assembler and the local delta both
+integrate states through :func:`integrate_stiffness`, which writes each
+point's strain-displacement rows into one sparse B and forms
+K = B^T (W D B) as a single sparse product; no per-point stiffness block
+is built.  A point's gradients do not depend on the batch they are
+computed in, and a state restricted to some points is a take of its
+arrays, so the local delta matches a global reassembly to roundoff.
 """
 
 from __future__ import annotations
@@ -23,13 +30,16 @@ import scipy.sparse as sp
 
 from .config import DEFAULT_CONFIG, MeshlessConfig
 from .errors import ValidationError
-from .interp import evaluate_at, evaluate_batch, find_supports, spacing
+from .interp import (Supports, evaluate_at, evaluate_batch, find_supports,
+                     spacing)
 from .model import (_GL, BackgroundGrid, BoundaryConditions, DofMap,
                     MaterialModel, NodeCloud, identity_dof_map)
 
 __all__ = [
+    "GaussState",
     "StiffnessSystem",
     "active_supports",
+    "gauss_state",
     "constitutive",
     "strain_displacement",
     "integrate_stiffness",
@@ -52,6 +62,58 @@ def active_supports(points, cloud: NodeCloud,
     dist, d_c = spacing(points, cloud)
     active = np.flatnonzero(dist <= ACTIVITY_FACTOR * d_c)
     return active, find_supports(points[active], cloud, d_c[active], cfg)
+
+
+@dataclass(frozen=True)
+class GaussState:
+    """Integration state of one cloud on a grid's Gauss points: the points
+    that integrate, their supports, and the shape-function gradients of
+    every support node, flattened along ``sup.rows``.  Its arrays are
+    read-only."""
+
+    active: np.ndarray       # (A,) ascending indices into grid.gauss
+    sup: Supports            # supports of the active points
+    grads: np.ndarray        # (len(sup.rows), dim)
+
+    def __post_init__(self):
+        for a in (self.active, self.grads, self.sup.ptr, self.sup.rows,
+                  self.sup.radius, self.sup.deficient):
+            a.flags.writeable = False
+
+    def take(self, points) -> "GaussState":
+        """The state at the Gauss points ``points`` (indices into
+        grid.gauss); those that do not integrate for the cloud drop out."""
+        pos = np.flatnonzero(np.isin(self.active, points))
+        _, flat = self.sup.entries(pos)
+        return GaussState(active=self.active[pos], sup=self.sup.take(pos),
+                          grads=self.grads[flat])
+
+
+def gauss_state(cloud: NodeCloud, grid: BackgroundGrid,
+                cfg: MeshlessConfig = DEFAULT_CONFIG, supports=None
+                ) -> GaussState:
+    """One kernel pass: the state of ``cloud`` on the Gauss points of
+    ``grid``.
+
+    ``supports``, an (active, sup) pair as :func:`active_supports` gives,
+    restricts the pass to those points and skips the support search.  A
+    support-deficient point raises SupportDeficiencyError and a failed
+    Kriging system ConditioningError, each naming the point and its cell.
+    """
+    points, _, cells = grid.gauss
+    active, sup = supports or active_supports(points, cloud, cfg)
+
+    def where(g):
+        p = active[g]
+        return (f" (at Gauss point {points[p].tolist()} in cell "
+                f"{tuple(int(c) for c in cells[p])})")
+
+    x = points[active]
+    sup.require(x, where)
+    grads = np.empty((len(sup.rows), cloud.dim))
+    for idx, _, _, g in evaluate_batch(x, cloud, sup, cfg, where):
+        grads[sup.ptr[idx][:, None] + np.arange(g.shape[1])] = g
+    return GaussState(active=active, sup=sup, grads=grads)
 
 
 def constitutive(mat: MaterialModel) -> np.ndarray:
@@ -110,39 +172,33 @@ def _csr_rows(data: np.ndarray, cols: np.ndarray, n_cols: int
                           np.arange(0, R * m + 1, m)), shape=(R, n_cols))
 
 
-def integrate_stiffness(terms, points, weights, cells, D: np.ndarray,
-                        dof_map: DofMap, cfg: MeshlessConfig = DEFAULT_CONFIG
+def integrate_stiffness(terms, weights, D: np.ndarray, dof_map: DofMap
                         ) -> sp.csr_matrix:
-    """sum over ``terms`` (cloud, sign) of sign * sum_g w_g B_g^T D B_g,
-    over the Gauss points active for each cloud, on ``dof_map``'s DOFs.
+    """sum over ``terms`` (cloud, state, sign) of
+    sign * sum_g w_g B_g^T D B_g, over the Gauss points of each
+    :class:`GaussState`, on ``dof_map``'s DOFs.
 
-    Every active point adds its strain rows to one sparse B (columns are
-    its support's DOFs) and the same rows times sign * w_g * D to W D B;
-    the sum is then the one sparse product B^T (W D B), symmetrized.
-    ``cells`` (G, dim) locates each point in error messages.
+    Every point adds its strain rows to one sparse B (columns are its
+    support's DOFs) and the same rows times sign * w_g * D to W D B; the
+    sum is then the one sparse product B^T (W D B), symmetrized.
+    ``weights`` are the grid's Gauss weights, which the states index.
     """
-    points = np.asarray(points, dtype=float)
-    weights = np.asarray(weights, dtype=float)
     d, N = dof_map.dim, dof_map.n_dofs
-
-    def where(g):
-        return (f" (at Gauss point {points[g].tolist()} in cell "
-                f"{tuple(int(c) for c in cells[g])})")
-
     B_rows, WDB_rows = [], []
-    for cloud, sign in terms:
-        active, sup = active_supports(points, cloud, cfg)
-        locate = lambda g, a=active: where(a[g])
-        sup.require(points[active], locate)
+    for cloud, state, sign in terms:
         pos = dof_map.positions(cloud.ids)
-        for idx, rows, _, grads in evaluate_batch(points[active], cloud, sup,
-                                                  cfg, locate):
-            B = strain_displacement(grads)                 # (c, n, r, d)
-            c, n, r, _ = B.shape
+        sizes = state.sup.sizes
+        for n in np.unique(sizes):
+            group = np.flatnonzero(sizes == n)
+            flat = state.sup.ptr[group][:, None] + np.arange(n)
+            B = strain_displacement(state.grads[flat])     # (c, n, r, d)
+            c, _, r, _ = B.shape
             B = B.transpose(0, 2, 1, 3).reshape(c, r, n * d)
-            dofs = (pos[rows][:, :, None] * d + np.arange(d)).reshape(c, 1, -1)
+            dofs = (pos[state.sup.rows[flat]][:, :, None] * d
+                    + np.arange(d)).reshape(c, 1, -1)
             cols = np.broadcast_to(dofs, B.shape).reshape(c * r, -1)
-            WDB = (sign * weights[active[idx]])[:, None, None] * (D @ B)
+            WDB = (sign * weights[state.active[group]])[:, None, None] \
+                * (D @ B)
             B_rows.append(_csr_rows(B.reshape(c * r, -1), cols, N))
             WDB_rows.append(_csr_rows(WDB.reshape(c * r, -1), cols, N))
     if not B_rows:
@@ -155,11 +211,13 @@ def integrate_stiffness(terms, points, weights, cells, D: np.ndarray,
 
 @dataclass(frozen=True)
 class StiffnessSystem:
-    """Symmetric stiffness + load on the union DOF space."""
+    """Symmetric stiffness + load on the union DOF space; ``state`` is the
+    cloud's Gauss-point state when the stiffness was assembled from it."""
 
     K: sp.csr_matrix
     F: np.ndarray
     dof_map: DofMap
+    state: GaussState | None = None
 
     @property
     def n_dofs(self) -> int:
@@ -172,7 +230,9 @@ class StiffnessSystem:
 def assemble_stiffness(cloud: NodeCloud, grid: BackgroundGrid,
                        mat: MaterialModel, cfg: MeshlessConfig = DEFAULT_CONFIG,
                        dof_map: DofMap | None = None) -> StiffnessSystem:
-    """Assemble the sparse global stiffness matrix for one configuration.
+    """Assemble the sparse global stiffness matrix for one configuration
+    from one kernel pass over the grid, whose :class:`GaussState` the
+    result keeps.
 
     Union DOFs whose node is absent from ``cloud`` receive the unit
     diagonal of :meth:`DofMap.absent_unit`, so they decouple and solve to
@@ -180,11 +240,12 @@ def assemble_stiffness(cloud: NodeCloud, grid: BackgroundGrid,
     """
     if dof_map is None:
         dof_map = identity_dof_map(cloud)
-    points, weights, cells = grid.gauss
-    K = integrate_stiffness([(cloud, 1.0)], points, weights, cells,
-                            constitutive(mat), dof_map, cfg)
+    state = gauss_state(cloud, grid, cfg)
+    K = integrate_stiffness([(cloud, state, 1.0)], grid.gauss[1],
+                            constitutive(mat), dof_map)
     K = (K + dof_map.absent_unit(cloud)).tocsr()
-    return StiffnessSystem(K=K, F=np.zeros(dof_map.n_dofs), dof_map=dof_map)
+    return StiffnessSystem(K=K, F=np.zeros(dof_map.n_dofs), dof_map=dof_map,
+                           state=state)
 
 
 def assemble_load(cloud: NodeCloud, bc: BoundaryConditions,

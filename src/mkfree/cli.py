@@ -174,8 +174,9 @@ def bench_one(entry: dict, repeats: int = 3):
 
     Every phase times the pipeline's own calls on the prepared case.  The
     global reassembly is timed once and fills both the full/assemble and
-    the update/global rows; the ca/ifu rows are ``run_ca``/``run_ifu`` and
-    so include field recovery.
+    the update/global rows; update/local is the local delta as
+    ``prepare_modified`` runs it, on the baseline's Gauss-point state; the
+    ca/ifu rows are ``run_ca``/``run_ifu`` and so include field recovery.
     """
     cloud, grid, mat, bc, mod = demos.bench_case(entry)
     s = _integer(entry.get("basis", 6), "bench entry basis")
@@ -191,7 +192,8 @@ def bench_one(entry: dict, repeats: int = 3):
     t_slv, U_ref = _timed(lambda: solve(factor_m, case.F), repeats)
     t_loc, _ = _timed(
         lambda: local_delta(mod, base.cloud, case.cloud_mod, grid,
-                            case.material, case.dof_map, base.cfg), repeats)
+                            case.material, case.dof_map, base.cfg,
+                            base.raw.state), repeats)
     t_ca, (U_ca, _, _) = _timed(lambda: run_ca(case, s=s), repeats)
     t_ifu, (U_ifu, _, _) = _timed(lambda: run_ifu(case), repeats)
 

@@ -142,6 +142,22 @@ class Supports:
     def sizes(self) -> np.ndarray:
         return np.diff(self.ptr)
 
+    def entries(self, idx) -> tuple[np.ndarray, np.ndarray]:
+        """The pointer (len(idx) + 1,) and the positions in ``rows`` of the
+        supports of points ``idx``, in that order."""
+        idx = np.asarray(idx, dtype=np.int64)
+        sizes = self.sizes[idx]
+        ptr = np.zeros(len(idx) + 1, dtype=np.int64)
+        np.cumsum(sizes, out=ptr[1:])
+        return ptr, np.repeat(self.ptr[idx] - ptr[:-1], sizes) \
+            + np.arange(ptr[-1])
+
+    def take(self, idx) -> "Supports":
+        """The supports of points ``idx`` of this batch, in that order."""
+        ptr, flat = self.entries(idx)
+        return Supports(ptr=ptr, rows=self.rows[flat], radius=self.radius[idx],
+                        deficient=self.deficient[idx])
+
     def require(self, points, where=_nowhere):
         """Raise SupportDeficiencyError for the first deficient point;
         ``where(g)`` adds the point's location to the message."""

@@ -33,14 +33,17 @@ __all__ = ["Baseline", "ModifiedCase", "full_analysis", "prepare_modified",
 
 @dataclass(frozen=True)
 class Baseline:
-    """Artifacts of the initial full analysis."""
+    """Artifacts of the initial full analysis.  ``raw.state`` is the
+    initial cloud's Gauss-point state from the assembly's kernel pass,
+    which every local update reads instead of evaluating the initial
+    cloud again."""
 
     cloud: NodeCloud
     grid: BackgroundGrid
     material: MaterialModel
     bc: BoundaryConditions
     cfg: MeshlessConfig
-    raw: StiffnessSystem        # before BC elimination
+    raw: StiffnessSystem        # before BC elimination, with its state
     system: StiffnessSystem     # after BC elimination
     factor: CholeskyFactor
     U: np.ndarray
@@ -146,7 +149,9 @@ def prepare_modified(baseline: Baseline, mod: Modification) -> ModifiedCase:
     The initial systems and factor reach the union space through
     :func:`_lift`, whatever ids the added nodes have; nothing is factorized
     here.  The modified pre-BC stiffness is the initial one plus the local
-    delta, or a global reassembly when the local strategy refuses the
+    delta -- which reads the initial cloud's side from the baseline's
+    Gauss-point state, so only the modified cloud is searched and
+    evaluated -- or a global reassembly when the local strategy refuses the
     modification (a material change; the reason is kept in
     ``fallback_reason``).  The modified boundary conditions are then
     applied to it, and the delta is taken between the two BC-applied
@@ -164,7 +169,7 @@ def prepare_modified(baseline: Baseline, mod: Modification) -> ModifiedCase:
     try:
         influence, delta_raw = local_delta(
             mod, baseline.cloud, cloud_mod, baseline.grid, mat_new, dof_map,
-            cfg)
+            cfg, baseline.raw.state)
     except LocalUpdateUnavailableError as exc:
         fallback = str(exc)
         K_m_raw = global_update(cloud_mod, baseline.grid, mat_new, dof_map,

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from mkfree.assembly import (active_supports, apply_bcs, assemble_load,
-                             assemble_stiffness, constitutive,
+                             assemble_stiffness, constitutive, gauss_state,
                              integrate_stiffness, strain_displacement)
 from mkfree.config import MeshlessConfig
 from mkfree.interp import evaluate_at
@@ -151,12 +151,13 @@ def _edited_model(rng, dim):
 class TestIntegrateStiffness:
     def test_signed_terms_are_the_difference(self, rng, cfg, dim):
         cloud, cloud_m, _, grid, mat, dm = _edited_model(rng, dim)
-        points, weights, cells = grid.gauss
         D = constitutive(mat)
 
         def integrate(terms):
-            return integrate_stiffness(terms, points, weights, cells, D, dm,
-                                       cfg).toarray()
+            states = [(c, gauss_state(c, grid, cfg), sign)
+                      for c, sign in terms]
+            return integrate_stiffness(states, grid.gauss[1], D,
+                                       dm).toarray()
 
         K_m, K = integrate([(cloud_m, 1.0)]), integrate([(cloud, 1.0)])
         both = integrate([(cloud_m, 1.0), (cloud, -1.0)])

@@ -6,13 +6,14 @@ modified stiffness against a BC-applied global reassembly, the delta
 against K_m - K*, and IFU against a full re-solve.
 """
 
+import sys
 import tracemalloc
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from mkfree import demos, ifu, pipeline
+from mkfree import assembly, demos, ifu, interp, pipeline
 from mkfree.assembly import StiffnessSystem, apply_bcs, assemble_load
 from mkfree.model import (BoundaryConditions, MaterialModel, Modification,
                           NodeCloud, apply_modification)
@@ -297,3 +298,60 @@ def test_production_path_builds_no_dense_factor(monkeypatch):
         assert rel <= 1e-9
         _, _, diag = run_ca(case)
         assert diag["rank"] >= 1
+
+
+def _record_calls(monkeypatch, source, name, calls):
+    """Replace ``source.name`` wherever an mkfree module holds it by a
+    wrapper that logs (name, cloud, number of points) of each call."""
+    fn = getattr(source, name)
+
+    def recording(points, cloud, *args, **kwargs):
+        n = len(np.asarray(points).reshape(-1, cloud.dim))
+        calls.append((name, cloud, n))
+        return fn(points, cloud, *args, **kwargs)
+
+    for module in list(sys.modules.values()):
+        if (getattr(module, "__name__", "").startswith("mkfree")
+                and getattr(module, name, None) is fn):
+            monkeypatch.setattr(module, name, recording)
+
+
+def test_edits_search_and_evaluate_only_the_modified_cloud(monkeypatch):
+    """full_analysis evaluates the grid once, and prepare_modified never
+    searches or evaluates the baseline cloud: its side of the screen and
+    of the delta comes from the baseline's Gauss-point state."""
+    cloud, grid, mat, bc, fill = demos.notch_fill()
+    calls = []
+    _record_calls(monkeypatch, assembly, "active_supports", calls)
+    _record_calls(monkeypatch, interp, "evaluate_batch", calls)
+    _record_calls(monkeypatch, interp, "evaluate_at", calls)
+    base = full_analysis(cloud, grid, mat, bc)
+    assert [n for name, _, n in calls if name == "evaluate_batch"] \
+        == [len(base.raw.state.active)]
+    assert sum(name == "evaluate_at" for name, _, _ in calls) \
+        == 2 * len(bc.tractions)
+    removal = Modification(removed_ids={int(cloud.ids[40]),
+                                        int(cloud.ids[41])})
+    for mod in (fill, removal):
+        calls.clear()
+        case = prepare_modified(base, mod)
+        assert case.update_path == "local"
+        assert calls and all(c is case.cloud_mod for _, c, _ in calls)
+        assert ("evaluate_batch", case.cloud_mod,
+                len(case.influence.modified_supports[0])) in calls
+
+
+def test_baseline_state_is_read_only_and_reused_unchanged():
+    cloud, grid, mat, bc, mod = demos.notch_fill()
+    base = full_analysis(cloud, grid, mat, bc)
+    state = base.raw.state
+    sup = state.sup
+    for a in (state.active, state.grads, sup.ptr, sup.rows, sup.radius,
+              sup.deficient):
+        assert not a.flags.writeable
+    with pytest.raises(ValueError):
+        state.grads[0, 0] = 0.0
+    assert state.grads.shape == (len(sup.rows), cloud.dim)
+    first, second = (prepare_modified(base, mod).K_m for _ in range(2))
+    for attr in ("data", "indices", "indptr"):
+        assert np.array_equal(getattr(first, attr), getattr(second, attr))

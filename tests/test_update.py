@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from mkfree.assembly import assemble_stiffness
 from mkfree.config import MeshlessConfig
 from mkfree.errors import SupportDeficiencyError, ValidationError
 from mkfree.interp import select_support
@@ -161,3 +162,76 @@ class TestLocalDeltaRefusals:
         assert dom is None
         assert delta.dK.nnz == 0
 
+
+
+def _state_edits(rng, dim):
+    """(cloud, mod) pairs: a removal, an insertion with appended ids and
+    one whose ids sort among the initial ones (the initial ids are even)."""
+    if dim == 2:
+        cloud = jittered_cloud(rng, 9, 7, jitter=0.2)
+    else:
+        cloud = jittered_cloud(rng, 5, 4, nz=4, jitter=0.15)
+    even = NodeCloud(ids=2 * cloud.ids, coords=cloud.coords, dim=dim)
+    centre = cloud.coords.mean(axis=0)
+    inner = cloud.ids[np.argsort(np.linalg.norm(cloud.coords - centre,
+                                                axis=1))[:3]]
+    added = centre + np.array([[0.5] * dim, [-0.45] * dim])
+    top = int(cloud.ids.max())
+    return [(cloud, Modification(removed_ids=frozenset(inner.tolist()))),
+            (cloud, Modification(added_ids=(top + 1, top + 2),
+                                 added_coords=added)),
+            (even, Modification(added_ids=(7, 2 * top - 3),
+                                added_coords=added,
+                                removed_ids={2 * int(inner[0])}))]
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+class TestBaselineState:
+    """local_delta on the state the baseline assembly keeps, against
+    local_delta building the state itself and against a screen that
+    searches the initial cloud."""
+
+    def test_state_matches_the_stateless_path(self, rng, cfg, dim):
+        mat = MaterialModel(100.0, 0.3,
+                            mode="plane_stress" if dim == 2 else "solid_3d")
+        for cloud, mod in _state_edits(rng, dim):
+            cloud_m, dm = apply_modification(cloud, mod)
+            grid = grid_for(cloud, pad=0.2)
+            state = assemble_stiffness(cloud, grid, mat, cfg).state
+            dom_s, delta_s = local_delta(mod, cloud, cloud_m, grid, mat, dm,
+                                         cfg, state)
+            dom, delta = local_delta(mod, cloud, cloud_m, grid, mat, dm, cfg)
+            searched = build_influence_domain(changed_nodes(mod), cloud,
+                                              cloud_m, grid, cfg)
+            assert len(dom.affected_gauss) > 0
+            for other in (dom, searched):
+                assert np.array_equal(dom_s.affected_gauss,
+                                      other.affected_gauss)
+                assert np.array_equal(dom_s.influence_node_ids,
+                                      other.influence_node_ids)
+            dK = delta.dK.toarray()
+            assert np.abs(delta_s.dK.toarray() - dK).max() \
+                <= 1e-14 * np.abs(dK).max()
+
+    def test_deficient_modified_point_raises(self, dim):
+        """On a regular grid with alpha = 0.6 every Gauss point's grown
+        support holds dim + 1 nodes; without an interior node, the points
+        nearest it keep only dim."""
+        cfg = MeshlessConfig(alpha=0.6)
+        rng = np.random.default_rng(0)
+        cloud = (jittered_cloud(rng, 6, 5, jitter=0.0) if dim == 2
+                 else jittered_cloud(rng, 4, 4, nz=4, jitter=0.0))
+        grid = grid_for(cloud)
+        mat = MaterialModel(100.0, 0.3,
+                            mode="plane_stress" if dim == 2 else "solid_3d")
+        state = assemble_stiffness(cloud, grid, mat, cfg).state
+        centre = cloud.coords.mean(axis=0)
+        inner = int(cloud.ids[np.argmin(np.linalg.norm(cloud.coords - centre,
+                                                       axis=1))])
+        mod = Modification(removed_ids={inner})
+        cloud_m, dm = apply_modification(cloud, mod)
+        for initial in (state, None):
+            with pytest.raises(SupportDeficiencyError) as err:
+                local_delta(mod, cloud, cloud_m, grid, mat, dm, cfg, initial)
+            assert (err.value.found, err.value.needed) == (dim, dim + 1)
+            assert "at Gauss point" in str(err.value)
