@@ -5,14 +5,15 @@ Each cell carries a 2x2 (2x2x2 in 3D) Gauss-Legendre rule, cached on the
 grid as arrays (``BackgroundGrid.gauss``).  A Gauss point contributes only
 when it lies inside the material domain, which a node cloud represents
 implicitly: the point must have a cloud node within
-``ACTIVITY_FACTOR * d_c``.
+``ACTIVITY_FACTOR * d_c``; so must a traction's quadrature points.
 
 One pass of the batched kernel of :mod:`mkfree.interp` gives a
 :class:`GaussState`: the points that integrate for a cloud, their
-supports and their shape-function gradients.  :func:`assemble_stiffness`
-keeps the state it computed on the :class:`StiffnessSystem` it returns,
-so the local delta reads the initial cloud's rows from it instead of
-evaluating them again.  The global assembler and the local delta both
+complete supports and their shape-function gradients.
+:func:`assemble_stiffness` keeps the state it computed on the
+:class:`StiffnessSystem` it returns, so the local update reads the
+initial cloud's side from it instead of searching and evaluating it
+again.  The global assembler and the local delta both
 integrate states through :func:`integrate_stiffness`, which writes each
 point's strain-displacement rows into one sparse B and forms
 K = B^T (W D B) as a single sparse product; no per-point stiffness block
@@ -24,14 +25,15 @@ arrays, so the local delta matches a global reassembly to roundoff.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import partial
 
 import numpy as np
 import scipy.sparse as sp
 
 from .config import DEFAULT_CONFIG, MeshlessConfig
 from .errors import ValidationError
-from .interp import (Supports, evaluate_at, evaluate_batch, find_supports,
-                     spacing)
+from .interp import (Supports, _nowhere, evaluate_at, evaluate_batch,
+                     find_supports, spacing)
 from .model import (_GL, BackgroundGrid, BoundaryConditions, DofMap,
                     MaterialModel, NodeCloud, identity_dof_map)
 
@@ -39,6 +41,7 @@ __all__ = [
     "GaussState",
     "StiffnessSystem",
     "active_supports",
+    "at_gauss_point",
     "gauss_state",
     "constitutive",
     "strain_displacement",
@@ -54,14 +57,22 @@ ACTIVITY_FACTOR = 1.0
 
 
 def active_supports(points, cloud: NodeCloud,
-                    cfg: MeshlessConfig = DEFAULT_CONFIG):
+                    cfg: MeshlessConfig = DEFAULT_CONFIG, where=_nowhere):
     """Indices of the points that integrate for ``cloud`` (see
-    ACTIVITY_FACTOR) and their supports (deficient ones flagged, not
-    raised)."""
+    ACTIVITY_FACTOR) and their supports; a deficient support raises, with
+    ``where(p)`` locating its point p (an index into ``points``)."""
     points = np.asarray(points, dtype=float).reshape(-1, cloud.dim)
     dist, d_c = spacing(points, cloud)
     active = np.flatnonzero(dist <= ACTIVITY_FACTOR * d_c)
-    return active, find_supports(points[active], cloud, d_c[active], cfg)
+    return active, find_supports(points[active], cloud, d_c[active], cfg,
+                                 lambda g: where(active[g]))
+
+
+def at_gauss_point(grid: BackgroundGrid, p: int) -> str:
+    """Error-location suffix naming Gauss point p of ``grid`` and its cell."""
+    points, _, cells = grid.gauss
+    return (f" (at Gauss point {points[p].tolist()} in cell "
+            f"{tuple(int(c) for c in cells[p])})")
 
 
 @dataclass(frozen=True)
@@ -76,8 +87,7 @@ class GaussState:
     grads: np.ndarray        # (len(sup.rows), dim)
 
     def __post_init__(self):
-        for a in (self.active, self.grads, self.sup.ptr, self.sup.rows,
-                  self.sup.radius, self.sup.deficient):
+        for a in (self.active, self.grads, self.sup.ptr, self.sup.rows):
             a.flags.writeable = False
 
     def take(self, points) -> "GaussState":
@@ -100,18 +110,11 @@ def gauss_state(cloud: NodeCloud, grid: BackgroundGrid,
     support-deficient point raises SupportDeficiencyError and a failed
     Kriging system ConditioningError, each naming the point and its cell.
     """
-    points, _, cells = grid.gauss
-    active, sup = supports or active_supports(points, cloud, cfg)
-
-    def where(g):
-        p = active[g]
-        return (f" (at Gauss point {points[p].tolist()} in cell "
-                f"{tuple(int(c) for c in cells[p])})")
-
-    x = points[active]
-    sup.require(x, where)
+    points, where = grid.gauss[0], partial(at_gauss_point, grid)
+    active, sup = supports or active_supports(points, cloud, cfg, where)
     grads = np.empty((len(sup.rows), cloud.dim))
-    for idx, _, _, g in evaluate_batch(x, cloud, sup, cfg, where):
+    for idx, _, _, g in evaluate_batch(points[active], cloud, sup, cfg,
+                                       lambda j: where(active[j])):
         grads[sup.ptr[idx][:, None] + np.arange(g.shape[1])] = g
     return GaussState(active=active, sup=sup, grads=grads)
 
@@ -254,8 +257,9 @@ def assemble_load(cloud: NodeCloud, bc: BoundaryConditions,
     """Load vector: point loads scatter directly; edge tractions integrate
     phi_I * q along each segment with 2-point Gauss quadrature.
 
-    Tractions have few quadrature points, so each goes through the
-    kernel's one-point view :func:`evaluate_at`.
+    A traction with a quadrature point off the material (by the Gauss
+    points' ACTIVITY_FACTOR rule) raises ValidationError.  Tractions have
+    few quadrature points, so each goes through :func:`evaluate_at`.
     """
     if dof_map is None:
         dof_map = identity_dof_map(cloud)
@@ -264,12 +268,19 @@ def assemble_load(cloud: NodeCloud, bc: BoundaryConditions,
         if not cloud.has_node(node_id):
             raise ValidationError(f"point load on node {node_id} not in cloud")
         F[dof_map.dof(node_id, axis)] += value
-    for tr in bc.tractions:
-        seg = tr.end - tr.start
-        half_len = 0.5 * float(np.linalg.norm(seg))
-        mid = 0.5 * (tr.start + tr.end)
-        for xi in (-_GL, _GL):
-            sf = evaluate_at(mid + xi * 0.5 * seg, cloud, cfg)
+    quad = np.array([0.5 * (tr.start + tr.end) + xi * 0.5 * (tr.end - tr.start)
+                     for tr in bc.tractions for xi in (-_GL, _GL)])
+    dist, d_c = spacing(quad, cloud)
+    off = np.flatnonzero(~(dist <= ACTIVITY_FACTOR * d_c))
+    if len(off):
+        tr = bc.tractions[off[0] // 2]
+        raise ValidationError(
+            f"traction {tr.start.tolist()} -> {tr.end.tolist()} acts off "
+            f"the material at {quad[off[0]].tolist()}")
+    for k, tr in enumerate(bc.tractions):
+        half_len = 0.5 * float(np.linalg.norm(tr.end - tr.start))
+        for x in quad[2 * k:2 * k + 2]:
+            sf = evaluate_at(x, cloud, cfg)
             dofs = dof_map.dofs_of(sf.node_ids).reshape(-1, dof_map.dim)
             for axis, q_a in enumerate(tr.q):
                 if q_a != 0.0:

@@ -10,7 +10,9 @@ kernel that stiffness assembly, the local update, load assembly and field
 recovery share.  Its stages:
 
 1. :func:`spacing` and :func:`find_supports` locate the supports of all
-   points with vectorized KD-tree queries.
+   points with vectorized KD-tree queries.  A support still short of
+   dim + 1 nodes after its one growth is refused there: every support
+   the later stages see is complete.
 2. :func:`evaluate_batch` groups the points by support size n and cuts
    each group into chunks whose (c, n, n) arrays stay memory-bounded.
 3. Per chunk, :func:`_systems` builds the correlation matrices R (one
@@ -135,8 +137,6 @@ class Supports:
 
     ptr: np.ndarray          # (G + 1,)
     rows: np.ndarray         # cloud rows
-    radius: np.ndarray       # (G,) d_m actually used (after any growth)
-    deficient: np.ndarray    # (G,) fewer than dim+1 nodes even after growth
 
     @property
     def sizes(self) -> np.ndarray:
@@ -155,23 +155,7 @@ class Supports:
     def take(self, idx) -> "Supports":
         """The supports of points ``idx`` of this batch, in that order."""
         ptr, flat = self.entries(idx)
-        return Supports(ptr=ptr, rows=self.rows[flat], radius=self.radius[idx],
-                        deficient=self.deficient[idx])
-
-    def require(self, points, where=_nowhere):
-        """Raise SupportDeficiencyError for the first deficient point;
-        ``where(g)`` adds the point's location to the message."""
-        bad = np.flatnonzero(self.deficient)
-        if len(bad) == 0:
-            return
-        g = int(bad[0])
-        point = np.asarray(points)[g]
-        found = int(self.sizes[g])
-        needed = basis_size(point.shape[-1])
-        raise SupportDeficiencyError(
-            f"support at {point.tolist()} captured {found} nodes, "
-            f"need >= {needed}{where(g)}",
-            point=point, found=found, needed=needed)
+        return Supports(ptr=ptr, rows=self.rows[flat])
 
 
 def _ball_rows(cloud: NodeCloud, points, radius):
@@ -180,12 +164,13 @@ def _ball_rows(cloud: NodeCloud, points, radius):
 
 
 def find_supports(points, cloud: NodeCloud, d_c, cfg: MeshlessConfig
-                  = DEFAULT_CONFIG) -> Supports:
+                  = DEFAULT_CONFIG, where=_nowhere) -> Supports:
     """Closed-ball supports of radius d_m = alpha * d_c around each point.
 
     A point whose ball captures fewer nodes than the polynomial basis size
     is searched once more with the radius grown by ``_SUPPORT_GROWTH``;
-    if it is still short it is flagged ``deficient``.
+    the first point still short raises SupportDeficiencyError, with
+    ``where(g)`` locating point g in the message.
     """
     points = np.asarray(points, dtype=float).reshape(-1, cloud.dim)
     G = len(points)
@@ -195,20 +180,25 @@ def find_supports(points, cloud: NodeCloud, d_c, cfg: MeshlessConfig
     counts = np.fromiter(map(len, lists), dtype=np.int64, count=G)
     short = np.flatnonzero(counts < m)
     if len(short):
-        radius = radius.copy()
-        radius[short] *= _SUPPORT_GROWTH
-        grown = _ball_rows(cloud, points[short], radius[short])
+        grown = _ball_rows(cloud, points[short],
+                           radius[short] * _SUPPORT_GROWTH)
         for g, rows in zip(short, grown):
             lists[g] = rows
             counts[g] = len(rows)
+        bad = short[counts[short] < m]
+        if len(bad):
+            g = int(bad[0])
+            raise SupportDeficiencyError(
+                f"support at {points[g].tolist()} captured {counts[g]} "
+                f"nodes, need >= {m}{where(g)}",
+                point=points[g], found=int(counts[g]), needed=m)
     rows = np.fromiter(chain.from_iterable(lists), dtype=np.int64,
                        count=int(counts.sum()))
     owner = np.repeat(np.arange(G), counts)
     rows = rows[np.lexsort((cloud.ids[rows], owner))]
     ptr = np.zeros(G + 1, dtype=np.int64)
     np.cumsum(counts, out=ptr[1:])
-    return Supports(ptr=ptr, rows=rows, radius=radius,
-                    deficient=counts < m)
+    return Supports(ptr=ptr, rows=rows)
 
 
 @dataclass(frozen=True)
@@ -216,10 +206,8 @@ class SupportSelection:
     """Nodes participating in interpolation at one evaluation point."""
 
     point: np.ndarray
-    radius: float                # d_m actually used (after any growth)
     node_ids: np.ndarray         # ascending ids
     node_coords: np.ndarray      # aligned with node_ids
-    d_c: float
 
     @property
     def n(self) -> int:
@@ -228,17 +216,13 @@ class SupportSelection:
 
 def select_support(point, cloud: NodeCloud, cfg: MeshlessConfig = DEFAULT_CONFIG
                    ) -> SupportSelection:
-    """Support of one point (see :func:`find_supports`); raises
-    SupportDeficiencyError if the grown ball is still deficient."""
+    """Support of one point (see :func:`find_supports`, which raises
+    SupportDeficiencyError if the grown ball is still deficient)."""
     point = np.asarray(point, dtype=float)
     _, d_c = spacing(point, cloud)
-    sup = find_supports(point, cloud, d_c, cfg)
-    sup.require(point[None])
-    rows = sup.rows
-    return SupportSelection(point=point, radius=float(sup.radius[0]),
-                            node_ids=cloud.ids[rows],
-                            node_coords=cloud.coords[rows],
-                            d_c=float(d_c[0]))
+    rows = find_supports(point, cloud, d_c, cfg).rows
+    return SupportSelection(point=point, node_ids=cloud.ids[rows],
+                            node_coords=cloud.coords[rows])
 
 
 @dataclass(frozen=True)
@@ -396,17 +380,16 @@ def shape_functions(sel: SupportSelection, sys: KrigingSystem, point
 
 
 def evaluate_batch(points, cloud: NodeCloud, sup: Supports,
-                   cfg: MeshlessConfig = DEFAULT_CONFIG, where=None):
+                   cfg: MeshlessConfig = DEFAULT_CONFIG, where=_nowhere):
     """Shape functions of every point of a batch.
 
     Points are grouped by support size and each group is solved in
     memory-bounded chunks.  Yields ``(idx, rows, values, grads)`` per
     chunk: indices into ``points``, cloud rows (c, n) of the supports,
-    values (c, n) and grads (c, n, dim).  ``where(g)``, if given, locates
-    point g in error messages.
+    values (c, n) and grads (c, n, dim).  ``where(g)`` locates point g in
+    error messages.
     """
     points = np.asarray(points, dtype=float)
-    where = where or _nowhere
     sizes = sup.sizes
     for n in np.unique(sizes):
         group = np.flatnonzero(sizes == n)

@@ -3,7 +3,7 @@ compare reanalysis against full analysis.
 
 The strains at all nodes come from one pass of the batched Gauss-point
 kernel (:func:`mkfree.interp.evaluate_batch`) with the nodes as
-evaluation points."""
+evaluation points; a refused support or system names its node id."""
 
 from __future__ import annotations
 
@@ -89,11 +89,11 @@ def recover_fields(U: np.ndarray, cloud: NodeCloud, mat: MaterialModel,
     node_ids = cloud.ids[order]
     X = cloud.coords[order]
     _, d_c = spacing(X, cloud)
-    sup = find_supports(X, cloud, d_c, cfg)
-    sup.require(X)
+    where = lambda g: f" (at node {node_ids[g]})"
+    sup = find_supports(X, cloud, d_c, cfg, where)
     U_nodes = U.reshape(-1, cloud.dim)[dof_map.positions(cloud.ids)]
     strain = np.empty((cloud.n_nodes, D.shape[0]))
-    for idx, rows, _, grads in evaluate_batch(X, cloud, sup, cfg):
+    for idx, rows, _, grads in evaluate_batch(X, cloud, sup, cfg, where):
         B = strain_displacement(grads)                  # (c, n, r, d)
         strain[idx] = np.einsum("cnrd,cnd->cr", B, U_nodes[rows])
     disp = U_nodes[order]

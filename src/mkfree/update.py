@@ -5,33 +5,33 @@ The local strategy finds the Gauss points whose integration actually changes
 and modified clouds) and re-integrates only those, giving a stiffness delta
 that matches a global reassembly difference to roundoff.
 
-The initial cloud's side comes from its :class:`~mkfree.assembly.GaussState`,
-which the baseline assembly keeps: the screen reads the initial codes and
-support incidence from it, and the delta takes the initial rows, signed -,
-from it at the affected points.  Only the modified cloud is searched
-(over the whole grid, for the screen) and evaluated (at the affected
-points, on the supports the screen found).  :func:`local_delta` builds
-the initial state itself when the caller has none.  The delta is the
-global assembler's own sparse product
-(:func:`mkfree.assembly.integrate_stiffness`).  A material change alters
-every Gauss contribution, so the strategy refuses it and the global
-reassembly is the only option; a modification that leaves the node set
-unchanged otherwise (empty, or a BC-only change) has a zero delta.
+The initial cloud's side has one source, its
+:class:`~mkfree.assembly.GaussState`, which the baseline assembly keeps:
+the screen compares the modified cloud's support sizes and id lists
+against the state's, and the delta takes the initial rows, signed -, from
+it at the affected points.  Only the modified cloud is searched (over the
+whole grid, for the screen) and evaluated (at the affected points, on the
+supports the screen found).  :func:`local_delta` builds the initial state
+itself when the caller has none.  The delta is the global assembler's own
+sparse product (:func:`mkfree.assembly.integrate_stiffness`).  A material
+change alters every Gauss contribution, so the strategy refuses it and the
+global reassembly is the only option; a modification that leaves the node
+set unchanged otherwise (empty, or a BC-only change) has a zero delta.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 import scipy.sparse as sp
 
 from .assembly import (GaussState, StiffnessSystem, active_supports,
-                       assemble_stiffness, constitutive, gauss_state,
-                       integrate_stiffness)
+                       assemble_stiffness, at_gauss_point, constitutive,
+                       gauss_state, integrate_stiffness)
 from .config import DEFAULT_CONFIG, MeshlessConfig
 from .errors import MkfreeError, ValidationError
-from .interp import Supports
 from .model import (BackgroundGrid, DofMap, MaterialModel, Modification,
                     NodeCloud)
 
@@ -56,23 +56,6 @@ def changed_nodes(mod: Modification) -> list[int]:
     return sorted(set(mod.added_ids) | mod.removed_ids)
 
 
-def _screen_side(active, sup: Supports, cloud: NodeCloud, G: int,
-                 node_ids: np.ndarray):
-    """Integration state of G points for ``cloud`` from its active points
-    and their supports: a code (G,) that is -1 for an inactive point, -2
-    for a support-deficient one and the support size otherwise, and the
-    support incidence (G, len(node_ids)) of the supported points."""
-    code = np.full(G, -1, dtype=np.int64)
-    code[active] = np.where(sup.deficient, -2, sup.sizes)
-    counts = np.zeros(G, dtype=np.int64)
-    counts[active] = np.where(sup.deficient, 0, sup.sizes)
-    rows = sup.rows[np.repeat(~sup.deficient, sup.sizes)]
-    cols = np.searchsorted(node_ids, cloud.ids[rows])
-    ptr = np.concatenate([[0], np.cumsum(counts)])
-    return code, sp.csr_matrix((np.ones(len(cols)), cols, ptr),
-                                shape=(G, len(node_ids)))
-
-
 @dataclass(frozen=True)
 class InfluenceDomain:
     """Gauss points and nodes affected by a node-set modification, and the
@@ -88,18 +71,18 @@ class InfluenceDomain:
 
 def build_influence_domain(changed: list[int], cloud_initial: NodeCloud,
                            cloud_modified: NodeCloud, grid: BackgroundGrid,
-                           cfg: MeshlessConfig = DEFAULT_CONFIG,
-                           initial: GaussState | None = None
+                           initial: GaussState,
+                           cfg: MeshlessConfig = DEFAULT_CONFIG
                            ) -> InfluenceDomain:
     """Locate every Gauss point whose contribution differs between the
     initial and modified clouds.
 
-    Every Gauss point is screened by comparing its integration state in
-    the two clouds -- inactive, support-deficient, or the exact support
-    node-id set -- so no point whose contribution changed is missed.  The
-    initial side is read from ``initial``, the initial cloud's state over
-    the whole grid, when given, and searched otherwise; the modified side
-    is searched, and its supports at the affected points are kept for
+    Every Gauss point is screened: ``initial``, the initial cloud's state
+    over the whole grid, against a search of the modified cloud, which
+    raises SupportDeficiencyError naming a deficient Gauss point.  A point
+    differs when its two support sizes differ (0 where it does not
+    integrate) or, at equal sizes, when its ascending id lists differ at
+    any entry.  The modified supports at the affected points are kept for
     :func:`compute_delta`.
     """
     if not changed:
@@ -113,23 +96,29 @@ def build_influence_domain(changed: list[int], cloud_initial: NodeCloud,
             raise ValidationError(f"changed node at {pos.tolist()} outside grid")
 
     points = grid.gauss[0]
-    G = len(points)
-    node_ids = np.union1d(cloud_initial.ids, cloud_modified.ids)
-    side_i = (active_supports(points, cloud_initial, cfg) if initial is None
-              else (initial.active, initial.sup))
-    active_m, sup_m = active_supports(points, cloud_modified, cfg)
-    code_i, A_i = _screen_side(*side_i, cloud_initial, G, node_ids)
-    code_m, A_m = _screen_side(active_m, sup_m, cloud_modified, G, node_ids)
-    differs = (code_i != code_m) | (np.diff((A_i != A_m).indptr) > 0)
-    affected = np.flatnonzero(differs)
-    influence = np.concatenate([A_i[affected].indices, A_m[affected].indices])
-    kept = np.flatnonzero(differs[active_m])
+    active_m, sup_m = active_supports(points, cloud_modified, cfg,
+                                      partial(at_gauss_point, grid))
+    size_i, size_m = np.zeros((2, len(points)), dtype=np.int64)
+    size_i[initial.active] = initial.sup.sizes
+    size_m[active_m] = sup_m.sizes
+    differs = size_i != size_m
+    same = np.flatnonzero(~differs & (size_i > 0))
+    ids_i = cloud_initial.ids[
+        initial.sup.take(np.searchsorted(initial.active, same)).rows]
+    ids_m = cloud_modified.ids[sup_m.take(np.searchsorted(active_m, same)).rows]
+    differs[np.repeat(same, size_i[same])[ids_i != ids_m]] = True
+    kept_i = np.flatnonzero(differs[initial.active])
+    kept_m = np.flatnonzero(differs[active_m])
+    affected_m = sup_m.take(kept_m)
+    influence = np.concatenate([
+        cloud_initial.ids[initial.sup.take(kept_i).rows],
+        cloud_modified.ids[affected_m.rows]])
     return InfluenceDomain(
         grid=grid,
-        affected_gauss=affected,
-        influence_node_ids=np.union1d(node_ids[influence], changed),
-        n_gauss_total=G,
-        modified_supports=(active_m[kept], sup_m.take(kept)),
+        affected_gauss=np.flatnonzero(differs),
+        influence_node_ids=np.union1d(influence, changed),
+        n_gauss_total=len(points),
+        modified_supports=(active_m[kept_m], affected_m),
     )
 
 
@@ -142,22 +131,20 @@ class StiffnessDelta:
 
 def compute_delta(dom: InfluenceDomain, cloud_initial: NodeCloud,
                   cloud_modified: NodeCloud, mat: MaterialModel,
-                  dof_map: DofMap, cfg: MeshlessConfig = DEFAULT_CONFIG,
-                  initial: GaussState | None = None) -> StiffnessDelta:
+                  dof_map: DofMap, initial: GaussState,
+                  cfg: MeshlessConfig = DEFAULT_CONFIG) -> StiffnessDelta:
     """Re-integrate only the affected Gauss points and difference them.
 
     The modified cloud's term, signed +, is one kernel pass at the
     affected points on the supports the screen found.  The initial
-    cloud's term, signed -, is ``initial`` (its state over the whole
-    grid, built here when not given) taken at the affected points.
+    cloud's term, signed -, is ``initial``, its state over the whole grid,
+    taken at the affected points; the initial cloud is not evaluated.
 
     The delta is taken between two stiffness matrices on the union space,
     so it also carries the difference of their decoupling diagonals
     (:meth:`DofMap.absent_unit` of the modified cloud minus that of the
     initial one): +1 on a removed node's DOFs and -1 on an added node's.
     """
-    if initial is None:
-        initial = gauss_state(cloud_initial, dom.grid, cfg)
     modified = gauss_state(cloud_modified, dom.grid, cfg,
                            dom.modified_supports)
     dK = integrate_stiffness(
@@ -190,9 +177,9 @@ def local_delta(mod: Modification, cloud_initial: NodeCloud,
     if initial is None:
         initial = gauss_state(cloud_initial, grid, cfg)
     dom = build_influence_domain(changed_nodes(mod), cloud_initial,
-                                 cloud_modified, grid, cfg, initial)
+                                 cloud_modified, grid, initial, cfg)
     return dom, compute_delta(dom, cloud_initial, cloud_modified, mat,
-                              dof_map, cfg, initial)
+                              dof_map, initial, cfg)
 
 
 def global_update(cloud_modified: NodeCloud, grid: BackgroundGrid,

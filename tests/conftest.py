@@ -8,9 +8,10 @@ minimum node separation, which the interpolation tolerances assume.
 import numpy as np
 import pytest
 
+from mkfree import demos
 from mkfree.config import MeshlessConfig
 from mkfree.model import (BackgroundGrid, BoundaryConditions, MaterialModel,
-                          NodeCloud)
+                          Modification, NodeCloud)
 
 
 def jittered_cloud(rng, nx, ny, nz=None, pitch=1.0, jitter=0.25):
@@ -44,6 +45,18 @@ def cantilever_bc(cloud, load=1.0, band=0.5):
         fixed_dofs=tuple((int(i), a) for i in left for a in range(cloud.dim)),
         point_loads=tuple((int(i), 1, -load / len(right)) for i in right),
     )
+
+
+def loaded_edge_cut():
+    """The 20 x 12 tension plate and the removal of its 18 nodes at
+    x >= 17, |y - 5.5| < 2.6, which cuts into the loaded edge x = 19: five
+    of its eleven traction segments, [19, 3] -> [19, 4] up to
+    [19, 7] -> [19, 8], lose the material under them.  Returns
+    (cloud, grid, mat, bc, mod)."""
+    cloud, grid, mat, bc = demos._tension_plate(20, 12, 1.0)
+    x, y = cloud.coords.T
+    cut = cloud.ids[(x >= 17) & (np.abs(y - 5.5) < 2.6)]
+    return cloud, grid, mat, bc, Modification(removed_ids=frozenset(cut))
 
 
 def ifu_default_tol(case):

@@ -12,6 +12,8 @@ from mkfree.cli import _parse_range, main
 from mkfree.errors import ValidationError
 from mkfree.model import model_to_dict, modification_to_dict
 
+from conftest import loaded_edge_cut
+
 
 @pytest.fixture
 def small_files(tmp_path):
@@ -210,6 +212,19 @@ class TestReanalyze:
                                re.M).group(1))
         assert n_d > 0 and n_coupled >= 0
         assert cond >= 1.0
+
+
+    def test_traction_on_removed_material_is_validation_error(
+            self, tmp_path, capsys):
+        cloud, grid, mat, bc, change = loaded_edge_cut()
+        model = tmp_path / "model.json"
+        model.write_text(json.dumps(model_to_dict(cloud, grid, mat, bc)))
+        mod = tmp_path / "mod.json"
+        mod.write_text(json.dumps(modification_to_dict(change)))
+        rc = main(["reanalyze", str(model), str(mod), "--method", "ifu",
+                   "-o", str(tmp_path / "out")])
+        assert rc == 2
+        assert "acts off the material" in capsys.readouterr().err
 
 
 def _remove_one(cloud):

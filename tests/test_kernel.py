@@ -100,17 +100,12 @@ def test_support_grows_once_then_raises(rng):
     sup = find_supports(points, cloud, d_c, cfg)
     # the first ball holds 4 nodes; the second holds 1 and grows once
     assert sup.sizes.tolist() == [4, 5]
-    assert sup.radius[0] == 0.75 * d_c[0]
-    assert sup.radius[1] == 0.75 * d_c[1] * 1.5
-    assert not sup.deficient.any()
 
     cfg = MeshlessConfig(alpha=0.3)
-    sup = find_supports(points, cloud, d_c, cfg)
-    assert sup.deficient.tolist() == [True, True]
-    assert np.allclose(sup.radius, 0.3 * 1.5 * d_c)
     with pytest.raises(SupportDeficiencyError) as err:
-        sup.require(points)
+        find_supports(points, cloud, d_c, cfg)
     assert (err.value.found, err.value.needed) == (0, 3)
+    assert np.array_equal(err.value.point, points[0])
 
     grid = grid_for(cloud)
     with pytest.raises(SupportDeficiencyError) as err:
@@ -162,8 +157,7 @@ def test_duplicate_support_node_names_the_gauss_point(rng, cfg):
     cloud, _, points, active, sup, j = _middle_point(rng, cfg)
     rows = sup.rows.copy()
     rows[sup.ptr[j + 1] - 1] = rows[sup.ptr[j]]
-    sup = interp.Supports(ptr=sup.ptr, rows=rows, radius=sup.radius,
-                          deficient=sup.deficient)
+    sup = interp.Supports(ptr=sup.ptr, rows=rows)
     where = lambda g: f" (at point {g})"
     with pytest.raises(ConditioningError) as err:
         for _ in evaluate_batch(points[active], cloud, sup, cfg, where):

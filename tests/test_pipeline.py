@@ -15,6 +15,7 @@ import scipy.sparse as sp
 
 from mkfree import assembly, demos, ifu, interp, pipeline
 from mkfree.assembly import StiffnessSystem, apply_bcs, assemble_load
+from mkfree.errors import ValidationError
 from mkfree.model import (BoundaryConditions, MaterialModel, Modification,
                           NodeCloud, apply_modification)
 from mkfree.pipeline import (full_analysis, prepare_modified, run_ca,
@@ -23,7 +24,8 @@ from mkfree.recovery import error_metrics
 from mkfree.solver import CholeskyFactor
 from mkfree.update import global_update
 
-from conftest import cantilever_bc, grid_for, ifu_default_tol, jittered_cloud
+from conftest import (cantilever_bc, grid_for, ifu_default_tol,
+                      jittered_cloud, loaded_edge_cut)
 
 
 @pytest.fixture
@@ -346,8 +348,7 @@ def test_baseline_state_is_read_only_and_reused_unchanged():
     base = full_analysis(cloud, grid, mat, bc)
     state = base.raw.state
     sup = state.sup
-    for a in (state.active, state.grads, sup.ptr, sup.rows, sup.radius,
-              sup.deficient):
+    for a in (state.active, state.grads, sup.ptr, sup.rows):
         assert not a.flags.writeable
     with pytest.raises(ValueError):
         state.grads[0, 0] = 0.0
@@ -355,3 +356,21 @@ def test_baseline_state_is_read_only_and_reused_unchanged():
     first, second = (prepare_modified(base, mod).K_m for _ in range(2))
     for attr in ("data", "indices", "indptr"):
         assert np.array_equal(getattr(first, attr), getattr(second, attr))
+
+
+def test_traction_on_removed_material_is_refused():
+    """A cut into the loaded edge leaves tractions without material under
+    them: their load would still be integrated through grown supports, so
+    prepare_modified refuses the edit, naming the first such traction.
+    Boundary conditions that drop those tractions make it valid."""
+    cloud, grid, mat, bc, mod = loaded_edge_cut()
+    base = full_analysis(cloud, grid, mat, bc)
+    with pytest.raises(ValidationError, match=r"traction \[19.0, 3.0\] -> "
+                       r"\[19.0, 4.0\] acts off the material"):
+        prepare_modified(base, mod)
+    kept = BoundaryConditions(
+        fixed_dofs=bc.fixed_dofs,
+        tractions=[tr for tr in bc.tractions if not 3 <= tr.start[1] < 8])
+    case = prepare_modified(base, Modification(removed_ids=mod.removed_ids,
+                                               bc_change=kept))
+    assert case.F.reshape(-1, 2)[:, 0].sum() == pytest.approx(6.0)

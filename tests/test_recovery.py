@@ -2,9 +2,10 @@ import numpy as np
 import pytest
 
 from mkfree.assembly import constitutive, strain_displacement
-from mkfree.errors import ValidationError
+from mkfree.config import MeshlessConfig
+from mkfree.errors import SupportDeficiencyError, ValidationError
 from mkfree.interp import evaluate_at
-from mkfree.model import MaterialModel, identity_dof_map
+from mkfree.model import MaterialModel, NodeCloud, identity_dof_map
 from mkfree.recovery import error_metrics, recover_fields, von_mises
 
 from conftest import jittered_cloud
@@ -135,6 +136,19 @@ class TestRecoverFields:
         assert np.abs(fields.strain - strain).max() <= 1e-12 * scale
         assert np.array_equal(fields.displacements,
                               U[dm.dofs_of(fields.node_ids)].reshape(-1, dim))
+
+    def test_deficient_support_names_the_node(self, rng):
+        """At alpha = 0.3 no node's grown support reaches a neighbor on a
+        regular lattice; the error names the first node in id order."""
+        cloud = jittered_cloud(rng, 5, 5, jitter=0.0)
+        cloud = NodeCloud(ids=rng.permutation(cloud.n_nodes) + 100,
+                          coords=cloud.coords, dim=2)
+        with pytest.raises(SupportDeficiencyError) as err:
+            recover_fields(np.zeros(2 * cloud.n_nodes), cloud,
+                           MaterialModel(1.0, 0.3), MeshlessConfig(alpha=0.3))
+        assert str(err.value).endswith(" (at node 100)")
+        assert np.array_equal(err.value.point, cloud.coord_of(100))
+        assert (err.value.found, err.value.needed) == (1, 3)
 
     def test_length_mismatch(self, rng, cfg):
         cloud = jittered_cloud(rng, 4, 4)

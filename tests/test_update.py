@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from mkfree.assembly import assemble_stiffness
+from mkfree.assembly import assemble_stiffness, gauss_state
 from mkfree.config import MeshlessConfig
 from mkfree.errors import SupportDeficiencyError, ValidationError
 from mkfree.interp import select_support
@@ -42,6 +42,16 @@ def random_modification(rng, cloud, n_change=3):
                         removed_ids=frozenset(removed))
 
 
+def interleaved(rng, cloud, mod):
+    """The same edit on the cloud with even ids, the added nodes taking odd
+    ids that sort among the initial ones."""
+    odd = 2 * rng.choice(cloud.ids, len(mod.added_ids), replace=False) + 1
+    return (NodeCloud(ids=2 * cloud.ids, coords=cloud.coords, dim=cloud.dim),
+            Modification(added_ids=tuple(int(i) for i in odd),
+                         added_coords=mod.added_coords,
+                         removed_ids=frozenset(2 * i for i in mod.removed_ids)))
+
+
 def support_signature(point, cloud, cfg):
     """One point's integration state: inactive, support-deficient, or the
     exact support node-id tuple (the per-point screen)."""
@@ -68,42 +78,71 @@ class TestInfluenceDomain:
         mat = MaterialModel(50.0, 0.3)
         mod = random_modification(rng, cloud)
         cloud_m, dm = apply_modification(cloud, mod)
+        state = gauss_state(cloud, grid, cfg)
         dom = build_influence_domain(changed_nodes(mod), cloud, cloud_m,
-                                     grid, cfg)
-        delta = compute_delta(dom, cloud, cloud_m, mat, dm, cfg)
+                                     grid, state, cfg)
+        delta = compute_delta(dom, cloud, cloud_m, mat, dm, state, cfg)
         inf_dofs = set(dm.dofs_of(dom.influence_node_ids).tolist())
         rows, cols = delta.dK.nonzero()
         assert set(rows.tolist()) <= inf_dofs
         assert set(cols.tolist()) <= inf_dofs
 
     def test_screen_matches_per_point_signatures(self, rng):
-        """The batched screen against a per-point signature comparison,
-        including configurations with holes and deficient supports."""
-        for trial in range(8):
-            cfg = MeshlessConfig(alpha=(3.0, 0.6)[trial % 2])
-            cloud = jittered_cloud(rng, 9, 7, jitter=0.2)
-            grid = grid_for(cloud, pad=0.2)
+        """The screen against a per-point signature comparison, on 2D
+        plates and 3D blocks, with holes, with appended and with
+        interleaved added ids.  At alpha = 0.6 supports can be deficient
+        (on a jittered cloud, or after an edit of a regular lattice): then
+        an initial cloud fails its assembly, and a modified one fails the
+        local update naming its first deficient Gauss point."""
+        for trial in range(16):
+            dim = 2 + trial // 8
+            alpha, jitter = ((3.0, 0.2), (0.6, 0.0), (3.0, 0.2),
+                             (0.6, 0.2))[trial % 4]
+            cfg = MeshlessConfig(alpha=alpha)
+            mat = MaterialModel(100.0, 0.3, mode=("plane_stress", "solid_3d")
+                                [dim - 2])
+            cloud = (jittered_cloud(rng, 9, 7, jitter=jitter) if dim == 2
+                     else jittered_cloud(rng, 5, 4, nz=4, jitter=0.75 * jitter))
             mod = random_modification(rng, cloud, n_change=6)
-            cloud_m, _ = apply_modification(cloud, mod)
-            dom = build_influence_domain(changed_nodes(mod), cloud, cloud_m,
-                                         grid, cfg)
+            if trial % 4 >= 2:
+                cloud, mod = interleaved(rng, cloud, mod)
+            grid = grid_for(cloud, pad=jitter)
+            cloud_m, dm = apply_modification(cloud, mod)
+            points = grid.gauss[0]
+            sig_i = [support_signature(x, cloud, cfg) for x in points]
+            sig_m = [support_signature(x, cloud_m, cfg) for x in points]
+            if ("deficient",) in sig_i:
+                with pytest.raises(SupportDeficiencyError):
+                    assemble_stiffness(cloud, grid, mat, cfg)
+                continue
+            state = assemble_stiffness(cloud, grid, mat, cfg).state
+            if ("deficient",) in sig_m:
+                with pytest.raises(SupportDeficiencyError) as err:
+                    local_delta(mod, cloud, cloud_m, grid, mat, dm, cfg,
+                                state)
+                assert "at Gauss point" in str(err.value)
+                first = points[sig_m.index(("deficient",))]
+                assert np.array_equal(err.value.point, first)
+                continue
+            dom, _ = local_delta(mod, cloud, cloud_m, grid, mat, dm, cfg,
+                                 state)
             affected, nodes = [], set(changed_nodes(mod))
-            for g, x in enumerate(grid.gauss[0]):
-                sig_i = support_signature(x, cloud, cfg)
-                sig_m = support_signature(x, cloud_m, cfg)
-                if sig_i != sig_m:
+            for g, (a, b) in enumerate(zip(sig_i, sig_m)):
+                if a != b:
                     affected.append(g)
-                    for sig in (sig_i, sig_m):
+                    for sig in (a, b):
                         if isinstance(sig[0], int):
                             nodes.update(sig)
             assert dom.affected_gauss.tolist() == affected
             assert dom.influence_node_ids.tolist() == sorted(nodes)
-            assert dom.n_gauss_total == len(grid.gauss[0])
+            assert dom.n_gauss_total == len(points)
 
     def test_empty_change_rejected(self, rng, cfg):
         cloud = jittered_cloud(rng, 5, 5)
+        grid = grid_for(cloud)
         with pytest.raises(ValidationError):
-            build_influence_domain([], cloud, cloud, grid_for(cloud), cfg)
+            build_influence_domain([], cloud, cloud, grid,
+                                   gauss_state(cloud, grid, cfg), cfg)
 
 
 class TestDeltaExactness:
@@ -188,8 +227,7 @@ def _state_edits(rng, dim):
 @pytest.mark.parametrize("dim", [2, 3])
 class TestBaselineState:
     """local_delta on the state the baseline assembly keeps, against
-    local_delta building the state itself and against a screen that
-    searches the initial cloud."""
+    local_delta building the state itself."""
 
     def test_state_matches_the_stateless_path(self, rng, cfg, dim):
         mat = MaterialModel(100.0, 0.3,
@@ -201,14 +239,10 @@ class TestBaselineState:
             dom_s, delta_s = local_delta(mod, cloud, cloud_m, grid, mat, dm,
                                          cfg, state)
             dom, delta = local_delta(mod, cloud, cloud_m, grid, mat, dm, cfg)
-            searched = build_influence_domain(changed_nodes(mod), cloud,
-                                              cloud_m, grid, cfg)
             assert len(dom.affected_gauss) > 0
-            for other in (dom, searched):
-                assert np.array_equal(dom_s.affected_gauss,
-                                      other.affected_gauss)
-                assert np.array_equal(dom_s.influence_node_ids,
-                                      other.influence_node_ids)
+            assert np.array_equal(dom_s.affected_gauss, dom.affected_gauss)
+            assert np.array_equal(dom_s.influence_node_ids,
+                                  dom.influence_node_ids)
             dK = delta.dK.toarray()
             assert np.abs(delta_s.dK.toarray() - dK).max() \
                 <= 1e-14 * np.abs(dK).max()
