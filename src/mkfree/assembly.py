@@ -13,11 +13,13 @@ complete supports and their shape-function gradients.
 :func:`assemble_stiffness` keeps the state it computed on the
 :class:`StiffnessSystem` it returns, so the local update reads the
 initial cloud's side from it instead of searching and evaluating it
-again.  The global assembler and the local delta both
-integrate states through :func:`integrate_stiffness`, which writes each
-point's strain-displacement rows into one sparse B and forms
-K = B^T (W D B) as a single sparse product; no per-point stiffness block
-is built.  A point's gradients do not depend on the batch they are
+again.  The global assembler and the local delta both integrate states
+through :func:`gradient_products`, the node-level products P_ab = G_a^T W G_b
+of the Gauss weights W and the sparse shape-function derivatives G_a.  An
+isotropic K = lambda K_lambda + mu K_mu is a sum of two material-free parts
+of them (:func:`isotropic_stiffness`; Kirby, Knepley, Logg & Scott, SIAM J.
+Sci. Comput. 27(3), 2005), so the assembly keeps them for a change of
+material.  A point's gradients do not depend on the batch they are
 computed in, and a state restricted to some points is a take of its
 arrays, so the local delta matches a global reassembly to roundoff.
 """
@@ -44,7 +46,8 @@ __all__ = [
     "at_gauss_point",
     "gauss_state",
     "constitutive",
-    "strain_displacement",
+    "gradient_products",
+    "isotropic_stiffness",
     "integrate_stiffness",
     "assemble_stiffness",
     "assemble_load",
@@ -119,108 +122,93 @@ def gauss_state(cloud: NodeCloud, grid: BackgroundGrid,
     return GaussState(active=active, sup=sup, grads=grads)
 
 
+def _lame(mat: MaterialModel) -> tuple[float, float]:
+    """Lame constants (lambda, mu) of ``mat``; in plane stress lambda is the
+    reduced lambda* = E nu / (1 - nu^2)."""
+    E, nu = mat.young_modulus, mat.poisson_ratio
+    mu = E / (2.0 * (1.0 + nu))
+    if mat.mode == "plane_stress":
+        return E * nu / (1.0 - nu ** 2), mu
+    return E * nu / ((1.0 + nu) * (1.0 - 2.0 * nu)), mu
+
+
 def constitutive(mat: MaterialModel) -> np.ndarray:
     """Plane-stress 3x3 or isotropic 3D 6x6 constitutive matrix."""
-    E, nu = mat.young_modulus, mat.poisson_ratio
-    if mat.mode == "plane_stress":
-        return (E / (1.0 - nu ** 2)) * np.array([
-            [1.0, nu, 0.0],
-            [nu, 1.0, 0.0],
-            [0.0, 0.0, (1.0 - nu) / 2.0],
-        ])
-    lam = E * nu / ((1.0 + nu) * (1.0 - 2.0 * nu))
-    mu = E / (2.0 * (1.0 + nu))
-    D = np.zeros((6, 6))
-    D[:3, :3] = lam
-    D[np.arange(3), np.arange(3)] += 2.0 * mu
-    D[np.arange(3, 6), np.arange(3, 6)] = mu
+    lam, mu = _lame(mat)
+    d = mat.dim
+    D = mu * np.eye(3 * d - 3)
+    D[:d, :d] += lam + mu * np.eye(d)
     return D
 
 
-def strain_displacement(grads: np.ndarray) -> np.ndarray:
-    """Per-node strain-displacement blocks of shape-function gradients
-    (..., n, d).
-
-    Returns (..., n, 3, 2) in 2D -- rows (eps_xx, eps_yy, gamma_xy) -- or
-    (..., n, 6, 3) in 3D with rows (xx, yy, zz, yz, zx, xy).
-    """
-    g = np.asarray(grads)
-    d = g.shape[-1]
-    if d == 2:
-        B = np.zeros(g.shape[:-1] + (3, 2))
-        B[..., 0, 0] = g[..., 0]
-        B[..., 1, 1] = g[..., 1]
-        B[..., 2, 0] = g[..., 1]
-        B[..., 2, 1] = g[..., 0]
-    else:
-        B = np.zeros(g.shape[:-1] + (6, 3))
-        B[..., 0, 0] = g[..., 0]
-        B[..., 1, 1] = g[..., 1]
-        B[..., 2, 2] = g[..., 2]
-        B[..., 3, 1] = g[..., 2]
-        B[..., 3, 2] = g[..., 1]
-        B[..., 4, 0] = g[..., 2]
-        B[..., 4, 2] = g[..., 0]
-        B[..., 5, 0] = g[..., 1]
-        B[..., 5, 1] = g[..., 0]
-    return B
-
-
-def _csr_rows(data: np.ndarray, cols: np.ndarray, n_cols: int
-              ) -> sp.csr_matrix:
-    """CSR matrix of dense rows ``data`` (R, m) at columns ``cols``
-    (R, m)."""
-    R, m = data.shape
-    return sp.csr_matrix((data.ravel(), cols.ravel(),
-                          np.arange(0, R * m + 1, m)), shape=(R, n_cols))
-
-
-def integrate_stiffness(terms, weights, D: np.ndarray, dof_map: DofMap
-                        ) -> sp.csr_matrix:
-    """sum over ``terms`` (cloud, state, sign) of
-    sign * sum_g w_g B_g^T D B_g, over the Gauss points of each
-    :class:`GaussState`, on ``dof_map``'s DOFs.
-
-    Every point adds its strain rows to one sparse B (columns are its
-    support's DOFs) and the same rows times sign * w_g * D to W D B; the
-    sum is then the one sparse product B^T (W D B), symmetrized.
-    ``weights`` are the grid's Gauss weights, which the states index.
-    """
-    d, N = dof_map.dim, dof_map.n_dofs
-    B_rows, WDB_rows = [], []
+def gradient_products(terms, weights, dof_map: DofMap) -> dict:
+    """P_ab = sum over ``terms`` (cloud, state, sign) of G_a^T W G_b, a <= b,
+    on ``dof_map``'s nodes.  G_a is the CSR matrix of a state's
+    ``grads[:, a]`` on its supports, a row per Gauss point; W holds
+    sign * w_g of the grid's Gauss ``weights``.  Terms are multiplied
+    apart, so cancelling ones sum to exactly zero; P_aa is made exactly
+    symmetric."""
+    d = dof_map.dim
+    n = dof_map.n_dofs // d
+    P = {(a, b): sp.csr_matrix((n, n)) for a in range(d) for b in range(a, d)}
     for cloud, state, sign in terms:
-        pos = dof_map.positions(cloud.ids)
-        sizes = state.sup.sizes
-        for n in np.unique(sizes):
-            group = np.flatnonzero(sizes == n)
-            flat = state.sup.ptr[group][:, None] + np.arange(n)
-            B = strain_displacement(state.grads[flat])     # (c, n, r, d)
-            c, _, r, _ = B.shape
-            B = B.transpose(0, 2, 1, 3).reshape(c, r, n * d)
-            dofs = (pos[state.sup.rows[flat]][:, :, None] * d
-                    + np.arange(d)).reshape(c, 1, -1)
-            cols = np.broadcast_to(dofs, B.shape).reshape(c * r, -1)
-            WDB = (sign * weights[state.active[group]])[:, None, None] \
-                * (D @ B)
-            B_rows.append(_csr_rows(B.reshape(c * r, -1), cols, N))
-            WDB_rows.append(_csr_rows(WDB.reshape(c * r, -1), cols, N))
-    if not B_rows:
-        return sp.csr_matrix((N, N))
-    B = sp.vstack(B_rows, format="csr")
-    B.eliminate_zeros()
-    K = (B.T @ sp.vstack(WDB_rows, format="csr")).tocsr()
-    return (0.5 * (K + K.T)).tocsr()
+        cols = dof_map.positions(cloud.ids)[state.sup.rows]
+        w = np.repeat(sign * weights[state.active], state.sup.sizes)
+        G = [sp.csr_matrix((g, cols, state.sup.ptr),
+                           shape=(len(state.active), n))
+             for g in np.concatenate([state.grads.T, w * state.grads.T])]
+        Gt = [G[a].T.tocsr() for a in range(d)]
+        for a, b in P:
+            P[a, b] = P[a, b] + Gt[a] @ G[d + b]
+    for a in range(d):
+        P[a, a] = 0.5 * (P[a, a] + P[a, a].T)
+    return P
+
+
+def isotropic_stiffness(P: dict, mat: MaterialModel) -> sp.csr_matrix:
+    """K of the gradient products ``P`` for the isotropic ``mat``: axis
+    block (a, b) is lambda P_ab + mu (P_ba + delta_ab sum_c P_cc), with
+    P_ba = P_ab^T.  Each block keeps its own pattern until the permutation
+    to interleaved DOFs; blocks (a, b) and (b, a) add the same two terms,
+    transposed, so K is exactly symmetric."""
+    lam, mu = _lame(mat)
+    d = mat.dim
+    S = mu * sum((P[c, c] for c in range(1, d)), P[0, 0])
+    T = {(a, b): P[a, b].T.tocsr() for a, b in P if a != b}
+
+    def block(a, b):
+        if a == b:
+            return (lam + mu) * P[a, a] + S
+        return (lam * P[a, b] + mu * T[a, b] if a < b
+                else lam * T[b, a] + mu * P[b, a])
+
+    K = sp.bmat([[block(a, b) for b in range(d)] for a in range(d)],
+                format="coo")
+    dof = np.arange(K.shape[0])
+    dof = dof % S.shape[0] * d + dof // S.shape[0]
+    return sp.csr_matrix((K.data, (dof[K.row], dof[K.col])), shape=K.shape)
+
+
+def integrate_stiffness(terms, weights, mat: MaterialModel, dof_map: DofMap
+                        ) -> sp.csr_matrix:
+    """sum over ``terms`` (cloud, state, sign) of sign * sum_g w_g B_g^T D
+    B_g on ``dof_map``'s DOFs for the isotropic ``mat``, formed from
+    :func:`gradient_products` without any strain-displacement block."""
+    return isotropic_stiffness(gradient_products(terms, weights, dof_map),
+                               mat)
 
 
 @dataclass(frozen=True)
 class StiffnessSystem:
-    """Symmetric stiffness + load on the union DOF space; ``state`` is the
-    cloud's Gauss-point state when the stiffness was assembled from it."""
+    """Symmetric stiffness + load on the union DOF space; ``state`` and
+    ``products`` are the cloud's Gauss-point state and gradient products
+    when the stiffness was assembled from them."""
 
     K: sp.csr_matrix
     F: np.ndarray
     dof_map: DofMap
     state: GaussState | None = None
+    products: dict | None = None
 
     @property
     def n_dofs(self) -> int:
@@ -234,8 +222,8 @@ def assemble_stiffness(cloud: NodeCloud, grid: BackgroundGrid,
                        mat: MaterialModel, cfg: MeshlessConfig = DEFAULT_CONFIG,
                        dof_map: DofMap | None = None) -> StiffnessSystem:
     """Assemble the sparse global stiffness matrix for one configuration
-    from one kernel pass over the grid, whose :class:`GaussState` the
-    result keeps.
+    from one kernel pass over the grid, whose :class:`GaussState` and
+    :func:`gradient_products` the result keeps.
 
     Union DOFs whose node is absent from ``cloud`` receive the unit
     diagonal of :meth:`DofMap.absent_unit`, so they decouple and solve to
@@ -244,11 +232,10 @@ def assemble_stiffness(cloud: NodeCloud, grid: BackgroundGrid,
     if dof_map is None:
         dof_map = identity_dof_map(cloud)
     state = gauss_state(cloud, grid, cfg)
-    K = integrate_stiffness([(cloud, state, 1.0)], grid.gauss[1],
-                            constitutive(mat), dof_map)
-    K = (K + dof_map.absent_unit(cloud)).tocsr()
+    P = gradient_products([(cloud, state, 1.0)], grid.gauss[1], dof_map)
+    K = (isotropic_stiffness(P, mat) + dof_map.absent_unit(cloud)).tocsr()
     return StiffnessSystem(K=K, F=np.zeros(dof_map.n_dofs), dof_map=dof_map,
-                           state=state)
+                           state=state, products=P)
 
 
 def assemble_load(cloud: NodeCloud, bc: BoundaryConditions,

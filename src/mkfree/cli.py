@@ -106,9 +106,7 @@ def cmd_reanalyze(args) -> int:
     else:
         U, fields, diag = run_ifu(case)
     _write_outputs(Path(args.out), fields, cloud.dim)
-    print(f"method {args.method}, update path {case.update_path}")
-    if case.fallback_reason:
-        print(f"local update unavailable: {case.fallback_reason}")
+    print(f"method {args.method}")
     for key in ("s", "rank", "residual", "n_d", "n_coupled",
                 "capacitance_cond", "fund_residual", "solve_residual",
                 "short_circuit"):

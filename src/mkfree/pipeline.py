@@ -4,9 +4,8 @@ test suite.
 A baseline full analysis produces the initial stiffness, factor, and
 displacement.  For a modification, one lift carries them and the initial
 factor onto the union DOF space (initial U modified nodes), so reanalysis
-never refactorizes; the modified stiffness comes from the
-local updating strategy, or from a global reassembly when a material
-change rules the local strategy out.
+never refactorizes; the modified stiffness is the initial one, for the
+modified material, plus the local delta.
 """
 
 from __future__ import annotations
@@ -17,13 +16,13 @@ import numpy as np
 import scipy.sparse as sp
 
 from .assembly import (StiffnessSystem, apply_bcs, assemble_load,
-                       assemble_stiffness)
+                       assemble_stiffness, isotropic_stiffness)
 from .config import DEFAULT_CONFIG, MeshlessConfig
 from .model import (BackgroundGrid, BoundaryConditions, DofMap, MaterialModel,
                     Modification, NodeCloud, apply_modification)
 from .recovery import FieldSolution, recover_fields
 from .solver import CholeskyFactor, factorize, solve
-from .update import LocalUpdateUnavailableError, global_update, local_delta
+from .update import local_delta
 from . import ca as _ca
 from . import ifu as _ifu
 
@@ -36,7 +35,8 @@ class Baseline:
     """Artifacts of the initial full analysis.  ``raw.state`` is the
     initial cloud's Gauss-point state from the assembly's kernel pass,
     which every local update reads instead of evaluating the initial
-    cloud again."""
+    cloud again, and ``raw.products`` recombine its stiffness for a new
+    material (``raw`` is on the cloud's own DOFs)."""
 
     cloud: NodeCloud
     grid: BackgroundGrid
@@ -66,8 +66,9 @@ def full_analysis(cloud: NodeCloud, grid: BackgroundGrid, mat: MaterialModel,
                     raw=raw, system=system, factor=factor, U=U)
 
 
-def _lift(baseline: Baseline, dof_map: DofMap):
-    """Lift the baseline onto the union DOF space of ``dof_map``.
+def _lift(baseline: Baseline, dof_map: DofMap, mat: MaterialModel):
+    """Lift the baseline, with its raw K for material ``mat``, onto the
+    union DOF space of ``dof_map``.
 
     With ``perm`` the union positions of the initial DOFs, ``P`` the N x n
     embedding ``P[perm[k], k] = 1`` and ``I_a = I - P P^T`` the unit
@@ -84,13 +85,15 @@ def _lift(baseline: Baseline, dof_map: DofMap):
     Returns the lifted BC-applied system, raw K, factor and displacement;
     with no added node the matrices and the factor are returned uncopied.
     """
-    system = baseline.system
+    system, K_raw = baseline.system, baseline.raw.K
+    if mat != baseline.material:
+        K_raw = isotropic_stiffness(baseline.raw.products, mat)
     perm = dof_map.dofs_of(system.dof_map.node_ids)
     N = dof_map.n_dofs
     U_star = np.zeros(N)
     U_star[perm] = baseline.U
     if len(perm) == N:
-        return system, baseline.raw.K, baseline.factor, U_star
+        return system, K_raw, baseline.factor, U_star
 
     absent = np.setdiff1d(np.arange(N), perm)
     before = absent - np.arange(len(absent))    # initial DOFs before each
@@ -115,7 +118,7 @@ def _lift(baseline: Baseline, dof_map: DofMap):
     src = np.full(N, -1)
     src[perm] = np.arange(len(perm))
     return (StiffnessSystem(K=lift(system.K), F=F_star, dof_map=dof_map),
-            lift(baseline.raw.K), baseline.factor.reindex(src), U_star)
+            lift(K_raw), baseline.factor.reindex(src), U_star)
 
 
 @dataclass(frozen=True)
@@ -134,26 +137,20 @@ class ModifiedCase:
     dK: sp.csr_matrix            # BC-applied stiffness delta, K_m - star.K
     K_m: sp.csr_matrix           # BC-applied modified stiffness
     F: np.ndarray                # modified load, constrained entries zeroed
-    influence: object = None     # InfluenceDomain for the local path
-    fallback_reason: str | None = None
-
-    @property
-    def update_path(self) -> str:
-        """How K_m was built: "local", or "global" after a refusal."""
-        return "local" if self.fallback_reason is None else "global"
+    influence: object = None     # InfluenceDomain of a node change
 
 
 def prepare_modified(baseline: Baseline, mod: Modification) -> ModifiedCase:
     """Build the union-space systems and the stiffness delta for ``mod``.
 
-    The initial systems and factor reach the union space through
+    The modified load is validated first, so a refused edit costs no
+    update.  The initial systems and factor reach the union space through
     :func:`_lift`, whatever ids the added nodes have; nothing is factorized
-    here.  The modified pre-BC stiffness is the initial one plus the local
-    delta -- which reads the initial cloud's side from the baseline's
-    Gauss-point state, so only the modified cloud is searched and
-    evaluated -- or a global reassembly when the local strategy refuses the
-    modification (a material change; the reason is kept in
-    ``fallback_reason``).  The modified boundary conditions are then
+    here.  The modified pre-BC stiffness is the initial one (recombined
+    from the baseline's gradient products for a new material) plus the
+    local delta with the modified material, which reads the initial side
+    from the baseline's Gauss-point state, so only the modified cloud is
+    searched and evaluated.  The modified boundary conditions are then
     applied to it, and the delta is taken between the two BC-applied
     matrices, so CA and IFU see one consistent pair whatever changed.
     """
@@ -162,32 +159,21 @@ def prepare_modified(baseline: Baseline, mod: Modification) -> ModifiedCase:
     mat_new = mod.material_change or baseline.material
     bc_new = mod.bc_change or baseline.bc
     bc_new.validate_against(cloud_mod)
-
-    star, K_raw, factor, U_star = _lift(baseline, dof_map)
-
-    influence = fallback = None
-    try:
-        influence, delta_raw = local_delta(
-            mod, baseline.cloud, cloud_mod, baseline.grid, mat_new, dof_map,
-            cfg, baseline.raw.state)
-    except LocalUpdateUnavailableError as exc:
-        fallback = str(exc)
-        K_m_raw = global_update(cloud_mod, baseline.grid, mat_new, dof_map,
-                                cfg).K
-    else:
-        K_m_raw = (K_raw + delta_raw.dK).tocsr()
-
     F_mod = assemble_load(cloud_mod, bc_new, dof_map, cfg)
-    modified = apply_bcs(StiffnessSystem(K=K_m_raw, F=F_mod, dof_map=dof_map),
-                         bc_new)
+
+    star, K_raw, factor, U_star = _lift(baseline, dof_map, mat_new)
+    influence, delta_raw = local_delta(
+        mod, baseline.cloud, cloud_mod, baseline.grid, mat_new, dof_map, cfg,
+        baseline.raw.state)
+    modified = apply_bcs(StiffnessSystem(K=(K_raw + delta_raw.dK).tocsr(),
+                                         F=F_mod, dof_map=dof_map), bc_new)
     dK = (modified.K - star.K).tocsr()
     dK.eliminate_zeros()
 
     return ModifiedCase(
         baseline=baseline, mod=mod, cloud_mod=cloud_mod, dof_map=dof_map,
         material=mat_new, bc=bc_new, star=star, factor=factor, U_star=U_star,
-        dK=dK, K_m=modified.K, F=modified.F, influence=influence,
-        fallback_reason=fallback)
+        dK=dK, K_m=modified.K, F=modified.F, influence=influence)
 
 
 def _restrict(case: ModifiedCase, U: np.ndarray) -> FieldSolution:
@@ -203,7 +189,7 @@ def run_ca(case: ModifiedCase, s: int = 10):
     residual = float(np.linalg.norm(case.K_m @ U - case.F)
                      / max(np.linalg.norm(case.F), 1e-300))
     diag = {"method": "ca", "s": s, "rank": reduced.rank,
-            "residual": residual, "update_path": case.update_path}
+            "residual": residual}
     return U, _restrict(case, U), diag
 
 
@@ -214,8 +200,7 @@ def run_ifu(case: ModifiedCase, tol: float | None = None):
     diag = {"method": "ifu", "n_d": d.n_d, "fund_residual": d.fund_residual,
             "solve_residual": d.solve_residual, "n_coupled": d.n_coupled,
             "capacitance_cond": d.capacitance_cond,
-            "short_circuit": d.short_circuit,
-            "update_path": case.update_path}
+            "short_circuit": d.short_circuit}
     return U, _restrict(case, U), diag
 
 
@@ -224,5 +209,5 @@ def run_full_modified(case: ModifiedCase):
     sys_m = StiffnessSystem(K=case.K_m, F=case.F, dof_map=case.dof_map)
     factor = factorize(sys_m)
     U = solve(factor, case.F)
-    diag = {"method": "full", "update_path": case.update_path}
+    diag = {"method": "full"}
     return U, _restrict(case, U), diag

@@ -3,7 +3,8 @@ compare reanalysis against full analysis.
 
 The strains at all nodes come from one pass of the batched Gauss-point
 kernel (:func:`mkfree.interp.evaluate_batch`) with the nodes as
-evaluation points; a refused support or system names its node id."""
+evaluation points, through the displacement gradient at each node; a
+refused support or system names its node id."""
 
 from __future__ import annotations
 
@@ -11,13 +12,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .assembly import constitutive, strain_displacement
+from .assembly import constitutive
 from .config import DEFAULT_CONFIG, MeshlessConfig
 from .errors import ValidationError
 from .interp import evaluate_batch, find_supports, spacing
 from .model import DofMap, MaterialModel, NodeCloud, identity_dof_map
 
 __all__ = ["FieldSolution", "recover_fields", "von_mises", "error_metrics"]
+
+# strain component k is (H_ab + H_ba) / (2 if a == b else 1), in CSV order
+_VOIGT = {2: ((0, 1, 0), (0, 1, 1)),
+          3: ((0, 1, 2, 1, 2, 0), (0, 1, 2, 2, 0, 1))}
 
 
 @dataclass(frozen=True)
@@ -73,8 +78,8 @@ def von_mises(components: np.ndarray, mode: str, kind: str = "stress"
 def recover_fields(U: np.ndarray, cloud: NodeCloud, mat: MaterialModel,
                    cfg: MeshlessConfig = DEFAULT_CONFIG,
                    dof_map: DofMap | None = None) -> FieldSolution:
-    """Evaluate strain = sum_I B_I(x_node) u_I and stress = D strain at
-    every node of ``cloud``.
+    """Evaluate strain, from H_ab = sum_I d_a phi_I(x_node) u_Ib, and
+    stress = D strain at every node of ``cloud``.
 
     ``U`` lives on ``dof_map`` (the cloud's own DOF ordering when omitted);
     union-space entries of absent nodes are simply never referenced.
@@ -92,10 +97,12 @@ def recover_fields(U: np.ndarray, cloud: NodeCloud, mat: MaterialModel,
     where = lambda g: f" (at node {node_ids[g]})"
     sup = find_supports(X, cloud, d_c, cfg, where)
     U_nodes = U.reshape(-1, cloud.dim)[dof_map.positions(cloud.ids)]
-    strain = np.empty((cloud.n_nodes, D.shape[0]))
+    a, b = _VOIGT[cloud.dim]
+    half = np.where(np.equal(a, b), 0.5, 1.0)
+    strain = np.empty((cloud.n_nodes, len(a)))
     for idx, rows, _, grads in evaluate_batch(X, cloud, sup, cfg, where):
-        B = strain_displacement(grads)                  # (c, n, r, d)
-        strain[idx] = np.einsum("cnrd,cnd->cr", B, U_nodes[rows])
+        H = np.einsum("cna,cnb->cab", grads, U_nodes[rows])
+        strain[idx] = (H[:, a, b] + H[:, b, a]) * half
     disp = U_nodes[order]
     stress = strain @ D.T
     return FieldSolution(

@@ -13,10 +13,11 @@ it at the affected points.  Only the modified cloud is searched (over the
 whole grid, for the screen) and evaluated (at the affected points, on the
 supports the screen found).  :func:`local_delta` builds the initial state
 itself when the caller has none.  The delta is the global assembler's own
-sparse product (:func:`mkfree.assembly.integrate_stiffness`).  A material
-change alters every Gauss contribution, so the strategy refuses it and the
-global reassembly is the only option; a modification that leaves the node
-set unchanged otherwise (empty, or a BC-only change) has a zero delta.
+integration (:func:`mkfree.assembly.integrate_stiffness`), with the
+modified material.  A modification that leaves the node set unchanged (a
+material or BC change, or none) has a zero delta: a material change alone
+is a recombination of the baseline's gradient products, which the
+pipeline makes.
 """
 
 from __future__ import annotations
@@ -28,15 +29,14 @@ import numpy as np
 import scipy.sparse as sp
 
 from .assembly import (GaussState, StiffnessSystem, active_supports,
-                       assemble_stiffness, at_gauss_point, constitutive,
-                       gauss_state, integrate_stiffness)
+                       assemble_stiffness, at_gauss_point, gauss_state,
+                       integrate_stiffness)
 from .config import DEFAULT_CONFIG, MeshlessConfig
-from .errors import MkfreeError, ValidationError
+from .errors import ValidationError
 from .model import (BackgroundGrid, DofMap, MaterialModel, Modification,
                     NodeCloud)
 
 __all__ = [
-    "LocalUpdateUnavailableError",
     "InfluenceDomain",
     "StiffnessDelta",
     "changed_nodes",
@@ -45,10 +45,6 @@ __all__ = [
     "local_delta",
     "global_update",
 ]
-
-
-class LocalUpdateUnavailableError(MkfreeError):
-    """The local strategy does not apply (material change)."""
 
 
 def changed_nodes(mod: Modification) -> list[int]:
@@ -150,7 +146,7 @@ def compute_delta(dom: InfluenceDomain, cloud_initial: NodeCloud,
     dK = integrate_stiffness(
         [(cloud_modified, modified, 1.0),
          (cloud_initial, initial.take(dom.affected_gauss), -1.0)],
-        dom.grid.gauss[1], constitutive(mat), dof_map)
+        dom.grid.gauss[1], mat, dof_map)
     unit = (dof_map.absent_unit(cloud_modified)
             - dof_map.absent_unit(cloud_initial))
     return StiffnessDelta(dK=(dK + unit).tocsr())
@@ -164,13 +160,9 @@ def local_delta(mod: Modification, cloud_initial: NodeCloud,
     """Full local path: influence domain + delta.  ``initial`` is the
     initial cloud's state over the whole grid (``StiffnessSystem.state``
     of its assembly), built here by :func:`gauss_state` when not given;
-    neither step then searches or evaluates the initial cloud.  Refuses
-    material changes; a modification that keeps the node set (empty or
-    BC-only) gets no influence domain and a zero delta."""
-    if mod.material_change is not None:
-        raise LocalUpdateUnavailableError(
-            "material change alters every Gauss contribution; "
-            "use the global updating strategy")
+    neither step then searches or evaluates the initial cloud.  Both sides
+    are integrated with ``mat``, the modified material; a modification that
+    keeps the node set gets no influence domain and a zero delta."""
     if not mod.changes_nodes:
         n = dof_map.n_dofs
         return None, StiffnessDelta(dK=sp.csr_matrix((n, n)))
@@ -185,6 +177,7 @@ def local_delta(mod: Modification, cloud_initial: NodeCloud,
 def global_update(cloud_modified: NodeCloud, grid: BackgroundGrid,
                   mat: MaterialModel, dof_map: DofMap,
                   cfg: MeshlessConfig = DEFAULT_CONFIG) -> StiffnessSystem:
-    """Fallback path: reassemble the modified stiffness on the union space."""
+    """Reference path: reassemble the modified stiffness on the union
+    space, the oracle of the local update."""
     return assemble_stiffness(cloud_modified, grid, mat, cfg, dof_map=dof_map)
 

@@ -105,6 +105,35 @@ def constitutive_oracle(mat):
                      [np.zeros((3, 3)), mu * np.eye(3)]])
 
 
+def strain_displacement(grads):
+    """Per-node strain-displacement blocks of shape-function gradients
+    (..., n, d).
+
+    Returns (..., n, 3, 2) in 2D -- rows (eps_xx, eps_yy, gamma_xy) -- or
+    (..., n, 6, 3) in 3D with rows (xx, yy, zz, yz, zx, xy).
+    """
+    g = np.asarray(grads)
+    d = g.shape[-1]
+    if d == 2:
+        B = np.zeros(g.shape[:-1] + (3, 2))
+        B[..., 0, 0] = g[..., 0]
+        B[..., 1, 1] = g[..., 1]
+        B[..., 2, 0] = g[..., 1]
+        B[..., 2, 1] = g[..., 0]
+    else:
+        B = np.zeros(g.shape[:-1] + (6, 3))
+        B[..., 0, 0] = g[..., 0]
+        B[..., 1, 1] = g[..., 1]
+        B[..., 2, 2] = g[..., 2]
+        B[..., 3, 1] = g[..., 2]
+        B[..., 3, 2] = g[..., 1]
+        B[..., 4, 0] = g[..., 2]
+        B[..., 4, 2] = g[..., 0]
+        B[..., 5, 0] = g[..., 1]
+        B[..., 5, 1] = g[..., 0]
+    return B
+
+
 def b_matrix_oracle(grads):
     """Strain-displacement matrix assembled row by row from the gradient
     table; (3, 2n) in 2D, (6, 3n) in 3D with strain order

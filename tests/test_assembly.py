@@ -3,7 +3,7 @@ import pytest
 
 from mkfree.assembly import (active_supports, apply_bcs, assemble_load,
                              assemble_stiffness, constitutive, gauss_state,
-                             integrate_stiffness, strain_displacement)
+                             integrate_stiffness)
 from mkfree.config import MeshlessConfig
 from mkfree.interp import evaluate_at
 from mkfree.model import (BackgroundGrid, BoundaryConditions, MaterialModel,
@@ -13,7 +13,8 @@ from mkfree.update import local_delta
 
 from conftest import cantilever_bc, grid_for, jittered_cloud
 from oracles import (active_oracle, constitutive_oracle,
-                     dense_stiffness_oracle, shape_oracle, support_oracle)
+                     dense_stiffness_oracle, shape_oracle,
+                     strain_displacement, support_oracle)
 
 
 class TestGaussPoints:
@@ -151,12 +152,11 @@ def _edited_model(rng, dim):
 class TestIntegrateStiffness:
     def test_signed_terms_are_the_difference(self, rng, cfg, dim):
         cloud, cloud_m, _, grid, mat, dm = _edited_model(rng, dim)
-        D = constitutive(mat)
 
         def integrate(terms):
             states = [(c, gauss_state(c, grid, cfg), sign)
                       for c, sign in terms]
-            return integrate_stiffness(states, grid.gauss[1], D,
+            return integrate_stiffness(states, grid.gauss[1], mat,
                                        dm).toarray()
 
         K_m, K = integrate([(cloud_m, 1.0)]), integrate([(cloud, 1.0)])
@@ -164,6 +164,41 @@ class TestIntegrateStiffness:
         scale = max(np.abs(K_m).max(), np.abs(K).max())
         assert np.abs(both - (K_m - K)).max() <= 1e-14 * scale
         assert np.abs(both).max() > 1e-3 * scale
+
+    @pytest.mark.parametrize("case", ["mixed-supports", "nu-zero",
+                                      "cancelling-terms"])
+    def test_matches_signed_btdb_sum(self, rng, cfg, dim, case):
+        """The gradient products against sum of sign * w_g B^T D B over
+        every point of every term, with B from the strain-displacement
+        oracle and D from the constitutive oracle.  The edited model's two
+        clouds give mixed support sizes; nu = 0 makes lambda vanish; one
+        state signed + and - cancels to an all-zero K."""
+        cloud, cloud_m, _, grid, mat, dm = _edited_model(rng, dim)
+        if case == "nu-zero":
+            mat = MaterialModel(100.0, 0.0, mat.mode)
+        state, state_m = (gauss_state(c, grid, cfg) for c in (cloud, cloud_m))
+        assert len(np.unique(state.sup.sizes)) > 1
+        terms = ([(cloud, state, 1.0), (cloud, state, -1.0)]
+                 if case == "cancelling-terms"
+                 else [(cloud_m, state_m, 0.5), (cloud, state, -1.0)])
+        ref = np.zeros((dm.n_dofs, dm.n_dofs))
+        D = constitutive_oracle(mat)
+        w = grid.gauss[1]
+        for c, st, sign in terms:
+            pos = dm.positions(c.ids)
+            for g, p in enumerate(st.active):
+                lo, hi = st.sup.ptr[g], st.sup.ptr[g + 1]
+                B = strain_displacement(st.grads[lo:hi])   # (n, r, d)
+                B = B.transpose(1, 0, 2).reshape(B.shape[1], -1)
+                dofs = (pos[st.sup.rows[lo:hi]][:, None] * dim
+                        + np.arange(dim)).ravel()
+                ref[np.ix_(dofs, dofs)] += sign * w[p] * B.T @ D @ B
+        K = integrate_stiffness(terms, w, mat, dm)
+        assert K.shape == ref.shape and (K != K.T).nnz == 0
+        scale = np.abs(integrate_stiffness(terms[1:], w, mat, dm)).max()
+        assert np.abs(K.toarray() - ref).max() <= 1e-14 * scale
+        if case == "cancelling-terms":
+            assert not K.toarray().any()
 
     def test_stiffness_and_delta_exactly_symmetric(self, rng, cfg, dim):
         cloud, cloud_m, mod, grid, mat, dm = _edited_model(rng, dim)

@@ -190,6 +190,30 @@ class TestReanalyze:
         assert rc == 2
         assert "missing 'E'" in capsys.readouterr().err
 
+    def test_material_change_is_reanalyzed(self, small_files, tmp_path,
+                                           capsys):
+        """A modification that changes the material, alone and with a
+        node removal, reanalyzes through the local update; the run prints
+        no update path, and IFU matches the full re-solve."""
+        model, _ = small_files
+        cloud, *_ = demos.patch(nx=4, ny=4, refine=1)
+        from mkfree.model import MaterialModel
+        new = MaterialModel(50.0, 0.2)
+        for change in (modification_to_dict(_remove_one(cloud)), {}):
+            change["material"] = {"E": new.young_modulus,
+                                  "nu": new.poisson_ratio}
+            mod = tmp_path / "material_mod.json"
+            mod.write_text(json.dumps(change))
+            rc = main(["reanalyze", str(model), str(mod), "--method", "ifu",
+                       "--compare", "-o", str(tmp_path / "out")])
+            assert rc == 0
+            out = capsys.readouterr().out
+            assert "update path" not in out
+            import re
+            vals = [float(v) for v in
+                    re.findall(r"E_\w+ = ([0-9.e+-]+) %", out)]
+            assert len(vals) == 3 and all(v < 1e-6 for v in vals)
+
     def test_real_modification(self, small_files, tmp_path, capsys):
         model, _ = small_files
         cloud, *_ = demos.patch(nx=4, ny=4, refine=1)

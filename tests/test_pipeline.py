@@ -6,6 +6,7 @@ modified stiffness against a BC-applied global reassembly, the delta
 against K_m - K*, and IFU against a full re-solve.
 """
 
+import dataclasses
 import sys
 import tracemalloc
 
@@ -13,7 +14,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from mkfree import assembly, demos, ifu, interp, pipeline
+from mkfree import assembly, demos, ifu, interp, pipeline, update
 from mkfree.assembly import StiffnessSystem, apply_bcs, assemble_load
 from mkfree.errors import ValidationError
 from mkfree.model import (BoundaryConditions, MaterialModel, Modification,
@@ -77,16 +78,41 @@ def test_bc_only_change(baseline):
         fixed_dofs=baseline.bc.fixed_dofs + ((int(second), 0),),
         point_loads=tuple((i, 0, 2.0 / len(right)) for i in right))
     case = _check_case(baseline, Modification(bc_change=bc))
-    assert case.update_path == "local" and case.influence is None
-    assert case.fallback_reason is None
+    assert case.influence is None
     assert case.dK.nnz > 0      # the extra fixed DOF changes K
 
 
-def test_material_change_falls_back_to_global(baseline):
-    mod = Modification(material_change=MaterialModel(250.0, 0.25))
-    case = _check_case(baseline, mod)
-    assert case.update_path == "global"
-    assert "material" in case.fallback_reason
+@pytest.mark.parametrize("edit", ["alone", "removal", "interleaved"])
+def test_material_change_is_a_local_update(small_model, monkeypatch, edit):
+    """A material change recombines the baseline's gradient products with
+    the new constants and adds the local delta integrated with the new
+    material: K_m equals the BC-applied global reassembly of the modified
+    cloud with that material, without a reassembly of the whole grid."""
+    new = MaterialModel(250.0, 0.25)
+    if edit == "interleaved":
+        model, mod = _interleaved_2d(small_model)
+        mod = dataclasses.replace(mod, material_change=new)
+    else:
+        model = small_model
+        removed = {_interior_node(model[0])} if edit == "removal" else set()
+        mod = Modification(removed_ids=removed, material_change=new)
+    base = full_analysis(*model)
+    with monkeypatch.context() as m:
+        m.setattr(pipeline, "assemble_stiffness", _refuse_reassembly)
+        m.setattr(update, "assemble_stiffness", _refuse_reassembly)
+        case = prepare_modified(base, mod)
+    assert case.material == new
+    assert (case.influence is None) == (edit == "alone")
+    ref_raw = global_update(case.cloud_mod, base.grid, new, case.dof_map,
+                            base.cfg)
+    ref = apply_bcs(ref_raw.with_load(case.F), case.bc).K.toarray()
+    scale = np.abs(ref).max()
+    assert np.abs(case.K_m.toarray() - ref).max() <= 1e-14 * scale
+    _check_case(base, mod, case)
+    if edit == "alone":
+        _, ref_fields, _ = run_full_modified(case)
+        E_u = error_metrics(run_ca(case, s=10)[1], ref_fields)[0]
+        assert E_u < 1.0, f"CA E_u {E_u:.2e} %"
 
 
 def test_interior_removal_with_bc_change(baseline):
@@ -98,7 +124,7 @@ def test_interior_removal_with_bc_change(baseline):
                           for a in (0, 1)))
     mod = Modification(removed_ids={_interior_node(cloud)}, bc_change=bc)
     case = _check_case(baseline, mod)
-    assert case.update_path == "local" and case.influence is not None
+    assert case.influence is not None
 
 
 def test_ca_reports_its_residual(baseline):
@@ -121,7 +147,7 @@ def test_loaded_node_removal_with_bc_change(baseline):
     assert all(n != gone for n, _, _ in bc.point_loads)
     mod = Modification(removed_ids={gone}, bc_change=bc)
     case = _check_case(baseline, mod)
-    assert case.update_path == "local" and case.influence is not None
+    assert case.influence is not None
 
 
 def _interleaved_2d(small_model):
@@ -149,6 +175,10 @@ def _interleaved_3d():
 
 def _refuse_factorize(*_):
     raise AssertionError("prepare_modified must reuse the initial factor")
+
+
+def _refuse_reassembly(*_, **__):
+    raise AssertionError("prepare_modified must not reassemble the grid")
 
 
 @pytest.mark.parametrize("dim", [2, 3])
@@ -190,7 +220,7 @@ def test_insertion_lift_memory_stays_near_the_lifted_band():
     _, dof_map = apply_modification(base.cloud, mod, base.bc)
     tracemalloc.start()
     try:
-        _, _, factor, _ = pipeline._lift(base, dof_map)
+        _, _, factor, _ = pipeline._lift(base, dof_map, base.material)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -228,7 +258,7 @@ def test_lifted_stiffness_equals_the_coo_scatter(small_model, ids):
     _, dof_map = apply_modification(base.cloud, mod, base.bc)
     perm = dof_map.dofs_of(base.system.dof_map.node_ids)
     unit = dof_map.absent_unit(base.cloud)
-    star, K_raw, _, _ = pipeline._lift(base, dof_map)
+    star, K_raw, _, _ = pipeline._lift(base, dof_map, base.material)
     for got, A in ((star.K, base.system.K), (K_raw, base.raw.K)):
         ref = _coo_lift(A, perm, unit)
         assert got.shape == ref.shape and got.has_canonical_format
@@ -251,7 +281,7 @@ def test_natural_order_lift_memory_stays_near_the_lifted_band():
     _, dof_map = apply_modification(base.cloud, mod, base.bc)
     tracemalloc.start()
     try:
-        star, _, factor, _ = pipeline._lift(base, dof_map)
+        star, _, factor, _ = pipeline._lift(base, dof_map, base.material)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -337,7 +367,6 @@ def test_edits_search_and_evaluate_only_the_modified_cloud(monkeypatch):
     for mod in (fill, removal):
         calls.clear()
         case = prepare_modified(base, mod)
-        assert case.update_path == "local"
         assert calls and all(c is case.cloud_mod for _, c, _ in calls)
         assert ("evaluate_batch", case.cloud_mod,
                 len(case.influence.modified_supports[0])) in calls
@@ -374,3 +403,19 @@ def test_traction_on_removed_material_is_refused():
     case = prepare_modified(base, Modification(removed_ids=mod.removed_ids,
                                                bc_change=kept))
     assert case.F.reshape(-1, 2)[:, 0].sum() == pytest.approx(6.0)
+
+
+def test_refused_load_costs_no_update(monkeypatch):
+    """The modified load is validated before the lift and the local
+    update: a cut into the loaded edge is refused without reaching
+    either."""
+    cloud, grid, mat, bc, mod = loaded_edge_cut()
+    base = full_analysis(cloud, grid, mat, bc)
+
+    def unreachable(*_, **__):
+        raise AssertionError("the refused edit reached the update")
+
+    monkeypatch.setattr(pipeline, "local_delta", unreachable)
+    monkeypatch.setattr(pipeline, "_lift", unreachable)
+    with pytest.raises(ValidationError, match="acts off the material"):
+        prepare_modified(base, mod)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from mkfree.assembly import constitutive, strain_displacement
+from mkfree.assembly import constitutive
 from mkfree.config import MeshlessConfig
 from mkfree.errors import SupportDeficiencyError, ValidationError
 from mkfree.interp import evaluate_at
@@ -9,6 +9,7 @@ from mkfree.model import MaterialModel, NodeCloud, identity_dof_map
 from mkfree.recovery import error_metrics, recover_fields, von_mises
 
 from conftest import jittered_cloud
+from oracles import strain_displacement
 
 
 class TestVonMisesStress:

@@ -7,8 +7,7 @@ from mkfree.errors import SupportDeficiencyError, ValidationError
 from mkfree.interp import select_support
 from mkfree.model import (MaterialModel, Modification, NodeCloud,
                           apply_modification)
-from mkfree.update import (LocalUpdateUnavailableError,
-                           build_influence_domain, changed_nodes,
+from mkfree.update import (build_influence_domain, changed_nodes,
                            compute_delta, global_update, local_delta)
 
 from conftest import grid_for, jittered_cloud
@@ -181,15 +180,30 @@ class TestDeltaExactness:
         assert np.allclose(dK[d_add, d_add], K_mod[d_add, d_add] - 1.0)
 
 
-class TestLocalDeltaRefusals:
-    def test_material_change_refused(self, rng, cfg):
-        cloud = jittered_cloud(rng, 5, 5)
+class TestLocalDeltaMaterialChange:
+    def test_material_change_is_integrated_with_the_new_material(self, rng,
+                                                                 cfg):
+        """Alone, a material change keeps the node set: no domain and a
+        zero delta.  With a removal, the delta is the difference of two
+        reassemblies with the new material."""
+        cloud = jittered_cloud(rng, 6, 5)
         grid = grid_for(cloud)
-        mod = Modification(material_change=MaterialModel(99.0, 0.3))
+        new = MaterialModel(99.0, 0.2)
+        alone = Modification(material_change=new)
+        cloud_m, dm = apply_modification(cloud, alone)
+        dom, delta = local_delta(alone, cloud, cloud_m, grid, new, dm, cfg)
+        assert dom is None and delta.dK.nnz == 0
+        mod = Modification(removed_ids={14}, material_change=new)
         cloud_m, dm = apply_modification(cloud, mod)
-        with pytest.raises(LocalUpdateUnavailableError):
-            local_delta(mod, cloud, cloud_m, grid, MaterialModel(99.0, 0.3),
-                        dm, cfg)
+        dom, delta = local_delta(mod, cloud, cloud_m, grid, new, dm, cfg)
+        ref = (global_update(cloud_m, grid, new, dm, cfg).K
+               - global_update(cloud, grid, new, dm, cfg).K).toarray()
+        scale = np.abs(global_update(cloud, grid, new, dm, cfg).K).max()
+        assert dom is not None
+        assert np.abs(delta.dK.toarray() - ref).max() <= 1e-14 * scale
+
+
+class TestLocalDeltaRefusals:
 
     def test_empty_mod_zero_delta(self, rng, cfg):
         cloud = jittered_cloud(rng, 5, 5)
