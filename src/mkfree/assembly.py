@@ -9,13 +9,15 @@ implicitly: the point must have a cloud node within
 
 One pass of the batched kernel of :mod:`mkfree.interp` gives a
 :class:`GaussState`: the points that integrate for a cloud, their
-complete supports and their shape-function gradients.
-:func:`assemble_stiffness` keeps the state it computed on the
-:class:`StiffnessSystem` it returns, so the local update reads the
+complete supports, their shape-function gradients and the reach of every
+Gauss point.  :func:`assemble_stiffness` keeps the state it computed on
+the :class:`StiffnessSystem` it returns, so the local update reads the
 initial cloud's side from it instead of searching and evaluating it
-again.  The global assembler and the local delta both integrate states
-through :func:`gradient_products`, the node-level products P_ab = G_a^T W G_b
-of the Gauss weights W and the sparse shape-function derivatives G_a.  An
+again, and re-searches the modified cloud only where a changed node lies
+within a point's reach.  The global assembler and the local delta both
+integrate states through :func:`gradient_products`, the node-level
+products P_ab = G_a^T W G_b of the Gauss weights W and the sparse
+shape-function derivatives G_a.  An
 isotropic K = lambda K_lambda + mu K_mu is a sum of two material-free parts
 of them (:func:`isotropic_stiffness`; Kirby, Knepley, Logg & Scott, SIAM J.
 Sci. Comput. 27(3), 2005), so the assembly keeps them for a change of
@@ -34,8 +36,8 @@ import scipy.sparse as sp
 
 from .config import DEFAULT_CONFIG, MeshlessConfig
 from .errors import ValidationError
-from .interp import (Supports, _nowhere, evaluate_at, evaluate_batch,
-                     find_supports, spacing)
+from .interp import (Supports, _nowhere, evaluate_at, find_supports, reach,
+                     spacing, support_gradients)
 from .model import (_GL, BackgroundGrid, BoundaryConditions, DofMap,
                     MaterialModel, NodeCloud, identity_dof_map)
 
@@ -45,6 +47,7 @@ __all__ = [
     "active_supports",
     "at_gauss_point",
     "gauss_state",
+    "traction_points",
     "constitutive",
     "gradient_products",
     "isotropic_stiffness",
@@ -62,13 +65,15 @@ ACTIVITY_FACTOR = 1.0
 def active_supports(points, cloud: NodeCloud,
                     cfg: MeshlessConfig = DEFAULT_CONFIG, where=_nowhere):
     """Indices of the points that integrate for ``cloud`` (see
-    ACTIVITY_FACTOR) and their supports; a deficient support raises, with
+    ACTIVITY_FACTOR), their supports, and the :func:`~mkfree.interp.reach`
+    of every point, active or not; a deficient support raises, with
     ``where(p)`` locating its point p (an index into ``points``)."""
     points = np.asarray(points, dtype=float).reshape(-1, cloud.dim)
-    dist, d_c = spacing(points, cloud)
+    dist, d_c, d_nb = spacing(points, cloud)
     active = np.flatnonzero(dist <= ACTIVITY_FACTOR * d_c)
-    return active, find_supports(points[active], cloud, d_c[active], cfg,
-                                 lambda g: where(active[g]))
+    sup = find_supports(points[active], cloud, d_c[active], cfg,
+                        lambda g: where(active[g]))
+    return active, sup, reach(dist, d_c, d_nb, cfg)
 
 
 def at_gauss_point(grid: BackgroundGrid, p: int) -> str:
@@ -80,22 +85,28 @@ def at_gauss_point(grid: BackgroundGrid, p: int) -> str:
 
 @dataclass(frozen=True)
 class GaussState:
-    """Integration state of one cloud on a grid's Gauss points: the points
-    that integrate, their supports, and the shape-function gradients of
-    every support node, flattened along ``sup.rows``.  Its arrays are
+    """Integration state of one cloud on a batch of points (a grid's Gauss
+    points, or the cloud's nodes in id order): the points that integrate,
+    their supports, the shape-function gradients of every support node,
+    flattened along ``sup.rows``, and, for a state of the whole batch, the
+    :func:`~mkfree.interp.reach` of every point of it.  Its arrays are
     read-only."""
 
-    active: np.ndarray       # (A,) ascending indices into grid.gauss
+    active: np.ndarray       # (A,) ascending indices into the batch
     sup: Supports            # supports of the active points
     grads: np.ndarray        # (len(sup.rows), dim)
+    reach: np.ndarray | None = None    # (G,) over the whole batch
 
     def __post_init__(self):
-        for a in (self.active, self.grads, self.sup.ptr, self.sup.rows):
-            a.flags.writeable = False
+        for a in (self.active, self.grads, self.sup.ptr, self.sup.rows,
+                  self.reach):
+            if a is not None:
+                a.flags.writeable = False
 
     def take(self, points) -> "GaussState":
-        """The state at the Gauss points ``points`` (indices into
-        grid.gauss); those that do not integrate for the cloud drop out."""
+        """The state at the points ``points`` (indices into the batch),
+        without a reach; those that do not integrate for the cloud drop
+        out."""
         pos = np.flatnonzero(np.isin(self.active, points))
         _, flat = self.sup.entries(pos)
         return GaussState(active=self.active[pos], sup=self.sup.take(pos),
@@ -109,17 +120,19 @@ def gauss_state(cloud: NodeCloud, grid: BackgroundGrid,
     ``grid``.
 
     ``supports``, an (active, sup) pair as :func:`active_supports` gives,
-    restricts the pass to those points and skips the support search.  A
-    support-deficient point raises SupportDeficiencyError and a failed
-    Kriging system ConditioningError, each naming the point and its cell.
+    restricts the pass to those points and skips the support search; the
+    state then has no reach.  A support-deficient point raises
+    SupportDeficiencyError and a failed Kriging system ConditioningError,
+    each naming the point and its cell.
     """
     points, where = grid.gauss[0], partial(at_gauss_point, grid)
-    active, sup = supports or active_supports(points, cloud, cfg, where)
-    grads = np.empty((len(sup.rows), cloud.dim))
-    for idx, _, _, g in evaluate_batch(points[active], cloud, sup, cfg,
-                                       lambda j: where(active[j])):
-        grads[sup.ptr[idx][:, None] + np.arange(g.shape[1])] = g
-    return GaussState(active=active, sup=sup, grads=grads)
+    if supports is None:
+        active, sup, rho = active_supports(points, cloud, cfg, where)
+    else:
+        (active, sup), rho = supports, None
+    grads = support_gradients(points[active], cloud, sup, cfg,
+                              lambda j: where(active[j]))
+    return GaussState(active=active, sup=sup, grads=grads, reach=rho)
 
 
 def _lame(mat: MaterialModel) -> tuple[float, float]:
@@ -238,6 +251,15 @@ def assemble_stiffness(cloud: NodeCloud, grid: BackgroundGrid,
                            state=state, products=P)
 
 
+def traction_points(bc: BoundaryConditions, dim: int) -> np.ndarray:
+    """The 2-point Gauss quadrature points (2 per traction, in traction
+    order) of the tractions of ``bc``, as a (2 * len(tractions), dim)
+    array."""
+    return np.array([0.5 * (tr.start + tr.end) + xi * 0.5 * (tr.end - tr.start)
+                     for tr in bc.tractions for xi in (-_GL, _GL)]
+                    ).reshape(-1, dim)
+
+
 def assemble_load(cloud: NodeCloud, bc: BoundaryConditions,
                   dof_map: DofMap | None = None,
                   cfg: MeshlessConfig = DEFAULT_CONFIG) -> np.ndarray:
@@ -255,9 +277,8 @@ def assemble_load(cloud: NodeCloud, bc: BoundaryConditions,
         if not cloud.has_node(node_id):
             raise ValidationError(f"point load on node {node_id} not in cloud")
         F[dof_map.dof(node_id, axis)] += value
-    quad = np.array([0.5 * (tr.start + tr.end) + xi * 0.5 * (tr.end - tr.start)
-                     for tr in bc.tractions for xi in (-_GL, _GL)])
-    dist, d_c = spacing(quad, cloud)
+    quad = traction_points(bc, cloud.dim)
+    dist, d_c, _ = spacing(quad, cloud)
     off = np.flatnonzero(~(dist <= ACTIVITY_FACTOR * d_c))
     if len(off):
         tr = bc.tractions[off[0] // 2]

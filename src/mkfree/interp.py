@@ -12,7 +12,10 @@ recovery share.  Its stages:
 1. :func:`spacing` and :func:`find_supports` locate the supports of all
    points with vectorized KD-tree queries.  A support still short of
    dim + 1 nodes after its one growth is refused there: every support
-   the later stages see is complete.
+   the later stages see is complete.  :func:`reach` bounds, from the same
+   queries, the region of nodes a point's spacing and support depend on,
+   so an edit of a cloud re-searches only the points it can change
+   (:func:`within_reach`).
 2. :func:`evaluate_batch` groups the points by support size n and cuts
    each group into chunks whose (c, n, n) arrays stay memory-bounded.
 3. Per chunk, :func:`_systems` builds the correlation matrices R (one
@@ -53,6 +56,7 @@ from itertools import chain
 
 import numpy as np
 from numpy.linalg import LinAlgError, cholesky
+from scipy.spatial import cKDTree
 
 from .config import DEFAULT_CONFIG, MeshlessConfig
 from .errors import ConditioningError, SupportDeficiencyError, ValidationError
@@ -64,11 +68,14 @@ __all__ = [
     "KrigingSystem",
     "ShapeEval",
     "spacing",
+    "reach",
+    "within_reach",
     "find_supports",
     "select_support",
     "build_system",
     "shape_functions",
     "evaluate_batch",
+    "support_gradients",
     "evaluate_at",
     "basis_size",
 ]
@@ -81,6 +88,11 @@ _CHUNK_DOUBLES = 1 << 18
 
 # Radius factor of the one retry of a support short of basis_size nodes.
 _SUPPORT_GROWTH = 1.5
+
+# Relative pad of a reach: a changed node at exactly a point's reach counts
+# as within it, with room to spare over the 1e-12 pad of the support balls
+# and over the rounding of distances computed by different trees.
+_REACH_PAD = 1e-9
 
 # Largest trace(R^-1) = ||L^-1||_F^2 accepted for a correlation matrix R.
 # It bounds ||R^-1|| and, as 0 <= S_b <= R^-1 for the transfer matrix
@@ -112,22 +124,73 @@ def _sqnorm(diff: np.ndarray) -> np.ndarray:
 
 
 def spacing(points, cloud: NodeCloud):
-    """Nearest-node distance and local adjacent-node distance d_c of each
-    row of ``points`` (G, dim).
+    """Nearest-node distance, local adjacent-node distance d_c and
+    neighbourhood radius of each row of ``points`` (G, dim).
 
-    d_c is the mean distance from the node nearest to a point to that
-    node's dim+1 nearest neighbors; it equals the pitch on a uniform grid.
+    d_c is the mean distance from the node n(x) nearest to a point x to
+    that node's dim+1 nearest neighbors; it equals the pitch on a uniform
+    grid.  The neighbourhood radius is dist(x) + D_NN(n(x)), D_NN being
+    the distance from n(x) to its (dim+1)-th neighbor: every node that
+    the point's dist and d_c depend on lies within it.  It is infinite
+    where no such bound holds: where n(x) ties with another node at the
+    same distance (which of them the KD tree returns depends on the
+    tree), or in a cloud of fewer than dim + 2 nodes.
     """
     if cloud.n_nodes < 2:
         raise ValidationError("local spacing needs at least two nodes")
     points = np.asarray(points, dtype=float).reshape(-1, cloud.dim)
-    dist, nearest = cloud.tree.query(points, k=1)
+    near, rows = cloud.tree.query(points, k=2)
+    dist, nearest = near[:, 0], rows[:, 0]
     k = min(cloud.dim + 2, cloud.n_nodes)   # self + dim+1 neighbors
     dists, _ = cloud.tree.query(cloud.coords[nearest], k=k)
     d_c = sum(dists[:, j] for j in range(1, k)) / (k - 1)
     if np.any(d_c <= 0):
         raise ValidationError("degenerate node spacing")
-    return dist, d_c
+    d_nb = dist + dists[:, -1]
+    d_nb[near[:, 1] <= near[:, 0] * (1.0 + _REACH_PAD)] = np.inf
+    if k < cloud.dim + 2:
+        d_nb[:] = np.inf
+    return dist, d_c, d_nb
+
+
+def reach(dist, d_c, d_nb, cfg: MeshlessConfig = DEFAULT_CONFIG
+          ) -> np.ndarray:
+    """Reach rho(x) = max(_SUPPORT_GROWTH * alpha * d_c, d_nb) of points
+    whose :func:`spacing` is (dist, d_c, d_nb), padded by ``_REACH_PAD``.
+
+    Claim: if no changed node (a removed node at its old position, or an
+    added node) lies within rho(x) of x, then x has the same activity and
+    the same support, id for id, before and after the edit, and so, by the
+    kernel's batch independence, bitwise the same shape functions.
+
+    Proof.  Every node within d_nb of x is kept and no node is added
+    there.  That region holds n(x), so the nearest node and dist are
+    unchanged (an added node at a distance <= dist would lie in it), and
+    n(x) is still the unique nearest node (a tie makes d_nb infinite, and
+    an edit cannot create one without an added node at distance dist).  It
+    also holds the ball of radius D_NN around n(x) (triangle inequality),
+    so n(x)'s dim+1 nearest-neighbor distances, hence d_c, are unchanged;
+    and a removal that would leave fewer than dim + 2 nodes removes one of
+    them.  dist and d_c decide activity.  The support is the closed ball of
+    radius alpha * d_c, or _SUPPORT_GROWTH times that, padded by 1e-12; it
+    lies within rho(x) and no node inside rho(x) changed, so each ball
+    holds the same nodes, the growth decision is the same, and the sorted
+    id list is identical.  The point's dist, d_c and d_nb are unchanged
+    too, so its reach carries over to the edited cloud.
+    """
+    return np.maximum(_SUPPORT_GROWTH * cfg.alpha * np.asarray(d_c), d_nb) \
+        * (1.0 + _REACH_PAD)
+
+
+def within_reach(points, rho, coords) -> np.ndarray:
+    """(len(points),) bool: whether any of ``coords`` lies within the reach
+    ``rho`` of each point, by one KD query of ``coords``."""
+    points = np.asarray(points, dtype=float)
+    coords = np.asarray(coords, dtype=float).reshape(-1, points.shape[-1])
+    if not len(coords):
+        return np.zeros(len(points), dtype=bool)
+    d, _ = cKDTree(coords).query(points, k=1)
+    return d <= rho
 
 
 @dataclass(frozen=True)
@@ -219,7 +282,7 @@ def select_support(point, cloud: NodeCloud, cfg: MeshlessConfig = DEFAULT_CONFIG
     """Support of one point (see :func:`find_supports`, which raises
     SupportDeficiencyError if the grown ball is still deficient)."""
     point = np.asarray(point, dtype=float)
-    _, d_c = spacing(point, cloud)
+    _, d_c, _ = spacing(point, cloud)
     rows = find_supports(point, cloud, d_c, cfg).rows
     return SupportSelection(point=point, node_ids=cloud.ids[rows],
                             node_coords=cloud.coords[rows])
@@ -402,6 +465,17 @@ def evaluate_batch(points, cloud: NodeCloud, sup: Supports,
             sys = _systems(X, cfg.theta, locate)
             values, grads = _shapes(sys, X, points[idx], locate)
             yield idx, rows[lo:lo + step], values, grads
+
+
+def support_gradients(points, cloud: NodeCloud, sup: Supports,
+                      cfg: MeshlessConfig = DEFAULT_CONFIG, where=_nowhere
+                      ) -> np.ndarray:
+    """Shape-function gradients (len(sup.rows), dim) of a batch of points,
+    flattened along ``sup.rows`` (see :func:`evaluate_batch`)."""
+    grads = np.empty((len(sup.rows), cloud.dim))
+    for idx, _, _, g in evaluate_batch(points, cloud, sup, cfg, where):
+        grads[sup.ptr[idx][:, None] + np.arange(g.shape[1])] = g
+    return grads
 
 
 def evaluate_at(point, cloud: NodeCloud, cfg: MeshlessConfig = DEFAULT_CONFIG

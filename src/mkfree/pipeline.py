@@ -6,23 +6,35 @@ displacement.  For a modification, one lift carries them and the initial
 factor onto the union DOF space (initial U modified nodes), so reanalysis
 never refactorizes; the modified stiffness is the initial one, for the
 modified material, plus the local delta.
+
+An edit does work only near the changed nodes.  Every point the baseline
+evaluates carries a reach (:func:`mkfree.interp.reach`), and a point is
+searched and evaluated again only when a changed node lies within it:
+the Gauss points of the local update's screen, the quadrature points of
+the tractions (a load none of whose points is reached is the baseline's,
+lifted) and the nodes of field recovery (the modified cloud's node-point
+state copies every other node's row from the baseline's).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
 
-from .assembly import (StiffnessSystem, apply_bcs, assemble_load,
-                       assemble_stiffness, isotropic_stiffness)
+from .assembly import (GaussState, StiffnessSystem, apply_bcs, assemble_load,
+                       assemble_stiffness, isotropic_stiffness,
+                       traction_points)
 from .config import DEFAULT_CONFIG, MeshlessConfig
+from .interp import reach, spacing, within_reach
 from .model import (BackgroundGrid, BoundaryConditions, DofMap, MaterialModel,
                     Modification, NodeCloud, apply_modification)
-from .recovery import FieldSolution, recover_fields
+from .recovery import (FieldSolution, edited_node_state, fields_at_nodes,
+                       node_state)
 from .solver import CholeskyFactor, factorize, solve
-from .update import local_delta
+from .update import changed_coords, changed_nodes, local_delta
 from . import ca as _ca
 from . import ifu as _ifu
 
@@ -36,7 +48,9 @@ class Baseline:
     initial cloud's Gauss-point state from the assembly's kernel pass,
     which every local update reads instead of evaluating the initial
     cloud again, and ``raw.products`` recombine its stiffness for a new
-    material (``raw`` is on the cloud's own DOFs)."""
+    material (``raw`` is on the cloud's own DOFs).  The node-point state
+    of field recovery and the reach of the traction quadrature points are
+    built on first use, not by :func:`full_analysis`."""
 
     cloud: NodeCloud
     grid: BackgroundGrid
@@ -48,8 +62,19 @@ class Baseline:
     factor: CholeskyFactor
     U: np.ndarray
 
+    @cached_property
+    def nodes(self) -> GaussState:
+        """The cloud's node-point state (:func:`recovery.node_state`)."""
+        return node_state(self.cloud, self.cfg)
+
+    @cached_property
+    def load_reach(self) -> np.ndarray:
+        """Reach of each traction quadrature point of ``bc`` in the cloud."""
+        return reach(*spacing(traction_points(self.bc, self.cloud.dim),
+                              self.cloud), self.cfg)
+
     def fields(self) -> FieldSolution:
-        return recover_fields(self.U, self.cloud, self.material, self.cfg)
+        return fields_at_nodes(self.U, self.cloud, self.nodes, self.material)
 
 
 def full_analysis(cloud: NodeCloud, grid: BackgroundGrid, mat: MaterialModel,
@@ -137,29 +162,59 @@ class ModifiedCase:
     dK: sp.csr_matrix            # BC-applied stiffness delta, K_m - star.K
     K_m: sp.csr_matrix           # BC-applied modified stiffness
     F: np.ndarray                # modified load, constrained entries zeroed
+    nodes: GaussState            # node-point state of cloud_mod
     influence: object = None     # InfluenceDomain of a node change
 
 
+def _modified_load(baseline: Baseline, mod: Modification,
+                   cloud_mod: NodeCloud, dof_map: DofMap,
+                   moved: np.ndarray) -> np.ndarray:
+    """The modified pre-BC load on ``dof_map``.
+
+    With the baseline's boundary conditions and no changed node within the
+    reach of any traction quadrature point, every such point keeps its
+    activity and shape functions (:func:`mkfree.interp.reach`), and the
+    point loads sit on kept nodes, so :func:`assemble_load` would give the
+    baseline's load entry for entry: it is lifted instead.  Otherwise the
+    load is assembled, which refuses a traction off the material.
+    """
+    bc = mod.bc_change or baseline.bc
+    if mod.bc_change is None and not within_reach(
+            traction_points(bc, cloud_mod.dim), baseline.load_reach,
+            moved).any():
+        F = np.zeros(dof_map.n_dofs)
+        F[dof_map.dofs_of(baseline.raw.dof_map.node_ids)] = baseline.raw.F
+        return F
+    return assemble_load(cloud_mod, bc, dof_map, baseline.cfg)
+
+
 def prepare_modified(baseline: Baseline, mod: Modification) -> ModifiedCase:
-    """Build the union-space systems and the stiffness delta for ``mod``.
+    """Build the union-space systems, the stiffness delta and the node-point
+    state of recovery for ``mod``.
 
     The modified load is validated first, so a refused edit costs no
-    update.  The initial systems and factor reach the union space through
-    :func:`_lift`, whatever ids the added nodes have; nothing is factorized
-    here.  The modified pre-BC stiffness is the initial one (recombined
-    from the baseline's gradient products for a new material) plus the
-    local delta with the modified material, which reads the initial side
-    from the baseline's Gauss-point state, so only the modified cloud is
-    searched and evaluated.  The modified boundary conditions are then
+    update; it is the baseline's, lifted, when the edit is out of reach
+    of the loads (:func:`_modified_load`).  The initial systems and factor
+    reach the union space through :func:`_lift`, whatever ids the added
+    nodes have; nothing is factorized here.  The modified pre-BC stiffness
+    is the initial one (recombined from the baseline's gradient products
+    for a new material) plus the local delta with the modified material,
+    which reads the initial side from the baseline's Gauss-point state, so
+    only the modified cloud is searched and evaluated, and only within
+    reach of the changed nodes.  The modified boundary conditions are then
     applied to it, and the delta is taken between the two BC-applied
-    matrices, so CA and IFU see one consistent pair whatever changed.
+    matrices, so CA and IFU see one consistent pair whatever changed.  The
+    modified cloud's node-point state is derived from the baseline's
+    (:func:`recovery.edited_node_state`) here, so every method's recovery
+    reads it.
     """
     cfg = baseline.cfg
     cloud_mod, dof_map = apply_modification(baseline.cloud, mod, baseline.bc)
     mat_new = mod.material_change or baseline.material
     bc_new = mod.bc_change or baseline.bc
     bc_new.validate_against(cloud_mod)
-    F_mod = assemble_load(cloud_mod, bc_new, dof_map, cfg)
+    moved = changed_coords(changed_nodes(mod), baseline.cloud, cloud_mod)
+    F_mod = _modified_load(baseline, mod, cloud_mod, dof_map, moved)
 
     star, K_raw, factor, U_star = _lift(baseline, dof_map, mat_new)
     influence, delta_raw = local_delta(
@@ -169,16 +224,19 @@ def prepare_modified(baseline: Baseline, mod: Modification) -> ModifiedCase:
                                          F=F_mod, dof_map=dof_map), bc_new)
     dK = (modified.K - star.K).tocsr()
     dK.eliminate_zeros()
+    nodes = edited_node_state(baseline.nodes, baseline.cloud, cloud_mod,
+                              moved, cfg)
 
     return ModifiedCase(
         baseline=baseline, mod=mod, cloud_mod=cloud_mod, dof_map=dof_map,
         material=mat_new, bc=bc_new, star=star, factor=factor, U_star=U_star,
-        dK=dK, K_m=modified.K, F=modified.F, influence=influence)
+        dK=dK, K_m=modified.K, F=modified.F, nodes=nodes,
+        influence=influence)
 
 
 def _restrict(case: ModifiedCase, U: np.ndarray) -> FieldSolution:
-    return recover_fields(U, case.cloud_mod, case.material,
-                          case.baseline.cfg, dof_map=case.dof_map)
+    return fields_at_nodes(U, case.cloud_mod, case.nodes, case.material,
+                           case.dof_map)
 
 
 def run_ca(case: ModifiedCase, s: int = 10):

@@ -6,12 +6,15 @@ and modified clouds) and re-integrates only those, giving a stiffness delta
 that matches a global reassembly difference to roundoff.
 
 The initial cloud's side has one source, its
-:class:`~mkfree.assembly.GaussState`, which the baseline assembly keeps:
-the screen compares the modified cloud's support sizes and id lists
-against the state's, and the delta takes the initial rows, signed -, from
-it at the affected points.  Only the modified cloud is searched (over the
-whole grid, for the screen) and evaluated (at the affected points, on the
-supports the screen found).  :func:`local_delta` builds the initial state
+:class:`~mkfree.assembly.GaussState`, which the baseline assembly keeps.
+The screen is bounded by the state's reach (:func:`mkfree.interp.reach`):
+only the Gauss points with a changed node within their reach can change,
+so only those candidates are searched in the modified cloud, and their
+support sizes and id lists are compared against the state's.  Every other
+point provably keeps its support and activity.  The delta evaluates the
+modified cloud at the affected points, on the supports the screen found,
+and takes the initial rows, signed -, from the state.  The initial cloud
+is never searched or evaluated; :func:`local_delta` builds its state
 itself when the caller has none.  The delta is the global assembler's own
 integration (:func:`mkfree.assembly.integrate_stiffness`), with the
 modified material.  A modification that leaves the node set unchanged (a
@@ -33,6 +36,7 @@ from .assembly import (GaussState, StiffnessSystem, active_supports,
                        integrate_stiffness)
 from .config import DEFAULT_CONFIG, MeshlessConfig
 from .errors import ValidationError
+from .interp import within_reach
 from .model import (BackgroundGrid, DofMap, MaterialModel, Modification,
                     NodeCloud)
 
@@ -40,6 +44,7 @@ __all__ = [
     "InfluenceDomain",
     "StiffnessDelta",
     "changed_nodes",
+    "changed_coords",
     "build_influence_domain",
     "compute_delta",
     "local_delta",
@@ -50,6 +55,19 @@ __all__ = [
 def changed_nodes(mod: Modification) -> list[int]:
     """Sorted union of added and removed node ids."""
     return sorted(set(mod.added_ids) | mod.removed_ids)
+
+
+def changed_coords(changed: list[int], cloud_initial: NodeCloud,
+                   cloud_modified: NodeCloud) -> np.ndarray:
+    """(len(changed), dim) positions of the changed nodes: an added node's
+    in the modified cloud, a removed node's in the initial one."""
+    out = np.empty((len(changed), cloud_initial.dim))
+    for k, nid in enumerate(changed):
+        src = cloud_modified if cloud_modified.has_node(nid) else cloud_initial
+        if not src.has_node(nid):
+            raise ValidationError(f"changed node {nid} not found in either cloud")
+        out[k] = src.coord_of(nid)
+    return out
 
 
 @dataclass(frozen=True)
@@ -73,48 +91,53 @@ def build_influence_domain(changed: list[int], cloud_initial: NodeCloud,
     """Locate every Gauss point whose contribution differs between the
     initial and modified clouds.
 
-    Every Gauss point is screened: ``initial``, the initial cloud's state
-    over the whole grid, against a search of the modified cloud, which
-    raises SupportDeficiencyError naming a deficient Gauss point.  A point
-    differs when its two support sizes differ (0 where it does not
-    integrate) or, at equal sizes, when its ascending id lists differ at
-    any entry.  The modified supports at the affected points are kept for
-    :func:`compute_delta`.
+    ``initial`` is the initial cloud's state over the whole grid, with the
+    reach of every Gauss point.  The candidates are the points with a
+    changed node within their reach; every other point has the same
+    activity and support in both clouds (:func:`mkfree.interp.reach`).
+    Only the candidates are searched in the modified cloud, which raises
+    SupportDeficiencyError naming the first deficient one, and that is
+    the first deficient point of the grid.  A candidate differs when its
+    two support sizes differ (0 where it does not integrate) or, at equal
+    sizes, when its ascending id lists differ at any entry.  The modified
+    supports at the affected points are kept for :func:`compute_delta`.
     """
     if not changed:
         raise ValidationError("influence domain of an empty modification")
-    for nid in changed:
-        src = cloud_modified if cloud_modified.has_node(nid) else cloud_initial
-        if not src.has_node(nid):
-            raise ValidationError(f"changed node {nid} not found in either cloud")
-        pos = src.coord_of(nid)
+    moved = changed_coords(changed, cloud_initial, cloud_modified)
+    for pos in moved:
         if not grid.contains(pos):
             raise ValidationError(f"changed node at {pos.tolist()} outside grid")
 
     points = grid.gauss[0]
-    active_m, sup_m = active_supports(points, cloud_modified, cfg,
-                                      partial(at_gauss_point, grid))
-    size_i, size_m = np.zeros((2, len(points)), dtype=np.int64)
+    cand = np.flatnonzero(within_reach(points, initial.reach, moved))
+    active_c, sup_c, _ = active_supports(
+        points[cand], cloud_modified, cfg,
+        lambda p: at_gauss_point(grid, cand[p]))
+    size_i = np.zeros(len(points), dtype=np.int64)
     size_i[initial.active] = initial.sup.sizes
-    size_m[active_m] = sup_m.sizes
+    size_i = size_i[cand]
+    size_m = np.zeros(len(cand), dtype=np.int64)
+    size_m[active_c] = sup_c.sizes
     differs = size_i != size_m
     same = np.flatnonzero(~differs & (size_i > 0))
-    ids_i = cloud_initial.ids[
-        initial.sup.take(np.searchsorted(initial.active, same)).rows]
-    ids_m = cloud_modified.ids[sup_m.take(np.searchsorted(active_m, same)).rows]
+    at_i = np.searchsorted(initial.active, cand)
+    ids_i = cloud_initial.ids[initial.sup.take(at_i[same]).rows]
+    ids_m = cloud_modified.ids[
+        sup_c.take(np.searchsorted(active_c, same)).rows]
     differs[np.repeat(same, size_i[same])[ids_i != ids_m]] = True
-    kept_i = np.flatnonzero(differs[initial.active])
-    kept_m = np.flatnonzero(differs[active_m])
-    affected_m = sup_m.take(kept_m)
+    kept_i = at_i[differs & (size_i > 0)]
+    kept_m = np.flatnonzero(differs[active_c])
+    affected_m = sup_c.take(kept_m)
     influence = np.concatenate([
         cloud_initial.ids[initial.sup.take(kept_i).rows],
         cloud_modified.ids[affected_m.rows]])
     return InfluenceDomain(
         grid=grid,
-        affected_gauss=np.flatnonzero(differs),
+        affected_gauss=cand[differs],
         influence_node_ids=np.union1d(influence, changed),
         n_gauss_total=len(points),
-        modified_supports=(active_m[kept_m], affected_m),
+        modified_supports=(cand[active_c[kept_m]], affected_m),
     )
 
 

@@ -3,11 +3,14 @@
 Everything here is written against the mathematical definitions with plain
 dense linear algebra (explicit inverses, no factorization reuse, no sparse
 scatter), deliberately sharing no code paths with the package internals.
+The one exception is :func:`full_screen_oracle`, the local update's screen
+over the whole grid, which checks the bounded screen by brute force on the
+package's own support search.
 """
 
 import numpy as np
 
-from mkfree.assembly import ACTIVITY_FACTOR
+from mkfree.assembly import ACTIVITY_FACTOR, active_supports
 from mkfree.interp import _SUPPORT_GROWTH
 
 _GL = 1.0 / np.sqrt(3.0)
@@ -242,3 +245,33 @@ def ifu_hand_steps(K_star, K_m, F, U_star, S_d):
 def random_spd(rng, n, scale=1.0):
     M = rng.standard_normal((n, n))
     return scale * (M @ M.T + n * np.eye(n))
+
+
+def full_screen_oracle(changed, cloud_initial, cloud_modified, grid, initial,
+                       cfg):
+    """The local update's screen with every Gauss point searched in the
+    modified cloud: (affected_gauss, influence_node_ids, (active indices,
+    Supports) of the modified cloud at the affected points).  A point is
+    affected when its support sizes in ``initial`` (the initial cloud's
+    state over the whole grid) and in the modified cloud differ, 0 where
+    it does not integrate, or at equal sizes when its ascending id lists
+    differ."""
+    points = grid.gauss[0]
+    active_m, sup_m, _ = active_supports(points, cloud_modified, cfg)
+    size_i, size_m = np.zeros((2, len(points)), dtype=np.int64)
+    size_i[initial.active] = initial.sup.sizes
+    size_m[active_m] = sup_m.sizes
+    differs = size_i != size_m
+    same = np.flatnonzero(~differs & (size_i > 0))
+    ids_i = cloud_initial.ids[
+        initial.sup.take(np.searchsorted(initial.active, same)).rows]
+    ids_m = cloud_modified.ids[sup_m.take(np.searchsorted(active_m, same)).rows]
+    differs[np.repeat(same, size_i[same])[ids_i != ids_m]] = True
+    kept_i = np.flatnonzero(differs[initial.active])
+    kept_m = np.flatnonzero(differs[active_m])
+    affected_m = sup_m.take(kept_m)
+    influence = np.concatenate([
+        cloud_initial.ids[initial.sup.take(kept_i).rows],
+        cloud_modified.ids[affected_m.rows]])
+    return (np.flatnonzero(differs), np.union1d(influence, changed),
+            (active_m[kept_m], affected_m))

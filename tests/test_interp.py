@@ -53,7 +53,7 @@ class TestSelectSupport:
                           coords=[[0, 0], [1.2, 0], [0, 1.2], [1.2, 1.2],
                                   [2.4, 0]], dim=2)
         cfg = MeshlessConfig(alpha=0.8)
-        _, d_c = spacing([0.0, 0.0], cloud)
+        _, d_c, _ = spacing([0.0, 0.0], cloud)
         first = np.linalg.norm(cloud.coords, axis=1) <= cfg.alpha * d_c[0]
         assert first.sum() == 1
         assert select_support([0.0, 0.0], cloud, cfg).n == 3

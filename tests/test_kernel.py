@@ -24,7 +24,7 @@ from conftest import grid_for, jittered_cloud
 
 def kernel_results(points, cloud, cfg):
     """{point index: (values, grads)} for the active points of a batch."""
-    active, sup = active_supports(points, cloud, cfg)
+    active, sup, _ = active_supports(points, cloud, cfg)
     out = {}
     for idx, _, values, grads in evaluate_batch(points[active], cloud, sup,
                                                 cfg):
@@ -95,7 +95,7 @@ def test_collinear_support_names_the_gauss_point(cfg):
 def test_support_grows_once_then_raises(rng):
     cloud = jittered_cloud(rng, 5, 5, jitter=0.0)
     points = np.array([[2.5, 2.5], [2.0, 2.0]])
-    _, d_c = spacing(points, cloud)
+    _, d_c, _ = spacing(points, cloud)
     cfg = MeshlessConfig(alpha=0.75)
     sup = find_supports(points, cloud, d_c, cfg)
     # the first ball holds 4 nodes; the second holds 1 and grows once
@@ -121,7 +121,7 @@ def _middle_point(rng, cfg):
     in ``active`` of a point in the middle of the batch."""
     cloud, grid = _model(rng, 2)
     points = grid.gauss[0]
-    active, sup = active_supports(points, cloud, cfg)
+    active, sup, _ = active_supports(points, cloud, cfg)
     return cloud, grid, points, active, sup, len(active) // 2
 
 
@@ -211,7 +211,7 @@ def test_one_cholesky_call_per_chunk(rng, cfg, dim, monkeypatch):
     Cholesky call: the calls count chunks, not points."""
     cloud, grid = _model(rng, dim)
     points = grid.gauss[0]
-    _, sup = active_supports(points, cloud, cfg)
+    _, sup, _ = active_supports(points, cloud, cfg)
     sizes, counts = np.unique(sup.sizes, return_counts=True)
     steps = np.maximum(1, interp._CHUNK_DOUBLES // (sizes * sizes))
     chunks = int(np.sum(-(-counts // steps)))

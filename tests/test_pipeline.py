@@ -349,9 +349,13 @@ def _record_calls(monkeypatch, source, name, calls):
 
 
 def test_edits_search_and_evaluate_only_the_modified_cloud(monkeypatch):
-    """full_analysis evaluates the grid once, and prepare_modified never
-    searches or evaluates the baseline cloud: its side of the screen and
-    of the delta comes from the baseline's Gauss-point state."""
+    """full_analysis evaluates the grid once, and its node-point state is
+    one more pass over the nodes, on first use.  prepare_modified never
+    searches or evaluates the baseline cloud: its side of the screen, of
+    the delta and of recovery comes from the baseline's states.  An edit
+    out of reach of the tractions (a removal at x = 3 of a plate loaded at
+    x = 24) evaluates no traction point; the fill, next to the loaded
+    edge, assembles the load again."""
     cloud, grid, mat, bc, fill = demos.notch_fill()
     calls = []
     _record_calls(monkeypatch, assembly, "active_supports", calls)
@@ -362,14 +366,78 @@ def test_edits_search_and_evaluate_only_the_modified_cloud(monkeypatch):
         == [len(base.raw.state.active)]
     assert sum(name == "evaluate_at" for name, _, _ in calls) \
         == 2 * len(bc.tractions)
+    calls.clear()
+    assert len(base.nodes.active) == cloud.n_nodes
+    assert calls == [("evaluate_batch", cloud, cloud.n_nodes)]
     removal = Modification(removed_ids={int(cloud.ids[40]),
                                         int(cloud.ids[41])})
-    for mod in (fill, removal):
+    for mod, reload in ((fill, True), (removal, False)):
         calls.clear()
         case = prepare_modified(base, mod)
         assert calls and all(c is case.cloud_mod for _, c, _ in calls)
         assert ("evaluate_batch", case.cloud_mod,
                 len(case.influence.modified_supports[0])) in calls
+        assert sum(name == "evaluate_at" for name, _, _ in calls) \
+            == reload * 2 * len(bc.tractions)
+        evaluated = sum(n for name, _, n in calls if name == "evaluate_batch")
+        assert evaluated < len(base.raw.state.active) / 4
+    calls.clear()
+    base.fields()
+    assert calls == []
+
+
+def _assembled_load(case):
+    """The BC-applied modified load, assembled on the modified cloud."""
+    F = assemble_load(case.cloud_mod, case.bc, case.dof_map, case.baseline.cfg)
+    return apply_bcs(StiffnessSystem(K=case.K_m, F=F, dof_map=case.dof_map),
+                     case.bc).F
+
+
+@pytest.mark.parametrize("edit", ["removal", "insertion", "material"])
+def test_load_out_of_reach_is_the_baseline_load(monkeypatch, edit):
+    """On the tension plate loaded at x = 19, edits near x = 4 are out of
+    reach of every traction point: the load is the baseline's, lifted, with
+    no traction point evaluated, and it equals the load assembled on the
+    modified cloud entry for entry."""
+    cloud, grid, mat, bc, _ = loaded_edge_cut()
+    base = full_analysis(cloud, grid, mat, bc)
+    x, y = cloud.coords.T
+    mod = {"removal": Modification(
+               removed_ids=set(cloud.ids[(x == 4) & (np.abs(y - 5) < 2)])),
+           "insertion": Modification(added_ids=(1000, 7000),
+                                     added_coords=[[4.5, 5.5], [3.5, 2.5]]),
+           "material": Modification(
+               material_change=MaterialModel(500.0, 0.2))}[edit]
+
+    def refuse(*_, **__):
+        raise AssertionError("an out-of-reach edit assembled the load")
+
+    with monkeypatch.context() as m:
+        m.setattr(pipeline, "assemble_load", refuse)
+        case = prepare_modified(base, mod)
+    assert np.array_equal(case.F, _assembled_load(case))
+    _check_case(base, mod, case)
+
+
+def test_load_within_reach_is_assembled_again(monkeypatch):
+    """A removal at x = 17, two pitches from the loaded edge x = 19, is
+    within reach of its traction points but leaves material under them:
+    the load is assembled on the modified cloud."""
+    cloud, grid, mat, bc, _ = loaded_edge_cut()
+    base = full_analysis(cloud, grid, mat, bc)
+    x, y = cloud.coords.T
+    mod = Modification(removed_ids={int(cloud.ids[(x == 17) & (y == 5)][0])})
+    calls = []
+
+    def recording(cloud_mod, *args):
+        calls.append(cloud_mod)
+        return assemble_load(cloud_mod, *args)
+
+    monkeypatch.setattr(pipeline, "assemble_load", recording)
+    case = prepare_modified(base, mod)
+    assert calls == [case.cloud_mod]
+    assert np.array_equal(case.F, _assembled_load(case))
+    _check_case(base, mod, case)
 
 
 def test_baseline_state_is_read_only_and_reused_unchanged():

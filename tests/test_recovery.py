@@ -5,10 +5,15 @@ from mkfree.assembly import constitutive
 from mkfree.config import MeshlessConfig
 from mkfree.errors import SupportDeficiencyError, ValidationError
 from mkfree.interp import evaluate_at
-from mkfree.model import MaterialModel, NodeCloud, identity_dof_map
-from mkfree.recovery import error_metrics, recover_fields, von_mises
+from mkfree.model import (MaterialModel, Modification, NodeCloud,
+                          apply_modification, identity_dof_map)
+from mkfree.pipeline import full_analysis, prepare_modified, run_ifu
+from mkfree.recovery import (edited_node_state, error_metrics,
+                             fields_at_nodes, node_state, recover_fields,
+                             von_mises)
+from mkfree.update import changed_coords, changed_nodes
 
-from conftest import jittered_cloud
+from conftest import cantilever_bc, grid_for, jittered_cloud
 from oracles import strain_displacement
 
 
@@ -155,6 +160,118 @@ class TestRecoverFields:
         cloud = jittered_cloud(rng, 4, 4)
         with pytest.raises(ValidationError):
             recover_fields(np.zeros(7), cloud, MaterialModel(1.0, 0.3), cfg)
+
+
+def _node_edits(rng, dim, shape=None):
+    """(label, cloud, mod) on a jittered cloud of ``shape`` nodes, by
+    default larger than the reach of its nodes: a removal, an insertion
+    with appended ids and one whose ids sort among the initial ones (the
+    initial ids are even)."""
+    shape = shape or ((13, 9) if dim == 2 else (9, 7, 6))
+    cloud = jittered_cloud(rng, *shape[:2], nz=(shape[2:] or [None])[0],
+                           jitter=0.2 if dim == 2 else 0.15)
+    even = NodeCloud(ids=2 * cloud.ids, coords=cloud.coords, dim=dim)
+    corner = cloud.coords.min(axis=0) + 2.0
+    near = cloud.ids[np.argsort(np.linalg.norm(cloud.coords - corner,
+                                               axis=1))[:3]]
+    added = corner + np.array([[0.5] * dim, [-0.45] * dim])
+    top = int(cloud.ids.max())
+    return [("removal", cloud,
+             Modification(removed_ids=frozenset(near.tolist()))),
+            ("appended", cloud, Modification(added_ids=(top + 1, top + 2),
+                                             added_coords=added)),
+            ("interleaved", even, Modification(
+                added_ids=(7, 2 * top - 3), added_coords=added,
+                removed_ids={2 * int(near[0])}))]
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+class TestEditedNodeState:
+    """The node-point state of a modified cloud derived from the baseline's,
+    against the state and the fields built from scratch."""
+
+    def test_equals_the_state_built_from_scratch(self, rng, cfg, dim):
+        mat = MaterialModel(100.0, 0.3,
+                            mode="plane_stress" if dim == 2 else "solid_3d")
+        for label, cloud, mod in _node_edits(rng, dim):
+            initial = node_state(cloud, cfg)
+            cloud_m, dm = apply_modification(cloud, mod)
+            moved = changed_coords(changed_nodes(mod), cloud, cloud_m)
+            got = edited_node_state(initial, cloud, cloud_m, moved, cfg)
+            ref = node_state(cloud_m, cfg)
+            for a, b in ((got.active, ref.active), (got.sup.ptr, ref.sup.ptr),
+                         (got.sup.rows, ref.sup.rows), (got.grads, ref.grads),
+                         (got.reach, ref.reach)):
+                assert np.array_equal(a, b), label
+            U = rng.standard_normal(dm.n_dofs)
+            fields = fields_at_nodes(U, cloud_m, got, mat, dm)
+            scratch = recover_fields(U, cloud_m, mat, cfg, dm)
+            assert np.array_equal(fields.node_ids, scratch.node_ids)
+            assert np.array_equal(fields.displacements, scratch.displacements)
+            for name in ("strain", "stress"):
+                a, b = getattr(fields, name), getattr(scratch, name)
+                assert np.abs(a - b).max() <= 1e-12 * np.abs(b).max(), label
+            # a kept node with no changed node within its reach keeps its
+            # row of the baseline's state, bit for bit
+            ids_i, ids_m = np.sort(cloud.ids), np.sort(cloud_m.ids)
+            X = cloud.coords[np.argsort(cloud.ids)]
+            gap = np.linalg.norm(X[:, None] - moved[None], axis=2).min(axis=1)
+            outside = np.flatnonzero((gap > initial.reach)
+                                     & np.isin(ids_i, ids_m))
+            assert 0 < len(outside) < len(ids_i) - len(moved), label
+            at = np.searchsorted(ids_m, ids_i[outside])
+            _, flat_i = initial.sup.entries(outside)
+            _, flat_m = got.sup.entries(at)
+            assert np.array_equal(cloud.ids[initial.sup.rows[flat_i]],
+                                  cloud_m.ids[got.sup.rows[flat_m]]), label
+            assert np.array_equal(initial.grads[flat_i], got.grads[flat_m])
+
+    def test_reanalysis_fields_equal_the_fields_from_scratch(self, rng, cfg,
+                                                             dim):
+        """run_ifu's fields, recovered from the node-point state that
+        prepare_modified derives, against recover_fields of the modified
+        cloud from scratch at the same U."""
+        mat = MaterialModel(100.0, 0.3,
+                            mode="plane_stress" if dim == 2 else "solid_3d")
+        for label, cloud, mod in _node_edits(rng, dim, ((9, 6), (5, 4, 4))
+                                             [dim - 2]):
+            base = full_analysis(cloud, grid_for(cloud, pad=0.2), mat,
+                                 cantilever_bc(cloud))
+            case = prepare_modified(base, mod)
+            U, fields, _ = run_ifu(case)
+            scratch = recover_fields(U, case.cloud_mod, mat, cfg,
+                                     case.dof_map)
+            assert np.array_equal(fields.displacements, scratch.displacements)
+            for name in ("strain", "stress", "vm_strain", "vm_stress"):
+                a, b = getattr(fields, name), getattr(scratch, name)
+                assert np.abs(a - b).max() <= 1e-12 * np.abs(b).max(), label
+
+    def test_deficient_added_node_is_named(self, dim):
+        """On a regular lattice at alpha = 0.7 every node's grown support is
+        complete; a node added 0.3 from a lattice node has only that one
+        within its grown ball.  It has the lowest id, so both the derived
+        and the from-scratch state name it."""
+        cfg = MeshlessConfig(alpha=0.7)
+        rng = np.random.default_rng(0)
+        cloud = (jittered_cloud(rng, 5, 5, jitter=0.0) if dim == 2
+                 else jittered_cloud(rng, 4, 4, nz=4, jitter=0.0))
+        cloud = NodeCloud(ids=cloud.ids + 100, coords=cloud.coords, dim=dim)
+        initial = node_state(cloud, cfg)
+        offset = np.r_[0.3, np.full(dim - 1, 0.1)]
+        mod = Modification(added_ids=(7,), added_coords=[
+            cloud.coords[len(cloud.ids) // 2] + offset])
+        cloud_m, dm = apply_modification(cloud, mod)
+        moved = changed_coords(changed_nodes(mod), cloud, cloud_m)
+        with pytest.raises(SupportDeficiencyError) as err:
+            edited_node_state(initial, cloud, cloud_m, moved, cfg)
+        with pytest.raises(SupportDeficiencyError) as ref:
+            recover_fields(np.zeros(dm.n_dofs), cloud_m,
+                           MaterialModel(1.0, 0.3, mode=("plane_stress",
+                                                         "solid_3d")[dim - 2]),
+                           cfg, dm)
+        assert str(err.value).endswith(" (at node 7)")
+        assert str(err.value) == str(ref.value)
+        assert np.array_equal(err.value.point, cloud_m.coord_of(7))
 
 
 class TestErrorMetrics:

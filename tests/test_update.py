@@ -1,17 +1,19 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from mkfree.assembly import assemble_stiffness, gauss_state
 from mkfree.config import MeshlessConfig
 from mkfree.errors import SupportDeficiencyError, ValidationError
-from mkfree.interp import select_support
+from mkfree.interp import reach, select_support, spacing
 from mkfree.model import (MaterialModel, Modification, NodeCloud,
                           apply_modification)
 from mkfree.update import (build_influence_domain, changed_nodes,
                            compute_delta, global_update, local_delta)
 
 from conftest import grid_for, jittered_cloud
-from oracles import active_oracle
+from oracles import active_oracle, full_screen_oracle
 
 
 def random_modification(rng, cloud, n_change=3):
@@ -142,6 +144,117 @@ class TestInfluenceDomain:
         with pytest.raises(ValidationError):
             build_influence_domain([], cloud, cloud, grid,
                                    gauss_state(cloud, grid, cfg), cfg)
+
+
+def _screen_edits(rng, dim):
+    """(label, cloud, grid, mod, cfg) edits that stress the bounded screen:
+    random edits at alpha 3.0 (jittered) and 0.6 (a regular lattice, where
+    every support grows and an edit can leave one deficient), with
+    appended and with interleaved added ids; at alpha 0.6, two nodes
+    re-added under new ids at their own places, which changes id lists
+    but leaves every support complete; an edit at alpha 1.2 inside a grown
+    support; a fill of a hole, which activates
+    points that did not integrate; the removal of the nearest neighbour of
+    a point's nearest node, which changes its d_c but not its nearest
+    node; and added nodes at exactly a point's support radius and at
+    exactly its reach.  The last four run at alpha 2.0 in 3D, where the
+    reach at alpha 3.0 spans a whole small block."""
+    edits = []
+    for alpha, jitter in ((3.0, 0.2), (0.6, 0.0)):
+        for order in ("appended", "interleaved"):
+            cloud = (jittered_cloud(rng, 9, 7, jitter=jitter) if dim == 2
+                     else jittered_cloud(rng, 5, 4, nz=4, jitter=0.75 * jitter))
+            mod = random_modification(rng, cloud, n_change=6)
+            if alpha < 1.0:
+                moved = rng.choice(cloud.ids[1:-1], 2, replace=False)
+                top = int(cloud.ids.max())
+                renumber = Modification(
+                    added_ids=(top + 1, top + 2),
+                    added_coords=cloud.coords[np.isin(cloud.ids, moved)],
+                    removed_ids=frozenset(moved.tolist()))
+            if order == "interleaved":
+                cloud0 = cloud
+                cloud, mod = interleaved(rng, cloud0, mod)
+                if alpha < 1.0:
+                    renumber = interleaved(rng, cloud0, renumber)[1]
+            cases = [("random", mod)] + ([("renumber", renumber)]
+                                         if alpha < 1.0 else [])
+            for kind, edit in cases:
+                edits.append((f"{kind}-{order}-alpha{alpha}", cloud,
+                              grid_for(cloud, pad=jitter), edit,
+                              MeshlessConfig(alpha=alpha)))
+    # at alpha 1.2 a support that grows can reach past dist + D_NN; this
+    # seeded edit adds or removes a node there
+    seeded = np.random.default_rng(7 if dim == 2 else 2)
+    cloud = (jittered_cloud(seeded, 9, 7, jitter=0.15) if dim == 2
+             else jittered_cloud(seeded, 5, 4, nz=4, jitter=0.1))
+    edits.append(("grown-alpha1.2", cloud, grid_for(cloud),
+                  random_modification(seeded, cloud, n_change=3),
+                  MeshlessConfig(alpha=1.2)))
+    cfg = MeshlessConfig(alpha=3.0 if dim == 2 else 2.0)
+    cloud = (jittered_cloud(rng, 11, 9, jitter=0.2) if dim == 2
+             else jittered_cloud(rng, 8, 7, nz=7, jitter=0.15))
+    centre = cloud.coords.mean(axis=0)
+    hole = np.linalg.norm(cloud.coords - centre, axis=1) < 1.6
+    holed = NodeCloud(ids=cloud.ids[~hole], coords=cloud.coords[~hole],
+                      dim=dim)
+    grid = grid_for(cloud, pad=0.2)
+    edits.append(("hole-fill", holed, grid, Modification(
+        added_ids=tuple(cloud.ids[hole].tolist()),
+        added_coords=cloud.coords[hole]), cfg))
+    points = grid.gauss[0]
+    x = points[np.argmin(np.linalg.norm(points - points.min(axis=0) - 0.8,
+                                        axis=1))]
+    nearest = int(cloud.tree.query(x)[1])
+    second = cloud.tree.query(cloud.coords[nearest], k=2)[1][1]
+    edits.append(("nearest-neighbour", cloud, grid, Modification(
+        removed_ids={int(cloud.ids[second])}), cfg))
+    dist, d_c, d_nb = spacing(x, cloud)
+    radii = {"at-support-radius": cfg.alpha * d_c[0],
+             "at-reach": reach(dist, d_c, d_nb, cfg)[0]}
+    top = int(cloud.ids.max())
+    for label, r in radii.items():
+        while True:     # into the cloud, clear of its nodes
+            away = np.ones(dim) + 0.3 * rng.standard_normal(dim)
+            added = x + r * away / np.linalg.norm(away)
+            if cloud.tree.query(added)[0] > 0.3:
+                break
+        edits.append((label, cloud, grid, Modification(
+            added_ids=(top + 1,), added_coords=[added]), cfg))
+    return edits
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_bounded_screen_matches_the_full_grid_screen(rng, dim):
+    """The screen, which searches only the Gauss points with a changed node
+    within their reach, gives the full-grid screen's affected points,
+    influence nodes and modified supports, and refuses the same first
+    deficient point."""
+    for label, cloud, grid, mod, cfg in _screen_edits(rng, dim):
+        cloud_m, _ = apply_modification(cloud, mod)
+        state = gauss_state(cloud, grid, cfg)
+        changed = changed_nodes(mod)
+        try:
+            affected, nodes, (active, sup) = full_screen_oracle(
+                changed, cloud, cloud_m, grid, state, cfg)
+        except SupportDeficiencyError as exc:
+            with pytest.raises(SupportDeficiencyError) as err:
+                build_influence_domain(changed, cloud, cloud_m, grid, state,
+                                       cfg)
+            assert np.array_equal(err.value.point, exc.point), label
+            continue
+        dom = build_influence_domain(changed, cloud, cloud_m, grid, state,
+                                     cfg)
+        assert len(dom.affected_gauss) > 0, label
+        assert np.array_equal(dom.affected_gauss, affected), label
+        assert np.array_equal(dom.influence_node_ids, nodes), label
+        got_active, got_sup = dom.modified_supports
+        assert np.array_equal(got_active, active), label
+        assert np.array_equal(got_sup.ptr, sup.ptr), label
+        assert np.array_equal(got_sup.rows, sup.rows), label
+        assert dom.n_gauss_total == len(grid.gauss[0])
+        if label == "hole-fill":
+            assert not np.isin(dom.affected_gauss, state.active).all()
 
 
 class TestDeltaExactness:
