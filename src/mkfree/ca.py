@@ -1,41 +1,41 @@
 """Combined Approximations reanalysis: reduced-basis prediction of the
 modified displacement from the initial factorization and the stiffness delta.
 
-Basis recurrence: U_1 = K*^-1 F, U_{i+1} = -K*^-1 (dK U_i).  Each new vector
-costs one pair of triangular solves; the iteration matrix is never formed.
+The basis spans the Krylov space of the recurrence U_1 = K*^-1 F,
+U_{i+1} = -K*^-1 (dK U_i), built orthonormal column by column (Arnoldi:
+each new vector is the recurrence applied to the newest orthonormal
+column, orthogonalized against the earlier ones).  Each vector costs one
+pair of triangular solves; the iteration matrix is never formed.  A
+Galerkin solve on the basis gives the prediction, and as s grows it
+converges to the modified solution.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
+import scipy.linalg as sla
 import scipy.sparse as sp
 
 from .errors import NumericalError, ValidationError
 from .solver import CholeskyFactor
 
-__all__ = ["ReducedSystem", "build_basis", "reduce_and_solve", "combine",
-           "ca_solve"]
+__all__ = ["build_basis", "reduce_and_solve", "combine", "ca_solve"]
 
-# columns with relative norm below this are treated as numerically zero,
-# singular values below this fraction of the largest as linearly dependent
+# a new vector whose part outside the current basis is at most this
+# fraction of its norm adds no direction: the Krylov space is exhausted
 _NEGLIGIBLE = 1e-14
-_RANK_TOL = 1e-12
-
-
-@dataclass(frozen=True)
-class ReducedSystem:
-    """Coefficient solution of the reduced s x s system."""
-
-    y: np.ndarray
-    rank: int
 
 
 def build_basis(factor: CholeskyFactor, dK: sp.spmatrix, F: np.ndarray,
                 s: int, mask: np.ndarray | None = None) -> np.ndarray:
-    """Krylov-style recurrence basis U_B, n x s; column 1 is the initial
-    solution.
+    """Orthonormal basis U_B (n x k, k <= s) of the CA Krylov space.
+
+    Column 1 is the initial solution K*^-1 F, normalized.  Each further
+    column applies -K*^-1 dK to the newest column and orthogonalizes the
+    result against all earlier ones by classical Gram-Schmidt, run twice.
+    The basis stops before s columns once a new vector has no part outside
+    it (at most ``_NEGLIGIBLE`` of its norm); a zero load gives no column.
+    The first j columns do not depend on s.
 
     ``mask`` (a boolean active-DOF vector) zeroes each vector on DOFs the
     modified configuration does not carry.  The exact modified solution is
@@ -55,42 +55,39 @@ def build_basis(factor: CholeskyFactor, dK: sp.spmatrix, F: np.ndarray,
     def project(v):
         return v if mask is None else mask * v
 
-    cols = [project(factor.apply_inverse(np.asarray(F, dtype=float)))]
-    for _ in range(s - 1):
-        cols.append(project(-factor.apply_inverse(dK @ cols[-1])))
-    return np.column_stack(cols)
+    # column-major, so every leading block Q[:, :k] has the same layout
+    Q = np.empty((factor.n, s), order="F")
+    v = project(factor.apply_inverse(np.asarray(F, dtype=float)))
+    for k in range(s):
+        norm = np.linalg.norm(v)
+        if k:
+            for _ in range(2):
+                v -= Q[:, :k] @ (Q[:, :k].T @ v)
+        remainder = np.linalg.norm(v)
+        if remainder <= _NEGLIGIBLE * norm:
+            return Q[:, :k]
+        Q[:, k] = v / remainder
+        if k + 1 < s:
+            v = project(-factor.apply_inverse(dK @ Q[:, k]))
+    return Q
 
 
 def reduce_and_solve(U_B: np.ndarray, K_m: sp.spmatrix, F: np.ndarray
-                     ) -> ReducedSystem:
-    """Galerkin reduction K_R = W^T K_m W, F_R = W^T F, solve for y.
+                     ) -> np.ndarray:
+    """Galerkin coefficients y = K_R^-1 U_B^T F, K_R = U_B^T K_m U_B.
 
-    W is U_B with its columns norm-scaled to the first column (the
-    recurrence decays or grows geometrically); linearly dependent columns
-    are dropped by a rank-revealing solve.  The returned y lives in the
-    unscaled basis space, so U = U_B @ y.
+    K_R is solved by Cholesky (reading its upper triangle).  It is SPD
+    whenever K_m is positive definite on the span of U_B, so a failed
+    factorization raises :class:`NumericalError`.
     """
     U_B = np.asarray(U_B, dtype=float)
-    F = np.asarray(F, dtype=float)
-    s = U_B.shape[1]
-    norms = np.linalg.norm(U_B, axis=0)
-    ref = norms[0]
-    if ref == 0.0:
-        # zero load: the solution is zero regardless of the basis
-        return ReducedSystem(y=np.zeros(s), rank=0)
-    keep = norms > _NEGLIGIBLE * ref
-    scales = np.divide(ref, norms, out=np.zeros(s), where=keep)
-    W = U_B * scales
-
-    K_R = W.T @ (K_m @ W)
-    K_R = 0.5 * (K_R + K_R.T)
-    F_R = W.T @ F
-    U, sig, Vt = np.linalg.svd(K_R)
-    rank = int(np.sum(sig > _RANK_TOL * sig[0])) if sig[0] > 0 else 0
-    if rank == 0:
-        raise NumericalError("reduced stiffness matrix has rank 0")
-    y_w = Vt[:rank].T @ ((U[:, :rank].T @ F_R) / sig[:rank])
-    return ReducedSystem(y=scales * y_w, rank=rank)
+    K_R = U_B.T @ (K_m @ U_B)
+    try:
+        factor = sla.cho_factor(K_R)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError(f"reduced stiffness matrix is not positive "
+                             f"definite: {exc}") from exc
+    return sla.cho_solve(factor, U_B.T @ F)
 
 
 def combine(U_B: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -100,7 +97,7 @@ def combine(U_B: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 def ca_solve(factor: CholeskyFactor, dK: sp.spmatrix, K_m: sp.spmatrix,
              F: np.ndarray, s: int, mask: np.ndarray | None = None):
-    """Full CA pipeline; returns (U, U_B, ReducedSystem)."""
+    """Full CA pipeline; returns (U, U_B, y).  U_B has at most s columns."""
     U_B = build_basis(factor, dK, F, s, mask=mask)
-    reduced = reduce_and_solve(U_B, K_m, F)
-    return combine(U_B, reduced.y), U_B, reduced
+    y = reduce_and_solve(U_B, K_m, F)
+    return combine(U_B, y), U_B, y

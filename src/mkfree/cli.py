@@ -29,7 +29,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import json
 import statistics
 import sys
 import time
@@ -40,7 +39,7 @@ import numpy as np
 from . import demos
 from .assembly import StiffnessSystem
 from .errors import NumericalError, ParseError, ValidationError
-from .model import _integer, load_model, load_modification
+from .model import _integer, _read_json, load_model, load_modification
 from .pipeline import (full_analysis, prepare_modified, run_ca,
                        run_full_modified, run_ifu)
 from .recovery import FieldSolution, error_metrics
@@ -210,11 +209,7 @@ def bench_one(entry: dict, repeats: int = 3):
 def cmd_bench(args) -> int:
     if args.repeats < 1:
         raise ValidationError(f"--repeats must be >= 1, got {args.repeats}")
-    with open(args.family) as fh:
-        try:
-            family = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"cannot parse {args.family}: {exc}") from exc
+    family = _read_json(args.family)
     cases = family.get("cases") if isinstance(family, dict) else None
     if not isinstance(cases, list) or not cases:
         raise ValidationError("family file needs a non-empty 'cases' list")

@@ -14,7 +14,8 @@ import numpy as np
 from .config import MeshlessConfig
 from .errors import ValidationError
 from .model import (BackgroundGrid, BoundaryConditions, MaterialModel,
-                    Modification, NodeCloud, Traction, _integer)
+                    Modification, NodeCloud, Traction, _integer,
+                    _malformed)
 
 __all__ = [
     "split_edge",
@@ -260,7 +261,7 @@ def bench_case(entry: dict):
     (2*half+1)^2 node block at the plate center; "ellipse" removes the
     elliptical region with semi-axes a, b.
     """
-    try:
+    with _malformed("bench entry"):
         nx = _integer(entry["nx"], "bench entry nx")
         ny = _integer(entry["ny"], "bench entry ny")
         pitch = float(entry.get("pitch", 1.0))
@@ -270,10 +271,6 @@ def bench_case(entry: dict):
             half = _integer(mod_d.get("half", 1), "bench entry half") * pitch
         elif kind == "ellipse":
             a, b = float(mod_d["a"]), float(mod_d["b"])
-    except (KeyError, TypeError, ValueError, AttributeError,
-            OverflowError) as exc:
-        detail = f"missing {exc}" if isinstance(exc, KeyError) else exc
-        raise ValidationError(f"malformed bench entry: {detail}") from exc
     if not 0.0 < pitch < np.inf:
         raise ValidationError(f"bench entry pitch must be finite and > 0, "
                               f"got {pitch}")

@@ -10,6 +10,7 @@ configuration decouple through a unit diagonal and a zero load.
 from __future__ import annotations
 
 import json
+from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 
@@ -389,23 +390,33 @@ def _bc_to_dict(bc: BoundaryConditions) -> dict:
     }
 
 
-def _load_json(path, what: str, parse, *args):
-    """Read ``path`` and build objects from it with ``parse(data, *args)``.
-
-    Unreadable JSON is a ParseError; a missing key or a value of the wrong
-    type or shape is a ValidationError naming the problem.
-    """
+def _read_json(path):
+    """The JSON content of ``path``; text that does not parse is a
+    ParseError."""
     with open(path) as fh:
         try:
-            data = json.load(fh)
+            return json.load(fh)
         except json.JSONDecodeError as exc:
             raise ParseError(f"cannot parse {path}: {exc}") from exc
+
+
+@contextmanager
+def _malformed(what: str):
+    """Re-raise a missing key or a value of the wrong type or shape met in
+    the block as a ValidationError naming ``what`` and the problem."""
     try:
-        return parse(data, *args)
+        yield
     except (KeyError, TypeError, ValueError, AttributeError,
             OverflowError) as exc:
         detail = f"missing {exc}" if isinstance(exc, KeyError) else exc
         raise ValidationError(f"malformed {what}: {detail}") from exc
+
+
+def _load_json(path, what: str, parse, *args):
+    """Read ``path`` and build objects from it with ``parse(data, *args)``."""
+    data = _read_json(path)
+    with _malformed(what):
+        return parse(data, *args)
 
 
 def _parse_model_dict(data: dict):

@@ -18,7 +18,7 @@ state copies every other node's row from the baseline's).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import cached_property
 
 import numpy as np
@@ -242,11 +242,11 @@ def _restrict(case: ModifiedCase, U: np.ndarray) -> FieldSolution:
 def run_ca(case: ModifiedCase, s: int = 10):
     """CA reanalysis; returns (U, FieldSolution, diagnostics dict)."""
     mask = case.dof_map.carries(case.cloud_mod)
-    U, _, reduced = _ca.ca_solve(case.factor, case.dK, case.K_m, case.F, s,
-                                 mask=mask)
+    U, U_B, _ = _ca.ca_solve(case.factor, case.dK, case.K_m, case.F, s,
+                             mask=mask)
     residual = float(np.linalg.norm(case.K_m @ U - case.F)
                      / max(np.linalg.norm(case.F), 1e-300))
-    diag = {"method": "ca", "s": s, "rank": reduced.rank,
+    diag = {"method": "ca", "s": s, "rank": U_B.shape[1],
             "residual": residual}
     return U, _restrict(case, U), diag
 
@@ -255,10 +255,7 @@ def run_ifu(case: ModifiedCase, tol: float | None = None):
     """IFU reanalysis; returns (U, FieldSolution, diagnostics dict)."""
     U, d = _ifu.ifu_solve(case.factor, case.star.K, case.K_m, case.F,
                           case.U_star, tol)
-    diag = {"method": "ifu", "n_d": d.n_d, "fund_residual": d.fund_residual,
-            "solve_residual": d.solve_residual, "n_coupled": d.n_coupled,
-            "capacitance_cond": d.capacitance_cond,
-            "short_circuit": d.short_circuit}
+    diag = {"method": "ifu", **asdict(d), "short_circuit": d.short_circuit}
     return U, _restrict(case, U), diag
 
 

@@ -180,6 +180,19 @@ class TestReanalyze:
         res = re.search(r"^residual = (\S+)$", capsys.readouterr().out, re.M)
         assert res and np.isfinite(float(res.group(1)))
 
+    def test_large_ca_basis_converges(self, tmp_path, capsys):
+        cloud, grid, mat, bc, mod = demos.l_frame_3d()
+        model = tmp_path / "l_frame_3d.json"
+        model.write_text(json.dumps(model_to_dict(cloud, grid, mat, bc)))
+        mod_file = tmp_path / "l_frame_3d.mod.json"
+        mod_file.write_text(json.dumps(modification_to_dict(mod)))
+        rc = main(["reanalyze", str(model), str(mod_file), "--method", "ca",
+                   "--basis", "100", "--compare", "-o", str(tmp_path / "ca")])
+        assert rc == 0
+        import re
+        err = re.search(r"E_u\s*=\s*(\S+)", capsys.readouterr().out)
+        assert err and float(err.group(1)) <= 1e-8
+
     def test_material_without_modulus_is_validation_error(
             self, small_files, tmp_path, capsys):
         model, _ = small_files

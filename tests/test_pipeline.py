@@ -137,6 +137,41 @@ def test_ca_reports_its_residual(baseline):
     assert diag["residual"] == pytest.approx(direct, rel=1e-12)
 
 
+def _demo_case(name):
+    cloud, grid, mat, bc, mod = demos.DEMO_BUILDERS[name]()
+    return prepare_modified(full_analysis(cloud, grid, mat, bc), mod)
+
+
+def test_ca_converges_where_the_recurrence_is_near_dependent():
+    """From s = 8 on l_frame_3d the recurrence vectors are numerically
+    dependent, and from s = 84 they overflow; the orthonormal basis keeps
+    each new direction and converges to the full re-solve."""
+    case = _demo_case("l_frame_3d")
+    _, ref, _ = run_full_modified(case)
+    for s, bound in ((10, 0.1), (100, 1e-8)):
+        _, fields, _ = run_ca(case, s=s)
+        E_u = error_metrics(fields, ref)[0]
+        assert E_u <= bound, f"s={s}: E_u {E_u:.3e} %"
+
+
+def test_ca_is_reproducible_under_roundoff():
+    """A symmetric 1e-15 relative perturbation of K_m and dK moves the CA
+    answer on notch_fill by no more than 1e-10 relative."""
+    case = _demo_case("notch_fill")
+    rng = np.random.default_rng(15)
+
+    def perturbed(A):
+        A = sp.csr_matrix(A)
+        E = A.copy()
+        E.data = A.data * rng.uniform(-1e-15, 1e-15, A.nnz)
+        return A + 0.5 * (E + E.T)
+
+    U, _, _ = run_ca(case, s=10)
+    U_p, _, _ = run_ca(dataclasses.replace(
+        case, K_m=perturbed(case.K_m), dK=perturbed(case.dK)), s=10)
+    assert np.linalg.norm(U_p - U) <= 1e-10 * np.linalg.norm(U)
+
+
 def test_loaded_node_removal_with_bc_change(baseline):
     cloud = baseline.cloud
     loaded = _right_column(cloud)
