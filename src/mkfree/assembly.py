@@ -24,6 +24,8 @@ Sci. Comput. 27(3), 2005), so the assembly keeps them for a change of
 material.  A point's gradients do not depend on the batch they are
 computed in, and a state restricted to some points is a take of its
 arrays, so the local delta matches a global reassembly to roundoff.
+Every matrix assembled here is raw physics; :func:`apply_bcs` alone gives
+unit rows, to the DOFs that are fixed or that the cloud does not carry.
 """
 
 from __future__ import annotations
@@ -197,7 +199,7 @@ def isotropic_stiffness(P: dict, mat: MaterialModel) -> sp.csr_matrix:
 
     K = sp.bmat([[block(a, b) for b in range(d)] for a in range(d)],
                 format="coo")
-    dof = np.arange(K.shape[0])
+    dof = np.arange(K.shape[0], dtype=K.row.dtype)    # no int64 copies
     dof = dof % S.shape[0] * d + dof // S.shape[0]
     return sp.csr_matrix((K.data, (dof[K.row], dof[K.col])), shape=K.shape)
 
@@ -238,16 +240,15 @@ def assemble_stiffness(cloud: NodeCloud, grid: BackgroundGrid,
     from one kernel pass over the grid, whose :class:`GaussState` and
     :func:`gradient_products` the result keeps.
 
-    Union DOFs whose node is absent from ``cloud`` receive the unit
-    diagonal of :meth:`DofMap.absent_unit`, so they decouple and solve to
-    zero.
+    The matrix is raw: union DOFs whose node is absent from ``cloud`` have
+    empty rows and columns until :func:`apply_bcs` decouples them.
     """
     if dof_map is None:
         dof_map = identity_dof_map(cloud)
     state = gauss_state(cloud, grid, cfg)
     P = gradient_products([(cloud, state, 1.0)], grid.gauss[1], dof_map)
-    K = (isotropic_stiffness(P, mat) + dof_map.absent_unit(cloud)).tocsr()
-    return StiffnessSystem(K=K, F=np.zeros(dof_map.n_dofs), dof_map=dof_map,
+    return StiffnessSystem(K=isotropic_stiffness(P, mat),
+                           F=np.zeros(dof_map.n_dofs), dof_map=dof_map,
                            state=state, products=P)
 
 
@@ -296,23 +297,25 @@ def assemble_load(cloud: NodeCloud, bc: BoundaryConditions,
     return F
 
 
-def apply_bcs(system: StiffnessSystem, bc: BoundaryConditions
-              ) -> StiffnessSystem:
-    """Eliminate fixed DOFs: zero row/column, unit diagonal, zero load.
+def apply_bcs(system: StiffnessSystem, bc: BoundaryConditions,
+              cloud: NodeCloud) -> StiffnessSystem:
+    """Decouple the DOFs of the raw ``system`` that ``bc`` fixes or
+    ``cloud`` does not carry: zero row and column, unit diagonal, zero
+    load.  Every other nonzero entry is kept; with nothing to decouple,
+    ``system`` is returned.
 
     Direct elimination is valid because the shape functions interpolate
     (Kronecker delta at nodes).
     """
     dm = system.dof_map
-    fixed = sorted({dm.dof(n, a) for n, a in bc.fixed_dofs})
-    if not fixed:
+    off = ~dm.carries(cloud)
+    off[[dm.dof(n, a) for n, a in bc.fixed_dofs]] = True
+    if not off.any():
         return system
-    N = system.n_dofs
-    free = np.ones(N)
-    free[fixed] = 0.0
-    M = sp.diags(free)
-    K = (M @ system.K @ M).tocsr()
-    K = K + sp.coo_matrix((np.ones(len(fixed)), (fixed, fixed)), shape=(N, N))
-    F = system.F.copy()
-    F[fixed] = 0.0
-    return StiffnessSystem(K=K.tocsr(), F=F, dof_map=dm)
+    K = system.K
+    data = np.repeat(off, np.diff(K.indptr))    # bool: entry to zero
+    data |= off[K.indices]
+    data = np.where(data, 0.0, K.data)          # frees the bool flags
+    K = sp.csr_matrix((data, K.indices, K.indptr), shape=K.shape)
+    K = K + sp.diags(off * 1.0, format="csr")
+    return StiffnessSystem(K=K, F=np.where(off, 0.0, system.F), dof_map=dm)

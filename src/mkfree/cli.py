@@ -40,7 +40,7 @@ from . import demos
 from .assembly import StiffnessSystem
 from .errors import NumericalError, ParseError, ValidationError
 from .model import _integer, _read_json, load_model, load_modification
-from .pipeline import (full_analysis, prepare_modified, run_ca,
+from .pipeline import (ca_sweep, full_analysis, prepare_modified, run_ca,
                        run_full_modified, run_ifu)
 from .recovery import FieldSolution, error_metrics
 from .solver import factorize, solve
@@ -143,8 +143,8 @@ def cmd_sweep(args) -> int:
     out.parent.mkdir(parents=True, exist_ok=True)
     fh, w = _open_csv(out, "sweep", ["s", "E_u", "E_eps", "E_sigma"])
     with fh:
-        for s in range(lo, hi + 1):
-            _, fields, _ = run_ca(case, s=s)
+        for _, fields, diag in ca_sweep(case, range(lo, hi + 1)):
+            s = diag["s"]
             E_u, E_eps, E_sig = error_metrics(fields, ref_fields)
             w.writerow([s, repr(E_u), repr(E_eps), repr(E_sig)])
             print(f"s={s:3d}  E_u={E_u:.4e} %  E_eps={E_eps:.4e} %  "

@@ -4,7 +4,7 @@ conditions, modifications, and the union DOF bookkeeping.
 All types are immutable after construction and can be shared freely.  The
 union DOF space covers ``initial U modified`` nodes so that the initial and
 modified stiffness matrices have one fixed size; DOFs absent from a
-configuration decouple through a unit diagonal and a zero load.
+configuration decouple in :func:`mkfree.assembly.apply_bcs`.
 """
 
 from __future__ import annotations
@@ -15,7 +15,6 @@ from dataclasses import dataclass, field, replace
 from functools import cached_property
 
 import numpy as np
-import scipy.sparse as sp
 from scipy.spatial import cKDTree
 
 from .errors import ParseError, ValidationError
@@ -269,8 +268,8 @@ class Modification:
 class DofMap:
     """Deterministic DOF ordering over the union of initial and modified
     node sets: sorted by node id, then axis.  It alone decides which DOFs
-    a configuration carries; the others decouple through
-    :meth:`absent_unit` and a zero load."""
+    a configuration carries (:meth:`carries`); a raw matrix leaves the
+    others empty, and :func:`~mkfree.assembly.apply_bcs` decouples them."""
 
     node_ids: np.ndarray       # sorted union, (N,)
     dim: int
@@ -301,13 +300,6 @@ class DofMap:
     def carries(self, cloud: NodeCloud) -> np.ndarray:
         """(n_dofs,) bool: the DOFs of the map's nodes that ``cloud`` holds."""
         return np.repeat(np.isin(self.node_ids, cloud.ids), self.dim)
-
-    def absent_unit(self, cloud: NodeCloud) -> sp.csr_matrix:
-        """Unit diagonal on the DOFs ``cloud`` does not carry, zero
-        elsewhere: the term that decouples them on the union space."""
-        absent = np.flatnonzero(~self.carries(cloud))
-        return sp.csr_matrix((np.ones(len(absent)), (absent, absent)),
-                             shape=(self.n_dofs, self.n_dofs))
 
 
 def identity_dof_map(cloud: NodeCloud) -> DofMap:

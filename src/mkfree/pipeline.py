@@ -39,7 +39,7 @@ from . import ca as _ca
 from . import ifu as _ifu
 
 __all__ = ["Baseline", "ModifiedCase", "full_analysis", "prepare_modified",
-           "run_ca", "run_ifu", "run_full_modified"]
+           "ca_sweep", "run_ca", "run_ifu", "run_full_modified"]
 
 
 @dataclass(frozen=True)
@@ -84,7 +84,7 @@ def full_analysis(cloud: NodeCloud, grid: BackgroundGrid, mat: MaterialModel,
     bc.validate_against(cloud)
     raw = assemble_stiffness(cloud, grid, mat, cfg)
     raw = raw.with_load(assemble_load(cloud, bc, raw.dof_map, cfg))
-    system = apply_bcs(raw, bc)
+    system = apply_bcs(raw, bc, cloud)
     factor = factorize(system)
     U = solve(factor, system.F)
     return Baseline(cloud=cloud, grid=grid, material=mat, bc=bc, cfg=cfg,
@@ -95,20 +95,21 @@ def _lift(baseline: Baseline, dof_map: DofMap, mat: MaterialModel):
     """Lift the baseline, with its raw K for material ``mat``, onto the
     union DOF space of ``dof_map``.
 
-    With ``perm`` the union positions of the initial DOFs, ``P`` the N x n
-    embedding ``P[perm[k], k] = 1`` and ``I_a = I - P P^T`` the unit
-    diagonal on the DOFs the initial cloud does not carry, a matrix A lifts
-    to ``P A P^T + I_a`` and a vector v to ``P v``.  The factor lifts the
-    same way for every id order, ``L = P L0 P^T + I_a``, which is
+    With ``perm`` the union positions of the initial DOFs and ``P`` the
+    N x n embedding ``P[perm[k], k] = 1``, a raw matrix A lifts to
+    ``P A P^T`` and a vector v to ``P v``: the DOFs the initial cloud does
+    not carry stay empty.  As ``perm`` increases (both id lists are
+    sorted), a CSR matrix lifts by renumbering its arrays: row k moves to
+    row perm[k] with columns perm[indices], in the same order.  The lifted
+    K* is :func:`apply_bcs` of the lifted raw K* with the baseline's BCs
+    and cloud, so with an unchanged material one matrix is lifted.  Its
+    factor is ``P L0 P^T`` plus a unit diagonal on the uncarried DOFs,
     :meth:`CholeskyFactor.reindex` of L0 with union DOF ``perm[k]`` taken
-    from initial DOF k and the others unit.  As ``perm`` increases (both
-    id lists are sorted), L is the Cholesky factor of the lifted K*, and a
-    CSR matrix lifts by scattering its arrays: row k moves to row perm[k]
-    with columns perm[indices], in the same order, and each absent DOF
-    gets a row holding its unit diagonal.
+    from initial DOF k and the others unit.
 
     Returns the lifted BC-applied system, raw K, factor and displacement;
-    with no added node the matrices and the factor are returned uncopied.
+    with no added node the matrices and the factor are returned uncopied,
+    and a lifted raw K shares its data array with the unlifted one.
     """
     system, K_raw = baseline.system, baseline.raw.K
     if mat != baseline.material:
@@ -120,30 +121,21 @@ def _lift(baseline: Baseline, dof_map: DofMap, mat: MaterialModel):
     if len(perm) == N:
         return system, K_raw, baseline.factor, U_star
 
-    absent = np.setdiff1d(np.arange(N), perm)
-    before = absent - np.arange(len(absent))    # initial DOFs before each
-
     def lift(A):
-        A = sp.csr_matrix(A)
-        at = A.indptr[before]
-        counts = np.ones(N, dtype=A.indptr.dtype)
-        counts[perm] = np.diff(A.indptr)
         indptr = np.zeros(N + 1, dtype=A.indptr.dtype)
-        np.cumsum(counts, out=indptr[1:])
-        out = sp.csr_matrix(
-            (np.insert(A.data, at, 1.0),
-             np.insert(perm.astype(A.indices.dtype)[A.indices], at, absent),
-             indptr), shape=(N, N))
-        out.sum_duplicates()        # canonical and without stored zeros,
-        out.eliminate_zeros()       # whatever form A has
-        return out
+        indptr[perm + 1] = np.diff(A.indptr)
+        return sp.csr_matrix((A.data, perm.astype(A.indices.dtype)[A.indices],
+                              np.cumsum(indptr, out=indptr)), shape=(N, N))
 
+    K_lift = lift(K_raw)
     F_star = np.zeros(N)
-    F_star[perm] = system.F
+    F_star[perm] = baseline.raw.F
+    star = apply_bcs(StiffnessSystem(
+        K=K_lift if K_raw is baseline.raw.K else lift(baseline.raw.K),
+        F=F_star, dof_map=dof_map), baseline.bc, baseline.cloud)
     src = np.full(N, -1)
     src[perm] = np.arange(len(perm))
-    return (StiffnessSystem(K=lift(system.K), F=F_star, dof_map=dof_map),
-            lift(K_raw), baseline.factor.reindex(src), U_star)
+    return star, K_lift, baseline.factor.reindex(src), U_star
 
 
 @dataclass(frozen=True)
@@ -161,7 +153,7 @@ class ModifiedCase:
     U_star: np.ndarray           # initial displacement on union space
     dK: sp.csr_matrix            # BC-applied stiffness delta, K_m - star.K
     K_m: sp.csr_matrix           # BC-applied modified stiffness
-    F: np.ndarray                # modified load, constrained entries zeroed
+    F: np.ndarray                # modified load, decoupled entries zeroed
     nodes: GaussState            # node-point state of cloud_mod
     influence: object = None     # InfluenceDomain of a node change
 
@@ -201,9 +193,10 @@ def prepare_modified(baseline: Baseline, mod: Modification) -> ModifiedCase:
     for a new material) plus the local delta with the modified material,
     which reads the initial side from the baseline's Gauss-point state, so
     only the modified cloud is searched and evaluated, and only within
-    reach of the changed nodes.  The modified boundary conditions are then
-    applied to it, and the delta is taken between the two BC-applied
-    matrices, so CA and IFU see one consistent pair whatever changed.  The
+    reach of the changed nodes.  :func:`apply_bcs` then decouples the DOFs
+    the modified boundary conditions fix or the modified cloud does not
+    carry, and the delta is taken between the two BC-applied matrices, so
+    CA and IFU see one consistent pair whatever changed.  The
     modified cloud's node-point state is derived from the baseline's
     (:func:`recovery.edited_node_state`) here, so every method's recovery
     reads it.
@@ -221,7 +214,8 @@ def prepare_modified(baseline: Baseline, mod: Modification) -> ModifiedCase:
         mod, baseline.cloud, cloud_mod, baseline.grid, mat_new, dof_map, cfg,
         baseline.raw.state)
     modified = apply_bcs(StiffnessSystem(K=(K_raw + delta_raw.dK).tocsr(),
-                                         F=F_mod, dof_map=dof_map), bc_new)
+                                         F=F_mod, dof_map=dof_map), bc_new,
+                         cloud_mod)
     dK = (modified.K - star.K).tocsr()
     dK.eliminate_zeros()
     nodes = edited_node_state(baseline.nodes, baseline.cloud, cloud_mod,
@@ -239,16 +233,25 @@ def _restrict(case: ModifiedCase, U: np.ndarray) -> FieldSolution:
                            case.dof_map)
 
 
+def ca_sweep(case: ModifiedCase, counts):
+    """:func:`run_ca`'s results for each basis count s of ``counts`` in
+    turn, from one basis: the first s columns of :func:`ca.build_basis`
+    do not depend on its column count."""
+    basis = _ca.build_basis(case.factor, case.dK, case.F, max(counts),
+                            mask=case.dof_map.carries(case.cloud_mod))
+    for s in counts:
+        U_B = basis[:, :s]
+        U = _ca.combine(U_B, _ca.reduce_and_solve(U_B, case.K_m, case.F))
+        residual = float(np.linalg.norm(case.K_m @ U - case.F)
+                         / max(np.linalg.norm(case.F), 1e-300))
+        yield U, _restrict(case, U), {"method": "ca", "s": s,
+                                      "rank": U_B.shape[1],
+                                      "residual": residual}
+
+
 def run_ca(case: ModifiedCase, s: int = 10):
     """CA reanalysis; returns (U, FieldSolution, diagnostics dict)."""
-    mask = case.dof_map.carries(case.cloud_mod)
-    U, U_B, _ = _ca.ca_solve(case.factor, case.dK, case.K_m, case.F, s,
-                             mask=mask)
-    residual = float(np.linalg.norm(case.K_m @ U - case.F)
-                     / max(np.linalg.norm(case.F), 1e-300))
-    diag = {"method": "ca", "s": s, "rank": U_B.shape[1],
-            "residual": residual}
-    return U, _restrict(case, U), diag
+    return next(ca_sweep(case, [s]))
 
 
 def run_ifu(case: ModifiedCase, tol: float | None = None):

@@ -159,20 +159,17 @@ def compute_delta(dom: InfluenceDomain, cloud_initial: NodeCloud,
     cloud's term, signed -, is ``initial``, its state over the whole grid,
     taken at the affected points; the initial cloud is not evaluated.
 
-    The delta is taken between two stiffness matrices on the union space,
-    so it also carries the difference of their decoupling diagonals
-    (:meth:`DofMap.absent_unit` of the modified cloud minus that of the
-    initial one): +1 on a removed node's DOFs and -1 on an added node's.
+    The delta is raw, the difference of the two physics matrices: every
+    Gauss point a removed or added node supports is affected, so its row
+    is exactly minus the initial matrix's row, or exactly the modified
+    one's.  Decoupling those DOFs is :func:`~mkfree.assembly.apply_bcs`'s.
     """
     modified = gauss_state(cloud_modified, dom.grid, cfg,
                            dom.modified_supports)
-    dK = integrate_stiffness(
+    return StiffnessDelta(dK=integrate_stiffness(
         [(cloud_modified, modified, 1.0),
          (cloud_initial, initial.take(dom.affected_gauss), -1.0)],
-        dom.grid.gauss[1], mat, dof_map)
-    unit = (dof_map.absent_unit(cloud_modified)
-            - dof_map.absent_unit(cloud_initial))
-    return StiffnessDelta(dK=(dK + unit).tocsr())
+        dom.grid.gauss[1], mat, dof_map))
 
 
 def local_delta(mod: Modification, cloud_initial: NodeCloud,
@@ -200,7 +197,7 @@ def local_delta(mod: Modification, cloud_initial: NodeCloud,
 def global_update(cloud_modified: NodeCloud, grid: BackgroundGrid,
                   mat: MaterialModel, dof_map: DofMap,
                   cfg: MeshlessConfig = DEFAULT_CONFIG) -> StiffnessSystem:
-    """Reference path: reassemble the modified stiffness on the union
+    """Reference path: reassemble the modified raw stiffness on the union
     space, the oracle of the local update."""
     return assemble_stiffness(cloud_modified, grid, mat, cfg, dof_map=dof_map)
 

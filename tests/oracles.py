@@ -169,8 +169,9 @@ def b_matrix_oracle(grads):
 
 def dense_stiffness_oracle(cloud, grid, mat, cfg):
     """Brute-force dense global stiffness by 2^dim Gauss quadrature per
-    cell, including the activity rule and the unit diagonal at DOFs of
-    nodes never touched (none here: clouds are their own DOF space)."""
+    cell, including the activity rule.  Like the assembled matrix it is
+    raw physics, with no unit diagonal (a cloud is its own DOF space
+    here, so no DOF is empty)."""
     d = cloud.dim
     order = np.argsort(cloud.ids)
     id_pos = {int(cloud.ids[row]): k for k, row in enumerate(order)}

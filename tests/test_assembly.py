@@ -114,20 +114,26 @@ class TestAssembly:
             assert np.abs(K @ mode).max() <= 1e-8 * scale * np.abs(mode).max()
 
     def test_union_space_absent_nodes_unit_diag(self, rng, cfg):
+        """On a union map the raw K has empty rows and columns at the DOFs
+        of absent nodes; apply_bcs with the cloud makes them unit rows with
+        a zero load."""
         cloud = jittered_cloud(rng, 6, 5, jitter=0.15)
         mod = Modification(removed_ids={7, 12})
         cloud_m, dm = apply_modification(cloud, mod)
         system = assemble_stiffness(cloud_m, grid_for(cloud, pad=0.2),
                                     MaterialModel(10.0, 0.3), cfg,
                                     dof_map=dm)
+        absent = dm.dofs_of([7, 12])
         K = system.K.toarray()
-        for nid in (7, 12):
-            for axis in (0, 1):
-                d = dm.dof(nid, axis)
-                row = K[d].copy()
-                assert row[d] == 1.0
-                row[d] = 0.0
-                assert np.all(row == 0.0)
+        assert not K[absent].any() and not K[:, absent].any()
+        con = apply_bcs(system.with_load(np.ones(dm.n_dofs)),
+                        BoundaryConditions(), cloud_m)
+        K = con.K.toarray()
+        assert np.array_equal(K[np.ix_(absent, absent)],
+                              np.eye(len(absent)))
+        K[absent, absent] = 0.0
+        assert not K[absent].any() and not K[:, absent].any()
+        assert not con.F[absent].any()
 
 
 def _edited_model(rng, dim):
@@ -265,7 +271,7 @@ class TestApplyBcs:
         cloud, grid, mat, bc = small_model
         raw = assemble_stiffness(cloud, grid, mat, cfg)
         raw = raw.with_load(assemble_load(cloud, bc, raw.dof_map, cfg))
-        con = apply_bcs(raw, bc)
+        con = apply_bcs(raw, bc, cloud)
         dm = con.dof_map
         fixed = sorted(dm.dof(n, a) for n, a in bc.fixed_dofs)
         K = con.K.toarray()
@@ -278,3 +284,42 @@ class TestApplyBcs:
         free = np.setdiff1d(np.arange(dm.n_dofs), fixed)
         assert np.allclose(K[np.ix_(free, free)],
                            raw.K.toarray()[np.ix_(free, free)])
+
+    @pytest.mark.parametrize("space", ["identity", "union-initial",
+                                       "union-modified"])
+    def test_decouples_exactly_the_fixed_and_uncarried_dofs(
+            self, small_model, cfg, space):
+        """On its own cloud's map, apply_bcs decouples the fixed DOFs; on a
+        union map with a removed and an added node, also the DOFs the
+        given cloud does not carry (the added node's for the initial
+        cloud, the removed node's for the modified one).  Exactly those
+        become unit rows and columns with a zero load; every other nonzero
+        entry and load entry is kept bit for bit."""
+        cloud, grid, mat, bc = small_model
+        gone = int(cloud.ids[20])
+        cloud_m, dm = apply_modification(cloud, Modification(
+            removed_ids={gone}, added_ids=(999,), added_coords=[[3.3, 2.7]]),
+            bc)
+        solved, absent = {"identity": (cloud, []),
+                          "union-initial": (cloud, [999]),
+                          "union-modified": (cloud_m, [gone])}[space]
+        if space == "identity":
+            dm = identity_dof_map(cloud)
+        raw = assemble_stiffness(cloud, grid, mat, cfg, dof_map=dm)
+        F = np.random.default_rng(4).uniform(1.0, 2.0, dm.n_dofs)
+        con = apply_bcs(raw.with_load(F), bc, solved)
+        off = np.zeros(dm.n_dofs, dtype=bool)
+        off[[dm.dof(n, a) for n, a in bc.fixed_dofs]] = True
+        off[dm.dofs_of(absent)] = True
+        K, K_raw = con.K.toarray(), raw.K.toarray()
+        unit = [d for d in range(dm.n_dofs)
+                if K[d, d] == 1.0 and np.count_nonzero(K[d]) == 1
+                and np.count_nonzero(K[:, d]) == 1]
+        assert unit == list(np.flatnonzero(off))
+        assert not con.F[off].any()
+        assert np.array_equal(con.F[~off], F[~off])
+        stored = con.K.tocoo()
+        kept = ~off[stored.row] & ~off[stored.col]
+        assert np.array_equal(stored.data[kept],
+                              K_raw[stored.row[kept], stored.col[kept]])
+        assert kept.sum() == np.count_nonzero(K_raw[np.ix_(~off, ~off)])

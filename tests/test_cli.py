@@ -7,10 +7,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from mkfree import demos
+from mkfree import ca, demos
 from mkfree.cli import _parse_range, main
 from mkfree.errors import ValidationError
 from mkfree.model import model_to_dict, modification_to_dict
+from mkfree.pipeline import (full_analysis, prepare_modified, run_ca,
+                             run_full_modified)
+from mkfree.recovery import error_metrics
 
 from conftest import loaded_edge_cut
 
@@ -285,6 +288,33 @@ class TestSweep:
         rows = _read_csv(out, "sweep")
         assert rows[0] == ["s", "E_u", "E_eps", "E_sigma"]
         assert [r[0] for r in rows[1:]] == ["2", "3", "4"]
+
+    def test_range_builds_one_basis_and_writes_run_ca_rows(
+            self, tmp_path, monkeypatch):
+        """A sweep over s = 1..12 builds one CA basis, and each row holds
+        the errors of run_ca(case, s) against the full re-solve, to the
+        last digit."""
+        cloud, grid, mat, bc = demos.patch(nx=6, ny=6, refine=1)
+        model, mod = tmp_path / "model.json", tmp_path / "mod.json"
+        model.write_text(json.dumps(model_to_dict(cloud, grid, mat, bc)))
+        mod.write_text(json.dumps(modification_to_dict(_remove_one(cloud))))
+        case = prepare_modified(full_analysis(cloud, grid, mat, bc),
+                                _remove_one(cloud))
+        _, ref, _ = run_full_modified(case)
+        expected = [[str(s)] + [repr(e) for e in error_metrics(
+            run_ca(case, s)[1], ref)] for s in range(1, 13)]
+        build_basis, built = ca.build_basis, []
+
+        def counted(*args, **kwargs):
+            built.append(args[3])
+            return build_basis(*args, **kwargs)
+
+        monkeypatch.setattr(ca, "build_basis", counted)
+        out = tmp_path / "sweep.csv"
+        assert main(["sweep", str(model), str(mod), "--basis-range", "1..12",
+                     "-o", str(out)]) == 0
+        assert built == [12]
+        assert _read_csv(out, "sweep")[1:] == expected
 
     def test_bad_range_is_validation_error(self, small_files, tmp_path):
         model, mod = small_files

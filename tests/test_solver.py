@@ -82,7 +82,7 @@ def test_constrained_model_solves(small_model, cfg):
     cloud, grid, mat, bc = small_model
     raw = assemble_stiffness(cloud, grid, mat, cfg)
     raw = raw.with_load(assemble_load(cloud, bc, raw.dof_map, cfg))
-    system = apply_bcs(raw, bc)
+    system = apply_bcs(raw, bc, cloud)
     U = solve(factorize(system), system.F)
     res = np.linalg.norm(system.K @ U - system.F)
     assert res <= 1e-10 * np.linalg.norm(system.F)
