@@ -7,10 +7,13 @@ when it lies inside the material domain, which a node cloud represents
 implicitly: the point must have a cloud node within
 ``ACTIVITY_FACTOR * d_c``; so must a traction's quadrature points.
 
-One pass of the batched kernel of :mod:`mkfree.interp` gives a
-:class:`GaussState`: the points that integrate for a cloud, their
-complete supports, their shape-function gradients and the reach of every
-Gauss point.  :func:`assemble_stiffness` keeps the state it computed on
+One pass of the batched kernel of :mod:`mkfree.interp`,
+:func:`gauss_state`, gives a :class:`GaussState` of a cloud on any batch
+of points: the points that integrate for the cloud, their complete
+supports, their shape-function gradients and the reach of every point.
+It is the one builder of a state, for the grid's Gauss points here and
+for the nodes of field recovery (:mod:`mkfree.recovery`).
+:func:`assemble_stiffness` keeps the state it computed on
 the :class:`StiffnessSystem` it returns, so the local update reads the
 initial cloud's side from it instead of searching and evaluating it
 again, and re-searches the modified cloud only where a changed node lies
@@ -115,23 +118,21 @@ class GaussState:
                           grads=self.grads[flat])
 
 
-def gauss_state(cloud: NodeCloud, grid: BackgroundGrid,
-                cfg: MeshlessConfig = DEFAULT_CONFIG, supports=None
+def gauss_state(cloud: NodeCloud, points,
+                cfg: MeshlessConfig = DEFAULT_CONFIG, where=_nowhere
                 ) -> GaussState:
-    """One kernel pass: the state of ``cloud`` on the Gauss points of
-    ``grid``.
+    """One kernel pass: the state of ``cloud`` on the batch ``points``, a
+    grid's Gauss points (with :func:`at_gauss_point` as ``where``) or the
+    cloud's nodes, which always integrate (their dist is 0).
 
-    ``supports``, an (active, sup) pair as :func:`active_supports` gives,
-    restricts the pass to those points and skips the support search; the
-    state then has no reach.  A support-deficient point raises
+    :func:`active_supports` and then
+    :func:`~mkfree.interp.support_gradients` of the active points; the
+    state has the reach of every point.  A support-deficient point raises
     SupportDeficiencyError and a failed Kriging system ConditioningError,
-    each naming the point and its cell.
+    each located by ``where(p)`` for its index p into ``points``.
     """
-    points, where = grid.gauss[0], partial(at_gauss_point, grid)
-    if supports is None:
-        active, sup, rho = active_supports(points, cloud, cfg, where)
-    else:
-        (active, sup), rho = supports, None
+    points = np.asarray(points, dtype=float).reshape(-1, cloud.dim)
+    active, sup, rho = active_supports(points, cloud, cfg, where)
     grads = support_gradients(points[active], cloud, sup, cfg,
                               lambda j: where(active[j]))
     return GaussState(active=active, sup=sup, grads=grads, reach=rho)
@@ -245,7 +246,8 @@ def assemble_stiffness(cloud: NodeCloud, grid: BackgroundGrid,
     """
     if dof_map is None:
         dof_map = identity_dof_map(cloud)
-    state = gauss_state(cloud, grid, cfg)
+    state = gauss_state(cloud, grid.gauss[0], cfg,
+                        partial(at_gauss_point, grid))
     P = gradient_products([(cloud, state, 1.0)], grid.gauss[1], dof_map)
     return StiffnessSystem(K=isotropic_stiffness(P, mat),
                            F=np.zeros(dof_map.n_dofs), dof_map=dof_map,

@@ -56,6 +56,7 @@ __all__ = [
     "residual",
     "measurement",
     "unbalanced_set",
+    "default_tol",
     "constrain_factor",
     "constraint_rhs",
     "fundamental_solutions",
@@ -99,13 +100,28 @@ def measurement(K_m: sp.spmatrix, K_m_star: sp.spmatrix, delta: np.ndarray
 def unbalanced_set(meas: np.ndarray, tol: float) -> np.ndarray:
     """Ascending indices of the DOFs whose measurement exceeds ``tol``.
 
-    The tolerance policy lives in :func:`ifu_solve`, whose scale-aware
-    default keeps floating-point assembly noise out of the set.
+    The tolerance policy lives in :func:`default_tol`, whose scale-aware
+    threshold keeps floating-point assembly noise out of the set.
     """
     meas = np.asarray(meas, dtype=float)
     if tol < 0:
         raise ValueError("tolerance must be nonnegative")
     return np.where(np.abs(meas) > tol)[0]
+
+
+def default_tol(K_m: sp.spmatrix, F: np.ndarray, U_star: np.ndarray
+                ) -> float:
+    """:func:`ifu_solve`'s default unbalanced-set tolerance,
+    1e-9 (max|K_m| max(1, max|U*|) + max|F|).
+
+    The initial residual is pure roundoff on unchanged equations, so it is
+    thresholded against the problem magnitude rather than against
+    max(meas), which itself is roundoff when nothing changed.
+    """
+    k_scale = float(abs(K_m).max()) if K_m.nnz else 0.0
+    u_scale = float(np.abs(U_star).max(initial=0.0))
+    f_scale = float(np.abs(F).max(initial=0.0))
+    return 1e-9 * (k_scale * max(1.0, u_scale) + f_scale)
 
 
 def constrain_factor(factor: CholeskyFactor, S_d: np.ndarray):
@@ -288,14 +304,7 @@ def ifu_solve(factor: CholeskyFactor, K_m_star: sp.spmatrix, K_m: sp.spmatrix,
     delta = residual(K_m, F, U_star)
     meas = measurement(K_m, K_m_star, delta)
     if tol is None:
-        # scale-aware default: the initial residual is pure roundoff on
-        # unchanged equations, so threshold against the problem magnitude
-        # rather than against max(meas), which itself is roundoff when
-        # nothing changed
-        k_scale = float(abs(K_m).max()) if K_m.nnz else 0.0
-        u_scale = float(np.abs(U_star).max(initial=0.0))
-        f_scale = float(np.abs(F).max(initial=0.0))
-        tol = 1e-9 * (k_scale * max(1.0, u_scale) + f_scale)
+        tol = default_tol(K_m, F, U_star)
     S_d = unbalanced_set(meas, tol)
     if len(S_d) == 0:
         # U* is the answer; its residual K_m U* - F is -delta, so the gate

@@ -34,6 +34,7 @@ __all__ = [
     "model_to_dict",
     "modification_to_dict",
     "apply_modification",
+    "validate_model",
 ]
 
 
@@ -307,6 +308,18 @@ def identity_dof_map(cloud: NodeCloud) -> DofMap:
     return DofMap(node_ids=np.sort(cloud.ids), dim=cloud.dim)
 
 
+def validate_model(cloud: NodeCloud, grid: BackgroundGrid,
+                   material: MaterialModel, bc: BoundaryConditions):
+    """ValidationError unless the grid and the material have the cloud's
+    dimension and ``bc`` fits the cloud
+    (:meth:`BoundaryConditions.validate_against`)."""
+    if grid.dim != cloud.dim:
+        raise ValidationError("grid dimensionality does not match model dim")
+    if material.dim != cloud.dim:
+        raise ValidationError("material mode does not match model dim")
+    bc.validate_against(cloud)
+
+
 def apply_modification(cloud: NodeCloud, mod: Modification,
                        bc: BoundaryConditions | None = None):
     """Apply a modification, returning the modified cloud and the union DofMap.
@@ -321,6 +334,9 @@ def apply_modification(cloud: NodeCloud, mod: Modification,
     for nid in mod.added_ids:
         if cloud.has_node(nid):
             raise ValidationError(f"added node id {nid} already exists")
+    if mod.added_coords.size != len(mod.added_ids) * cloud.dim:
+        raise ValidationError(
+            f"added_coords need {cloud.dim} coordinates per added node")
     if bc is not None and mod.bc_change is None and mod.removed_ids:
         for node_id, axis in bc.fixed_dofs:
             if node_id in mod.removed_ids:
@@ -349,12 +365,9 @@ def apply_modification(cloud: NodeCloud, mod: Modification,
 
 
 def _material_from_dict(d: dict, dim: int) -> MaterialModel:
-    material = MaterialModel(
+    return MaterialModel(
         young_modulus=float(d["E"]), poisson_ratio=float(d["nu"]),
         mode=d.get("mode", "plane_stress" if dim == 2 else "solid_3d"))
-    if material.dim != dim:
-        raise ValidationError("material mode does not match model dim")
-    return material
 
 
 def _material_to_dict(m: MaterialModel) -> dict:
@@ -420,11 +433,9 @@ def _parse_model_dict(data: dict):
     grid_d = data["grid"]
     grid = BackgroundGrid(origin=grid_d["origin"], cell_size=grid_d["cell_size"],
                           counts=grid_d["counts"])
-    if grid.dim != dim:
-        raise ValidationError("grid dimensionality does not match model dim")
     material = _material_from_dict(data["material"], dim)
     bc = _bc_from_dict(data.get("bc", {}))
-    bc.validate_against(cloud)
+    validate_model(cloud, grid, material, bc)
     return cloud, grid, material, bc
 
 

@@ -30,7 +30,8 @@ from .assembly import (GaussState, StiffnessSystem, apply_bcs, assemble_load,
 from .config import DEFAULT_CONFIG, MeshlessConfig
 from .interp import reach, spacing, within_reach
 from .model import (BackgroundGrid, BoundaryConditions, DofMap, MaterialModel,
-                    Modification, NodeCloud, apply_modification)
+                    Modification, NodeCloud, apply_modification,
+                    validate_model)
 from .recovery import (FieldSolution, edited_node_state, fields_at_nodes,
                        node_state)
 from .solver import CholeskyFactor, factorize, solve
@@ -81,7 +82,7 @@ def full_analysis(cloud: NodeCloud, grid: BackgroundGrid, mat: MaterialModel,
                   bc: BoundaryConditions, cfg: MeshlessConfig = DEFAULT_CONFIG
                   ) -> Baseline:
     """Assemble, constrain, factorize and solve the initial model."""
-    bc.validate_against(cloud)
+    validate_model(cloud, grid, mat, bc)
     raw = assemble_stiffness(cloud, grid, mat, cfg)
     raw = raw.with_load(assemble_load(cloud, bc, raw.dof_map, cfg))
     system = apply_bcs(raw, bc, cloud)
@@ -205,7 +206,7 @@ def prepare_modified(baseline: Baseline, mod: Modification) -> ModifiedCase:
     cloud_mod, dof_map = apply_modification(baseline.cloud, mod, baseline.bc)
     mat_new = mod.material_change or baseline.material
     bc_new = mod.bc_change or baseline.bc
-    bc_new.validate_against(cloud_mod)
+    validate_model(cloud_mod, baseline.grid, mat_new, bc_new)
     moved = changed_coords(changed_nodes(mod), baseline.cloud, cloud_mod)
     F_mod = _modified_load(baseline, mod, cloud_mod, dof_map, moved)
 

@@ -2,16 +2,18 @@
 compare reanalysis against full analysis.
 
 Nodal strain comes from a node-point state of the cloud
-(:func:`node_state`): a :class:`~mkfree.assembly.GaussState` whose points
-are the nodes in id order, holding their supports, the shape-function
-gradients at them and their reach.  Strain is then the sparse product
-H = sum_n grad phi_n (x) u_n of the gradients with the nodal displacements
-(:func:`fields_at_nodes`).  :func:`recover_fields` builds the state from
-scratch; a reanalysis derives the modified cloud's state from the
-baseline's (:func:`edited_node_state`), re-searching and re-evaluating
-only the added nodes and the nodes with a changed node within their
-reach, and copying every other node's row.  A refused support or system
-names its node id."""
+(:func:`node_state`): the :class:`~mkfree.assembly.GaussState` that
+:func:`~mkfree.assembly.gauss_state`, the assembly's own kernel pass,
+gives on the nodes in id order, holding their supports, the
+shape-function gradients at them and their reach; every node is active.
+Strain is then the sparse product H = sum_n grad phi_n (x) u_n of the
+gradients with the nodal displacements (:func:`fields_at_nodes`).
+:func:`recover_fields` builds the state from scratch; a reanalysis
+derives the modified cloud's state from the baseline's
+(:func:`edited_node_state`): one pass over the added nodes and the nodes
+with a changed node within their reach, merged in id order with every
+other node's row, copied.  A refused support or system names its node
+id."""
 
 from __future__ import annotations
 
@@ -20,15 +22,17 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .assembly import GaussState, constitutive
+from .assembly import GaussState, constitutive, gauss_state
 from .config import DEFAULT_CONFIG, MeshlessConfig
 from .errors import ValidationError
-from .interp import (Supports, find_supports, reach, spacing,
-                     support_gradients, within_reach)
+from .interp import Supports, within_reach
 from .model import DofMap, MaterialModel, NodeCloud, identity_dof_map
 
 __all__ = ["FieldSolution", "node_state", "edited_node_state",
            "fields_at_nodes", "recover_fields", "von_mises", "error_metrics"]
+
+# stress and strain components per material mode
+_COMPONENTS = {"plane_stress": 3, "solid_3d": 6}
 
 # strain component k is (H_ab + H_ba) / (2 if a == b else 1), in CSV order
 _VOIGT = {2: ((0, 1, 0), (0, 1, 1)),
@@ -56,7 +60,9 @@ def von_mises(components: np.ndarray, mode: str, kind: str = "stress"
     ratio 0.5, engineering shear components).
     """
     v = np.atleast_2d(np.asarray(components, dtype=float))
-    expected = 3 if mode == "plane_stress" else 6
+    expected = _COMPONENTS.get(mode)
+    if expected is None:
+        raise ValidationError(f"unknown material mode {mode!r}")
     if v.shape[1] != expected:
         raise ValidationError(
             f"expected {expected} components for {mode}, got {v.shape[1]}")
@@ -85,24 +91,18 @@ def von_mises(components: np.ndarray, mode: str, kind: str = "stress"
     return out[0] if np.asarray(components).ndim == 1 else out
 
 
-def _nodes(cloud: NodeCloud, rows: np.ndarray, cfg: MeshlessConfig):
-    """Supports (cloud rows), gradients and reach of the nodes at cloud
-    rows ``rows``; a refused support or system names its node id."""
-    X = cloud.coords[rows]
-    dist, d_c, d_nb = spacing(X, cloud)
-    where = lambda g: f" (at node {cloud.ids[rows[g]]})"
-    sup = find_supports(X, cloud, d_c, cfg, where)
-    return (sup, support_gradients(X, cloud, sup, cfg, where),
-            reach(dist, d_c, d_nb, cfg))
+def _at_node(ids: np.ndarray):
+    """Error-location suffix naming the node of id ``ids[g]``."""
+    return lambda g: f" (at node {ids[g]})"
 
 
 def node_state(cloud: NodeCloud, cfg: MeshlessConfig = DEFAULT_CONFIG
                ) -> GaussState:
-    """The node-point state of ``cloud``: its nodes in id order, every one
-    of them a point, with its support, gradients and reach."""
-    sup, grads, rho = _nodes(cloud, np.argsort(cloud.ids), cfg)
-    return GaussState(active=np.arange(cloud.n_nodes), sup=sup, grads=grads,
-                      reach=rho)
+    """The node-point state of ``cloud``: :func:`~mkfree.assembly.gauss_state`
+    on its nodes in id order, every one of them active."""
+    order = np.argsort(cloud.ids)
+    return gauss_state(cloud, cloud.coords[order], cfg,
+                       _at_node(cloud.ids[order]))
 
 
 def edited_node_state(initial: GaussState, cloud_initial: NodeCloud,
@@ -114,9 +114,11 @@ def edited_node_state(initial: GaussState, cloud_initial: NodeCloud,
     A kept node with no changed node within its reach has the same
     support and gradients in both clouds (:func:`mkfree.interp.reach`), so
     its row is copied, support rows re-mapped to the modified cloud by id.
-    The added nodes and the other kept nodes are searched and evaluated.
-    The result equals :func:`node_state` of ``cloud_modified`` entry for
-    entry, and a deficient node raises naming the same node.
+    The added nodes and the other kept nodes go through one
+    :func:`~mkfree.assembly.gauss_state` pass, and the copied and fresh
+    rows are merged by one take in id order.  The result equals
+    :func:`node_state` of ``cloud_modified`` entry for entry, and a
+    deficient node raises naming the same node.
     """
     order_i = np.argsort(cloud_initial.ids)
     order_m = np.argsort(cloud_modified.ids)
@@ -127,29 +129,20 @@ def edited_node_state(initial: GaussState, cloud_initial: NodeCloud,
     fresh[kept] = within_reach(cloud_modified.coords[order_m[kept]],
                                initial.reach[src[kept]], moved)
     copy, new = np.flatnonzero(~fresh), np.flatnonzero(fresh)
-    sup_n, grads_n, rho_n = _nodes(cloud_modified, order_m[new], cfg)
     row_m = np.empty(cloud_initial.n_nodes, dtype=np.int64)  # kept rows only
     row_m[order_i[src[kept]]] = order_m[kept]
-
-    sizes = np.empty(len(ids_m), dtype=np.int64)
-    sizes[copy] = initial.sup.sizes[src[copy]]
-    sizes[new] = sup_n.sizes
-    ptr = np.zeros(len(ids_m) + 1, dtype=np.int64)
-    np.cumsum(sizes, out=ptr[1:])
-    sup = Supports(ptr=ptr, rows=np.empty(ptr[-1], dtype=np.int64))
-    grads = np.empty((ptr[-1], cloud_modified.dim))
-    rho = np.empty(len(ids_m))
-    _, flat = initial.sup.entries(src[copy])
-    _, at = sup.entries(copy)
-    sup.rows[at] = row_m[initial.sup.rows[flat]]
-    grads[at] = np.take(initial.grads, flat, axis=0)
-    rho[copy] = initial.reach[src[copy]]
-    _, at = sup.entries(new)
-    sup.rows[at] = sup_n.rows
-    grads[at] = grads_n
-    rho[new] = rho_n
-    return GaussState(active=np.arange(len(ids_m)), sup=sup, grads=grads,
-                      reach=rho)
+    ptr, flat = initial.sup.entries(src[copy])
+    pass_n = gauss_state(cloud_modified, cloud_modified.coords[order_m[new]],
+                         cfg, _at_node(ids_m[new]))
+    both = Supports(ptr=np.concatenate([ptr, ptr[-1] + pass_n.sup.ptr[1:]]),
+                    rows=np.concatenate([row_m[initial.sup.rows[flat]],
+                                         pass_n.sup.rows]))
+    at = np.argsort(np.concatenate([copy, new]))    # id order -> position
+    _, flat_at = both.entries(at)
+    grads = np.concatenate([initial.grads[flat], pass_n.grads])
+    rho = np.concatenate([initial.reach[src[copy]], pass_n.reach])
+    return GaussState(active=np.arange(len(ids_m)), sup=both.take(at),
+                      grads=grads[flat_at], reach=rho[at])
 
 
 def fields_at_nodes(U: np.ndarray, cloud: NodeCloud, nodes: GaussState,

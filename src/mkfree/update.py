@@ -12,12 +12,14 @@ only the Gauss points with a changed node within their reach can change,
 so only those candidates are searched in the modified cloud, and their
 support sizes and id lists are compared against the state's.  Every other
 point provably keeps its support and activity.  The delta evaluates the
-modified cloud at the affected points, on the supports the screen found,
-and takes the initial rows, signed -, from the state.  The initial cloud
-is never searched or evaluated; :func:`local_delta` builds its state
-itself when the caller has none.  The delta is the global assembler's own
-integration (:func:`mkfree.assembly.integrate_stiffness`), with the
-modified material.  A modification that leaves the node set unchanged (a
+modified cloud's gradients at the affected points, on the supports the
+screen found (no second search), and takes the initial rows, signed -,
+from the state.  The initial cloud is never searched or evaluated;
+:func:`local_delta` builds its state with
+:func:`~mkfree.assembly.gauss_state` when the caller has none.  The delta
+is the global assembler's own integration
+(:func:`mkfree.assembly.integrate_stiffness`), with the modified
+material.  A modification that leaves the node set unchanged (a
 material or BC change, or none) has a zero delta: a material change alone
 is a recombination of the baseline's gradient products, which the
 pipeline makes.
@@ -36,7 +38,7 @@ from .assembly import (GaussState, StiffnessSystem, active_supports,
                        integrate_stiffness)
 from .config import DEFAULT_CONFIG, MeshlessConfig
 from .errors import ValidationError
-from .interp import within_reach
+from .interp import support_gradients, within_reach
 from .model import (BackgroundGrid, DofMap, MaterialModel, Modification,
                     NodeCloud)
 
@@ -154,8 +156,8 @@ def compute_delta(dom: InfluenceDomain, cloud_initial: NodeCloud,
                   cfg: MeshlessConfig = DEFAULT_CONFIG) -> StiffnessDelta:
     """Re-integrate only the affected Gauss points and difference them.
 
-    The modified cloud's term, signed +, is one kernel pass at the
-    affected points on the supports the screen found.  The initial
+    The modified cloud's term, signed +, is the shape-function gradients
+    at the affected points on the supports the screen found.  The initial
     cloud's term, signed -, is ``initial``, its state over the whole grid,
     taken at the affected points; the initial cloud is not evaluated.
 
@@ -164,8 +166,10 @@ def compute_delta(dom: InfluenceDomain, cloud_initial: NodeCloud,
     is exactly minus the initial matrix's row, or exactly the modified
     one's.  Decoupling those DOFs is :func:`~mkfree.assembly.apply_bcs`'s.
     """
-    modified = gauss_state(cloud_modified, dom.grid, cfg,
-                           dom.modified_supports)
+    active, sup = dom.modified_supports
+    modified = GaussState(active=active, sup=sup, grads=support_gradients(
+        dom.grid.gauss[0][active], cloud_modified, sup, cfg,
+        lambda j: at_gauss_point(dom.grid, active[j])))
     return StiffnessDelta(dK=integrate_stiffness(
         [(cloud_modified, modified, 1.0),
          (cloud_initial, initial.take(dom.affected_gauss), -1.0)],
@@ -187,7 +191,8 @@ def local_delta(mod: Modification, cloud_initial: NodeCloud,
         n = dof_map.n_dofs
         return None, StiffnessDelta(dK=sp.csr_matrix((n, n)))
     if initial is None:
-        initial = gauss_state(cloud_initial, grid, cfg)
+        initial = gauss_state(cloud_initial, grid.gauss[0], cfg,
+                              partial(at_gauss_point, grid))
     dom = build_influence_domain(changed_nodes(mod), cloud_initial,
                                  cloud_modified, grid, initial, cfg)
     return dom, compute_delta(dom, cloud_initial, cloud_modified, mat,

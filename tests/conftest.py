@@ -8,7 +8,7 @@ minimum node separation, which the interpolation tolerances assume.
 import numpy as np
 import pytest
 
-from mkfree import demos
+from mkfree import demos, ifu
 from mkfree.config import MeshlessConfig
 from mkfree.model import (BackgroundGrid, BoundaryConditions, MaterialModel,
                           Modification, NodeCloud)
@@ -61,9 +61,7 @@ def loaded_edge_cut():
 
 def ifu_default_tol(case):
     """ifu_solve's default unbalanced-set tolerance for a prepared case."""
-    k_scale = float(abs(case.K_m).max())
-    u_scale = float(np.abs(case.U_star).max())
-    return 1e-9 * (k_scale * max(1.0, u_scale) + float(np.abs(case.F).max()))
+    return ifu.default_tol(case.K_m, case.F, case.U_star)
 
 
 def pytest_runtest_logreport(report):

@@ -160,7 +160,7 @@ class TestIntegrateStiffness:
         cloud, cloud_m, _, grid, mat, dm = _edited_model(rng, dim)
 
         def integrate(terms):
-            states = [(c, gauss_state(c, grid, cfg), sign)
+            states = [(c, gauss_state(c, grid.gauss[0], cfg), sign)
                       for c, sign in terms]
             return integrate_stiffness(states, grid.gauss[1], mat,
                                        dm).toarray()
@@ -182,7 +182,8 @@ class TestIntegrateStiffness:
         cloud, cloud_m, _, grid, mat, dm = _edited_model(rng, dim)
         if case == "nu-zero":
             mat = MaterialModel(100.0, 0.0, mat.mode)
-        state, state_m = (gauss_state(c, grid, cfg) for c in (cloud, cloud_m))
+        state, state_m = (gauss_state(c, grid.gauss[0], cfg)
+                          for c in (cloud, cloud_m))
         assert len(np.unique(state.sup.sizes)) > 1
         terms = ([(cloud, state, 1.0), (cloud, state, -1.0)]
                  if case == "cancelling-terms"

@@ -206,6 +206,17 @@ class TestReanalyze:
         assert rc == 2
         assert "missing 'E'" in capsys.readouterr().err
 
+    def test_material_of_another_dimension_is_validation_error(
+            self, small_files, tmp_path, capsys):
+        model, _ = small_files
+        mod = tmp_path / "solid_mod.json"
+        mod.write_text(json.dumps(
+            {"material": {"E": 100.0, "nu": 0.3, "mode": "solid_3d"}}))
+        rc = main(["reanalyze", str(model), str(mod), "--method", "ifu",
+                   "-o", str(tmp_path / "out")])
+        assert rc == 2
+        assert "material mode does not match" in capsys.readouterr().err
+
     def test_material_change_is_reanalyzed(self, small_files, tmp_path,
                                            capsys):
         """A modification that changes the material, alone and with a

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mkfree import demos
 from mkfree.config import MeshlessConfig
 from mkfree.errors import ParseError, ValidationError
 from mkfree.model import (BackgroundGrid, BoundaryConditions, MaterialModel,
@@ -186,6 +187,15 @@ class TestApplyModification:
                 self._cloud(),
                 Modification(added_ids=(2,), added_coords=[[5.0, 5.0]]))
 
+    def test_added_coords_of_the_wrong_width_rejected(self):
+        cloud, *_ = demos.l_frame_3d()
+        with pytest.raises(ValidationError, match="3 coordinates"):
+            apply_modification(cloud, Modification(
+                added_ids=(10 ** 6,), added_coords=[[1.5, 1.5]]))
+        # the default empty addition is (0, 2) and fits any cloud
+        cloud_m, _ = apply_modification(cloud, Modification(removed_ids={0}))
+        assert cloud_m.n_nodes == cloud.n_nodes - 1
+
 
 class TestDofMap:
     def test_identity_map_sorted(self, rng):
@@ -259,6 +269,22 @@ class TestJsonRoundTrip:
             load_model(bad)
         with pytest.raises(ParseError):
             load_modification(bad, dim=2)
+
+    @pytest.mark.parametrize("key, value, match", [
+        ("grid", {"origin": [0, 0, 0], "cell_size": [1, 1, 1],
+                  "counts": [2, 2, 2]}, "grid dimensionality"),
+        ("material", {"E": 100.0, "nu": 0.3, "mode": "solid_3d"},
+         "material mode"),
+    ])
+    def test_dimension_mismatch_is_validation_error(self, tmp_path,
+                                                    small_model, key, value,
+                                                    match):
+        data = model_to_dict(*small_model)
+        data[key] = value
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps(data))
+        with pytest.raises(ValidationError, match=match):
+            load_model(path)
 
     def test_malformed_model_is_validation_error(self, tmp_path):
         path = tmp_path / "m.json"

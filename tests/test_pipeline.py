@@ -17,8 +17,8 @@ import scipy.sparse as sp
 from mkfree import assembly, demos, ifu, interp, pipeline, update
 from mkfree.assembly import StiffnessSystem, apply_bcs, assemble_load
 from mkfree.errors import ValidationError
-from mkfree.model import (BoundaryConditions, MaterialModel, Modification,
-                          NodeCloud, apply_modification)
+from mkfree.model import (BackgroundGrid, BoundaryConditions, MaterialModel,
+                          Modification, NodeCloud, apply_modification)
 from mkfree.pipeline import (full_analysis, prepare_modified, run_ca,
                              run_full_modified, run_ifu)
 from mkfree.recovery import error_metrics
@@ -413,7 +413,8 @@ def test_edits_search_and_evaluate_only_the_modified_cloud(monkeypatch):
         == 2 * len(bc.tractions)
     calls.clear()
     assert len(base.nodes.active) == cloud.n_nodes
-    assert calls == [("evaluate_batch", cloud, cloud.n_nodes)]
+    assert calls == [("active_supports", cloud, cloud.n_nodes),
+                     ("evaluate_batch", cloud, cloud.n_nodes)]
     removal = Modification(removed_ids={int(cloud.ids[40]),
                                         int(cloud.ids[41])})
     for mod, reload in ((fill, True), (removal, False)):
@@ -532,3 +533,40 @@ def test_refused_load_costs_no_update(monkeypatch):
     monkeypatch.setattr(pipeline, "_lift", unreachable)
     with pytest.raises(ValidationError, match="acts off the material"):
         prepare_modified(base, mod)
+
+
+def _notch_with_3d_material():
+    cloud, grid, _, bc, _ = demos.notch_fill()
+    return cloud, grid, MaterialModel(500.0, 0.3, mode="solid_3d"), bc
+
+
+def _frame_with_plane_material():
+    cloud, grid, _, bc, _ = demos.l_frame_3d()
+    return cloud, grid, MaterialModel(500.0, 0.3), bc
+
+
+def _notch_with_3d_grid():
+    cloud, grid, mat, bc, _ = demos.notch_fill()
+    grid3 = BackgroundGrid(origin=np.zeros(3), cell_size=np.ones(3),
+                           counts=grid.counts + (1,))
+    return cloud, grid3, mat, bc
+
+
+@pytest.mark.parametrize("model, match", [
+    (_notch_with_3d_material, "material mode"),
+    (_frame_with_plane_material, "material mode"),
+    (_notch_with_3d_grid, "grid dimensionality"),
+])
+def test_full_analysis_refuses_a_dimension_mismatch(model, match):
+    """A material or grid of another dimension than the cloud is a
+    ValidationError, as it is for a model file."""
+    with pytest.raises(ValidationError, match=match):
+        full_analysis(*model())
+
+
+def test_prepare_modified_refuses_a_material_of_another_dimension():
+    cloud, grid, mat, bc, _ = demos.notch_fill()
+    base = full_analysis(cloud, grid, mat, bc)
+    solid = MaterialModel(500.0, 0.3, mode="solid_3d")
+    with pytest.raises(ValidationError, match="material mode"):
+        prepare_modified(base, Modification(material_change=solid))

@@ -72,6 +72,10 @@ class TestVonMisesValidation:
         with pytest.raises(ValidationError):
             von_mises(np.zeros(3), "solid_3d")
 
+    def test_unknown_mode(self):
+        with pytest.raises(ValidationError, match="unknown material mode"):
+            von_mises(np.ones(6), "bogus")
+
     def test_unknown_kind(self):
         with pytest.raises(ValidationError):
             von_mises(np.zeros(3), "plane_stress", kind="displacement")

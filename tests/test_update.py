@@ -79,7 +79,7 @@ class TestInfluenceDomain:
         mat = MaterialModel(50.0, 0.3)
         mod = random_modification(rng, cloud)
         cloud_m, dm = apply_modification(cloud, mod)
-        state = gauss_state(cloud, grid, cfg)
+        state = gauss_state(cloud, grid.gauss[0], cfg)
         dom = build_influence_domain(changed_nodes(mod), cloud, cloud_m,
                                      grid, state, cfg)
         delta = compute_delta(dom, cloud, cloud_m, mat, dm, state, cfg)
@@ -143,7 +143,7 @@ class TestInfluenceDomain:
         grid = grid_for(cloud)
         with pytest.raises(ValidationError):
             build_influence_domain([], cloud, cloud, grid,
-                                   gauss_state(cloud, grid, cfg), cfg)
+                                   gauss_state(cloud, grid.gauss[0], cfg), cfg)
 
 
 def _screen_edits(rng, dim):
@@ -232,7 +232,7 @@ def test_bounded_screen_matches_the_full_grid_screen(rng, dim):
     deficient point."""
     for label, cloud, grid, mod, cfg in _screen_edits(rng, dim):
         cloud_m, _ = apply_modification(cloud, mod)
-        state = gauss_state(cloud, grid, cfg)
+        state = gauss_state(cloud, grid.gauss[0], cfg)
         changed = changed_nodes(mod)
         try:
             affected, nodes, (active, sup) = full_screen_oracle(
