@@ -9,8 +9,9 @@ implicitly: the point must have a cloud node within
 
 One pass of the batched kernel of :mod:`mkfree.interp`,
 :func:`gauss_state`, gives a :class:`GaussState` of a cloud on any batch
-of points: the points that integrate for the cloud, their complete
-supports, their shape-function gradients and the reach of every point.
+of points: one support per point, complete where the point integrates
+for the cloud and empty where it does not, the shape-function gradients
+on the supports and the reach of every point.
 It is the one builder of a state, for the grid's Gauss points here and
 for the nodes of field recovery (:mod:`mkfree.recovery`).
 :func:`assemble_stiffness` keeps the state it computed on
@@ -69,16 +70,20 @@ ACTIVITY_FACTOR = 1.0
 
 def active_supports(points, cloud: NodeCloud,
                     cfg: MeshlessConfig = DEFAULT_CONFIG, where=_nowhere):
-    """Indices of the points that integrate for ``cloud`` (see
-    ACTIVITY_FACTOR), their supports, and the :func:`~mkfree.interp.reach`
-    of every point, active or not; a deficient support raises, with
-    ``where(p)`` locating its point p (an index into ``points``)."""
+    """The :class:`~mkfree.interp.Supports` of every point, empty where a
+    point does not integrate for ``cloud`` (see ACTIVITY_FACTOR), and the
+    :func:`~mkfree.interp.reach` of every point; a deficient support
+    raises, with ``where(p)`` locating its point p (an index into
+    ``points``)."""
     points = np.asarray(points, dtype=float).reshape(-1, cloud.dim)
     dist, d_c, d_nb = spacing(points, cloud)
-    active = np.flatnonzero(dist <= ACTIVITY_FACTOR * d_c)
-    sup = find_supports(points[active], cloud, d_c[active], cfg,
-                        lambda g: where(active[g]))
-    return active, sup, reach(dist, d_c, d_nb, cfg)
+    on = np.flatnonzero(dist <= ACTIVITY_FACTOR * d_c)
+    sup = find_supports(points[on], cloud, d_c[on], cfg,
+                        lambda g: where(on[g]))
+    sizes = np.zeros(len(points), dtype=np.int64)
+    sizes[on] = sup.sizes
+    return (Supports(ptr=np.concatenate([[0], np.cumsum(sizes)]),
+                     rows=sup.rows), reach(dist, d_c, d_nb, cfg))
 
 
 def at_gauss_point(grid: BackgroundGrid, p: int) -> str:
@@ -91,31 +96,26 @@ def at_gauss_point(grid: BackgroundGrid, p: int) -> str:
 @dataclass(frozen=True)
 class GaussState:
     """Integration state of one cloud on a batch of points (a grid's Gauss
-    points, or the cloud's nodes in id order): the points that integrate,
-    their supports, the shape-function gradients of every support node,
-    flattened along ``sup.rows``, and, for a state of the whole batch, the
-    :func:`~mkfree.interp.reach` of every point of it.  Its arrays are
-    read-only."""
+    points, or the cloud's nodes): the support of every point, empty where
+    the point does not integrate, the shape-function gradients of every
+    support node, flattened along ``sup.rows``, and, for a state of the
+    whole batch, the :func:`~mkfree.interp.reach` of every point.  Its
+    arrays are read-only."""
 
-    active: np.ndarray       # (A,) ascending indices into the batch
-    sup: Supports            # supports of the active points
+    sup: Supports            # one support per point of the batch
     grads: np.ndarray        # (len(sup.rows), dim)
-    reach: np.ndarray | None = None    # (G,) over the whole batch
+    reach: np.ndarray | None = None    # (G,)
 
     def __post_init__(self):
-        for a in (self.active, self.grads, self.sup.ptr, self.sup.rows,
-                  self.reach):
+        for a in (self.grads, self.sup.ptr, self.sup.rows, self.reach):
             if a is not None:
                 a.flags.writeable = False
 
     def take(self, points) -> "GaussState":
-        """The state at the points ``points`` (indices into the batch),
-        without a reach; those that do not integrate for the cloud drop
-        out."""
-        pos = np.flatnonzero(np.isin(self.active, points))
-        _, flat = self.sup.entries(pos)
-        return GaussState(active=self.active[pos], sup=self.sup.take(pos),
-                          grads=self.grads[flat])
+        """The state at the points ``points`` (indices into the batch), in
+        that order, without a reach."""
+        _, flat = self.sup.entries(points)
+        return GaussState(sup=self.sup.take(points), grads=self.grads[flat])
 
 
 def gauss_state(cloud: NodeCloud, points,
@@ -126,16 +126,15 @@ def gauss_state(cloud: NodeCloud, points,
     cloud's nodes, which always integrate (their dist is 0).
 
     :func:`active_supports` and then
-    :func:`~mkfree.interp.support_gradients` of the active points; the
-    state has the reach of every point.  A support-deficient point raises
-    SupportDeficiencyError and a failed Kriging system ConditioningError,
-    each located by ``where(p)`` for its index p into ``points``.
+    :func:`~mkfree.interp.support_gradients` of the points that integrate.
+    A support-deficient point raises SupportDeficiencyError and a failed
+    Kriging system ConditioningError, each located by ``where(p)`` for its
+    index p into ``points``.
     """
     points = np.asarray(points, dtype=float).reshape(-1, cloud.dim)
-    active, sup, rho = active_supports(points, cloud, cfg, where)
-    grads = support_gradients(points[active], cloud, sup, cfg,
-                              lambda j: where(active[j]))
-    return GaussState(active=active, sup=sup, grads=grads, reach=rho)
+    sup, rho = active_supports(points, cloud, cfg, where)
+    return GaussState(sup=sup, grads=support_gradients(
+        points, cloud, sup, cfg, where), reach=rho)
 
 
 def _lame(mat: MaterialModel) -> tuple[float, float]:
@@ -159,19 +158,19 @@ def constitutive(mat: MaterialModel) -> np.ndarray:
 
 def gradient_products(terms, weights, dof_map: DofMap) -> dict:
     """P_ab = sum over ``terms`` (cloud, state, sign) of G_a^T W G_b, a <= b,
-    on ``dof_map``'s nodes.  G_a is the CSR matrix of a state's
-    ``grads[:, a]`` on its supports, a row per Gauss point; W holds
-    sign * w_g of the grid's Gauss ``weights``.  Terms are multiplied
-    apart, so cancelling ones sum to exactly zero; P_aa is made exactly
-    symmetric."""
+    on ``dof_map``'s nodes.  Every state is on one batch of Gauss points,
+    whose quadrature ``weights`` are aligned with it.  G_a is the CSR
+    matrix of a state's ``grads[:, a]`` on its supports, a row per point;
+    W holds sign * w_g.  Terms are multiplied apart, so cancelling ones
+    sum to exactly zero; P_aa is made exactly symmetric."""
     d = dof_map.dim
     n = dof_map.n_dofs // d
     P = {(a, b): sp.csr_matrix((n, n)) for a in range(d) for b in range(a, d)}
     for cloud, state, sign in terms:
         cols = dof_map.positions(cloud.ids)[state.sup.rows]
-        w = np.repeat(sign * weights[state.active], state.sup.sizes)
+        w = np.repeat(sign * weights, state.sup.sizes)
         G = [sp.csr_matrix((g, cols, state.sup.ptr),
-                           shape=(len(state.active), n))
+                           shape=(len(weights), n))
              for g in np.concatenate([state.grads.T, w * state.grads.T])]
         Gt = [G[a].T.tocsr() for a in range(d)]
         for a, b in P:

@@ -48,7 +48,7 @@ import scipy.sparse as sp
 from scipy.linalg import LinAlgError, cho_solve, cholesky
 from scipy.linalg.blas import dtrsm
 
-from .errors import NumericalError
+from .errors import NumericalError, ValidationError
 from .solver import CholeskyFactor
 
 __all__ = [
@@ -98,30 +98,46 @@ def measurement(K_m: sp.spmatrix, K_m_star: sp.spmatrix, delta: np.ndarray
 
 
 def unbalanced_set(meas: np.ndarray, tol: float) -> np.ndarray:
-    """Ascending indices of the DOFs whose measurement exceeds ``tol``.
+    """Ascending indices of the DOFs whose measurement exceeds ``tol``;
+    ValidationError unless 0 <= tol < inf.
 
     The tolerance policy lives in :func:`default_tol`, whose scale-aware
     threshold keeps floating-point assembly noise out of the set.
     """
     meas = np.asarray(meas, dtype=float)
-    if tol < 0:
-        raise ValueError("tolerance must be nonnegative")
+    if not 0.0 <= tol < np.inf:
+        raise ValidationError(
+            f"IFU tolerance must be finite and nonnegative, got {tol!r}")
     return np.where(np.abs(meas) > tol)[0]
 
 
-def default_tol(K_m: sp.spmatrix, F: np.ndarray, U_star: np.ndarray
-                ) -> float:
+def _finite_max(a: np.ndarray) -> float:
+    """max|a| over the finite entries of ``a``, 0 if there are none."""
+    return float(np.max(np.abs(a), where=np.isfinite(a), initial=0.0))
+
+
+def default_tol(K_m: sp.spmatrix, F: np.ndarray) -> float:
     """:func:`ifu_solve`'s default unbalanced-set tolerance,
-    1e-9 (max|K_m| max(1, max|U*|) + max|F|).
+    1e-9 (max|K_m| over its coupled rows + max|F|), each over the finite
+    entries.
 
     The initial residual is pure roundoff on unchanged equations, so it is
     thresholded against the problem magnitude rather than against
-    max(meas), which itself is roundoff when nothing changed.
+    max(meas), which itself is roundoff when nothing changed.  A coupled
+    row holds a nonzero off-diagonal entry.  The other rows are the unit
+    rows of decoupled DOFs, a 1.0 with no unit, which would otherwise set
+    the scale of a soft material and drop genuine measurements from S_d.
+    K_m is SPD, so |K_ij| <= sqrt(K_ii K_jj) and the largest entry of the
+    coupled rows is one of their diagonal entries.  A NaN is left out of
+    the scale and never exceeds it, so the answer gate refuses it.
     """
-    k_scale = float(abs(K_m).max()) if K_m.nnz else 0.0
-    u_scale = float(np.abs(U_star).max(initial=0.0))
-    f_scale = float(np.abs(F).max(initial=0.0))
-    return 1e-9 * (k_scale * max(1.0, u_scale) + f_scale)
+    K = sp.csr_matrix(K_m)
+    d = K.diagonal()
+    nonzero = sp.csr_matrix((K.data != 0.0, K.indices, K.indptr),
+                            shape=K.shape)
+    coupled = np.asarray(nonzero.sum(axis=1)).ravel() > (d != 0.0)
+    return 1e-9 * (_finite_max(d[coupled])
+                   + _finite_max(np.asarray(F, dtype=float)))
 
 
 def constrain_factor(factor: CholeskyFactor, S_d: np.ndarray):
@@ -304,7 +320,7 @@ def ifu_solve(factor: CholeskyFactor, K_m_star: sp.spmatrix, K_m: sp.spmatrix,
     delta = residual(K_m, F, U_star)
     meas = measurement(K_m, K_m_star, delta)
     if tol is None:
-        tol = default_tol(K_m, F, U_star)
+        tol = default_tol(K_m, F)
     S_d = unbalanced_set(meas, tol)
     if len(S_d) == 0:
         # U* is the answer; its residual K_m U* - F is -delta, so the gate

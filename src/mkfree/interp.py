@@ -196,7 +196,8 @@ def within_reach(points, rho, coords) -> np.ndarray:
 @dataclass(frozen=True)
 class Supports:
     """Supports of a batch of points, flattened: point g owns the cloud rows
-    ``rows[ptr[g]:ptr[g + 1]]``, in ascending node-id order."""
+    ``rows[ptr[g]:ptr[g + 1]]``, ascending, which is ascending node-id
+    order; a point that does not integrate owns none."""
 
     ptr: np.ndarray          # (G + 1,)
     rows: np.ndarray         # cloud rows
@@ -222,8 +223,10 @@ class Supports:
 
 
 def _ball_rows(cloud: NodeCloud, points, radius):
-    # tiny pad keeps boundary ties (dist == d_m) inside the closed ball
-    return cloud.tree.query_ball_point(points, radius * (1.0 + 1e-12))
+    # tiny pad keeps boundary ties (dist == d_m) inside the closed ball;
+    # ascending rows are ascending ids
+    return cloud.tree.query_ball_point(points, radius * (1.0 + 1e-12),
+                                       return_sorted=True)
 
 
 def find_supports(points, cloud: NodeCloud, d_c, cfg: MeshlessConfig
@@ -257,8 +260,6 @@ def find_supports(points, cloud: NodeCloud, d_c, cfg: MeshlessConfig
                 point=points[g], found=int(counts[g]), needed=m)
     rows = np.fromiter(chain.from_iterable(lists), dtype=np.int64,
                        count=int(counts.sum()))
-    owner = np.repeat(np.arange(G), counts)
-    rows = rows[np.lexsort((cloud.ids[rows], owner))]
     ptr = np.zeros(G + 1, dtype=np.int64)
     np.cumsum(counts, out=ptr[1:])
     return Supports(ptr=ptr, rows=rows)
@@ -447,14 +448,14 @@ def evaluate_batch(points, cloud: NodeCloud, sup: Supports,
     """Shape functions of every point of a batch.
 
     Points are grouped by support size and each group is solved in
-    memory-bounded chunks.  Yields ``(idx, rows, values, grads)`` per
-    chunk: indices into ``points``, cloud rows (c, n) of the supports,
-    values (c, n) and grads (c, n, dim).  ``where(g)`` locates point g in
-    error messages.
+    memory-bounded chunks; a point with an empty support is skipped.
+    Yields ``(idx, rows, values, grads)`` per chunk: indices into
+    ``points``, cloud rows (c, n) of the supports, values (c, n) and
+    grads (c, n, dim).  ``where(g)`` locates point g in error messages.
     """
     points = np.asarray(points, dtype=float)
     sizes = sup.sizes
-    for n in np.unique(sizes):
+    for n in np.unique(sizes[sizes > 0]):
         group = np.flatnonzero(sizes == n)
         rows = sup.rows[sup.ptr[group][:, None] + np.arange(n)]
         step = max(1, _CHUNK_DOUBLES // (n * n))

@@ -64,24 +64,30 @@ def _finite(values, what: str) -> np.ndarray:
 
 @dataclass(frozen=True)
 class NodeCloud:
-    """Scattered nodes of one configuration: stable integer ids + coordinates."""
+    """Scattered nodes of one configuration: stable integer ids + coordinates.
 
-    ids: np.ndarray        # (n,) int
-    coords: np.ndarray     # (n, dim) float
+    The rows are the nodes in ascending id order, whatever order they were
+    given in, so row k of every per-node array is the node ``ids[k]``."""
+
+    ids: np.ndarray        # (n,) int, ascending
+    coords: np.ndarray     # (n, dim) float, row k at node ids[k]
     dim: int
 
     def __post_init__(self):
         ids = _integers(self.ids, "node id")
         coords = _finite(self.coords, "node coordinates")
-        object.__setattr__(self, "ids", ids)
-        object.__setattr__(self, "coords", coords)
         if self.dim not in (2, 3):
             raise ValidationError(f"dim must be 2 or 3, got {self.dim}")
         if coords.ndim != 2 or coords.shape[1] != self.dim:
             raise ValidationError("coords must be (n, dim)")
         if len(ids) != len(coords):
             raise ValidationError("ids and coords length mismatch")
-        if len(np.unique(ids)) != len(ids):
+        order = np.argsort(ids)
+        ids, coords = ids[order], coords[order]
+        for name, a in (("ids", ids), ("coords", coords)):
+            a.flags.writeable = False
+            object.__setattr__(self, name, a)
+        if np.any(ids[1:] == ids[:-1]):
             raise ValidationError("node ids must be unique")
         if len(coords) >= 2:
             d, _ = self.tree.query(coords, k=2)
@@ -180,6 +186,10 @@ class MaterialModel:
     @property
     def dim(self) -> int:
         return 2 if self.mode == "plane_stress" else 3
+
+    def validate_against(self, cloud: NodeCloud):
+        if self.dim != cloud.dim:
+            raise ValidationError("material mode does not match model dim")
 
 
 @dataclass(frozen=True)
@@ -305,18 +315,17 @@ class DofMap:
 
 def identity_dof_map(cloud: NodeCloud) -> DofMap:
     """DofMap for a single configuration (it carries every DOF)."""
-    return DofMap(node_ids=np.sort(cloud.ids), dim=cloud.dim)
+    return DofMap(node_ids=cloud.ids, dim=cloud.dim)
 
 
 def validate_model(cloud: NodeCloud, grid: BackgroundGrid,
                    material: MaterialModel, bc: BoundaryConditions):
     """ValidationError unless the grid and the material have the cloud's
-    dimension and ``bc`` fits the cloud
-    (:meth:`BoundaryConditions.validate_against`)."""
+    dimension (:meth:`MaterialModel.validate_against`) and ``bc`` fits the
+    cloud (:meth:`BoundaryConditions.validate_against`)."""
     if grid.dim != cloud.dim:
         raise ValidationError("grid dimensionality does not match model dim")
-    if material.dim != cloud.dim:
-        raise ValidationError("material mode does not match model dim")
+    material.validate_against(cloud)
     bc.validate_against(cloud)
 
 

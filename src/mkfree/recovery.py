@@ -4,16 +4,18 @@ compare reanalysis against full analysis.
 Nodal strain comes from a node-point state of the cloud
 (:func:`node_state`): the :class:`~mkfree.assembly.GaussState` that
 :func:`~mkfree.assembly.gauss_state`, the assembly's own kernel pass,
-gives on the nodes in id order, holding their supports, the
-shape-function gradients at them and their reach; every node is active.
+gives on the cloud's rows, which are its nodes in id order, holding
+their supports, the shape-function gradients at them and their reach;
+every node is active.
 Strain is then the sparse product H = sum_n grad phi_n (x) u_n of the
 gradients with the nodal displacements (:func:`fields_at_nodes`).
 :func:`recover_fields` builds the state from scratch; a reanalysis
 derives the modified cloud's state from the baseline's
 (:func:`edited_node_state`): one pass over the added nodes and the nodes
-with a changed node within their reach, merged in id order with every
-other node's row, copied.  A refused support or system names its node
-id."""
+with a changed node within their reach, merged in row order with every
+other node's row, copied.  Every array here is indexed by cloud row, so
+the fields come out in id order with no sort.  A refused support or
+system names its node id."""
 
 from __future__ import annotations
 
@@ -99,10 +101,8 @@ def _at_node(ids: np.ndarray):
 def node_state(cloud: NodeCloud, cfg: MeshlessConfig = DEFAULT_CONFIG
                ) -> GaussState:
     """The node-point state of ``cloud``: :func:`~mkfree.assembly.gauss_state`
-    on its nodes in id order, every one of them active."""
-    order = np.argsort(cloud.ids)
-    return gauss_state(cloud, cloud.coords[order], cfg,
-                       _at_node(cloud.ids[order]))
+    on its rows, every node active."""
+    return gauss_state(cloud, cloud.coords, cfg, _at_node(cloud.ids))
 
 
 def edited_node_state(initial: GaussState, cloud_initial: NodeCloud,
@@ -116,33 +116,31 @@ def edited_node_state(initial: GaussState, cloud_initial: NodeCloud,
     its row is copied, support rows re-mapped to the modified cloud by id.
     The added nodes and the other kept nodes go through one
     :func:`~mkfree.assembly.gauss_state` pass, and the copied and fresh
-    rows are merged by one take in id order.  The result equals
+    rows are merged by one take in row order.  The result equals
     :func:`node_state` of ``cloud_modified`` entry for entry, and a
     deficient node raises naming the same node.
     """
-    order_i = np.argsort(cloud_initial.ids)
-    order_m = np.argsort(cloud_modified.ids)
-    ids_i, ids_m = cloud_initial.ids[order_i], cloud_modified.ids[order_m]
+    ids_i, ids_m = cloud_initial.ids, cloud_modified.ids
     src = np.minimum(np.searchsorted(ids_i, ids_m), len(ids_i) - 1)
     fresh = ids_i[src] != ids_m
     kept = np.flatnonzero(~fresh)
-    fresh[kept] = within_reach(cloud_modified.coords[order_m[kept]],
+    fresh[kept] = within_reach(cloud_modified.coords[kept],
                                initial.reach[src[kept]], moved)
     copy, new = np.flatnonzero(~fresh), np.flatnonzero(fresh)
-    row_m = np.empty(cloud_initial.n_nodes, dtype=np.int64)  # kept rows only
-    row_m[order_i[src[kept]]] = order_m[kept]
+    row_m = np.empty(len(ids_i), dtype=np.int64)    # kept rows only
+    row_m[src[kept]] = kept
     ptr, flat = initial.sup.entries(src[copy])
-    pass_n = gauss_state(cloud_modified, cloud_modified.coords[order_m[new]],
-                         cfg, _at_node(ids_m[new]))
+    pass_n = gauss_state(cloud_modified, cloud_modified.coords[new], cfg,
+                         _at_node(ids_m[new]))
     both = Supports(ptr=np.concatenate([ptr, ptr[-1] + pass_n.sup.ptr[1:]]),
                     rows=np.concatenate([row_m[initial.sup.rows[flat]],
                                          pass_n.sup.rows]))
-    at = np.argsort(np.concatenate([copy, new]))    # id order -> position
+    at = np.empty(len(ids_m), dtype=np.int64)    # row -> position in both
+    at[np.concatenate([copy, new])] = np.arange(len(ids_m))
     _, flat_at = both.entries(at)
     grads = np.concatenate([initial.grads[flat], pass_n.grads])
     rho = np.concatenate([initial.reach[src[copy]], pass_n.reach])
-    return GaussState(active=np.arange(len(ids_m)), sup=both.take(at),
-                      grads=grads[flat_at], reach=rho[at])
+    return GaussState(sup=both.take(at), grads=grads[flat_at], reach=rho[at])
 
 
 def fields_at_nodes(U: np.ndarray, cloud: NodeCloud, nodes: GaussState,
@@ -155,8 +153,10 @@ def fields_at_nodes(U: np.ndarray, cloud: NodeCloud, nodes: GaussState,
     displacements.
 
     ``U`` lives on ``dof_map`` (the cloud's own DOF ordering when omitted);
-    union-space entries of absent nodes are simply never referenced.
+    union-space entries of absent nodes are simply never referenced.  A
+    material of another dimension than the cloud's raises ValidationError.
     """
+    mat.validate_against(cloud)
     if dof_map is None:
         dof_map = identity_dof_map(cloud)
     U = np.asarray(U, dtype=float)
@@ -172,10 +172,9 @@ def fields_at_nodes(U: np.ndarray, cloud: NodeCloud, nodes: GaussState,
     a, b = _VOIGT[dim]
     strain = (H[:, a, b] + H[:, b, a]) * np.where(np.equal(a, b), 0.5, 1.0)
     stress = strain @ constitutive(mat).T
-    order = np.argsort(cloud.ids)
     return FieldSolution(
-        node_ids=cloud.ids[order],
-        displacements=U_rows[order],
+        node_ids=cloud.ids,
+        displacements=U_rows,
         strain=strain,
         stress=stress,
         vm_strain=von_mises(strain, mat.mode, kind="strain"),

@@ -34,10 +34,14 @@ __all__ = ["CholeskyFactor", "factorize", "solve"]
 # cores from 64 to 256 for half-bandwidths of 250-430
 _PANEL = 128
 
-# Smallest pivot L_jj^2, relative to max diag K, that factorize accepts.
-# The bundled constrained models read 1.5e-4 and up, except the slender
-# 33x9 cantilever, held only at its root, at 1.2e-8; the rigid-body modes
-# of the unconstrained plate_with_hole factor with a pivot of 3e-14.
+# Smallest pivot L_jj^2, relative to its own diagonal K_jj, that factorize
+# accepts.  Each row is read against itself, so the unit rows of decoupled
+# DOFs (a 1.0 with no unit) read 1 and do not set the scale of the others,
+# whatever the unit of E.  The bundled demos and the benchmark clouds read
+# 0.017-0.20, the slender 33x9 cantilever, held only at its root, 5.9e-3
+# (against its max diagonal it read 1.2e-8, its fixed DOFs' unit pivots
+# against 8.1e7), and the rigid-body modes of the unconstrained
+# plate_with_hole 4.6e-14.
 _PIVOT_TOL = 1e-10
 
 
@@ -239,16 +243,16 @@ def factorize(system: StiffnessSystem) -> CholeskyFactor:
     """Cholesky-factor the BC-applied stiffness matrix on its band.
 
     Raises RigidBodyError, with a near-null vector, if the matrix is not
-    positive definite or its smallest pivot L_jj^2 is at most
-    ``_PIVOT_TOL`` times its largest diagonal entry, i.e. the model is
-    under-constrained: a rigid-body mode can factor by roundoff alone.
+    positive definite or some pivot L_jj^2 is at most ``_PIVOT_TOL`` times
+    its own diagonal entry K_jj, i.e. the model is under-constrained: a
+    rigid-body mode can factor by roundoff alone.
     """
     band = _lower_band(system.K)
     try:
         ab = cholesky_banded(band, lower=True, check_finite=False)
     except LinAlgError:
         ab = None
-    if ab is None or not np.min(ab[0] ** 2) > _PIVOT_TOL * band[0].max():
+    if ab is None or not np.min(ab[0] ** 2 / band[0]) > _PIVOT_TOL:
         raise RigidBodyError(
             "stiffness matrix is not positive definite, or its smallest "
             "pivot is at roundoff level; the model is likely "

@@ -38,7 +38,7 @@ from .assembly import (GaussState, StiffnessSystem, active_supports,
                        integrate_stiffness)
 from .config import DEFAULT_CONFIG, MeshlessConfig
 from .errors import ValidationError
-from .interp import support_gradients, within_reach
+from .interp import Supports, support_gradients, within_reach
 from .model import (BackgroundGrid, DofMap, MaterialModel, Modification,
                     NodeCloud)
 
@@ -75,14 +75,15 @@ def changed_coords(changed: list[int], cloud_initial: NodeCloud,
 @dataclass(frozen=True)
 class InfluenceDomain:
     """Gauss points and nodes affected by a node-set modification, and the
-    modified cloud's (active, supports) at the affected points."""
+    modified cloud's supports at the affected points."""
 
     grid: BackgroundGrid
     affected_gauss: np.ndarray       # indices into grid.gauss
     influence_node_ids: np.ndarray   # nodes supporting any affected point
     n_gauss_total: int
-    modified_supports: tuple         # (active indices into grid.gauss,
-                                     #  their Supports in cloud_modified)
+    modified_supports: Supports      # in cloud_modified, one per affected
+                                     # point, empty where it does not
+                                     # integrate
 
 
 def build_influence_domain(changed: list[int], cloud_initial: NodeCloud,
@@ -113,33 +114,24 @@ def build_influence_domain(changed: list[int], cloud_initial: NodeCloud,
 
     points = grid.gauss[0]
     cand = np.flatnonzero(within_reach(points, initial.reach, moved))
-    active_c, sup_c, _ = active_supports(
-        points[cand], cloud_modified, cfg,
-        lambda p: at_gauss_point(grid, cand[p]))
-    size_i = np.zeros(len(points), dtype=np.int64)
-    size_i[initial.active] = initial.sup.sizes
-    size_i = size_i[cand]
-    size_m = np.zeros(len(cand), dtype=np.int64)
-    size_m[active_c] = sup_c.sizes
-    differs = size_i != size_m
-    same = np.flatnonzero(~differs & (size_i > 0))
-    at_i = np.searchsorted(initial.active, cand)
-    ids_i = cloud_initial.ids[initial.sup.take(at_i[same]).rows]
-    ids_m = cloud_modified.ids[
-        sup_c.take(np.searchsorted(active_c, same)).rows]
-    differs[np.repeat(same, size_i[same])[ids_i != ids_m]] = True
-    kept_i = at_i[differs & (size_i > 0)]
-    kept_m = np.flatnonzero(differs[active_c])
-    affected_m = sup_c.take(kept_m)
-    influence = np.concatenate([
-        cloud_initial.ids[initial.sup.take(kept_i).rows],
-        cloud_modified.ids[affected_m.rows]])
+    sup_i = initial.sup.take(cand)
+    sup_m, _ = active_supports(points[cand], cloud_modified, cfg,
+                               lambda p: at_gauss_point(grid, cand[p]))
+    differs = sup_i.sizes != sup_m.sizes
+    same = np.flatnonzero(~differs)
+    ids_i = cloud_initial.ids[sup_i.take(same).rows]
+    ids_m = cloud_modified.ids[sup_m.take(same).rows]
+    differs[np.repeat(same, sup_i.sizes[same])[ids_i != ids_m]] = True
+    affected = np.flatnonzero(differs)
+    sup_m = sup_m.take(affected)
+    influence = np.concatenate([cloud_initial.ids[sup_i.take(affected).rows],
+                                cloud_modified.ids[sup_m.rows]])
     return InfluenceDomain(
         grid=grid,
-        affected_gauss=cand[differs],
+        affected_gauss=cand[affected],
         influence_node_ids=np.union1d(influence, changed),
         n_gauss_total=len(points),
-        modified_supports=(cand[active_c[kept_m]], affected_m),
+        modified_supports=sup_m,
     )
 
 
@@ -166,14 +158,15 @@ def compute_delta(dom: InfluenceDomain, cloud_initial: NodeCloud,
     is exactly minus the initial matrix's row, or exactly the modified
     one's.  Decoupling those DOFs is :func:`~mkfree.assembly.apply_bcs`'s.
     """
-    active, sup = dom.modified_supports
-    modified = GaussState(active=active, sup=sup, grads=support_gradients(
-        dom.grid.gauss[0][active], cloud_modified, sup, cfg,
-        lambda j: at_gauss_point(dom.grid, active[j])))
+    points, weights, _ = dom.grid.gauss
+    affected, sup = dom.affected_gauss, dom.modified_supports
+    modified = GaussState(sup=sup, grads=support_gradients(
+        points[affected], cloud_modified, sup, cfg,
+        lambda j: at_gauss_point(dom.grid, affected[j])))
     return StiffnessDelta(dK=integrate_stiffness(
         [(cloud_modified, modified, 1.0),
-         (cloud_initial, initial.take(dom.affected_gauss), -1.0)],
-        dom.grid.gauss[1], mat, dof_map))
+         (cloud_initial, initial.take(affected), -1.0)],
+        weights[affected], mat, dof_map))
 
 
 def local_delta(mod: Modification, cloud_initial: NodeCloud,

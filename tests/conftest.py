@@ -61,7 +61,7 @@ def loaded_edge_cut():
 
 def ifu_default_tol(case):
     """ifu_solve's default unbalanced-set tolerance for a prepared case."""
-    return ifu.default_tol(case.K_m, case.F, case.U_star)
+    return ifu.default_tol(case.K_m, case.F)
 
 
 def pytest_runtest_logreport(report):

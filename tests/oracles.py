@@ -251,28 +251,21 @@ def random_spd(rng, n, scale=1.0):
 def full_screen_oracle(changed, cloud_initial, cloud_modified, grid, initial,
                        cfg):
     """The local update's screen with every Gauss point searched in the
-    modified cloud: (affected_gauss, influence_node_ids, (active indices,
-    Supports) of the modified cloud at the affected points).  A point is
-    affected when its support sizes in ``initial`` (the initial cloud's
-    state over the whole grid) and in the modified cloud differ, 0 where
-    it does not integrate, or at equal sizes when its ascending id lists
-    differ."""
-    points = grid.gauss[0]
-    active_m, sup_m, _ = active_supports(points, cloud_modified, cfg)
-    size_i, size_m = np.zeros((2, len(points)), dtype=np.int64)
-    size_i[initial.active] = initial.sup.sizes
-    size_m[active_m] = sup_m.sizes
-    differs = size_i != size_m
-    same = np.flatnonzero(~differs & (size_i > 0))
-    ids_i = cloud_initial.ids[
-        initial.sup.take(np.searchsorted(initial.active, same)).rows]
-    ids_m = cloud_modified.ids[sup_m.take(np.searchsorted(active_m, same)).rows]
-    differs[np.repeat(same, size_i[same])[ids_i != ids_m]] = True
-    kept_i = np.flatnonzero(differs[initial.active])
-    kept_m = np.flatnonzero(differs[active_m])
-    affected_m = sup_m.take(kept_m)
+    modified cloud: (affected_gauss, influence_node_ids, Supports of the
+    modified cloud at the affected points).  A point is affected when its
+    support sizes in ``initial`` (the initial cloud's state over the whole
+    grid) and in the modified cloud differ, 0 where it does not integrate,
+    or at equal sizes when its ascending id lists differ."""
+    sup_i = initial.sup
+    sup_m, _ = active_supports(grid.gauss[0], cloud_modified, cfg)
+    differs = sup_i.sizes != sup_m.sizes
+    same = np.flatnonzero(~differs)
+    ids_i = cloud_initial.ids[sup_i.take(same).rows]
+    ids_m = cloud_modified.ids[sup_m.take(same).rows]
+    differs[np.repeat(same, sup_i.sizes[same])[ids_i != ids_m]] = True
+    affected = np.flatnonzero(differs)
+    affected_m = sup_m.take(affected)
     influence = np.concatenate([
-        cloud_initial.ids[initial.sup.take(kept_i).rows],
+        cloud_initial.ids[sup_i.take(affected).rows],
         cloud_modified.ids[affected_m.rows]])
-    return (np.flatnonzero(differs), np.union1d(influence, changed),
-            (active_m[kept_m], affected_m))
+    return affected, np.union1d(influence, changed), affected_m

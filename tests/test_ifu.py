@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from mkfree import demos, ifu, solver
 from mkfree.assembly import StiffnessSystem
-from mkfree.errors import NumericalError
+from mkfree.errors import NumericalError, ValidationError
 from mkfree.ifu import (constrain_factor, constraint_rhs,
                         fundamental_solutions, ifu_solve, measurement,
                         reduce_unbalanced, residual, unbalanced_set)
@@ -70,7 +70,7 @@ class TestMeasurement:
         assert len(unbalanced_set(meas, 1e-9 * np.abs(K).max())) == 0
 
     def test_negative_tolerance_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValidationError):
             unbalanced_set(np.ones(3), tol=-1.0)
 
 
@@ -193,8 +193,9 @@ class TestIfuSolve:
 
     @pytest.mark.parametrize("where", ["K_m", "F"])
     def test_short_circuit_gates_nan(self, rng, where):
-        """A NaN makes the scale-aware tolerance NaN, so no DOF looks
-        unbalanced; the answer gate must still refuse U*."""
+        """A NaN is left out of the scale-aware tolerance and never
+        exceeds it, so no DOF looks unbalanced; the answer gate must still
+        refuse U*."""
         K = random_spd(rng, 6)
         F = rng.standard_normal(6)
         U_star = np.linalg.solve(K, F)

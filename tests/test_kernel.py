@@ -23,12 +23,12 @@ from conftest import grid_for, jittered_cloud
 
 
 def kernel_results(points, cloud, cfg):
-    """{point index: (values, grads)} for the active points of a batch."""
-    active, sup, _ = active_supports(points, cloud, cfg)
+    """{point index: (values, grads)} for the points of a batch that
+    integrate (those with a non-empty support)."""
+    sup, _ = active_supports(points, cloud, cfg)
     out = {}
-    for idx, _, values, grads in evaluate_batch(points[active], cloud, sup,
-                                                cfg):
-        for j, i in enumerate(active[idx]):
+    for idx, _, values, grads in evaluate_batch(points, cloud, sup, cfg):
+        for j, i in enumerate(idx):
             out[int(i)] = [values[j], grads[j]]
     return out
 
@@ -117,16 +117,17 @@ def test_support_grows_once_then_raises(rng):
 
 
 def _middle_point(rng, cfg):
-    """Model, Gauss points, active points and supports, and the position
-    in ``active`` of a point in the middle of the batch."""
+    """Model, Gauss points, their supports, and the index of the middle
+    one of the points that integrate (``sup.sizes > 0``)."""
     cloud, grid = _model(rng, 2)
     points = grid.gauss[0]
-    active, sup, _ = active_supports(points, cloud, cfg)
-    return cloud, grid, points, active, sup, len(active) // 2
+    sup, _ = active_supports(points, cloud, cfg)
+    active = np.flatnonzero(sup.sizes > 0)
+    return cloud, grid, points, sup, active[len(active) // 2]
 
 
 def test_cholesky_failure_names_the_gauss_point(rng, cfg, monkeypatch):
-    cloud, grid, points, active, sup, j = _middle_point(rng, cfg)
+    cloud, grid, points, sup, j = _middle_point(rng, cfg)
     X = cloud.coords[sup.rows[sup.ptr[j]:sup.ptr[j + 1]]]
     R_target = np.exp(-cfg.theta * ((X[:, None] - X[None]) ** 2).sum(-1))
 
@@ -146,7 +147,7 @@ def test_cholesky_failure_names_the_gauss_point(rng, cfg, monkeypatch):
         assemble_stiffness(cloud, grid, MaterialModel(10.0, 0.3), cfg)
     assert "not positive definite" in str(err.value)
     point, _ = _located(str(err.value))
-    assert np.array_equal(point, points[active[j]])
+    assert np.array_equal(point, points[j])
     # the stacked call of the chunk failed, then the point's own call
     assert len(failed) == 2 and failed[0] > 1 and failed[1] == 1
 
@@ -154,13 +155,13 @@ def test_cholesky_failure_names_the_gauss_point(rng, cfg, monkeypatch):
 def test_duplicate_support_node_names_the_gauss_point(rng, cfg):
     """A support holding one node twice (an exact duplicate) is rejected,
     and the error names the point it belongs to."""
-    cloud, _, points, active, sup, j = _middle_point(rng, cfg)
+    cloud, _, points, sup, j = _middle_point(rng, cfg)
     rows = sup.rows.copy()
     rows[sup.ptr[j + 1] - 1] = rows[sup.ptr[j]]
     sup = interp.Supports(ptr=sup.ptr, rows=rows)
     where = lambda g: f" (at point {g})"
     with pytest.raises(ConditioningError) as err:
-        for _ in evaluate_batch(points[active], cloud, sup, cfg, where):
+        for _ in evaluate_batch(points, cloud, sup, cfg, where):
             pass
     assert str(err.value).endswith(f" (at point {j})")
 
@@ -211,11 +212,12 @@ def test_one_cholesky_call_per_chunk(rng, cfg, dim, monkeypatch):
     Cholesky call: the calls count chunks, not points."""
     cloud, grid = _model(rng, dim)
     points = grid.gauss[0]
-    _, sup, _ = active_supports(points, cloud, cfg)
-    sizes, counts = np.unique(sup.sizes, return_counts=True)
+    sup, _ = active_supports(points, cloud, cfg)
+    active = sup.sizes[sup.sizes > 0]
+    sizes, counts = np.unique(active, return_counts=True)
     steps = np.maximum(1, interp._CHUNK_DOUBLES // (sizes * sizes))
     chunks = int(np.sum(-(-counts // steps)))
-    assert chunks < len(sup.sizes) / 4
+    assert chunks < len(active) / 4
 
     real = interp.cholesky
     calls = []
@@ -228,4 +230,4 @@ def test_one_cholesky_call_per_chunk(rng, cfg, dim, monkeypatch):
     mode = "plane_stress" if dim == 2 else "solid_3d"
     assemble_stiffness(cloud, grid, MaterialModel(10.0, 0.3, mode=mode), cfg)
     assert len(calls) == chunks
-    assert sum(shape[0] for shape in calls) == len(sup.sizes)
+    assert sum(shape[0] for shape in calls) == len(active)

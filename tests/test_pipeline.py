@@ -16,12 +16,13 @@ import scipy.sparse as sp
 
 from mkfree import assembly, demos, ifu, interp, pipeline, update
 from mkfree.assembly import StiffnessSystem, apply_bcs, assemble_load
+from mkfree.config import MeshlessConfig
 from mkfree.errors import ValidationError
 from mkfree.model import (BackgroundGrid, BoundaryConditions, MaterialModel,
                           Modification, NodeCloud, apply_modification)
 from mkfree.pipeline import (full_analysis, prepare_modified, run_ca,
                              run_full_modified, run_ifu)
-from mkfree.recovery import error_metrics
+from mkfree.recovery import error_metrics, node_state
 from mkfree.solver import CholeskyFactor
 from mkfree.update import global_update
 
@@ -379,11 +380,15 @@ def test_production_path_builds_no_dense_factor(monkeypatch):
 
 def _record_calls(monkeypatch, source, name, calls):
     """Replace ``source.name`` wherever an mkfree module holds it by a
-    wrapper that logs (name, cloud, number of points) of each call."""
+    wrapper that logs (name, cloud, number of points) of each call; for
+    ``evaluate_batch``, the number of points it evaluates, those with a
+    non-empty support."""
     fn = getattr(source, name)
 
     def recording(points, cloud, *args, **kwargs):
         n = len(np.asarray(points).reshape(-1, cloud.dim))
+        if name == "evaluate_batch":
+            n = int(np.count_nonzero(args[0].sizes))
         calls.append((name, cloud, n))
         return fn(points, cloud, *args, **kwargs)
 
@@ -407,12 +412,13 @@ def test_edits_search_and_evaluate_only_the_modified_cloud(monkeypatch):
     _record_calls(monkeypatch, interp, "evaluate_batch", calls)
     _record_calls(monkeypatch, interp, "evaluate_at", calls)
     base = full_analysis(cloud, grid, mat, bc)
+    active = np.count_nonzero(base.raw.state.sup.sizes)
     assert [n for name, _, n in calls if name == "evaluate_batch"] \
-        == [len(base.raw.state.active)]
+        == [active]
     assert sum(name == "evaluate_at" for name, _, _ in calls) \
         == 2 * len(bc.tractions)
     calls.clear()
-    assert len(base.nodes.active) == cloud.n_nodes
+    assert (base.nodes.sup.sizes > 0).sum() == cloud.n_nodes
     assert calls == [("active_supports", cloud, cloud.n_nodes),
                      ("evaluate_batch", cloud, cloud.n_nodes)]
     removal = Modification(removed_ids={int(cloud.ids[40]),
@@ -421,12 +427,12 @@ def test_edits_search_and_evaluate_only_the_modified_cloud(monkeypatch):
         calls.clear()
         case = prepare_modified(base, mod)
         assert calls and all(c is case.cloud_mod for _, c, _ in calls)
-        assert ("evaluate_batch", case.cloud_mod,
-                len(case.influence.modified_supports[0])) in calls
+        assert ("evaluate_batch", case.cloud_mod, np.count_nonzero(
+            case.influence.modified_supports.sizes)) in calls
         assert sum(name == "evaluate_at" for name, _, _ in calls) \
             == reload * 2 * len(bc.tractions)
         evaluated = sum(n for name, _, n in calls if name == "evaluate_batch")
-        assert evaluated < len(base.raw.state.active) / 4
+        assert evaluated < active / 4
     calls.clear()
     base.fields()
     assert calls == []
@@ -491,7 +497,7 @@ def test_baseline_state_is_read_only_and_reused_unchanged():
     base = full_analysis(cloud, grid, mat, bc)
     state = base.raw.state
     sup = state.sup
-    for a in (state.active, state.grads, sup.ptr, sup.rows):
+    for a in (state.grads, sup.ptr, sup.rows, state.reach):
         assert not a.flags.writeable
     with pytest.raises(ValueError):
         state.grads[0, 0] = 0.0
@@ -570,3 +576,74 @@ def test_prepare_modified_refuses_a_material_of_another_dimension():
     solid = MaterialModel(500.0, 0.3, mode="solid_3d")
     with pytest.raises(ValidationError, match="material mode"):
         prepare_modified(base, Modification(material_change=solid))
+
+
+@pytest.fixture(scope="module")
+def notch_case():
+    cloud, grid, mat, bc, mod = demos.notch_fill()
+    return prepare_modified(full_analysis(cloud, grid, mat, bc), mod)
+
+
+@pytest.mark.parametrize("tol", [-1.0, np.nan, np.inf])
+def test_ifu_tolerance_is_checked(notch_case, tol):
+    """A negative, NaN or infinite IFU tolerance is a ValidationError, not
+    a plain ValueError or an empty unbalanced set reported as a numerical
+    failure."""
+    with pytest.raises(ValidationError, match="IFU tolerance"):
+        run_ifu(notch_case, tol)
+
+
+def _scaled_plate_removal(E, load):
+    """The 24 x 12 tension plate with Young's modulus E and its traction
+    scaled by ``load``, prepared for the removal of its 9 nodes at
+    |x - 12| <= 1, |y - 6| <= 1."""
+    cloud, grid, _, bc = demos._tension_plate(24, 12, 1.0)
+    bc = dataclasses.replace(bc, tractions=tuple(
+        dataclasses.replace(t, q=load * t.q) for t in bc.tractions))
+    base = full_analysis(cloud, grid, MaterialModel(E, 0.3), bc)
+    x, y = cloud.coords.T
+    block = cloud.ids[(np.abs(x - 12) <= 1) & (np.abs(y - 6) <= 1)]
+    return prepare_modified(base, Modification(removed_ids=set(block)))
+
+
+@pytest.mark.parametrize("E, load", [(1e-9, 1.0), (1e-3, 1.0), (1e10, 1.0),
+                                     (1e15, 1.0), (1e3, 1e9)])
+def test_the_units_of_E_and_loads_set_no_threshold(E, load):
+    """The unit rows of decoupled DOFs hold a 1.0 with no unit.  Neither
+    factorize's pivot test nor IFU's default tolerance reads them as the
+    problem's scale, so a full analysis and an IFU edit solve at any E or
+    load scale, with the unbalanced set of E = 1e3."""
+    case = _scaled_plate_removal(E, load)
+    U, _, diag = run_ifu(case)
+    U_ref, _, _ = run_full_modified(case)
+    assert np.linalg.norm(U - U_ref) <= 1e-10 * np.linalg.norm(U_ref)
+    assert diag["n_d"] == run_ifu(_scaled_plate_removal(1e3, 1.0))[2]["n_d"]
+
+
+@pytest.mark.parametrize("cfg", [MeshlessConfig(alpha=2.5),
+                                 MeshlessConfig(theta=0.5)],
+                         ids=["alpha-2.5", "theta-0.5"])
+@pytest.mark.parametrize("edit", ["removal", "insertion"])
+def test_a_non_default_config_reaches_every_pass(cfg, edit):
+    """prepare_modified at a non-default MeshlessConfig: the edited node
+    state equals the one built from scratch, K_m the BC-applied global
+    reassembly, and IFU's fields those of a full analysis of the modified
+    cloud, all at that config."""
+    cloud, grid, mat, bc = demos._tension_plate(16, 10, 1.0)
+    base = full_analysis(cloud, grid, mat, bc, cfg)
+    mod = {"removal": Modification(removed_ids={_interior_node(cloud)}),
+           "insertion": Modification(added_ids=(500, 501),
+                                     added_coords=[[6.5, 4.5], [8.5, 3.5]]),
+           }[edit]
+    case = _check_case(base, mod)
+    ref = node_state(case.cloud_mod, cfg)
+    for a, b in ((case.nodes.sup.ptr, ref.sup.ptr),
+                 (case.nodes.sup.rows, ref.sup.rows),
+                 (case.nodes.grads, ref.grads), (case.nodes.reach, ref.reach)):
+        assert np.array_equal(a, b)
+    fields = run_ifu(case)[1]
+    full = full_analysis(case.cloud_mod, grid, mat, bc, cfg).fields()
+    assert np.array_equal(fields.node_ids, full.node_ids)
+    for name in ("displacements", "stress"):
+        a, b = getattr(fields, name), getattr(full, name)
+        assert np.linalg.norm(a - b) <= 1e-10 * np.linalg.norm(b), name
