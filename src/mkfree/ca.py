@@ -17,6 +17,7 @@ import scipy.linalg as sla
 import scipy.sparse as sp
 
 from .errors import NumericalError, ValidationError
+from .model import _integer
 from .solver import CholeskyFactor
 
 __all__ = ["build_basis", "reduce_and_solve", "combine", "ca_solve"]
@@ -43,6 +44,7 @@ def build_basis(factor: CholeskyFactor, dK: sp.spmatrix, F: np.ndarray,
     dropped by the modification contribute a large eigenvalue cluster to
     the iteration operator that otherwise swamps the basis.
     """
+    s = _integer(s, "basis count")
     if s < 1:
         raise ValidationError("basis count must be >= 1")
     if s > factor.n:

@@ -42,6 +42,7 @@ balanced equations are not annihilated and the method loses exactness.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from numbers import Real
 
 import numpy as np
 import scipy.sparse as sp
@@ -92,22 +93,21 @@ def measurement(K_m: sp.spmatrix, K_m_star: sp.spmatrix, delta: np.ndarray
                 ) -> np.ndarray:
     """Per-DOF measurement: row-sums of |K_m - K_m*| plus |delta|."""
     diff = (K_m - K_m_star).tocsr()
-    diff.eliminate_zeros()
     rowsum = np.abs(diff).sum(axis=1)
     return np.asarray(rowsum).ravel() + np.abs(delta)
 
 
 def unbalanced_set(meas: np.ndarray, tol: float) -> np.ndarray:
     """Ascending indices of the DOFs whose measurement exceeds ``tol``;
-    ValidationError unless 0 <= tol < inf.
+    ValidationError unless ``tol`` is a real number with 0 <= tol < inf.
 
     The tolerance policy lives in :func:`default_tol`, whose scale-aware
     threshold keeps floating-point assembly noise out of the set.
     """
     meas = np.asarray(meas, dtype=float)
-    if not 0.0 <= tol < np.inf:
+    if not (isinstance(tol, Real) and 0.0 <= tol < np.inf):
         raise ValidationError(
-            f"IFU tolerance must be finite and nonnegative, got {tol!r}")
+            f"IFU tolerance must be a finite nonnegative number, got {tol!r}")
     return np.where(np.abs(meas) > tol)[0]
 
 

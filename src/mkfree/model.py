@@ -54,9 +54,20 @@ def _integers(values, what: str) -> np.ndarray:
     return np.array([_integer(v, what) for v in values], dtype=np.int64)
 
 
+def _reals(values, what: str) -> np.ndarray:
+    """``values`` as a float array; ValidationError unless they are real
+    numbers (a bool, a string or None is not) in a regular nesting."""
+    with _malformed(what):
+        arr = np.asarray(values)
+    if arr.dtype.kind not in "iuf":
+        raise ValidationError(
+            f"{what} must be real numbers, got {values!r:.80}")
+    return arr.astype(float, copy=False)
+
+
 def _finite(values, what: str) -> np.ndarray:
-    """``values`` as a float array; ValidationError unless all are finite."""
-    arr = np.asarray(values, dtype=float)
+    """:func:`_reals` of ``values``; ValidationError unless all are finite."""
+    arr = _reals(values, what)
     if not np.isfinite(arr).all():
         raise ValidationError(f"{what} must be finite")
     return arr
@@ -102,15 +113,15 @@ class NodeCloud:
     def tree(self) -> cKDTree:
         return cKDTree(self.coords)
 
-    @cached_property
-    def id_to_row(self) -> dict:
-        return {int(i): k for k, i in enumerate(self.ids)}
-
     def coord_of(self, node_id: int) -> np.ndarray:
-        return self.coords[self.id_to_row[int(node_id)]]
+        """The coordinates of node ``node_id``; KeyError if it is absent."""
+        if not self.has_node(node_id):
+            raise KeyError(node_id)
+        return self.coords[self.ids.searchsorted(node_id)]
 
     def has_node(self, node_id: int) -> bool:
-        return int(node_id) in self.id_to_row
+        k = self.ids.searchsorted(node_id)
+        return bool(k < len(self.ids) and self.ids[k] == node_id)
 
 
 @dataclass(frozen=True)
@@ -128,6 +139,9 @@ class BackgroundGrid:
         object.__setattr__(self, "origin", origin)
         object.__setattr__(self, "cell_size", cell_size)
         object.__setattr__(self, "counts", counts)
+        if origin.shape != (len(counts),) or cell_size.shape != origin.shape:
+            raise ValidationError("grid origin and cell_size need one entry "
+                                  "per cell count")
         if np.any(cell_size <= 0):
             raise ValidationError("cell_size must be positive on every axis")
         if any(c <= 0 for c in counts):
@@ -176,7 +190,12 @@ class MaterialModel:
     mode: str = "plane_stress"   # "plane_stress" | "solid_3d"
 
     def __post_init__(self):
-        if not (0.0 < self.young_modulus < np.inf):
+        for name in ("young_modulus", "poisson_ratio"):
+            value = _finite(getattr(self, name), name)
+            if value.ndim:
+                raise ValidationError(f"{name} must be one number")
+            object.__setattr__(self, name, float(value))
+        if not self.young_modulus > 0.0:
             raise ValidationError("Young's modulus must be finite and > 0")
         if not (0.0 <= self.poisson_ratio < 0.5):
             raise ValidationError("Poisson ratio must satisfy 0 <= nu < 0.5")
@@ -202,7 +221,8 @@ class Traction:
 
     def __post_init__(self):
         for name in ("start", "end", "q"):
-            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=float))
+            object.__setattr__(self, name, _reals(getattr(self, name),
+                                                  f"traction {name}"))
 
 
 @dataclass(frozen=True)
@@ -212,12 +232,14 @@ class BoundaryConditions:
     tractions: tuple = ()        # (Traction, ...)
 
     def __post_init__(self):
-        object.__setattr__(self, "fixed_dofs", tuple(
-            (_integer(n, "fixed DOF node id"), _integer(a, "fixed DOF axis"))
-            for n, a in self.fixed_dofs))
-        object.__setattr__(self, "point_loads", tuple(
-            (_integer(n, "point load node id"), _integer(a, "point load axis"),
-             float(v)) for n, a, v in self.point_loads))
+        with _malformed("boundary conditions"):
+            object.__setattr__(self, "fixed_dofs", tuple(
+                (_integer(n, "fixed DOF node id"),
+                 _integer(a, "fixed DOF axis")) for n, a in self.fixed_dofs))
+            object.__setattr__(self, "point_loads", tuple(
+                (_integer(n, "point load node id"),
+                 _integer(a, "point load axis"), float(v))
+                for n, a, v in self.point_loads))
         object.__setattr__(self, "tractions", tuple(self.tractions))
         # one check for every load number: cheaper than one per traction
         _finite(np.concatenate([[v for *_, v in self.point_loads]] + [
@@ -260,9 +282,8 @@ class Modification:
     def __post_init__(self):
         object.__setattr__(self, "added_ids", tuple(
             _integers(self.added_ids, "added node id").tolist()))
-        object.__setattr__(
-            self, "added_coords", np.asarray(self.added_coords, dtype=float)
-        )
+        object.__setattr__(self, "added_coords", _finite(
+            self.added_coords, "added node coordinates"))
         object.__setattr__(self, "removed_ids", frozenset(
             _integers(self.removed_ids, "removed node id").tolist()))
         if set(self.added_ids) & self.removed_ids:
@@ -337,12 +358,14 @@ def apply_modification(cloud: NodeCloud, mod: Modification,
     fixed DOF or point load is rejected unless the modification replaces the
     boundary conditions.
     """
-    for nid in mod.removed_ids:
-        if not cloud.has_node(nid):
-            raise ValidationError(f"removed node {nid} does not exist")
-    for nid in mod.added_ids:
-        if cloud.has_node(nid):
-            raise ValidationError(f"added node id {nid} already exists")
+    removed = np.fromiter(mod.removed_ids, np.int64, len(mod.removed_ids))
+    added = np.array(mod.added_ids, dtype=np.int64)
+    unknown = removed[~np.isin(removed, cloud.ids)]
+    if len(unknown):
+        raise ValidationError(f"removed node {unknown[0]} does not exist")
+    taken = added[np.isin(added, cloud.ids)]
+    if len(taken):
+        raise ValidationError(f"added node id {taken[0]} already exists")
     if mod.added_coords.size != len(mod.added_ids) * cloud.dim:
         raise ValidationError(
             f"added_coords need {cloud.dim} coordinates per added node")
@@ -358,9 +381,8 @@ def apply_modification(cloud: NodeCloud, mod: Modification,
                     f"node {node_id} carries a point load; removal requires bc_change"
                 )
 
-    keep = ~np.isin(cloud.ids, list(mod.removed_ids)) if mod.removed_ids \
-        else np.ones(cloud.n_nodes, dtype=bool)
-    new_ids = np.concatenate([cloud.ids[keep], np.asarray(mod.added_ids, dtype=np.int64)])
+    keep = ~np.isin(cloud.ids, removed)
+    new_ids = np.concatenate([cloud.ids[keep], added])
     added_coords = mod.added_coords.reshape(len(mod.added_ids), cloud.dim)
     new_coords = np.vstack([cloud.coords[keep], added_coords])
     modified = NodeCloud(ids=new_ids, coords=new_coords, dim=cloud.dim)

@@ -2,10 +2,10 @@
 test suite.
 
 A baseline full analysis produces the initial stiffness, factor, and
-displacement.  For a modification, one lift carries them and the initial
-factor onto the union DOF space (initial U modified nodes), so reanalysis
-never refactorizes; the modified stiffness is the initial one, for the
-modified material, plus the local delta.
+displacement.  For a modification, one lift carries them, BC-applied,
+onto the union DOF space (initial U modified nodes), so reanalysis never
+refactorizes and applies BCs only to the modified model, whose stiffness
+is the initial one, for the modified material, plus the local delta.
 
 An edit does work only near the changed nodes.  Every point the baseline
 evaluates carries a reach (:func:`mkfree.interp.reach`), and a point is
@@ -97,14 +97,13 @@ def _lift(baseline: Baseline, dof_map: DofMap, mat: MaterialModel):
     union DOF space of ``dof_map``.
 
     With ``perm`` the union positions of the initial DOFs and ``P`` the
-    N x n embedding ``P[perm[k], k] = 1``, a raw matrix A lifts to
-    ``P A P^T`` and a vector v to ``P v``: the DOFs the initial cloud does
-    not carry stay empty.  As ``perm`` increases (both id lists are
-    sorted), a CSR matrix lifts by renumbering its arrays: row k moves to
-    row perm[k] with columns perm[indices], in the same order.  The lifted
-    K* is :func:`apply_bcs` of the lifted raw K* with the baseline's BCs
-    and cloud, so with an unchanged material one matrix is lifted.  Its
-    factor is ``P L0 P^T`` plus a unit diagonal on the uncarried DOFs,
+    N x n embedding ``P[perm[k], k] = 1``, a matrix A lifts to ``P A P^T``
+    and a vector v to ``P v``: the DOFs the initial cloud does not carry
+    stay empty.  As ``perm`` increases (both id lists are sorted), a CSR
+    matrix lifts by renumbering its arrays: row k moves to row perm[k]
+    with columns perm[indices], in the same order.  K* is the lifted
+    BC-applied K plus a unit diagonal on the uncarried DOFs, so BCs are
+    not applied again, and its factor is ``P L0 P^T`` plus that diagonal:
     :meth:`CholeskyFactor.reindex` of L0 with union DOF ``perm[k]`` taken
     from initial DOF k and the others unit.
 
@@ -128,20 +127,20 @@ def _lift(baseline: Baseline, dof_map: DofMap, mat: MaterialModel):
         return sp.csr_matrix((A.data, perm.astype(A.indices.dtype)[A.indices],
                               np.cumsum(indptr, out=indptr)), shape=(N, N))
 
-    K_lift = lift(K_raw)
     F_star = np.zeros(N)
-    F_star[perm] = baseline.raw.F
-    star = apply_bcs(StiffnessSystem(
-        K=K_lift if K_raw is baseline.raw.K else lift(baseline.raw.K),
-        F=F_star, dof_map=dof_map), baseline.bc, baseline.cloud)
+    F_star[perm] = system.F
     src = np.full(N, -1)
     src[perm] = np.arange(len(perm))
-    return star, K_lift, baseline.factor.reindex(src), U_star
+    star = StiffnessSystem(
+        K=lift(system.K) + sp.diags((src < 0) * 1.0, format="csr"),
+        F=F_star, dof_map=dof_map)
+    return star, lift(K_raw), baseline.factor.reindex(src), U_star
 
 
 @dataclass(frozen=True)
 class ModifiedCase:
-    """Everything needed to reanalyze one modification."""
+    """Everything needed to reanalyze one modification; the stiffness
+    delta ``K_m - star.K`` is formed by CA and IFU, not stored."""
 
     baseline: Baseline
     mod: Modification
@@ -152,7 +151,6 @@ class ModifiedCase:
     star: StiffnessSystem        # initial K on union space, BC-applied
     factor: CholeskyFactor       # factor of star.K
     U_star: np.ndarray           # initial displacement on union space
-    dK: sp.csr_matrix            # BC-applied stiffness delta, K_m - star.K
     K_m: sp.csr_matrix           # BC-applied modified stiffness
     F: np.ndarray                # modified load, decoupled entries zeroed
     nodes: GaussState            # node-point state of cloud_mod
@@ -182,8 +180,8 @@ def _modified_load(baseline: Baseline, mod: Modification,
 
 
 def prepare_modified(baseline: Baseline, mod: Modification) -> ModifiedCase:
-    """Build the union-space systems, the stiffness delta and the node-point
-    state of recovery for ``mod``.
+    """Build the union-space systems and the node-point state of recovery
+    for ``mod``.
 
     The modified load is validated first, so a refused edit costs no
     update; it is the baseline's, lifted, when the edit is out of reach
@@ -196,9 +194,9 @@ def prepare_modified(baseline: Baseline, mod: Modification) -> ModifiedCase:
     only the modified cloud is searched and evaluated, and only within
     reach of the changed nodes.  :func:`apply_bcs` then decouples the DOFs
     the modified boundary conditions fix or the modified cloud does not
-    carry, and the delta is taken between the two BC-applied matrices, so
-    CA and IFU see one consistent pair whatever changed.  The
-    modified cloud's node-point state is derived from the baseline's
+    carry, the edit's one elimination (K* is lifted BC-applied), so CA and
+    IFU see one consistent BC-applied pair whatever changed.  The modified
+    cloud's node-point state is derived from the baseline's
     (:func:`recovery.edited_node_state`) here, so every method's recovery
     reads it.
     """
@@ -214,19 +212,15 @@ def prepare_modified(baseline: Baseline, mod: Modification) -> ModifiedCase:
     influence, delta_raw = local_delta(
         mod, baseline.cloud, cloud_mod, baseline.grid, mat_new, dof_map, cfg,
         baseline.raw.state)
-    modified = apply_bcs(StiffnessSystem(K=(K_raw + delta_raw.dK).tocsr(),
-                                         F=F_mod, dof_map=dof_map), bc_new,
-                         cloud_mod)
-    dK = (modified.K - star.K).tocsr()
-    dK.eliminate_zeros()
+    modified = apply_bcs(StiffnessSystem(K=K_raw + delta_raw.dK, F=F_mod,
+                                         dof_map=dof_map), bc_new, cloud_mod)
     nodes = edited_node_state(baseline.nodes, baseline.cloud, cloud_mod,
                               moved, cfg)
 
     return ModifiedCase(
         baseline=baseline, mod=mod, cloud_mod=cloud_mod, dof_map=dof_map,
         material=mat_new, bc=bc_new, star=star, factor=factor, U_star=U_star,
-        dK=dK, K_m=modified.K, F=modified.F, nodes=nodes,
-        influence=influence)
+        K_m=modified.K, F=modified.F, nodes=nodes, influence=influence)
 
 
 def _restrict(case: ModifiedCase, U: np.ndarray) -> FieldSolution:
@@ -238,8 +232,8 @@ def ca_sweep(case: ModifiedCase, counts):
     """:func:`run_ca`'s results for each basis count s of ``counts`` in
     turn, from one basis: the first s columns of :func:`ca.build_basis`
     do not depend on its column count."""
-    basis = _ca.build_basis(case.factor, case.dK, case.F, max(counts),
-                            mask=case.dof_map.carries(case.cloud_mod))
+    basis = _ca.build_basis(case.factor, case.K_m - case.star.K, case.F,
+                            max(counts), case.dof_map.carries(case.cloud_mod))
     for s in counts:
         U_B = basis[:, :s]
         U = _ca.combine(U_B, _ca.reduce_and_solve(U_B, case.K_m, case.F))

@@ -63,12 +63,16 @@ def changed_coords(changed: list[int], cloud_initial: NodeCloud,
                    cloud_modified: NodeCloud) -> np.ndarray:
     """(len(changed), dim) positions of the changed nodes: an added node's
     in the modified cloud, a removed node's in the initial one."""
+    changed = np.asarray(changed, dtype=np.int64)
     out = np.empty((len(changed), cloud_initial.dim))
-    for k, nid in enumerate(changed):
-        src = cloud_modified if cloud_modified.has_node(nid) else cloud_initial
-        if not src.has_node(nid):
-            raise ValidationError(f"changed node {nid} not found in either cloud")
-        out[k] = src.coord_of(nid)
+    found = np.zeros(len(changed), dtype=bool)
+    for cloud in (cloud_initial, cloud_modified):
+        held = np.isin(changed, cloud.ids)
+        out[held] = cloud.coords[cloud.ids.searchsorted(changed[held])]
+        found |= held
+    if not found.all():
+        raise ValidationError(
+            f"changed node {changed[~found][0]} not found in either cloud")
     return out
 
 

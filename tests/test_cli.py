@@ -96,6 +96,17 @@ def _edited(model, tmp_path, path, value):
 
 
 class TestInvalidNumbers:
+    @pytest.mark.parametrize("key, value", [
+        ("origin", [0, 0, 0]), ("cell_size", [0.125]),
+    ], ids=["3d-origin", "one-cell-size"])
+    def test_grid_entry_per_count(self, small_files, tmp_path, capsys, key,
+                                  value):
+        model, _ = small_files
+        bad = _edited(model, tmp_path, ("grid", key), value)
+        rc = main(["solve", str(bad), "-o", str(tmp_path / "out")])
+        assert rc == 2
+        assert "one entry per cell count" in capsys.readouterr().err
+
     @pytest.mark.parametrize("path, value", [
         (("nodes", 15, "id"), 15.5),
         (("bc", "fixed", 0, 1), 0.5),

@@ -112,7 +112,7 @@ class TestShapeFunctions:
         for _ in range(10):
             p = rng.uniform(1.0, 6.0, 2)
             sf = evaluate_at(p, cloud, cfg)
-            rows = [cloud.id_to_row[int(i)] for i in sf.node_ids]
+            rows = np.searchsorted(cloud.ids, sf.node_ids)
             vals, grads = shape_oracle(p, cloud.coords[rows], cfg.theta)
             assert np.allclose(sf.values, vals, atol=1e-10)
             assert np.allclose(sf.grads, grads, atol=1e-9)

@@ -23,6 +23,8 @@ class TestNodeCloud:
         assert c.n_nodes == 2
         assert c.has_node(3) and not c.has_node(2)
         assert np.allclose(c.coord_of(1), [1.0, 0.0])
+        with pytest.raises(KeyError):
+            c.coord_of(2)
 
     def test_rows_are_in_id_order(self):
         c = NodeCloud(ids=[3, 1, 2], coords=[[0, 0], [1, 0], [2, 0]], dim=2)
@@ -69,6 +71,14 @@ class TestBackgroundGrid:
     def test_rejects_nonfinite_or_fractional(self, origin, cell_size, counts):
         with pytest.raises(ValidationError):
             BackgroundGrid(origin=origin, cell_size=cell_size, counts=counts)
+
+    @pytest.mark.parametrize("origin, cell_size", [
+        ([0, 0, 0], [1, 1]), ([0, 0], [0.125]), (0.0, [1, 1]),
+    ], ids=["long-origin", "short-cell", "scalar-origin"])
+    def test_origin_and_cell_size_need_one_entry_per_count(self, origin,
+                                                           cell_size):
+        with pytest.raises(ValidationError, match="one entry per cell count"):
+            BackgroundGrid(origin=origin, cell_size=cell_size, counts=(2, 2))
 
 
 class TestMaterial:
