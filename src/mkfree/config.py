@@ -5,6 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import ValidationError
+from .model import _finite
 
 
 @dataclass(frozen=True)
@@ -26,8 +27,12 @@ class MeshlessConfig:
 
     def __post_init__(self):
         for name in ("alpha", "theta"):
-            if not 0 < getattr(self, name) < float("inf"):
+            value = _finite(getattr(self, name), name)
+            if value.ndim:
+                raise ValidationError(f"{name} must be one number")
+            if not value > 0.0:
                 raise ValidationError(f"{name} must be finite and positive")
+            object.__setattr__(self, name, float(value))
 
 
 DEFAULT_CONFIG = MeshlessConfig()

@@ -18,10 +18,11 @@ recovery share.  Its stages:
    (:func:`within_reach`).
 2. :func:`evaluate_batch` groups the points by support size n and cuts
    each group into chunks whose (c, n, n) arrays stay memory-bounded.
-3. Per chunk, :func:`_systems` builds the correlation matrices R (one
-   coordinate at a time), factors the whole stack with one Cholesky call,
-   forms L^-1 by forward substitution vectorized across the chunk, and
-   from it L^-1 P and M = P^T R^-1 P.
+3. Per chunk, :func:`_systems` builds the correlation matrices R (the
+   squared distances summed from one contiguous plane per coordinate),
+   factors the whole stack with one Cholesky call, inverts each factor in
+   place with one LAPACK ``dtrtri`` call per support, and from L^-1 forms
+   L^-1 P and M = P^T R^-1 P.
 4. :func:`_shapes` solves for the shape functions and their gradients at
    once: with b = [r(x) dr/dx] and q = [p(x) dp/dx], the multipliers are
    Lam = M^-1 (P^T R^-1 b - q) and [phi dphi/dx] = R^-1 (b - P Lam).
@@ -56,6 +57,7 @@ from itertools import chain
 
 import numpy as np
 from numpy.linalg import LinAlgError, cholesky
+from scipy.linalg.lapack import dtrtri
 from scipy.spatial import cKDTree
 
 from .config import DEFAULT_CONFIG, MeshlessConfig
@@ -81,9 +83,9 @@ __all__ = [
 ]
 
 # Doubles each (c, n, n) array of a chunk of c supports of n nodes may hold.
-# The kernel keeps three alive at its peak (R, its Cholesky factor and
-# L^-1), so a chunk stays near 6 MB whatever n is; larger chunks measured
-# no faster.
+# The kernel keeps two alive at its peak (R, and its Cholesky factor, which
+# L^-1 overwrites), so a chunk stays near 4 MB whatever n is; larger chunks
+# measured no faster.
 _CHUNK_DOUBLES = 1 << 18
 
 # Radius factor of the one retry of a support short of basis_size nodes.
@@ -309,13 +311,19 @@ def _poly_rows(points: np.ndarray) -> np.ndarray:
 
 
 def _correlation(X: np.ndarray, theta: float) -> np.ndarray:
-    """Gaussian correlation matrices (c, n, n) of supports X (c, n, dim),
-    the squared distances summed one coordinate at a time."""
-    diff = X[:, :, None, 0] - X[:, None, :, 0]
-    sq = diff * diff
-    for k in range(1, X.shape[-1]):
-        diff = X[:, :, None, k] - X[:, None, :, k]
-        sq += diff * diff
+    """Gaussian correlation matrices (c, n, n) of supports X (c, n, dim).
+
+    The squared distances are summed one coordinate at a time, in order,
+    each from a contiguous (c, n) plane of that coordinate, in place in
+    two (c, n, n) buffers."""
+    planes = np.ascontiguousarray(np.moveaxis(X, -1, 0))   # (dim, c, n)
+    sq = np.subtract(planes[0, :, :, None], planes[0, :, None, :])
+    np.multiply(sq, sq, out=sq)
+    diff = np.empty_like(sq)
+    for plane in planes[1:]:
+        np.subtract(plane[:, :, None], plane[:, None, :], out=diff)
+        np.multiply(diff, diff, out=diff)
+        np.add(sq, diff, out=sq)
     sq *= -theta
     return np.exp(sq, out=sq)
 
@@ -338,15 +346,19 @@ def _cholesky(R: np.ndarray, where) -> np.ndarray:
 
 
 def _lower_inverse(L: np.ndarray) -> np.ndarray:
-    """Inverses (c, n, n) of a stack of lower-triangular matrices, by
-    forward substitution over the rows: row i of L^-1 is
-    (e_i - L[i, :i] L^-1[:i]) / L[i, i]."""
-    Li = np.zeros_like(L)
-    for i in range(L.shape[1]):
-        Li[:, i, i] = 1.0
-        Li[:, i, :i + 1] -= (L[:, i, None, :i] @ Li[:, :i, :i + 1])[:, 0]
-        Li[:, i, :i + 1] /= L[:, i, i, None]
-    return Li
+    """Inverses (c, n, n) of a stack of lower-triangular matrices, computed
+    in place in ``L`` by one LAPACK ``dtrtri`` call per matrix.
+
+    Row-major L[g] is, read column-major, the upper-triangular L[g]^T, so
+    inverting that in place leaves L[g]^-1 in row-major order.  The strict
+    upper triangle of L stays untouched (zero for a Cholesky factor).
+    ``dtrtri`` fails only on an exactly zero diagonal entry, which a
+    Cholesky factor cannot have; an inverse that overflows is left to the
+    trace guard of :func:`_systems`."""
+    L = np.ascontiguousarray(L, dtype=float)   # in place needs row-major
+    for L_g in L:
+        dtrtri(L_g.T, lower=0, overwrite_c=1)
+    return L
 
 
 def _systems(X: np.ndarray, theta: float, where=_nowhere) -> KrigingSystem:

@@ -28,9 +28,10 @@ from .assembly import (GaussState, StiffnessSystem, apply_bcs, assemble_load,
                        assemble_stiffness, isotropic_stiffness,
                        traction_points)
 from .config import DEFAULT_CONFIG, MeshlessConfig
+from .errors import ValidationError
 from .interp import reach, spacing, within_reach
 from .model import (BackgroundGrid, BoundaryConditions, DofMap, MaterialModel,
-                    Modification, NodeCloud, apply_modification,
+                    Modification, NodeCloud, _integer, apply_modification,
                     validate_model)
 from .recovery import (FieldSolution, edited_node_state, fields_at_nodes,
                        node_state)
@@ -231,7 +232,11 @@ def _restrict(case: ModifiedCase, U: np.ndarray) -> FieldSolution:
 def ca_sweep(case: ModifiedCase, counts):
     """:func:`run_ca`'s results for each basis count s of ``counts`` in
     turn, from one basis: the first s columns of :func:`ca.build_basis`
-    do not depend on its column count."""
+    do not depend on its column count.  Every count must be an integer
+    >= 1 (ValidationError)."""
+    counts = [_integer(s, "basis count") for s in counts]
+    if not counts or min(counts) < 1:
+        raise ValidationError(f"basis counts must be >= 1, got {counts}")
     basis = _ca.build_basis(case.factor, case.K_m - case.star.K, case.F,
                             max(counts), case.dof_map.carries(case.cloud_mod))
     for s in counts:

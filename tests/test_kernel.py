@@ -1,8 +1,9 @@
 """Contract of the batched Gauss-point kernel: a point's results do not
 depend on the batch it is evaluated in, the error semantics of the
 one-point path (one support growth, the conditioning guards, the failing
-Gauss point named in the message) hold inside a batch, and the guards
-reject every near-singular support."""
+Gauss point named in the message) hold inside a batch, the guards
+reject every near-singular support, and the inverse Cholesky factors are
+the exact inverses, one LAPACK call per support."""
 
 import re
 from dataclasses import replace
@@ -231,3 +232,53 @@ def test_one_cholesky_call_per_chunk(rng, cfg, dim, monkeypatch):
     assemble_stiffness(cloud, grid, MaterialModel(10.0, 0.3, mode=mode), cfg)
     assert len(calls) == chunks
     assert sum(shape[0] for shape in calls) == len(active)
+
+
+def _factors(rng, n, count=5):
+    """Cholesky factors (count, n, n) of the correlation matrices of real
+    supports: the n nodes nearest to points inside a jittered cloud."""
+    if n == 3:
+        cloud = jittered_cloud(rng, 6, 6, jitter=0.2)
+    else:
+        cloud = jittered_cloud(rng, 6, 6, nz=6, jitter=0.15)
+    points = rng.uniform(1.5, 3.5, (count, cloud.dim))
+    _, rows = cloud.tree.query(points, k=n)
+    rows = np.sort(rows.reshape(count, n), axis=1)
+    R = interp._correlation(cloud.coords[rows], MeshlessConfig().theta)
+    return np.linalg.cholesky(R)
+
+
+@pytest.mark.parametrize("n", [3, 4, 27, 62, 101])
+def test_lower_inverse_is_the_inverse(rng, n):
+    """Each factor's L^-1 matches np.linalg.inv to roundoff in its
+    condition number, and its strict upper triangle is exactly zero: the
+    trace guard sums every entry of L^-1."""
+    L = _factors(rng, n)
+    Li = interp._lower_inverse(L.copy())
+    assert Li.shape == L.shape
+    for L_g, Li_g in zip(L, Li):
+        ref = np.linalg.inv(L_g)
+        cond = np.linalg.cond(L_g)
+        assert np.abs(Li_g - ref).max() <= 1e-13 * cond * np.abs(ref).max()
+        assert not np.triu(Li_g, 1).any()
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_one_triangular_inverse_per_point(rng, cfg, dim, monkeypatch):
+    """Assembly inverts each active Gauss point's Cholesky factor with
+    exactly one LAPACK call."""
+    cloud, grid = _model(rng, dim)
+    sup, _ = active_supports(grid.gauss[0], cloud, cfg)
+    real = interp.dtrtri
+    calls = []
+
+    def counted(c, *args, **kwargs):
+        calls.append(c.shape)
+        return real(c, *args, **kwargs)
+
+    monkeypatch.setattr(interp, "dtrtri", counted)
+    mode = "plane_stress" if dim == 2 else "solid_3d"
+    assemble_stiffness(cloud, grid, MaterialModel(10.0, 0.3, mode=mode), cfg)
+    active = sup.sizes[sup.sizes > 0]
+    assert len(calls) == len(active)
+    assert sorted(shape[0] for shape in calls) == sorted(active)

@@ -103,6 +103,21 @@ class TestMeshlessConfig:
         with pytest.raises(ValidationError, match=f"{name} must be finite"):
             MeshlessConfig(**{name: value})
 
+    @pytest.mark.parametrize("value", ["3", None, True, 0, [3.0]])
+    @pytest.mark.parametrize("name", ["alpha", "theta"])
+    def test_rejects_values_that_are_not_one_positive_real(self, name,
+                                                           value):
+        """A string, None, a bool, an int 0 or a list is a
+        ValidationError, not a TypeError from the comparison (NaN, inf
+        and 0.0 are in the test above)."""
+        with pytest.raises(ValidationError, match=name):
+            MeshlessConfig(**{name: value})
+
+    def test_stores_floats(self):
+        cfg = MeshlessConfig(alpha=2, theta=np.float32(0.5))
+        assert type(cfg.alpha) is float and type(cfg.theta) is float
+        assert (cfg.alpha, cfg.theta) == (2.0, 0.5)
+
 
 class TestBoundaryConditions:
     def test_validate_against(self):

@@ -624,6 +624,14 @@ def test_ifu_tolerance_is_checked(notch_case, tol):
         run_ifu(notch_case, tol)
 
 
+@pytest.mark.parametrize("counts", [[0, 3], [1.5, 3], [3, True], []])
+def test_ca_sweep_checks_every_count(notch_case, counts):
+    """Every basis count of a sweep is an integer >= 1: a zero count is
+    not an empty result, and a fractional one is not a TypeError."""
+    with pytest.raises(ValidationError, match="basis count"):
+        next(pipeline.ca_sweep(notch_case, counts))
+
+
 def _scaled_plate_removal(E, load):
     """The 24 x 12 tension plate with Young's modulus E and its traction
     scaled by ``load``, prepared for the removal of its 9 nodes at
