@@ -265,7 +265,8 @@ def traction_points(bc: BoundaryConditions, dim: int) -> np.ndarray:
 def assemble_load(cloud: NodeCloud, bc: BoundaryConditions,
                   dof_map: DofMap | None = None,
                   cfg: MeshlessConfig = DEFAULT_CONFIG) -> np.ndarray:
-    """Load vector: point loads scatter directly; edge tractions integrate
+    """Load vector of ``bc`` as :func:`~mkfree.model.validate_model`
+    accepts it: point loads scatter directly; edge tractions integrate
     phi_I * q along each segment with 2-point Gauss quadrature.
 
     A traction with a quadrature point off the material (by the Gauss
@@ -276,8 +277,6 @@ def assemble_load(cloud: NodeCloud, bc: BoundaryConditions,
         dof_map = identity_dof_map(cloud)
     F = np.zeros(dof_map.n_dofs)
     for node_id, axis, value in bc.point_loads:
-        if not cloud.has_node(node_id):
-            raise ValidationError(f"point load on node {node_id} not in cloud")
         F[dof_map.dof(node_id, axis)] += value
     quad = traction_points(bc, cloud.dim)
     dist, d_c, _ = spacing(quad, cloud)

@@ -305,7 +305,8 @@ class IfuDiagnostics:
 
     @property
     def short_circuit(self) -> bool:
-        """No DOF was unbalanced, so U* was returned unchanged."""
+        """No DOF was unbalanced, so no factor was constrained: the answer
+        is U* unchanged, or U = 0 for a zero load."""
         return self.n_d == 0
 
 
@@ -317,8 +318,11 @@ def ifu_solve(factor: CholeskyFactor, K_m_star: sp.spmatrix, K_m: sp.spmatrix,
     modified system to 1e-9 relative, or NumericalError is raised.
     """
     F = np.asarray(F, dtype=float)
+    loaded = F.any()
+    if not loaded:      # a zero load's exact answer is U = 0, whatever changed
+        U_star = np.zeros_like(F)
     delta = residual(K_m, F, U_star)
-    meas = measurement(K_m, K_m_star, delta)
+    meas = measurement(K_m, K_m_star, delta) if loaded else []
     if tol is None:
         tol = default_tol(K_m, F)
     S_d = unbalanced_set(meas, tol)

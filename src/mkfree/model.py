@@ -175,11 +175,6 @@ class BackgroundGrid:
             a.flags.writeable = False
         return out
 
-    def contains(self, point) -> bool:
-        p = np.asarray(point, dtype=float)
-        hi = self.origin + np.asarray(self.counts) * self.cell_size
-        return bool(np.all(p >= self.origin - 1e-12) and np.all(p <= hi + 1e-12))
-
 
 @dataclass(frozen=True)
 class MaterialModel:
@@ -252,16 +247,16 @@ class BoundaryConditions:
                 raise ValidationError(f"traction {k}: start, end and q need "
                                       f"{cloud.dim} components each")
         fixed = set(self.fixed_dofs)
-        for node_id, axis in self.fixed_dofs:
-            if not cloud.has_node(node_id):
-                raise ValidationError(f"fixed DOF references unknown node {node_id}")
-            if not (0 <= axis < cloud.dim):
-                raise ValidationError(f"fixed DOF axis {axis} out of range")
+        for what, entries in (("fixed DOF", self.fixed_dofs),
+                              ("point load", self.point_loads)):
+            for node_id, axis, *_ in entries:
+                if not cloud.has_node(node_id):
+                    raise ValidationError(
+                        f"{what} on node {node_id}, which the model does not "
+                        f"hold; removing it needs a bc replacement")
+                if not (0 <= axis < cloud.dim):
+                    raise ValidationError(f"{what} axis {axis} out of range")
         for node_id, axis, _ in self.point_loads:
-            if not cloud.has_node(node_id):
-                raise ValidationError(f"point load references unknown node {node_id}")
-            if not (0 <= axis < cloud.dim):
-                raise ValidationError(f"point load axis {axis} out of range")
             if (node_id, axis) in fixed:
                 raise ValidationError(
                     f"DOF (node {node_id}, axis {axis}) is both fixed and loaded"
@@ -342,22 +337,28 @@ def identity_dof_map(cloud: NodeCloud) -> DofMap:
 def validate_model(cloud: NodeCloud, grid: BackgroundGrid,
                    material: MaterialModel, bc: BoundaryConditions):
     """ValidationError unless the grid and the material have the cloud's
-    dimension (:meth:`MaterialModel.validate_against`) and ``bc`` fits the
-    cloud (:meth:`BoundaryConditions.validate_against`)."""
+    dimension (:meth:`MaterialModel.validate_against`), every node lies in
+    the grid to 1e-12 of its largest extent, and ``bc`` fits the cloud
+    (:meth:`BoundaryConditions.validate_against`).  The one model check of
+    files, ``full_analysis`` and the edited model of ``prepare_modified``."""
     if grid.dim != cloud.dim:
         raise ValidationError("grid dimensionality does not match model dim")
     material.validate_against(cloud)
+    extent = np.asarray(grid.counts) * grid.cell_size
+    off, pad = cloud.coords - grid.origin, 1e-12 * extent.max()
+    outside = np.flatnonzero(((off < -pad) | (off > extent + pad)).any(axis=1))
+    if len(outside):
+        k = outside[0]
+        raise ValidationError(f"node {cloud.ids[k]} at "
+                              f"{cloud.coords[k].tolist()} lies outside the grid")
     bc.validate_against(cloud)
 
 
-def apply_modification(cloud: NodeCloud, mod: Modification,
-                       bc: BoundaryConditions | None = None):
-    """Apply a modification, returning the modified cloud and the union DofMap.
-
-    ``bc`` is the initial boundary conditions; removing a node that carries a
-    fixed DOF or point load is rejected unless the modification replaces the
-    boundary conditions.
-    """
+def apply_modification(cloud: NodeCloud, mod: Modification):
+    """Apply a modification, returning the modified cloud and the union
+    DofMap.  ValidationError for a removed id the cloud lacks, an added id
+    it holds, or added coordinates of another width; whether the edited
+    model is consistent is :func:`validate_model`'s."""
     removed = np.fromiter(mod.removed_ids, np.int64, len(mod.removed_ids))
     added = np.array(mod.added_ids, dtype=np.int64)
     unknown = removed[~np.isin(removed, cloud.ids)]
@@ -369,17 +370,6 @@ def apply_modification(cloud: NodeCloud, mod: Modification,
     if mod.added_coords.size != len(mod.added_ids) * cloud.dim:
         raise ValidationError(
             f"added_coords need {cloud.dim} coordinates per added node")
-    if bc is not None and mod.bc_change is None and mod.removed_ids:
-        for node_id, axis in bc.fixed_dofs:
-            if node_id in mod.removed_ids:
-                raise ValidationError(
-                    f"node {node_id} carries a fixed DOF; removal requires bc_change"
-                )
-        for node_id, axis, _ in bc.point_loads:
-            if node_id in mod.removed_ids:
-                raise ValidationError(
-                    f"node {node_id} carries a point load; removal requires bc_change"
-                )
 
     keep = ~np.isin(cloud.ids, removed)
     new_ids = np.concatenate([cloud.ids[keep], added])

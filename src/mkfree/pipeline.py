@@ -202,7 +202,7 @@ def prepare_modified(baseline: Baseline, mod: Modification) -> ModifiedCase:
     reads it.
     """
     cfg = baseline.cfg
-    cloud_mod, dof_map = apply_modification(baseline.cloud, mod, baseline.bc)
+    cloud_mod, dof_map = apply_modification(baseline.cloud, mod)
     mat_new = mod.material_change or baseline.material
     bc_new = mod.bc_change or baseline.bc
     validate_model(cloud_mod, baseline.grid, mat_new, bc_new)

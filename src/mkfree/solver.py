@@ -26,7 +26,7 @@ from scipy.linalg.blas import dgemm, dtrmm, dtrsm
 from scipy.sparse.linalg import ArpackError, eigsh
 
 from .assembly import StiffnessSystem
-from .errors import RigidBodyError
+from .errors import RigidBodyError, ValidationError
 
 __all__ = ["CholeskyFactor", "factorize", "solve"]
 
@@ -265,5 +265,5 @@ def solve(factor: CholeskyFactor, F: np.ndarray) -> np.ndarray:
     """Solve K U = F with the precomputed factor."""
     F = np.asarray(F, dtype=float)
     if F.shape[0] != factor.n:
-        raise ValueError(f"rhs length {F.shape[0]} != system size {factor.n}")
+        raise ValidationError(f"rhs length {F.shape[0]} != system size {factor.n}")
     return factor.apply_inverse(F)

@@ -108,14 +108,11 @@ def build_influence_domain(changed: list[int], cloud_initial: NodeCloud,
     two support sizes differ (0 where it does not integrate) or, at equal
     sizes, when its ascending id lists differ at any entry.  The modified
     supports at the affected points are kept for :func:`compute_delta`.
+    The clouds are as :func:`~mkfree.model.validate_model` accepts them.
     """
     if not changed:
         raise ValidationError("influence domain of an empty modification")
     moved = changed_coords(changed, cloud_initial, cloud_modified)
-    for pos in moved:
-        if not grid.contains(pos):
-            raise ValidationError(f"changed node at {pos.tolist()} outside grid")
-
     points = grid.gauss[0]
     cand = np.flatnonzero(within_reach(points, initial.reach, moved))
     sup_i = initial.sup.take(cand)

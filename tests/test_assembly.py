@@ -300,8 +300,7 @@ class TestApplyBcs:
         cloud, grid, mat, bc = small_model
         gone = int(cloud.ids[20])
         cloud_m, dm = apply_modification(cloud, Modification(
-            removed_ids={gone}, added_ids=(999,), added_coords=[[3.3, 2.7]]),
-            bc)
+            removed_ids={gone}, added_ids=(999,), added_coords=[[3.3, 2.7]]))
         solved, absent = {"identity": (cloud, []),
                           "union-initial": (cloud, [999]),
                           "union-modified": (cloud_m, [gone])}[space]

@@ -10,7 +10,8 @@ import pytest
 from mkfree import ca, demos
 from mkfree.cli import _parse_range, main
 from mkfree.errors import ValidationError
-from mkfree.model import model_to_dict, modification_to_dict
+from mkfree.model import (BoundaryConditions, Modification, model_to_dict,
+                          modification_to_dict)
 from mkfree.pipeline import (full_analysis, prepare_modified, run_ca,
                              run_full_modified)
 from mkfree.recovery import error_metrics
@@ -67,6 +68,18 @@ class TestSolve:
         rc = main(["solve", str(bad), "-o", str(tmp_path / "out")])
         assert rc == 2
         assert "validation error" in capsys.readouterr().err
+
+    def test_node_outside_the_grid_is_validation_error(self, tmp_path,
+                                                       capsys):
+        cloud, grid, mat, bc, _ = demos.notch_fill()
+        data = model_to_dict(cloud, grid, mat, bc)
+        data["nodes"].append({"id": 10 ** 6, "x": [5.0, 12.3]})
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(data))
+        rc = main(["solve", str(bad), "-o", str(tmp_path / "out")])
+        assert rc == 2
+        assert "node 1000000 at [5.0, 12.3] lies outside the grid" \
+            in capsys.readouterr().err
 
     @pytest.mark.parametrize("section, key", [("grid", "origin"),
                                               ("material", "E")])
@@ -288,9 +301,25 @@ class TestReanalyze:
         assert rc == 2
         assert "acts off the material" in capsys.readouterr().err
 
+    def test_zero_load_ifu_is_exact(self, tmp_path, capsys):
+        """An edit that keeps the supports and drops every load has the
+        exact answer U = 0, which IFU returns through its answer gate."""
+        cloud, grid, mat, bc, _ = demos.notch_fill()
+        model = tmp_path / "model.json"
+        model.write_text(json.dumps(model_to_dict(cloud, grid, mat, bc)))
+        mod = tmp_path / "mod.json"
+        mod.write_text(json.dumps(modification_to_dict(Modification(
+            bc_change=BoundaryConditions(fixed_dofs=bc.fixed_dofs)))))
+        rc = main(["reanalyze", str(model), str(mod), "--method", "ifu",
+                   "-o", str(tmp_path / "out")])
+        assert rc == 0
+        rows = _read_csv(tmp_path / "out" / "displacements.csv",
+                         "displacements")
+        assert {float(v) for *_, v in rows[1:]} == {0.0}
+        assert "short_circuit = True" in capsys.readouterr().out
+
 
 def _remove_one(cloud):
-    from mkfree.model import Modification
     # drop an interior node: keeps the problem solvable
     centroid = cloud.coords.mean(axis=0)
     nid = cloud.ids[np.argmin(np.linalg.norm(cloud.coords - centroid, axis=1))]

@@ -12,7 +12,8 @@ from mkfree.model import (BackgroundGrid, BoundaryConditions, MaterialModel,
                           Modification, NodeCloud, Traction,
                           apply_modification, identity_dof_map, load_model,
                           load_modification, model_to_dict,
-                          modification_to_dict)
+                          modification_to_dict, validate_model)
+from mkfree.pipeline import full_analysis, prepare_modified
 
 from conftest import jittered_cloud
 
@@ -61,7 +62,6 @@ class TestBackgroundGrid:
         g = BackgroundGrid(origin=[0, 0], cell_size=[1, 2], counts=(2, 3))
         assert g.dim == 2
         assert len(np.unique(g.gauss[2], axis=0)) == 6
-        assert g.contains([2.0, 6.0]) and not g.contains([2.5, 0.0])
 
     @pytest.mark.parametrize("origin, cell_size, counts", [
         ([np.nan, 0], [1, 1], (2, 2)),
@@ -79,6 +79,53 @@ class TestBackgroundGrid:
                                                            cell_size):
         with pytest.raises(ValidationError, match="one entry per cell count"):
             BackgroundGrid(origin=origin, cell_size=cell_size, counts=(2, 2))
+
+
+def _scaled_plate(scale):
+    """The 24 x 12 tension plate shifted by 1/3 and with every length
+    scaled by ``scale``, so its edge nodes and its grid bounds are computed
+    along different roundings."""
+    cloud, grid, mat, bc = demos._tension_plate(24, 12, 1.0)
+    cloud = NodeCloud(ids=cloud.ids, coords=(cloud.coords + 1 / 3) * scale,
+                      dim=2)
+    grid = BackgroundGrid(origin=(grid.origin + 1 / 3) * scale,
+                          cell_size=grid.cell_size * scale,
+                          counts=grid.counts)
+    return cloud, grid, mat, bc
+
+
+def _with_node(model, x):
+    cloud, *rest = model
+    new = int(cloud.ids.max()) + 1
+    return (NodeCloud(ids=np.append(cloud.ids, new),
+                      coords=np.vstack([cloud.coords, x]), dim=cloud.dim),
+            *rest), new
+
+
+class TestValidateModel:
+    def test_refuses_a_node_outside_the_grid(self):
+        cloud, grid, mat, bc, _ = demos.notch_fill()
+        model, new = _with_node((cloud, grid, mat, bc), [5.0, 12.3])
+        with pytest.raises(ValidationError, match=rf"node {new} at "
+                           r"\[5.0, 12.3\] lies outside the grid"):
+            validate_model(*model)
+
+    @pytest.mark.parametrize("scale", [1e-3, 1e4])
+    def test_tolerance_is_relative_to_the_grid(self, scale):
+        """Nodes on the grid's edge are inside at any unit of length, even
+        where roundoff puts them beyond it by more than 1e-12 (at 1e4, by
+        1.5e-11); a node outside by 1e-9 of the grid is outside at any
+        unit."""
+        model = _scaled_plate(scale)
+        cloud, grid = model[:2]
+        hi = grid.origin + np.asarray(grid.counts) * grid.cell_size
+        beyond = (cloud.coords - hi).max()
+        assert beyond > 0.0     # roundoff: 1.7e-18 at 1e-3, 1.5e-11 at 1e4
+        validate_model(*model)
+        outside, new = _with_node(model, hi + [1e-9 * (hi - grid.origin)[0],
+                                               0.0])
+        with pytest.raises(ValidationError, match=f"node {new} at"):
+            validate_model(*outside)
 
 
 class TestMaterial:
@@ -202,14 +249,22 @@ class TestApplyModification:
         assert carried[dm.dof(9, 1)]
         assert carried[dm.dof(0, 0)]
 
-    def test_remove_loaded_node_requires_bc_change(self):
-        bc = BoundaryConditions(point_loads=((1, 0, 1.0),))
-        with pytest.raises(ValidationError):
-            apply_modification(self._cloud(), Modification(removed_ids={1}),
-                               bc)
-        mod = Modification(removed_ids={1}, bc_change=BoundaryConditions())
-        cloud2, _ = apply_modification(self._cloud(), mod, bc)
-        assert not cloud2.has_node(1)
+    def test_remove_loaded_node_requires_bc_change(self, small_model):
+        """The edited model is checked as a model file is
+        (:func:`validate_model`, in prepare_modified): removing a node
+        that carries a point load is refused unless the edit replaces the
+        boundary conditions."""
+        bc = small_model[3]
+        loaded = bc.point_loads[0][0]
+        base = full_analysis(*small_model)
+        with pytest.raises(ValidationError, match=f"point load on node "
+                           f"{loaded}, which the model does not hold"):
+            prepare_modified(base, Modification(removed_ids={loaded}))
+        kept = BoundaryConditions(fixed_dofs=bc.fixed_dofs,
+                                  point_loads=bc.point_loads[1:])
+        case = prepare_modified(base, Modification(removed_ids={loaded},
+                                                   bc_change=kept))
+        assert not case.cloud_mod.has_node(loaded)
 
     def test_unknown_ids_rejected(self):
         with pytest.raises(ValidationError):

@@ -255,7 +255,7 @@ def test_insertion_lift_memory_stays_near_the_lifted_band():
     n = cloud.n_nodes
     mod = Modification(added_ids=(n, n + 1, n + 2),
                        added_coords=[[11.5, 5.5], [6.5, 6.5], [17.5, 3.5]])
-    _, dof_map = apply_modification(base.cloud, mod, base.bc)
+    _, dof_map = apply_modification(base.cloud, mod)
     tracemalloc.start()
     try:
         _, _, factor, _ = pipeline._lift(base, dof_map, base.material)
@@ -327,7 +327,7 @@ def test_lifted_stiffness_equals_the_coo_scatter(small_model, ids):
                   "interleaved-2d": lambda: _interleaved_2d(small_model),
                   "interleaved-3d": _interleaved_3d}[ids]()
     base = full_analysis(*model)
-    _, dof_map = apply_modification(base.cloud, mod, base.bc)
+    _, dof_map = apply_modification(base.cloud, mod)
     perm = dof_map.dofs_of(base.system.dof_map.node_ids)
     N = dof_map.n_dofs
     absent = np.setdiff1d(np.arange(N), perm)
@@ -355,7 +355,7 @@ def test_natural_order_lift_memory_stays_near_the_lifted_band():
     n = cloud.n_nodes
     mod = Modification(added_ids=(n, n + 1, n + 2),
                        added_coords=[[20.5, 10.5], [30.5, 15.5], [10.5, 5.5]])
-    _, dof_map = apply_modification(base.cloud, mod, base.bc)
+    _, dof_map = apply_modification(base.cloud, mod)
     tracemalloc.start()
     try:
         star, _, factor, _ = pipeline._lift(base, dof_map, base.material)
@@ -570,6 +570,56 @@ def test_refused_load_costs_no_update(monkeypatch):
     monkeypatch.setattr(pipeline, "_lift", unreachable)
     with pytest.raises(ValidationError, match="acts off the material"):
         prepare_modified(base, mod)
+
+
+def _notch_with_a_node_above_the_grid():
+    """notch_fill's model with one more node, 0.3 above its grid, and the
+    id of that node."""
+    cloud, grid, mat, bc, _ = demos.notch_fill()
+    new = int(cloud.ids.max()) + 1
+    return (NodeCloud(ids=np.append(cloud.ids, new),
+                      coords=np.vstack([cloud.coords, [5.0, 12.3]]), dim=2),
+            grid, mat, bc), new
+
+
+def test_full_analysis_refuses_a_node_outside_the_grid():
+    model, new = _notch_with_a_node_above_the_grid()
+    with pytest.raises(ValidationError, match=f"node {new} at "
+                       r"\[5.0, 12.3\] lies outside the grid"):
+        full_analysis(*model)
+
+
+def test_added_node_outside_the_grid_costs_no_update(monkeypatch):
+    """An edit that adds a node outside the grid is refused by the edited
+    model's check, before the lift and the local update."""
+    cloud, grid, mat, bc, _ = demos.notch_fill()
+    base = full_analysis(cloud, grid, mat, bc)
+
+    def unreachable(*_, **__):
+        raise AssertionError("the refused edit reached the update")
+
+    monkeypatch.setattr(pipeline, "local_delta", unreachable)
+    monkeypatch.setattr(pipeline, "_lift", unreachable)
+    new = int(cloud.ids.max()) + 1
+    with pytest.raises(ValidationError, match=f"node {new} at "
+                       r"\[5.0, 12.3\] lies outside the grid"):
+        prepare_modified(base, Modification(added_ids=(new,),
+                                            added_coords=[[5.0, 12.3]]))
+
+
+@pytest.mark.parametrize("fillet", [False, True])
+@pytest.mark.parametrize("method", [run_ifu, run_ca, run_full_modified])
+def test_zero_load_edit_has_the_zero_answer(method, fillet):
+    """Boundary conditions that keep notch_fill's supports and drop every
+    load, alone or with its fillet insertion, have the exact answer
+    U = 0, which every method returns."""
+    cloud, grid, mat, bc, mod = demos.notch_fill()
+    base = full_analysis(cloud, grid, mat, bc)
+    unloaded = BoundaryConditions(fixed_dofs=bc.fixed_dofs)
+    edit = (dataclasses.replace(mod, bc_change=unloaded) if fillet
+            else Modification(bc_change=unloaded))
+    U, _, _ = method(prepare_modified(base, edit))
+    assert not U.any()
 
 
 def _notch_with_3d_material():

@@ -10,7 +10,7 @@ import mkfree
 from mkfree import demos
 from mkfree.assembly import StiffnessSystem, apply_bcs, assemble_load, \
     assemble_stiffness
-from mkfree.errors import RigidBodyError
+from mkfree.errors import RigidBodyError, ValidationError
 from mkfree.model import identity_dof_map
 from mkfree.solver import CholeskyFactor, factorize, solve
 
@@ -94,7 +94,8 @@ def test_constrained_model_solves(small_model, cfg):
 
 def test_rhs_length_mismatch():
     factor = CholeskyFactor(L0=np.eye(4))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValidationError, match="rhs length 5 != system "
+                       "size 4"):
         solve(factor, np.zeros(5))
 
 
