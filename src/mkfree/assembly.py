@@ -57,7 +57,6 @@ __all__ = [
     "constitutive",
     "gradient_products",
     "isotropic_stiffness",
-    "integrate_stiffness",
     "assemble_stiffness",
     "assemble_load",
     "apply_bcs",
@@ -202,15 +201,6 @@ def isotropic_stiffness(P: dict, mat: MaterialModel) -> sp.csr_matrix:
     dof = np.arange(K.shape[0], dtype=K.row.dtype)    # no int64 copies
     dof = dof % S.shape[0] * d + dof // S.shape[0]
     return sp.csr_matrix((K.data, (dof[K.row], dof[K.col])), shape=K.shape)
-
-
-def integrate_stiffness(terms, weights, mat: MaterialModel, dof_map: DofMap
-                        ) -> sp.csr_matrix:
-    """sum over ``terms`` (cloud, state, sign) of sign * sum_g w_g B_g^T D
-    B_g on ``dof_map``'s DOFs for the isotropic ``mat``, formed from
-    :func:`gradient_products` without any strain-displacement block."""
-    return isotropic_stiffness(gradient_products(terms, weights, dof_map),
-                               mat)
 
 
 @dataclass(frozen=True)

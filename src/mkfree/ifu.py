@@ -25,15 +25,17 @@ every phase runs on the banded factor: :func:`constrain_factor` copies
 the band with S_d constrained, :func:`fundamental_solutions` re-indexes
 that copy onto its coupled rows r (:meth:`CholeskyFactor.unit_rows`,
 :meth:`CholeskyFactor.reindex`), and the triangular solves and products
-go by panels of the band.  No n x n array is built.
+go by panels of the band.  No n x n array is built, and SMW copies R and
+V at r once, into the block it solves in place.
 
 Guards: the fundamental solutions are checked against the operator SMW
-solved, L_rr L_rr^T + V_r V_r^T, by panel products on the band and one
-blocked V_r (V_r^T B_r) product, each block of columns of V_r over the
-rows it touches, whether V_r has more rows or more columns.  The
-answer is checked against the modified system, which also catches a
-factor that is inconsistent with K*: on the balanced rows the answer
-residual is delta_r + (K*[r, r] B_r - R_r) y.  Each guard raises
+solved, L_rr L_rr^T + V_r V_r^T, reading R and V at r where they are, by
+panel products on the band and one blocked V_r (V_r^T B_r) product, each
+block of columns of V gathered at r over the rows it touches, whether V_r
+has more rows or more columns.  The answer is checked against the
+modified system, which also catches a factor that is inconsistent with
+K*: on the balanced rows the answer residual is
+delta_r + (K*[r, r] B_r - R_r) y.  Each guard raises
 :class:`NumericalError` above 1e-9.  The fundamental right-hand sides
 carry the *negated* stiffness column: with the positive column the
 balanced equations are not annihilated and the method loses exactness.
@@ -170,23 +172,24 @@ def constraint_rhs(K_m: sp.spmatrix, S_d: np.ndarray) -> np.ndarray:
     return R
 
 
-def _smw(L: CholeskyFactor, V: np.ndarray, R: np.ndarray):
-    """Solve (L L^T + V V^T) X = R for lower-triangular L through SMW.
-
-    With Y = L^-1 R and W = L^-1 V from one forward panel solve,
-    X = L^-T (Y - W (I + W^T W)^-1 W^T Y).  Rows of [R V] above its first
-    nonzero row k give zero rows of Y and W, so the dense work runs on the
-    n_r' = n_r - k rows below.  The capacitance is factored on the smaller
-    side: when 0 < n_r' < n_d, the push-through identity gives
+def _smw(L: CholeskyFactor, V: np.ndarray, R: np.ndarray, r: np.ndarray):
+    """Solve (L L^T + V_r V_r^T) X = R_r through SMW for lower-triangular L,
+    with R_r = R[r] and V_r = V[r] gathered once into the block [Y W] that
+    one forward panel solve overwrites: Y = L^-1 R_r, W = L^-1 V_r, and
+    X = L^-T (Y - W (I + W^T W)^-1 W^T Y).  Rows of [R_r V_r] above its
+    first nonzero row k give zero rows of Y and W, so the dense work runs
+    on the n_r' = n_r - k rows below.  The capacitance is factored on the
+    smaller side: when 0 < n_r' < n_d, the push-through identity gives
     Y - W (I + W^T W)^-1 W^T Y = (I + W W^T)^-1 Y, one Cholesky factor of
     the n_r' x n_r' matrix and two triangular solves on Y in place;
     otherwise I + W^T W (n_d x n_d) is factored, and with n_r' = 0 X is
     zero.  Either capacitance is SPD, G G^T.  Returns X and
     (max/min of diag G)^2, a lower bound on cond(G G^T).
     """
-    n_r, n_d = R.shape
+    n_r, n_d = len(r), R.shape[1]
     YW = np.empty((n_r, 2 * n_d))
-    YW[:, :n_d], YW[:, n_d:] = R, V
+    YW[:, :n_d] = R[r]
+    YW[:, n_d:] = V[r]
     k = int(np.append(YW.any(axis=1), True).argmax())
     Y, W = L.panel_solve(YW)[k:, :n_d], YW[k:, n_d:]
     push = 0 < n_r - k < n_d
@@ -198,43 +201,42 @@ def _smw(L: CholeskyFactor, V: np.ndarray, R: np.ndarray):
         raise NumericalError(
             "SMW capacitance matrix is singular; fall back to a full "
             "re-factorization") from exc
-    X = np.zeros((n_r, n_d))
-    X[k:] = Y
+    X = np.concatenate((np.zeros((k, n_d)), Y))
     if push:        # X^T G G^T = Y^T by two triangular solves, in place
         dtrsm(1.0, G, X[k:].T, side=1, lower=1, trans_a=1, overwrite_b=1)
         dtrsm(1.0, G, X[k:].T, side=1, lower=1, overwrite_b=1)
-    elif k < n_r:
+    elif k < n_r:   # n_r' = 0 leaves X = 0: skip the n_d x n_d correction
         X[k:] -= W @ cho_solve((G, True), W.T @ Y, check_finite=False)
     L.panel_solve(X, trans=True)
     d = np.diagonal(G)
     return X, float((d.max() / d.min()) ** 2)
 
 
-def _add_outer(out: np.ndarray, V: np.ndarray, B: np.ndarray):
-    """out += V (V^T B) by blocks of ``_V_BLOCK`` columns of V, each over the
-    rows it touches: the columns of V are factor columns, nonzero only in
-    the band just below their DOF, so a block touches a narrow row range."""
+def _add_outer(out: np.ndarray, V: np.ndarray, r: np.ndarray, B: np.ndarray):
+    """out += V[r] (V[r]^T B) by blocks of ``_V_BLOCK`` columns of V, each
+    gathered at r, over the rows it touches: V holds factor columns, each
+    nonzero only in the band below its DOF, so a block's rows are few."""
     for j in range(0, V.shape[1], _V_BLOCK):
-        rows = np.flatnonzero(V[:, j:j + _V_BLOCK].any(axis=1))
+        Vb = V[r, j:j + _V_BLOCK]
+        rows = np.flatnonzero(Vb.any(axis=1))
         if len(rows):
             lo, hi = rows[0], rows[-1] + 1
-            Vb = V[lo:hi, j:j + _V_BLOCK]
-            out[lo:hi] += Vb @ (Vb.T @ B[lo:hi])
+            out[lo:hi] += Vb[lo:hi] @ (Vb[lo:hi].T @ B[lo:hi])
 
 
 def _fundamental(L_mod: CholeskyFactor, V: np.ndarray, R: np.ndarray):
     """Solve (L_mod L_mod^T + V V^T) B = R with SMW on the coupled rows r,
     on L_rr = ``L_mod.reindex(r)``: the other rows are unit rows of L_mod,
     linked to no row of r, and B equals R there, so B overwrites R.  The
-    guard is the residual of the block operator: L_rr L_rr^T B_r by panels
-    of the band plus V_r (V_r^T B_r) by :func:`_add_outer`.  Returns (B,
+    guard, read off R and V at r, is L_rr L_rr^T B_r by panels of the band
+    plus V_r (V_r^T B_r) by :func:`_add_outer`, less R_r.  Returns (B,
     relative residual, number of coupled rows, capacitance bound)."""
     r = np.flatnonzero(~L_mod.unit_rows() | V.any(axis=1))
-    L, V_r, R_r = L_mod.reindex(r), V[r], R[r]
-    B_r, cond = _smw(L, V_r, R_r)
+    L = L_mod.reindex(r)
+    B_r, cond = _smw(L, V, R, r)
     res = L.panel_multiply(L.panel_multiply(B_r.copy(), trans=True))
-    _add_outer(res, V_r, B_r)
-    res -= R_r
+    _add_outer(res, V, r, B_r)
+    res -= R[r]
     rel = _guard("fundamental-solution", res, R)
     R[r] = B_r
     return R, rel, len(r), cond

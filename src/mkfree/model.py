@@ -113,12 +113,6 @@ class NodeCloud:
     def tree(self) -> cKDTree:
         return cKDTree(self.coords)
 
-    def coord_of(self, node_id: int) -> np.ndarray:
-        """The coordinates of node ``node_id``; KeyError if it is absent."""
-        if not self.has_node(node_id):
-            raise KeyError(node_id)
-        return self.coords[self.ids.searchsorted(node_id)]
-
     def has_node(self, node_id: int) -> bool:
         k = self.ids.searchsorted(node_id)
         return bool(k < len(self.ids) and self.ids[k] == node_id)

@@ -193,13 +193,17 @@ def recover_fields(U: np.ndarray, cloud: NodeCloud, mat: MaterialModel,
 def _rel_norm(cand: np.ndarray, ref: np.ndarray, label: str) -> float:
     ref_norm = np.linalg.norm(ref)
     if ref_norm == 0.0:
+        if not cand.any():
+            return 0.0
         raise ValidationError(f"reference {label} norm is zero; error undefined")
     return float(np.linalg.norm(cand - ref) / ref_norm * 100.0)
 
 
 def error_metrics(candidate: FieldSolution, reference: FieldSolution):
     """Percent errors (E_u, E_eps, E_sigma): relative 2-norm of displacement
-    and of the per-node von Mises strain/stress vectors."""
+    and of the per-node von Mises strain/stress vectors.  A field that is
+    exactly zero in both, as under a zero load, has error 0; against a zero
+    reference any other candidate is a ValidationError."""
     if not np.array_equal(candidate.node_ids, reference.node_ids):
         raise ValidationError("error metrics require identical node sets")
     E_u = _rel_norm(candidate.displacements.ravel(),

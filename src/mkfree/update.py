@@ -18,7 +18,8 @@ from the state.  The initial cloud is never searched or evaluated;
 :func:`local_delta` builds its state with
 :func:`~mkfree.assembly.gauss_state` when the caller has none.  The delta
 is the global assembler's own integration
-(:func:`mkfree.assembly.integrate_stiffness`), with the modified
+(:func:`~mkfree.assembly.gradient_products` and
+:func:`~mkfree.assembly.isotropic_stiffness`), with the modified
 material.  A modification that leaves the node set unchanged (a
 material or BC change, or none) has a zero delta: a material change alone
 is a recombination of the baseline's gradient products, which the
@@ -35,7 +36,7 @@ import scipy.sparse as sp
 
 from .assembly import (GaussState, StiffnessSystem, active_supports,
                        assemble_stiffness, at_gauss_point, gauss_state,
-                       integrate_stiffness)
+                       gradient_products, isotropic_stiffness)
 from .config import DEFAULT_CONFIG, MeshlessConfig
 from .errors import ValidationError
 from .interp import Supports, support_gradients, within_reach
@@ -164,10 +165,10 @@ def compute_delta(dom: InfluenceDomain, cloud_initial: NodeCloud,
     modified = GaussState(sup=sup, grads=support_gradients(
         points[affected], cloud_modified, sup, cfg,
         lambda j: at_gauss_point(dom.grid, affected[j])))
-    return StiffnessDelta(dK=integrate_stiffness(
+    return StiffnessDelta(dK=isotropic_stiffness(gradient_products(
         [(cloud_modified, modified, 1.0),
          (cloud_initial, initial.take(affected), -1.0)],
-        weights[affected], mat, dof_map))
+        weights[affected], dof_map), mat))
 
 
 def local_delta(mod: Modification, cloud_initial: NodeCloud,

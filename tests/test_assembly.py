@@ -3,7 +3,7 @@ import pytest
 
 from mkfree.assembly import (active_supports, apply_bcs, assemble_load,
                              assemble_stiffness, constitutive, gauss_state,
-                             integrate_stiffness)
+                             gradient_products, isotropic_stiffness)
 from mkfree.config import MeshlessConfig
 from mkfree.interp import evaluate_at
 from mkfree.model import (BackgroundGrid, BoundaryConditions, MaterialModel,
@@ -163,8 +163,8 @@ class TestIntegrateStiffness:
         def integrate(terms):
             states = [(c, gauss_state(c, grid.gauss[0], cfg), sign)
                       for c, sign in terms]
-            return integrate_stiffness(states, grid.gauss[1], mat,
-                                       dm).toarray()
+            return isotropic_stiffness(gradient_products(
+                states, grid.gauss[1], dm), mat).toarray()
 
         K_m, K = integrate([(cloud_m, 1.0)]), integrate([(cloud, 1.0)])
         both = integrate([(cloud_m, 1.0), (cloud, -1.0)])
@@ -201,9 +201,10 @@ class TestIntegrateStiffness:
                 dofs = (pos[st.sup.rows[lo:hi]][:, None] * dim
                         + np.arange(dim)).ravel()
                 ref[np.ix_(dofs, dofs)] += sign * w[p] * B.T @ D @ B
-        K = integrate_stiffness(terms, w, mat, dm)
+        K = isotropic_stiffness(gradient_products(terms, w, dm), mat)
         assert K.shape == ref.shape and (K != K.T).nnz == 0
-        scale = np.abs(integrate_stiffness(terms[1:], w, mat, dm)).max()
+        scale = np.abs(isotropic_stiffness(gradient_products(
+            terms[1:], w, dm), mat)).max()
         assert np.abs(K.toarray() - ref).max() <= 1e-14 * scale
         if case == "cancelling-terms":
             assert not K.toarray().any()

@@ -318,6 +318,30 @@ class TestReanalyze:
         assert {float(v) for *_, v in rows[1:]} == {0.0}
         assert "short_circuit = True" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("method", ["ifu", "ca"])
+    def test_zero_load_compare_reports_zero_errors(self, tmp_path, capsys,
+                                                   method):
+        """Against the full re-solve's U = 0, either method's exact U = 0
+        has zero errors, and --compare says so."""
+        model, mod = _zero_load_files(tmp_path)
+        rc = main(["reanalyze", str(model), str(mod), "--method", method,
+                   "--compare", "-o", str(tmp_path / "out")])
+        assert rc == 0
+        assert ("E_u = 0.000e+00 %  E_eps = 0.000e+00 %  "
+                "E_sigma = 0.000e+00 %") in capsys.readouterr().out
+
+
+def _zero_load_files(tmp_path):
+    """notch_fill and an edit whose BCs keep its supports and drop every
+    load, on disk."""
+    cloud, grid, mat, bc, _ = demos.notch_fill()
+    model = tmp_path / "model.json"
+    model.write_text(json.dumps(model_to_dict(cloud, grid, mat, bc)))
+    mod = tmp_path / "mod.json"
+    mod.write_text(json.dumps(modification_to_dict(Modification(
+        bc_change=BoundaryConditions(fixed_dofs=bc.fixed_dofs)))))
+    return model, mod
+
 
 def _remove_one(cloud):
     # drop an interior node: keeps the problem solvable
@@ -366,6 +390,16 @@ class TestSweep:
                      "-o", str(out)]) == 0
         assert built == [12]
         assert _read_csv(out, "sweep")[1:] == expected
+
+    def test_zero_load_rows_are_zero(self, tmp_path):
+        """Under a zero load every CA iterate and the reference are U = 0,
+        so each row's errors are 0."""
+        model, mod = _zero_load_files(tmp_path)
+        out = tmp_path / "sweep.csv"
+        assert main(["sweep", str(model), str(mod), "--basis-range", "1..3",
+                     "-o", str(out)]) == 0
+        assert _read_csv(out, "sweep")[1:] == [
+            [str(s), "0.0", "0.0", "0.0"] for s in (1, 2, 3)]
 
     def test_bad_range_is_validation_error(self, small_files, tmp_path):
         model, mod = small_files

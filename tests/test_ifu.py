@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -10,11 +12,12 @@ from mkfree.errors import NumericalError, ValidationError
 from mkfree.ifu import (constrain_factor, constraint_rhs,
                         fundamental_solutions, ifu_solve, measurement,
                         reduce_unbalanced, residual, unbalanced_set)
-from mkfree.model import DofMap
+from mkfree.model import DofMap, MaterialModel, Modification
 from mkfree.pipeline import full_analysis, prepare_modified
 from mkfree.solver import CholeskyFactor, factorize
 
-from conftest import ifu_default_tol
+from conftest import (cantilever_bc, grid_for, ifu_default_tol,
+                      jittered_cloud)
 from oracles import ifu_hand_steps, random_spd
 
 
@@ -298,22 +301,23 @@ class TestCoupledBlock:
         assert np.linalg.norm(U - exact) <= 1e-12 * np.linalg.norm(exact)
 
     def test_blocked_outer_product_matches_dense(self, rng):
-        """The guard's V (V^T B) by row-restricted column blocks equals the
-        dense product, over several blocks and with empty columns, for V and
-        for V_r, V on the rows it touches, which has more columns than rows
-        (n_r < n_d)."""
+        """The guard's V[r] (V[r]^T B) by column blocks gathered at r and
+        restricted to the rows they touch equals the dense product, over
+        several blocks and with empty columns, for r all rows and for r the
+        rows V touches, where V[r] has more columns than rows (n_r < n_d)."""
         n = 700
         K = _clamped(_banded_spd(rng, n, 15), np.arange(40, 60))
         factor = CholeskyFactor(L0=np.linalg.cholesky(K))
         S_d = np.sort(rng.choice(n, 3 * ifu._V_BLOCK + 5, replace=False))
         _, V = constrain_factor(factor, S_d)
-        V_r = V[V.any(axis=1)]
-        assert V_r.shape[0] < V_r.shape[1]
-        for W in (V, V_r):
-            B = rng.standard_normal((len(W), len(S_d)))
+        touched = np.flatnonzero(V.any(axis=1))
+        assert len(touched) < V.shape[1]
+        for r in (np.arange(n), touched):
+            W = V[r]
+            B = rng.standard_normal((len(r), len(S_d)))
             out = rng.standard_normal(B.shape)
             expect = out + W @ (W.T @ B)
-            ifu._add_outer(out, W, B)
+            ifu._add_outer(out, V, r, B)
             assert np.abs(out - expect).max() <= 1e-12 * np.abs(expect).max()
 
     @given(seed=st.integers(0, 2 ** 32 - 1),
@@ -387,8 +391,10 @@ class TestCoupledBlock:
 
 class TestSmw:
     """_smw factors the capacitance on the smaller side, I + W W^T when the
-    rows below the first nonzero row of [R V] (n_r') are fewer than the
-    columns (n_d), else I + W^T W, and solves the same system either way."""
+    rows below the first nonzero row of [R[r] V[r]] (n_r') are fewer than
+    the columns (n_d), else I + W^T W, and solves the same system either
+    way; an all-zero block (n_r' = 0) factors I + W^T W = I and gives
+    X = 0."""
 
     @pytest.mark.parametrize("n_r_prime, n_d", [(20, 45), (30, 30),
                                                 (60, 25), (0, 12)])
@@ -404,6 +410,12 @@ class TestSmw:
         V[k:] = rng.standard_normal((n_r_prime, n_d))
         if n_r_prime:
             R[k] = 1.0          # row k is the first nonzero one
+        # R and V at the rows r of larger arrays, whose other rows SMW skips
+        r = np.sort(rng.choice(n + 15, n, replace=False))
+        R_full = rng.standard_normal((n + 15, n_d))
+        V_full = rng.standard_normal((n + 15, n_d))
+        R_full[r], V_full[r] = R, V
+        before = R_full.copy(), V_full.copy()
         factored = []
         real = ifu.cholesky
 
@@ -412,7 +424,8 @@ class TestSmw:
             return real(C, **kwargs)
 
         monkeypatch.setattr(ifu, "cholesky", recording)
-        X, cond = ifu._smw(factor, V.copy(), R.copy())
+        X, cond = ifu._smw(factor, V_full, R_full, r)
+        assert all(map(np.array_equal, (R_full, V_full), before))
         exact = np.linalg.solve(L @ L.T + V @ V.T, R)
         assert np.abs(X - exact).max() <= 1e-12 * max(np.abs(exact).max(), 1)
         side = min(n_r_prime, n_d) or n_d
@@ -436,7 +449,35 @@ class TestSmw:
         for n_d in (3, 12):
             with pytest.raises(NumericalError, match="capacitance"):
                 ifu._smw(factor, rng.standard_normal((8, n_d)),
-                         rng.standard_normal((8, n_d)))
+                         rng.standard_normal((8, n_d)), np.arange(8))
+
+
+def test_fundamental_memory_holds_the_coupled_rows_once():
+    """On a 9-node removal from a 24 x 16 plate (n_r 438 coupled rows,
+    n_d 298), the fundamental stage peaks at 5.9 blocks of n_r x n_d
+    doubles, the L_rr band (0.56) included: SMW gathers R and V at r once
+    into the block it solves, and the guard reads them where they are.
+    Copies of R_r and V_r kept beside that block peak at 7.9."""
+    cloud = jittered_cloud(np.random.default_rng(5), 24, 16, jitter=0.0)
+    base = full_analysis(cloud, grid_for(cloud), MaterialModel(100.0, 0.3),
+                         cantilever_bc(cloud))
+    i, j = np.divmod(cloud.ids, 16)
+    block = (np.abs(i - 12) <= 1) & (np.abs(j - 8) <= 1)
+    case = prepare_modified(base, Modification(
+        removed_ids=frozenset(int(n) for n in cloud.ids[block])))
+    delta = residual(case.K_m, case.F, case.U_star)
+    S_d = unbalanced_set(measurement(case.K_m, case.star.K, delta),
+                         ifu_default_tol(case))
+    L_mod, V = constrain_factor(case.factor, S_d)
+    R = constraint_rhs(case.K_m, S_d)
+    tracemalloc.start()
+    try:
+        _, _, n_r, _ = ifu._fundamental(L_mod, V, R)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (n_r, len(S_d)) == (438, 298)
+    assert peak <= 7.0 * n_r * len(S_d) * 8
 
 
 class TestReduceUnbalanced:

@@ -23,15 +23,11 @@ class TestNodeCloud:
         c = NodeCloud(ids=[3, 1], coords=[[0.0, 0.0], [1.0, 0.0]], dim=2)
         assert c.n_nodes == 2
         assert c.has_node(3) and not c.has_node(2)
-        assert np.allclose(c.coord_of(1), [1.0, 0.0])
-        with pytest.raises(KeyError):
-            c.coord_of(2)
 
     def test_rows_are_in_id_order(self):
         c = NodeCloud(ids=[3, 1, 2], coords=[[0, 0], [1, 0], [2, 0]], dim=2)
         assert c.ids.tolist() == [1, 2, 3]
         assert c.coords.tolist() == [[1, 0], [2, 0], [0, 0]]
-        assert np.array_equal(c.coord_of(3), [0.0, 0.0])
         assert not c.ids.flags.writeable and not c.coords.flags.writeable
 
     def test_rejects_duplicate_ids(self):

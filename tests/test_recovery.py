@@ -138,7 +138,8 @@ class TestRecoverFields:
         fields = recover_fields(U, cloud, mat, cfg)
         strain = []
         for nid in fields.node_ids:
-            sf = evaluate_at(cloud.coord_of(nid), cloud, cfg)
+            sf = evaluate_at(cloud.coords[cloud.ids.searchsorted(nid)],
+                             cloud, cfg)
             u = U[dm.dofs_of(sf.node_ids)].reshape(-1, dim)
             strain.append(np.einsum("nrd,nd->r",
                                     strain_displacement(sf.grads), u))
@@ -158,7 +159,8 @@ class TestRecoverFields:
             recover_fields(np.zeros(2 * cloud.n_nodes), cloud,
                            MaterialModel(1.0, 0.3), MeshlessConfig(alpha=0.3))
         assert str(err.value).endswith(" (at node 100)")
-        assert np.array_equal(err.value.point, cloud.coord_of(100))
+        assert np.array_equal(err.value.point,
+                              cloud.coords[cloud.ids.searchsorted(100)])
         assert (err.value.found, err.value.needed) == (1, 3)
 
     def test_length_mismatch(self, rng, cfg):
@@ -286,7 +288,8 @@ class TestEditedNodeState:
                            cfg, dm)
         assert str(err.value).endswith(" (at node 7)")
         assert str(err.value) == str(ref.value)
-        assert np.array_equal(err.value.point, cloud_m.coord_of(7))
+        assert np.array_equal(err.value.point,
+                              cloud_m.coords[cloud_m.ids.searchsorted(7)])
 
 
 class TestErrorMetrics:
@@ -325,3 +328,11 @@ class TestErrorMetrics:
         nonzero = self._fields(rng, cloud, cfg)
         with pytest.raises(ValidationError):
             error_metrics(nonzero, zero)
+
+    def test_zero_against_zero_is_exact(self, rng, cfg):
+        """A zero load's answer is U = 0 for every method: both fields are
+        exactly zero, and every error is 0 %."""
+        cloud = jittered_cloud(rng, 5, 4, jitter=0.1)
+        zero = recover_fields(np.zeros(2 * cloud.n_nodes), cloud,
+                              MaterialModel(1.0, 0.3), cfg)
+        assert error_metrics(zero, zero) == (0.0, 0.0, 0.0)
