@@ -26,7 +26,11 @@ the band with S_d constrained, :func:`fundamental_solutions` re-indexes
 that copy onto its coupled rows r (:meth:`CholeskyFactor.unit_rows`,
 :meth:`CholeskyFactor.reindex`), and the triangular solves and products
 go by panels of the band.  No n x n array is built, and SMW copies R and
-V at r once, into the block it solves in place.
+V at r once, into the block it solves in place.  The factor may hold its
+rows in its own order (``CholeskyFactor.perm``), and the phases do not
+depend on it: every array they take and give is by DOF, as K_m is, and
+only the coupled rows r are listed in the factor's order, so that L_rr
+is lower triangular on a band.
 
 Guards: the fundamental solutions are checked against the operator SMW
 solved, L_rr L_rr^T + V_r V_r^T, reading R and V at r where they are, by
@@ -147,12 +151,12 @@ def constrain_factor(factor: CholeskyFactor, S_d: np.ndarray):
     (L_mod, V).
 
     L_mod is a :class:`CholeskyFactor` on the band of ``factor``, with rows
-    and columns S_d zeroed and a unit diagonal there; V (n x n_d) holds the
-    factor columns at S_d with the rows S_d zeroed.  This equals moving
-    the columns out one DOF at a time in descending order, because L is
-    lower triangular: column s has no entry in a row above s, so zeroing
-    the rows of the other unbalanced DOFs first cannot change what it
-    contributes.
+    and columns S_d zeroed and a unit diagonal there; V (n x n_d, rows by
+    DOF) holds the factor columns at S_d with the rows S_d zeroed.  This
+    equals moving the columns out one at a time in descending factor
+    order, because L is lower triangular: column s has no entry in a row
+    above s, so zeroing the rows of the other unbalanced DOFs first cannot
+    change what it contributes.
     """
     V = factor.columns(S_d)
     V[S_d, :] = 0.0
@@ -182,15 +186,18 @@ def _smw(L: CholeskyFactor, V: np.ndarray, R: np.ndarray, r: np.ndarray):
     smaller side: when 0 < n_r' < n_d, the push-through identity gives
     Y - W (I + W^T W)^-1 W^T Y = (I + W W^T)^-1 Y, one Cholesky factor of
     the n_r' x n_r' matrix and two triangular solves on Y in place;
-    otherwise I + W^T W (n_d x n_d) is factored, and with n_r' = 0 X is
-    zero.  Either capacitance is SPD, G G^T.  Returns X and
-    (max/min of diag G)^2, a lower bound on cond(G G^T).
+    otherwise I + W^T W (n_d x n_d) is factored.  Either capacitance is
+    SPD, G G^T.  Returns X and (max/min of diag G)^2, a lower bound on
+    cond(G G^T).  With n_r' = 0 (as on a material-only change) X is zero,
+    nothing is factored, and the bound is 1.0.
     """
     n_r, n_d = len(r), R.shape[1]
     YW = np.empty((n_r, 2 * n_d))
     YW[:, :n_d] = R[r]
     YW[:, n_d:] = V[r]
     k = int(np.append(YW.any(axis=1), True).argmax())
+    if k == n_r:
+        return np.zeros((n_r, n_d)), 1.0
     Y, W = L.panel_solve(YW)[k:, :n_d], YW[k:, n_d:]
     push = 0 < n_r - k < n_d
     try:
@@ -205,7 +212,7 @@ def _smw(L: CholeskyFactor, V: np.ndarray, R: np.ndarray, r: np.ndarray):
     if push:        # X^T G G^T = Y^T by two triangular solves, in place
         dtrsm(1.0, G, X[k:].T, side=1, lower=1, trans_a=1, overwrite_b=1)
         dtrsm(1.0, G, X[k:].T, side=1, lower=1, overwrite_b=1)
-    elif k < n_r:   # n_r' = 0 leaves X = 0: skip the n_d x n_d correction
+    else:
         X[k:] -= W @ cho_solve((G, True), W.T @ Y, check_finite=False)
     L.panel_solve(X, trans=True)
     d = np.diagonal(G)
@@ -226,12 +233,13 @@ def _add_outer(out: np.ndarray, V: np.ndarray, r: np.ndarray, B: np.ndarray):
 
 def _fundamental(L_mod: CholeskyFactor, V: np.ndarray, R: np.ndarray):
     """Solve (L_mod L_mod^T + V V^T) B = R with SMW on the coupled rows r,
-    on L_rr = ``L_mod.reindex(r)``: the other rows are unit rows of L_mod,
-    linked to no row of r, and B equals R there, so B overwrites R.  The
-    guard, read off R and V at r, is L_rr L_rr^T B_r by panels of the band
-    plus V_r (V_r^T B_r) by :func:`_add_outer`, less R_r.  Returns (B,
-    relative residual, number of coupled rows, capacitance bound)."""
-    r = np.flatnonzero(~L_mod.unit_rows() | V.any(axis=1))
+    listed in the factor's order, on L_rr = ``L_mod.reindex(r)``: the other
+    rows are unit rows of L_mod, linked to no row of r, and B equals R
+    there, so B overwrites R.  The guard, read off R and V at r, is
+    L_rr L_rr^T B_r by panels of the band plus V_r (V_r^T B_r) by
+    :func:`_add_outer`, less R_r.  Returns (B, relative residual, number
+    of coupled rows, capacitance bound)."""
+    r = L_mod.in_order(~L_mod.unit_rows() | V.any(axis=1))
     L = L_mod.reindex(r)
     B_r, cond = _smw(L, V, R, r)
     res = L.panel_multiply(L.panel_multiply(B_r.copy(), trans=True))

@@ -104,9 +104,9 @@ def _lift(baseline: Baseline, dof_map: DofMap, mat: MaterialModel):
     matrix lifts by renumbering its arrays: row k moves to row perm[k]
     with columns perm[indices], in the same order.  K* is the lifted
     BC-applied K plus a unit diagonal on the uncarried DOFs, so BCs are
-    not applied again, and its factor is ``P L0 P^T`` plus that diagonal:
-    :meth:`CholeskyFactor.reindex` of L0 with union DOF ``perm[k]`` taken
-    from initial DOF k and the others unit.
+    not applied again, and :meth:`CholeskyFactor.embed` gives its factor:
+    the initial DOFs in the initial factor's order, each uncarried unit
+    DOF right after its predecessor in union DOF order.
 
     Returns the lifted BC-applied system, raw K, factor and displacement;
     with no added node the matrices and the factor are returned uncopied,
@@ -130,12 +130,11 @@ def _lift(baseline: Baseline, dof_map: DofMap, mat: MaterialModel):
 
     F_star = np.zeros(N)
     F_star[perm] = system.F
-    src = np.full(N, -1)
-    src[perm] = np.arange(len(perm))
-    star = StiffnessSystem(
-        K=lift(system.K) + sp.diags((src < 0) * 1.0, format="csr"),
-        F=F_star, dof_map=dof_map)
-    return star, lift(K_raw), baseline.factor.reindex(src), U_star
+    unit = np.ones(N)
+    unit[perm] = 0.0
+    star = StiffnessSystem(K=lift(system.K) + sp.diags(unit, format="csr"),
+                           F=F_star, dof_map=dof_map)
+    return star, lift(K_raw), baseline.factor.embed(perm, N), U_star
 
 
 @dataclass(frozen=True)

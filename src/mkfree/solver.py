@@ -1,20 +1,27 @@
 """Direct solution of the constrained system K U = F via a banded Cholesky
 factor.
 
-The factor is kept in original DOF order (no fill-reducing permutation) so
-that reanalysis can address factor columns by DOF index directly.  It is
-stored as its lower band, ``ab[i - j, j] = L[i, j]`` for
-``0 <= i - j <= b``, with b the half-bandwidth of K: (b + 1) n doubles
-instead of n^2.  Only this module knows that layout.  One right-hand side
-goes through LAPACK's banded solve; a block of them goes through
-:meth:`CholeskyFactor.panel_solve`, and a block product with L or L^T
-through :meth:`CholeskyFactor.panel_multiply`, both level-3 BLAS on panels
-of the band.  Reanalysis reads the factor through its ``columns``,
-``constrained`` and ``unit_rows`` methods, and moves it to another DOF set
-through ``reindex``: IFU takes the coupled rows of a constrained factor,
-and a node insertion lifts the initial factor onto the union DOF space.
-None of them builds a dense n x n matrix; ``np.asarray(factor)`` (its
-``__array__``) is the one dense view, for tests.
+The factor is stored as its lower band, ``ab[i - j, j] = L[i, j]`` for
+``0 <= i - j <= b``, with b its half-bandwidth: (b + 1) n doubles instead
+of n^2.  Its rows are in the factor's order ``perm``: L L^T is
+K[perm][:, perm].  :func:`factorize` takes the reverse Cuthill-McKee order
+of K's pattern (Cuthill & McKee, ACM Nat. Conf. 1969; George & Liu,
+*Computer Solution of Large Sparse Positive Definite Systems*, 1981) when
+it narrows the band of K's coupled rows, and keeps DOF order (``perm``
+None) otherwise, so the band does not follow how the node ids happen to
+be numbered.  K, F, U and every DofMap stay in DOF order:
+:meth:`CholeskyFactor.apply_inverse` moves a right-hand side into the
+factor's order and its answer back.  Only this module knows the band
+layout.  One right-hand side goes through LAPACK's banded solve; a block
+of them goes through :meth:`CholeskyFactor.panel_solve`, and a block
+product with L or L^T through :meth:`CholeskyFactor.panel_multiply`, both
+level-3 BLAS on panels of the band.  Reanalysis reads the factor by DOF,
+whatever its order, through its ``columns``, ``constrained`` and
+``unit_rows`` methods, and moves it to another DOF set through
+``reindex`` and ``embed``: IFU takes the coupled rows of a constrained factor, and a node
+insertion embeds the initial factor in the union DOF space.  None of them
+builds a dense n x n matrix; ``np.asarray(factor)`` (its ``__array__``)
+is the one dense view, for tests.
 """
 
 from __future__ import annotations
@@ -23,6 +30,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.linalg import LinAlgError, cho_solve_banded, cholesky_banded
 from scipy.linalg.blas import dgemm, dtrmm, dtrsm
+from scipy.sparse.csgraph import reverse_cuthill_mckee
 from scipy.sparse.linalg import ArpackError, eigsh
 
 from .assembly import StiffnessSystem
@@ -45,15 +53,60 @@ _PANEL = 128
 _PIVOT_TOL = 1e-10
 
 
-def _lower_band(A) -> np.ndarray:
-    """Lower band ``ab[i - j, j] = A[i, j]`` of a matrix, dense or sparse,
-    as wide as the nonzeros of its lower triangle."""
-    T = sp.tril(A, format="coo")
-    T.sum_duplicates()
-    d = T.row - T.col
+def _canonical(A) -> sp.csr_matrix:
+    """A, dense or sparse, as CSR with sorted indices and no duplicates."""
+    A = sp.csr_matrix(A)
+    if not A.has_canonical_format:
+        A = A.copy()
+        A.sum_duplicates()
+    return A
+
+
+def _inverse(perm: np.ndarray) -> np.ndarray:
+    """The position of each index in the order ``perm``."""
+    ip = np.empty_like(perm)
+    ip[perm] = np.arange(len(perm))
+    return ip
+
+
+def _lower_band(A: sp.csr_matrix, perm: np.ndarray | None = None
+                ) -> np.ndarray:
+    """Lower band ``ab[ip[i] - ip[j], ip[j]] = A[i, j]`` of a canonical CSR
+    matrix in the order ``perm``, with ``ip`` its inverse (the identity
+    when None), as wide as the stored entries of that lower triangle."""
+    ip = np.arange(A.shape[0]) if perm is None else _inverse(perm)
+    i = np.repeat(ip, np.diff(A.indptr))
+    j = A.indices if perm is None else ip[A.indices]
+    d = i - j
+    low = d >= 0
     ab = np.zeros((int(np.max(d, initial=0)) + 1, A.shape[0]))
-    ab[d, T.col] = T.data
+    ab[d[low], j[low]] = A.data[low]
     return ab
+
+
+def _band_order(K: sp.csr_matrix) -> np.ndarray | None:
+    """The reverse Cuthill-McKee order of K's pattern when it narrows the
+    band of K's coupled rows, those with an off-diagonal entry; else None,
+    DOF order.  A decoupled row (a BC-eliminated or uncarried DOF) is a
+    lone unit diagonal that sits anywhere in the band at no cost to the
+    others, so the two orders are compared on the coupled rows alone: RCM,
+    which keeps each connected component together, does not win by
+    setting the decoupled rows aside.  Each order's width is the largest
+    count of coupled rows from a row's farthest column to the row, read
+    off the sorted CSR rows."""
+    if K.nnz == 0:
+        return None
+    start, stop = K.indptr[:-1], K.indptr[1:]
+    rows = np.flatnonzero(stop > start)
+    first, last = K.indices[start[rows]], K.indices[stop[rows] - 1]
+    coupled = np.zeros(K.shape[0], dtype=bool)
+    coupled[rows] = (first != rows) | (last != rows)
+    rank = np.cumsum(coupled)               # in DOF order
+    width = np.max(rank[rows] - rank[first])
+    rcm = reverse_cuthill_mckee(K, symmetric_mode=True).astype(np.intp)
+    rank[rcm] = np.cumsum(coupled[rcm])
+    farthest = np.minimum.reduceat(rank[K.indices], start[rows])
+    return rcm if np.max(rank[rows] - farthest) < width else None
 
 
 def _strip(ab: np.ndarray, k0: int, k1: int) -> np.ndarray:
@@ -73,50 +126,84 @@ def _strip(ab: np.ndarray, k0: int, k1: int) -> np.ndarray:
 
 
 class CholeskyFactor:
-    """Lower-triangular factor L with K = L L^T, in DOF order, stored as its
-    band ``ab[i - j, j] = L[i, j]``.  ``CholeskyFactor(L0=L)`` takes a
-    dense factor and ``np.asarray(factor)`` returns one, for tests; the
-    solver and IFU paths use only the band."""
+    """Lower-triangular factor L with L L^T = K[perm][:, perm], stored as
+    its band ``ab[i - j, j] = L[i, j]``: row k of L is DOF ``perm[k]``, and
+    ``perm`` is None in DOF order.
 
-    __slots__ = ("ab",)
+    Every method but the panel kernels speaks in DOFs, whatever the order:
+    ``columns``, ``constrained``, ``unit_rows``, ``reindex`` and ``embed``
+    take and give DOF indices, and ``np.asarray(factor)`` is P^T L P, L with
+    row and column k at DOF ``perm[k]``, whose product with its transpose
+    is K (``CholeskyFactor(L0=L)`` takes a dense factor in DOF order; both
+    are for tests).  ``panel_solve`` and ``panel_multiply`` act on L
+    itself, in the factor's order; IFU calls them on a :meth:`reindex`,
+    whose order is the one its map lists.  The solver and IFU paths use
+    only the band."""
+
+    __slots__ = ("ab", "perm")
 
     def __init__(self, L0: np.ndarray | None = None, *,
-                 ab: np.ndarray | None = None):
+                 ab: np.ndarray | None = None,
+                 perm: np.ndarray | None = None):
         if (L0 is None) == (ab is None):
             raise TypeError("give exactly one of L0 and ab")
         if ab is None:
-            ab = _lower_band(np.asarray(L0, dtype=float))
-        self.ab = ab
+            ab = _lower_band(_canonical(np.asarray(L0, dtype=float)))
+        n = ab.shape[1]
+        if perm is not None:
+            perm = np.asarray(perm)
+            if perm.shape != (n,) or perm.dtype.kind not in "iu" \
+                    or not np.array_equal(np.sort(perm), np.arange(n)):
+                raise ValueError(f"perm must be a permutation of range({n})")
+            if np.array_equal(perm, np.arange(n)):
+                perm = None
+        self.ab, self.perm = ab, perm
 
     @property
     def n(self) -> int:
         return self.ab.shape[1]
 
+    def _rows(self, dofs: np.ndarray) -> np.ndarray:
+        """The factor rows of ``dofs``."""
+        return dofs if self.perm is None else _inverse(self.perm)[dofs]
+
+    def in_order(self, mask: np.ndarray) -> np.ndarray:
+        """The DOFs where the boolean ``mask`` holds, in the factor's
+        order."""
+        if self.perm is None:
+            return np.flatnonzero(mask)
+        return self.perm[mask[self.perm]]
+
     def __array__(self, dtype=None, copy=None) -> np.ndarray:
-        """The dense n x n factor, built afresh on each call."""
+        """The dense n x n factor by DOF, P^T L P, built afresh on each
+        call."""
         if copy is False:
             raise ValueError("the dense factor is always built afresh")
         return self.columns(np.arange(self.n))
 
     def columns(self, cols: np.ndarray) -> np.ndarray:
-        """Dense L[:, cols]."""
+        """Dense columns ``cols`` of P^T L P: L's column at DOF cols[k],
+        each entry in the row of its DOF."""
         w, n = self.ab.shape
-        i = cols + np.arange(w)[:, None]
+        c = self._rows(cols)
+        i = c + np.arange(w)[:, None]
         ok = i < n
         out = np.zeros((n, len(cols)))
-        out[i[ok], np.broadcast_to(np.arange(len(cols)), i.shape)[ok]] = \
-            self.ab[:, cols][ok]
+        rows = i[ok] if self.perm is None else self.perm[i[ok]]
+        out[rows, np.broadcast_to(np.arange(len(cols)), i.shape)[ok]] = \
+            self.ab[:, c][ok]
         return out
 
     def constrained(self, S_d: np.ndarray) -> "CholeskyFactor":
-        """A copy of L with rows and columns ``S_d`` zeroed and a unit
-        diagonal there, on the same band."""
+        """A copy of the factor with the rows and columns of DOFs ``S_d``
+        zeroed and a unit diagonal there, on the same band and order."""
+        S_d = self._rows(np.asarray(S_d))
         ab = self.ab.copy()
         ab[:, S_d] = 0.0
         ab[0, S_d] = 1.0
         for d in range(1, ab.shape[0]):     # L[s, s - d] = ab[d, s - d]
             ab[d, S_d[S_d >= d] - d] = 0.0
-        return CholeskyFactor(ab=ab)
+        return CholeskyFactor(ab=ab, perm=self.perm)
 
     def unit_rows(self) -> np.ndarray:
         """Mask over the DOFs: True where L has a unit diagonal and no other
@@ -127,30 +214,37 @@ class CholeskyFactor:
             nz = self.ab[d, :n - d] != 0.0
             linked[:n - d] |= nz
             linked[d:] |= nz
-        return (self.ab[0] == 1.0) & ~linked
+        mask = (self.ab[0] == 1.0) & ~linked
+        return mask if self.perm is None else mask[_inverse(self.perm)]
 
     def reindex(self, src: np.ndarray) -> "CholeskyFactor":
-        """R with R[t', t] = L[src[t'], src[t]], and a decoupled unit DOF t
-        where ``src[t] < 0``, on a band as wide as its nonzeros.
+        """R with R[t', t] = A[src[t'], src[t]] for A = ``np.asarray(self)``,
+        and a decoupled unit DOF t where ``src[t] < 0``, on a band as wide as
+        its nonzeros, in the order ``src`` lists (``perm`` None).
 
-        ``src`` must increase on its kept entries, DOFs of L (ValueError
-        otherwise), so entry (t', t) with t < t' comes from below L's
-        diagonal: R is lower triangular, and R R^T is L L^T re-indexed alike.
-        So R is the Cholesky factor of that matrix when no column ``src``
-        drops has an entry in a row it keeps: the coupled rows of a
-        constrained factor, or an insertion of unit DOFs (Davis & Hager, SIAM
-        J. Matrix Anal. Appl. 20(3), 1999).  A kept gap src[t'] - src[t] is
-        at least t' - t less the unit DOFs between, and L has no gap past
-        w - 1, so R has at most w + (unit DOFs) diagonals: each is one
-        gather from the flat band, kept where the gap is in 1..w - 1 (a unit
-        DOF, at column -w, puts all its gaps outside).
+        ``src`` must list DOFs in the factor's order, increasing factor rows
+        on its kept entries (ValueError otherwise), so entry (t', t) with
+        t < t' comes from below L's diagonal: R is lower triangular, and
+        R R^T is L L^T re-indexed alike.  So R is the Cholesky factor of
+        that matrix when no column ``src`` drops has an entry in a row it
+        keeps: the coupled rows of a constrained factor, or an insertion of
+        unit DOFs (Davis & Hager, SIAM J. Matrix Anal. Appl. 20(3), 1999).
+        A kept gap between factor rows is at least t' - t less the unit DOFs
+        between, and L has no gap past w - 1, so R has at most
+        w + (unit DOFs) diagonals: each is one gather from the flat band,
+        kept where the gap is in 1..w - 1 (a unit DOF, at column -w, puts
+        all its gaps outside).
         """
         w, n = self.ab.shape
         src = np.asarray(src, dtype=np.intp)
         unit = src < 0
-        kept = src[~unit]
-        if src.ndim != 1 or np.any(kept >= n) or np.any(np.diff(kept) <= 0):
-            raise ValueError(f"src must be increasing where >= 0, and < {n}")
+        wrong = ValueError(f"src must list DOFs < {n}, increasing in the "
+                           f"factor's order where >= 0")
+        if src.ndim != 1 or np.any(src >= n):
+            raise wrong
+        kept = self._rows(src[~unit])
+        if np.any(np.diff(kept) <= 0):
+            raise wrong
         N = len(src)
         out = np.zeros((min(w + N - len(kept), N) if len(kept) > 1 else 1, N))
         out[0] = 1.0
@@ -158,7 +252,8 @@ class CholeskyFactor:
         ab = self.ab if self.ab.flags.forc else np.ascontiguousarray(self.ab)
         flat = ab.ravel("K")                # ab[g, c] at g step + c stride
         step, stride = (s // ab.itemsize for s in ab.strides)
-        col = np.where(unit, -w, src)
+        col = np.full(N, -w)
+        col[~unit] = kept
         off = col * stride
         for e in range(1, out.shape[0]):
             gap = col[e:] - col[:N - e]
@@ -168,9 +263,29 @@ class CholeskyFactor:
         return CholeskyFactor(
             ab=out[:np.flatnonzero(out.any(axis=1)).max(initial=0) + 1])
 
+    def embed(self, dofs: np.ndarray, N: int) -> "CholeskyFactor":
+        """The factor of the N x N matrix that holds K at ``dofs`` (K's DOF j
+        at DOF dofs[j]) and a unit diagonal on the other DOFs.  K's DOFs keep
+        this factor's order, and each unit DOF goes right after its
+        predecessor among the N, so a factor in DOF order embeds in DOF
+        order."""
+        src = np.full(N, -1)            # K's DOF at each of the N, or -1
+        src[dofs] = np.arange(self.n)
+        row = np.where(src >= 0, self._rows(src), -1)
+        last = np.maximum.accumulate(np.where(src >= 0, np.arange(N), -1))
+        order = np.argsort(np.where(last >= 0, row[last], -1), kind="stable")
+        return CholeskyFactor(ab=self.reindex(src[order]).ab, perm=order)
+
     def apply_inverse(self, rhs: np.ndarray) -> np.ndarray:
-        """K^-1 rhs through the two banded triangular solves."""
-        return cho_solve_banded((self.ab, True), rhs, check_finite=False)
+        """K^-1 rhs through the two banded triangular solves, ``rhs`` and
+        the answer by DOF."""
+        if self.perm is None:
+            return cho_solve_banded((self.ab, True), rhs, check_finite=False)
+        x = cho_solve_banded((self.ab, True), np.asarray(rhs)[self.perm],
+                             check_finite=False)
+        out = np.empty_like(x)
+        out[self.perm] = x
+        return out
 
     def _panels(self, X: np.ndarray, descending: bool, first: int = 0):
         """Per panel k0:k1 of up to ``_PANEL`` rows, from the panel holding
@@ -240,14 +355,17 @@ def _near_null_vector(K) -> np.ndarray | None:
 
 
 def factorize(system: StiffnessSystem) -> CholeskyFactor:
-    """Cholesky-factor the BC-applied stiffness matrix on its band.
+    """Cholesky-factor the BC-applied stiffness matrix on its band, in the
+    order :func:`_band_order` picks.
 
     Raises RigidBodyError, with a near-null vector, if the matrix is not
     positive definite or some pivot L_jj^2 is at most ``_PIVOT_TOL`` times
     its own diagonal entry K_jj, i.e. the model is under-constrained: a
     rigid-body mode can factor by roundoff alone.
     """
-    band = _lower_band(system.K)
+    K = _canonical(system.K)
+    perm = _band_order(K)
+    band = _lower_band(K, perm)
     try:
         ab = cholesky_banded(band, lower=True, check_finite=False)
     except LinAlgError:
@@ -258,7 +376,7 @@ def factorize(system: StiffnessSystem) -> CholeskyFactor:
             "pivot is at roundoff level; the model is likely "
             "under-constrained (rigid-body mode present)",
             null_vector=_near_null_vector(system.K))
-    return CholeskyFactor(ab=ab)
+    return CholeskyFactor(ab=ab, perm=perm)
 
 
 def solve(factor: CholeskyFactor, F: np.ndarray) -> np.ndarray:

@@ -47,6 +47,18 @@ def cantilever_bc(cloud, load=1.0, band=0.5):
     )
 
 
+def shuffled_plate(seed=3, nx=24, ny=12, stride=1):
+    """A jittered nx x ny cantilever plate whose ids are a random
+    permutation of range(nx ny), times ``stride``: its DOF order follows no
+    geometry, so its band in DOF order is about n wide."""
+    rng = np.random.default_rng(seed)
+    lattice = jittered_cloud(rng, nx, ny, jitter=0.2)
+    cloud = NodeCloud(ids=stride * rng.permutation(lattice.n_nodes),
+                      coords=lattice.coords, dim=2)
+    return (cloud, grid_for(cloud, pad=0.3), MaterialModel(100.0, 0.3),
+            cantilever_bc(cloud))
+
+
 def loaded_edge_cut():
     """The 20 x 12 tension plate and the removal of its 18 nodes at
     x >= 17, |y - 5.5| < 2.6, which cuts into the loaded edge x = 19: five

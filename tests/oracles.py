@@ -9,6 +9,8 @@ package's own support search.
 """
 
 import numpy as np
+import scipy.sparse as sp
+from scipy.linalg import cholesky_banded
 
 from mkfree.assembly import ACTIVITY_FACTOR, active_supports
 from mkfree.interp import _SUPPORT_GROWTH
@@ -241,6 +243,18 @@ def ifu_hand_steps(K_star, K_m, F, U_star, S_d):
     residual_40 = np.linalg.norm(A @ B - R) / np.linalg.norm(R)
     return {"L_mod": L_mod, "V": V, "R": R, "A": A, "B": B,
             "K_R": K_R, "y": y, "U": U, "residual": residual_40}
+
+
+def banded_cholesky_oracle(K):
+    """Lower band ``ab[i - j, j] = L[i, j]`` of the Cholesky factor of the
+    sparse SPD matrix K in DOF order, the band read off a COO scatter of
+    K's lower triangle."""
+    T = sp.tril(K, format="coo")
+    T.sum_duplicates()
+    d = T.row - T.col
+    band = np.zeros((int(np.max(d, initial=0)) + 1, K.shape[0]))
+    band[d, T.col] = T.data
+    return cholesky_banded(band, lower=True)
 
 
 def random_spd(rng, n, scale=1.0):

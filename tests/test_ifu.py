@@ -17,8 +17,8 @@ from mkfree.pipeline import full_analysis, prepare_modified
 from mkfree.solver import CholeskyFactor, factorize
 
 from conftest import (cantilever_bc, grid_for, ifu_default_tol,
-                      jittered_cloud)
-from oracles import ifu_hand_steps, random_spd
+                      jittered_cloud, shuffled_plate)
+from oracles import banded_cholesky_oracle, ifu_hand_steps, random_spd
 
 
 def _factor(K):
@@ -393,8 +393,7 @@ class TestSmw:
     """_smw factors the capacitance on the smaller side, I + W W^T when the
     rows below the first nonzero row of [R[r] V[r]] (n_r') are fewer than
     the columns (n_d), else I + W^T W, and solves the same system either
-    way; an all-zero block (n_r' = 0) factors I + W^T W = I and gives
-    X = 0."""
+    way; an all-zero block (n_r' = 0) factors nothing and gives X = 0."""
 
     @pytest.mark.parametrize("n_r_prime, n_d", [(20, 45), (30, 30),
                                                 (60, 25), (0, 12)])
@@ -428,15 +427,16 @@ class TestSmw:
         assert all(map(np.array_equal, (R_full, V_full), before))
         exact = np.linalg.solve(L @ L.T + V @ V.T, R)
         assert np.abs(X - exact).max() <= 1e-12 * max(np.abs(exact).max(), 1)
-        side = min(n_r_prime, n_d) or n_d
+        if n_r_prime == 0:
+            assert factored == [] and not X.any() and cond == 1.0
+            return
+        side = min(n_r_prime, n_d)
         W = np.linalg.solve(L, V)[k:]
         C = (np.eye(n_r_prime) + W @ W.T if 0 < n_r_prime < n_d
              else np.eye(n_d) + W.T @ W)
         assert [G.shape for G in factored] == [C.shape] == [(side, side)]
         assert np.abs(factored[0] - C).max() <= 1e-12 * np.abs(C).max()
         assert 1.0 <= cond <= np.linalg.cond(C) * (1 + 1e-10)
-        if n_r_prime == 0:
-            assert not X.any() and cond == 1.0
 
     def test_singular_capacitance_raises_on_either_side(self, rng,
                                                         monkeypatch):
@@ -566,3 +566,33 @@ class TestDemoComposition:
         assert diag.fund_residual <= 1e-12
         assert diag.solve_residual <= 1e-9
 
+
+
+@pytest.mark.parametrize("edit", ["removal", "material"])
+def test_reordered_factor_gives_the_dof_order_answer(edit):
+    """On a shuffled-id plate the factor is in reverse Cuthill-McKee order.
+    ifu_solve with it equals ifu_solve with the DOF-order factor of the
+    same K* to roundoff, with the same unbalanced and coupled DOFs, and
+    the public phases, composed in DOF order, reproduce it bit for bit."""
+    base = full_analysis(*shuffled_plate(nx=40, ny=12))
+    assert base.factor.perm is not None
+    cloud = base.cloud
+    centre = np.linalg.norm(cloud.coords - cloud.coords.mean(axis=0), axis=1)
+    mod = (Modification(removed_ids=frozenset(
+               int(i) for i in cloud.ids[np.argsort(centre)[:4]]))
+           if edit == "removal"
+           else Modification(material_change=MaterialModel(250.0, 0.25)))
+    c = prepare_modified(base, mod)
+    dof_order = CholeskyFactor(ab=banded_cholesky_oracle(c.star.K))
+    U, diag = ifu_solve(c.factor, c.star.K, c.K_m, c.F, c.U_star)
+    U_ref, ref = ifu_solve(dof_order, c.star.K, c.K_m, c.F, c.U_star)
+    assert np.linalg.norm(U - U_ref) <= 1e-12 * np.linalg.norm(U_ref)
+    assert (diag.n_d, diag.n_coupled) == (ref.n_d, ref.n_coupled)
+    assert diag.n_d > 0
+    delta = residual(c.K_m, c.F, c.U_star)
+    S_d = unbalanced_set(measurement(c.K_m, c.star.K, delta),
+                         ifu_default_tol(c))
+    L_mod, V = constrain_factor(c.factor, S_d)
+    B, _ = fundamental_solutions(L_mod, V, constraint_rhs(c.K_m, S_d))
+    _, _, y = reduce_unbalanced(c.K_m, S_d, B, delta)
+    assert np.array_equal(c.U_star + B @ y, U)

@@ -27,7 +27,8 @@ from mkfree.solver import CholeskyFactor
 from mkfree.update import global_update
 
 from conftest import (cantilever_bc, grid_for, ifu_default_tol,
-                      jittered_cloud, loaded_edge_cut)
+                      jittered_cloud, loaded_edge_cut, shuffled_plate)
+from oracles import banded_cholesky_oracle
 
 
 @pytest.fixture
@@ -240,31 +241,97 @@ def test_insertion_with_interleaved_ids(small_model, monkeypatch, dim):
     assert np.array_equal(L0, ref)
 
 
-def test_insertion_lift_memory_stays_near_the_lifted_band():
-    """Lifting the baseline for a 3-node insertion holds at most 2.5 times
-    the bytes of the lifted band at its peak.  Shuffled ids widen the band
-    to about n, so the band, not the sparse stiffness, is the largest array
-    the lift makes; a lift that builds band-sized index arrays exceeds the
-    bound."""
-    rng = np.random.default_rng(3)
-    lattice = jittered_cloud(rng, 24, 12, jitter=0.2)
-    cloud = NodeCloud(ids=rng.permutation(lattice.n_nodes),
-                      coords=lattice.coords, dim=2)
-    base = full_analysis(cloud, grid_for(cloud, pad=0.3),
-                         MaterialModel(100.0, 0.3), cantilever_bc(cloud))
-    n = cloud.n_nodes
+def _shuffled_insertion(base):
+    """Three appended nodes at cell centres of :func:`shuffled_plate`."""
+    n = base.cloud.n_nodes
     mod = Modification(added_ids=(n, n + 1, n + 2),
                        added_coords=[[11.5, 5.5], [6.5, 6.5], [17.5, 3.5]])
-    _, dof_map = apply_modification(base.cloud, mod)
+    return apply_modification(base.cloud, mod)[1]
+
+
+def _traced_lift(base, dof_map):
+    """:func:`pipeline._lift` and its tracemalloc peak."""
     tracemalloc.start()
     try:
-        _, _, factor, _ = pipeline._lift(base, dof_map, base.material)
+        lifted = pipeline._lift(base, dof_map, base.material)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+    return lifted, peak
+
+
+def test_insertion_lift_memory_stays_near_the_lifted_band():
+    """Lifting a baseline whose factor is in DOF order for a 3-node
+    insertion holds at most 2.5 times the bytes of the lifted band at its
+    peak.  Shuffled ids widen that band to about n, so the band, not the
+    sparse stiffness, is the largest array the lift makes; a lift that
+    builds band-sized index arrays exceeds the bound.  factorize would
+    order this cloud by RCM, so the test factors it in DOF order itself."""
+    base = full_analysis(*shuffled_plate())
+    base = dataclasses.replace(base, factor=CholeskyFactor(
+        ab=banded_cholesky_oracle(base.system.K)))
+    (_, _, factor, _), peak = _traced_lift(base, _shuffled_insertion(base))
     assert factor.n == base.factor.n + 6
+    assert factor.perm is None
     assert factor.ab.shape[0] >= 0.9 * factor.n
     assert peak <= 2.5 * factor.ab.nbytes
+
+
+def test_reordered_lift_memory_stays_near_what_it_returns():
+    """The same lift with the factor full_analysis takes, in reverse
+    Cuthill-McKee order, a third as wide: the lifted K* then holds as many
+    bytes as the band, and the peak stays within 1.1 times the bytes the
+    lift returns (1.03 measured); band-sized index arrays would add 40 %."""
+    base = full_analysis(*shuffled_plate())
+    (star, K_raw, factor, U_star), peak = _traced_lift(
+        base, _shuffled_insertion(base))
+    assert factor.n == base.factor.n + 6
+    assert factor.perm is not None
+    assert factor.ab.shape[0] <= 0.4 * factor.n
+    held = sum(a.nbytes for a in (
+        star.K.data, star.K.indices, star.K.indptr, star.F, K_raw.indices,
+        K_raw.indptr, factor.ab, U_star))
+    assert peak <= 1.1 * held
+
+
+def _shuffled_edit(edit):
+    """A removal of four central nodes, or an insertion of three nodes
+    with odd ids among the even ones, on :func:`shuffled_plate`."""
+    model = shuffled_plate(nx=40, ny=12, stride=2)
+    cloud = model[0]
+    centre = np.linalg.norm(cloud.coords - cloud.coords.mean(axis=0), axis=1)
+    if edit == "removal":
+        return model, Modification(removed_ids=frozenset(
+            int(i) for i in cloud.ids[np.argsort(centre)[:4]]))
+    return model, Modification(
+        added_ids=(101, 303, 505),
+        added_coords=[[19.5, 5.5], [9.5, 3.5], [29.5, 7.5]])
+
+
+@pytest.mark.parametrize("edit", ["removal", "interleaved"])
+def test_reanalysis_of_a_reordered_baseline(monkeypatch, edit):
+    """A shuffled-id baseline factors in reverse Cuthill-McKee order.  The
+    edit's factor is the baseline's, lifted (L L^T = K*[perm][:, perm] with
+    L lower triangular), IFU is exact against a re-solve and CA runs."""
+    model, mod = _shuffled_edit(edit)
+    base = full_analysis(*model)
+    assert base.factor.perm is not None
+    with monkeypatch.context() as m:
+        m.setattr(pipeline, "factorize", _refuse_factorize)
+        case = prepare_modified(base, mod)
+    p = case.factor.perm
+    assert p is not None
+    L = np.asarray(case.factor)[np.ix_(p, p)]
+    K = case.star.K.toarray()[np.ix_(p, p)]
+    assert np.array_equal(L, np.tril(L))
+    assert np.abs(L @ L.T - K).max() <= 1e-13 * np.abs(K).max()
+    _, fields, diag = run_ifu(case)
+    assert diag["n_d"] > 0
+    _, ref_fields, _ = run_full_modified(case)
+    E_u = error_metrics(fields, ref_fields)[0]
+    assert E_u <= 1e-7, f"IFU E_u {E_u:.2e} %"
+    U, _, diag = run_ca(case)
+    assert diag["rank"] >= 1 and np.all(np.isfinite(U))
 
 
 def _coo_lift(A, perm, unit):

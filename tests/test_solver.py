@@ -11,10 +11,12 @@ from mkfree import demos
 from mkfree.assembly import StiffnessSystem, apply_bcs, assemble_load, \
     assemble_stiffness
 from mkfree.errors import RigidBodyError, ValidationError
-from mkfree.model import identity_dof_map
+from mkfree.model import DofMap, MaterialModel, identity_dof_map
+from mkfree.pipeline import full_analysis
 from mkfree.solver import CholeskyFactor, factorize, solve
 
-from oracles import random_spd
+from conftest import cantilever_bc, grid_for, jittered_cloud, shuffled_plate
+from oracles import banded_cholesky_oracle, random_spd
 
 
 def test_factor_solve_matches_numpy(rng):
@@ -175,3 +177,133 @@ def test_reindex_rejects_a_map_that_is_not_increasing(src):
         np.random.default_rng(0), 4)))
     with pytest.raises(ValueError, match="increasing"):
         factor.reindex(np.array(src))
+
+
+def _ordered(rng, n, b):
+    """A random banded factor in a random order: the band of L and the
+    order perm, with P^T L P its dense view by DOF."""
+    L, factor = _banded_factor(rng, n, b, "C")
+    perm = rng.permutation(n)
+    dense = np.empty_like(L)
+    dense[np.ix_(perm, perm)] = L
+    return L, CholeskyFactor(ab=factor.ab, perm=perm), dense
+
+
+def test_factorize_orders_a_shuffled_cloud_by_rcm():
+    """A cloud whose ids follow no geometry factors in reverse
+    Cuthill-McKee order, on a band at most a quarter of n wide (about n in
+    DOF order): L L^T = K[perm][:, perm] with L lower triangular, the
+    dense view by DOF is P^T L P, and the solve matches the DOF-order
+    banded solve."""
+    base = full_analysis(*shuffled_plate(nx=40, ny=12))
+    factor, K = base.factor, base.system.K
+    n = factor.n
+    ref = CholeskyFactor(ab=banded_cholesky_oracle(K))
+    assert ref.ab.shape[0] >= 0.9 * n
+    assert factor.perm is not None
+    assert factor.ab.shape[0] - 1 <= n // 4
+    p = factor.perm
+    L = np.asarray(factor)[np.ix_(p, p)]
+    Kp = K.toarray()[np.ix_(p, p)]
+    assert np.array_equal(L, np.tril(L))
+    assert np.abs(L @ L.T - Kp).max() <= 1e-13 * np.abs(Kp).max()
+    F = np.random.default_rng(0).standard_normal((n, 3))
+    for rhs in (base.system.F, F):
+        U, U_ref = solve(factor, rhs), solve(ref, rhs)
+        assert np.linalg.norm(U - U_ref) <= 1e-12 * np.linalg.norm(U_ref)
+
+
+def test_lattice_plate_keeps_dof_order_and_its_band():
+    """On the 48 x 30 plate, numbered along its geometry, RCM is wider (477
+    against 305), so the factor stays in DOF order, its band bit for bit
+    the Cholesky factor of K's lower band in DOF order."""
+    cloud = jittered_cloud(np.random.default_rng(5), 48, 30, jitter=0.0)
+    base = full_analysis(cloud, grid_for(cloud), MaterialModel(100.0, 0.3),
+                         cantilever_bc(cloud))
+    assert base.factor.perm is None
+    assert np.array_equal(base.factor.ab,
+                          banded_cholesky_oracle(base.system.K))
+
+
+def test_rcm_does_not_win_by_setting_decoupled_rows_aside(rng):
+    """A dense coupled block with unit rows between its DOFs: RCM narrows
+    the band only by moving the unit rows out, which does not count, so
+    the factor keeps DOF order and equals the dense Cholesky factor."""
+    n = 16
+    unit = np.array([1, 4, 5, 9, 12])
+    K = random_spd(rng, n)
+    K[unit, :] = K[:, unit] = 0.0
+    K[unit, unit] = 1.0
+    factor = factorize(StiffnessSystem(
+        K=sp.csr_matrix(K), F=np.zeros(n),
+        dof_map=DofMap(node_ids=np.arange(n // 2), dim=2)))
+    assert factor.perm is None
+    assert np.abs(np.asarray(factor) - np.linalg.cholesky(K)).max() \
+        <= 1e-12 * np.abs(K).max()
+
+
+@pytest.mark.parametrize("perm", [[0, 1, 1, 3], [0, 1, 2], [0, 1, 2, 4],
+                                  [0.0, 1.0, 2.0, 3.0], [[0, 1], [2, 3]],
+                                  [True, False, True, True]],
+                         ids=["repeated", "short", "out-of-range", "float",
+                              "2d", "bool"])
+def test_perm_must_be_a_permutation_of_the_dofs(perm):
+    with pytest.raises(ValueError, match="permutation"):
+        CholeskyFactor(L0=np.eye(4), perm=np.array(perm))
+
+
+def test_factor_methods_speak_in_dofs_in_any_order(rng):
+    """With a random order, columns, constrained, unit_rows and reindex
+    agree with the dense view by DOF, and apply_inverse with K^-1; the
+    panel kernels act on L in the factor's order."""
+    n, b = 40, 6
+    L, factor, A = _ordered(rng, n, b)
+    cols = rng.choice(n, 7, replace=False)
+    assert np.array_equal(factor.columns(cols), A[:, cols])
+    S_d = np.sort(rng.choice(n, 5, replace=False))
+    ref = A.copy()
+    ref[S_d, :] = ref[:, S_d] = 0.0
+    ref[S_d, S_d] = 1.0
+    constrained = factor.constrained(S_d)
+    assert np.array_equal(np.asarray(constrained), ref)
+    lone = (np.diag(ref) == 1.0) & (np.count_nonzero(ref, axis=0) == 1) \
+        & (np.count_nonzero(ref, axis=1) == 1)
+    assert np.array_equal(constrained.unit_rows(), lone)
+    src = factor.in_order(rng.random(n) < 0.6)
+    assert np.array_equal(np.asarray(factor.reindex(src)),
+                          A[np.ix_(src, src)])
+    with pytest.raises(ValueError, match="increasing"):
+        factor.reindex(src[::-1])
+    K = A @ A.T
+    rhs = rng.standard_normal((n, 2))
+    assert np.allclose(factor.apply_inverse(rhs), np.linalg.solve(K, rhs),
+                       rtol=1e-10, atol=1e-12)
+    X = rng.standard_normal((n, 3))
+    assert np.allclose(factor.panel_multiply(X.copy()), L @ X, atol=1e-12)
+
+
+@pytest.mark.parametrize("ordered", [False, True])
+def test_embed_scatters_the_factor_with_unit_dofs(rng, ordered):
+    """embed gives the factor of K scattered onto N DOFs with a unit
+    diagonal on the others: its dense view by DOF is the scatter of the
+    initial one, bit for bit, and L stays lower triangular in its order,
+    the initial DOFs in the initial order.  A DOF-order factor embeds in
+    DOF order."""
+    n, N = 30, 37
+    L, factor = _banded_factor(rng, n, 5, "C")
+    A = L
+    if ordered:
+        _, factor, A = _ordered(rng, n, 5)
+    dofs = np.sort(rng.choice(N, n, replace=False))
+    lifted = factor.embed(dofs, N)
+    ref = np.eye(N)
+    ref[np.ix_(dofs, dofs)] = A
+    assert np.array_equal(np.asarray(lifted), ref)
+    if not ordered:
+        assert lifted.perm is None
+        return
+    p = lifted.perm
+    L_N = ref[np.ix_(p, p)]
+    assert np.array_equal(L_N, np.tril(L_N))
+    kept = p[np.isin(p, dofs)]
+    assert np.array_equal(np.searchsorted(dofs, kept), factor.perm)
