@@ -8,8 +8,8 @@ K[perm][:, perm].  :func:`factorize` takes the reverse Cuthill-McKee order
 of K's pattern (Cuthill & McKee, ACM Nat. Conf. 1969; George & Liu,
 *Computer Solution of Large Sparse Positive Definite Systems*, 1981) when
 it narrows the band of K's coupled rows, and keeps DOF order (``perm``
-None) otherwise, so the band does not follow how the node ids happen to
-be numbered.  K, F, U and every DofMap stay in DOF order:
+the identity) otherwise, so the band does not follow how the node ids
+happen to be numbered.  K, F, U and every DofMap stay in DOF order:
 :meth:`CholeskyFactor.apply_inverse` moves a right-hand side into the
 factor's order and its answer back.  Only this module knows the band
 layout.  One right-hand side goes through LAPACK's banded solve; a block
@@ -18,10 +18,10 @@ product with L or L^T through :meth:`CholeskyFactor.panel_multiply`, both
 level-3 BLAS on panels of the band.  Reanalysis reads the factor by DOF,
 whatever its order, through its ``columns``, ``constrained`` and
 ``unit_rows`` methods, and moves it to another DOF set through
-``reindex`` and ``embed``: IFU takes the coupled rows of a constrained factor, and a node
-insertion embeds the initial factor in the union DOF space.  None of them
-builds a dense n x n matrix; ``np.asarray(factor)`` (its ``__array__``)
-is the one dense view, for tests.
+``reindex`` and ``embed``: IFU takes the coupled rows of a constrained
+factor, and a node insertion embeds the initial factor in the union DOF
+space.  None of them builds a dense n x n matrix; ``np.asarray(factor)``
+(its ``__array__``) is the one dense view, for tests.
 """
 
 from __future__ import annotations
@@ -69,14 +69,13 @@ def _inverse(perm: np.ndarray) -> np.ndarray:
     return ip
 
 
-def _lower_band(A: sp.csr_matrix, perm: np.ndarray | None = None
-                ) -> np.ndarray:
+def _lower_band(A: sp.csr_matrix, perm: np.ndarray) -> np.ndarray:
     """Lower band ``ab[ip[i] - ip[j], ip[j]] = A[i, j]`` of a canonical CSR
-    matrix in the order ``perm``, with ``ip`` its inverse (the identity
-    when None), as wide as the stored entries of that lower triangle."""
-    ip = np.arange(A.shape[0]) if perm is None else _inverse(perm)
+    matrix in the order ``perm``, with ``ip`` its inverse, as wide as the
+    stored entries of that lower triangle."""
+    ip = _inverse(perm)
     i = np.repeat(ip, np.diff(A.indptr))
-    j = A.indices if perm is None else ip[A.indices]
+    j = ip[A.indices]
     d = i - j
     low = d >= 0
     ab = np.zeros((int(np.max(d, initial=0)) + 1, A.shape[0]))
@@ -84,18 +83,31 @@ def _lower_band(A: sp.csr_matrix, perm: np.ndarray | None = None
     return ab
 
 
-def _band_order(K: sp.csr_matrix) -> np.ndarray | None:
+def _band_order(K: sp.csr_matrix) -> np.ndarray:
     """The reverse Cuthill-McKee order of K's pattern when it narrows the
-    band of K's coupled rows, those with an off-diagonal entry; else None,
-    DOF order.  A decoupled row (a BC-eliminated or uncarried DOF) is a
-    lone unit diagonal that sits anywhere in the band at no cost to the
-    others, so the two orders are compared on the coupled rows alone: RCM,
-    which keeps each connected component together, does not win by
-    setting the decoupled rows aside.  Each order's width is the largest
-    count of coupled rows from a row's farthest column to the row, read
-    off the sorted CSR rows."""
+    band of K's coupled rows, those with an off-diagonal entry; else DOF
+    order, ``arange(n)``.
+
+    The widths are compared as if the decoupled rows (lone diagonals:
+    BC-eliminated or uncarried DOFs) were removed: each order's width is
+    the largest count of coupled rows from a row's farthest column to the
+    row, read off the sorted CSR rows.  That is the stored band when no
+    decoupled row lies inside a coupled row's span, but in DOF order each
+    decoupled row inside a span widens the stored band by one.  So the
+    rule errs towards DOF order: it keeps DOF order when RCM narrows the
+    stored band only by setting decoupled rows aside (as on a dense block
+    with interleaved clamped rows, where DOF order is optimal for the
+    coupled rows), and it gives up the case where decoupled rows inside
+    the spans make DOF order's stored band wider than RCM's.  Of 41
+    systems factored by the demos, the bench family, the benchmark plates
+    and their edits, and the benchmark clouds, a rule on the stored bands
+    would pick otherwise on three: plate_with_hole's modified K (317
+    against RCM's 297, the hole's removed nodes inside the spans), a 20 %
+    cut-out of the 40 x 24 plate (293 against 291) and the 5 x 5 patch
+    (47 against 46)."""
+    n = K.shape[0]
     if K.nnz == 0:
-        return None
+        return np.arange(n)
     start, stop = K.indptr[:-1], K.indptr[1:]
     rows = np.flatnonzero(stop > start)
     first, last = K.indices[start[rows]], K.indices[stop[rows] - 1]
@@ -106,7 +118,7 @@ def _band_order(K: sp.csr_matrix) -> np.ndarray | None:
     rcm = reverse_cuthill_mckee(K, symmetric_mode=True).astype(np.intp)
     rank[rcm] = np.cumsum(coupled[rcm])
     farthest = np.minimum.reduceat(rank[K.indices], start[rows])
-    return rcm if np.max(rank[rows] - farthest) < width else None
+    return rcm if np.max(rank[rows] - farthest) < width else np.arange(n)
 
 
 def _strip(ab: np.ndarray, k0: int, k1: int) -> np.ndarray:
@@ -128,17 +140,19 @@ def _strip(ab: np.ndarray, k0: int, k1: int) -> np.ndarray:
 class CholeskyFactor:
     """Lower-triangular factor L with L L^T = K[perm][:, perm], stored as
     its band ``ab[i - j, j] = L[i, j]``: row k of L is DOF ``perm[k]``, and
-    ``perm`` is None in DOF order.
+    ``perm`` is ``arange(n)`` in DOF order (the default).
 
     Every method but the panel kernels speaks in DOFs, whatever the order:
     ``columns``, ``constrained``, ``unit_rows``, ``reindex`` and ``embed``
     take and give DOF indices, and ``np.asarray(factor)`` is P^T L P, L with
     row and column k at DOF ``perm[k]``, whose product with its transpose
-    is K (``CholeskyFactor(L0=L)`` takes a dense factor in DOF order; both
-    are for tests).  ``panel_solve`` and ``panel_multiply`` act on L
-    itself, in the factor's order; IFU calls them on a :meth:`reindex`,
-    whose order is the one its map lists.  The solver and IFU paths use
-    only the band."""
+    is K.  ``CholeskyFactor(L0=A, perm=perm)`` reads a dense A in that same
+    view, by DOF, keeping the entries on or below the diagonal in the
+    order ``perm``, so ``CholeskyFactor(L0=np.asarray(f), perm=f.perm)``
+    gives f back; both are for tests.  ``panel_solve`` and
+    ``panel_multiply`` act on L itself, in the factor's order; IFU calls
+    them on a :meth:`reindex`, whose order is the one its map lists.  The
+    solver and IFU paths use only the band."""
 
     __slots__ = ("ab", "perm")
 
@@ -147,17 +161,17 @@ class CholeskyFactor:
                  perm: np.ndarray | None = None):
         if (L0 is None) == (ab is None):
             raise TypeError("give exactly one of L0 and ab")
-        if ab is None:
-            ab = _lower_band(_canonical(np.asarray(L0, dtype=float)))
-        n = ab.shape[1]
-        if perm is not None:
-            perm = np.asarray(perm)
-            if perm.shape != (n,) or perm.dtype.kind not in "iu" \
-                    or not np.array_equal(np.sort(perm), np.arange(n)):
-                raise ValueError(f"perm must be a permutation of range({n})")
-            if np.array_equal(perm, np.arange(n)):
-                perm = None
-        self.ab, self.perm = ab, perm
+        if L0 is not None:
+            L0 = _canonical(np.asarray(L0, dtype=float))
+        n = L0.shape[0] if ab is None else ab.shape[1]
+        if perm is None:
+            perm = np.arange(n)
+        perm = np.asarray(perm)
+        if perm.shape != (n,) or perm.dtype.kind not in "iu" \
+                or not np.array_equal(np.sort(perm), np.arange(n)):
+            raise ValueError(f"perm must be a permutation of range({n})")
+        self.ab = _lower_band(L0, perm) if ab is None else ab
+        self.perm = perm
 
     @property
     def n(self) -> int:
@@ -165,13 +179,11 @@ class CholeskyFactor:
 
     def _rows(self, dofs: np.ndarray) -> np.ndarray:
         """The factor rows of ``dofs``."""
-        return dofs if self.perm is None else _inverse(self.perm)[dofs]
+        return _inverse(self.perm)[dofs]
 
     def in_order(self, mask: np.ndarray) -> np.ndarray:
         """The DOFs where the boolean ``mask`` holds, in the factor's
         order."""
-        if self.perm is None:
-            return np.flatnonzero(mask)
         return self.perm[mask[self.perm]]
 
     def __array__(self, dtype=None, copy=None) -> np.ndarray:
@@ -189,8 +201,8 @@ class CholeskyFactor:
         i = c + np.arange(w)[:, None]
         ok = i < n
         out = np.zeros((n, len(cols)))
-        rows = i[ok] if self.perm is None else self.perm[i[ok]]
-        out[rows, np.broadcast_to(np.arange(len(cols)), i.shape)[ok]] = \
+        out[self.perm[i[ok]],
+            np.broadcast_to(np.arange(len(cols)), i.shape)[ok]] = \
             self.ab[:, c][ok]
         return out
 
@@ -215,12 +227,12 @@ class CholeskyFactor:
             linked[:n - d] |= nz
             linked[d:] |= nz
         mask = (self.ab[0] == 1.0) & ~linked
-        return mask if self.perm is None else mask[_inverse(self.perm)]
+        return mask[_inverse(self.perm)]
 
     def reindex(self, src: np.ndarray) -> "CholeskyFactor":
         """R with R[t', t] = A[src[t'], src[t]] for A = ``np.asarray(self)``,
         and a decoupled unit DOF t where ``src[t] < 0``, on a band as wide as
-        its nonzeros, in the order ``src`` lists (``perm`` None).
+        its nonzeros, in the order ``src`` lists (DOF order).
 
         ``src`` must list DOFs in the factor's order, increasing factor rows
         on its kept entries (ValueError otherwise), so entry (t', t) with
@@ -279,10 +291,8 @@ class CholeskyFactor:
     def apply_inverse(self, rhs: np.ndarray) -> np.ndarray:
         """K^-1 rhs through the two banded triangular solves, ``rhs`` and
         the answer by DOF."""
-        if self.perm is None:
-            return cho_solve_banded((self.ab, True), rhs, check_finite=False)
         x = cho_solve_banded((self.ab, True), np.asarray(rhs)[self.perm],
-                             check_finite=False)
+                             overwrite_b=True, check_finite=False)
         out = np.empty_like(x)
         out[self.perm] = x
         return out

@@ -200,7 +200,7 @@ def test_factorize_orders_a_shuffled_cloud_by_rcm():
     n = factor.n
     ref = CholeskyFactor(ab=banded_cholesky_oracle(K))
     assert ref.ab.shape[0] >= 0.9 * n
-    assert factor.perm is not None
+    assert not np.array_equal(factor.perm, np.arange(factor.n))
     assert factor.ab.shape[0] - 1 <= n // 4
     p = factor.perm
     L = np.asarray(factor)[np.ix_(p, p)]
@@ -220,7 +220,7 @@ def test_lattice_plate_keeps_dof_order_and_its_band():
     cloud = jittered_cloud(np.random.default_rng(5), 48, 30, jitter=0.0)
     base = full_analysis(cloud, grid_for(cloud), MaterialModel(100.0, 0.3),
                          cantilever_bc(cloud))
-    assert base.factor.perm is None
+    assert np.array_equal(base.factor.perm, np.arange(base.factor.n))
     assert np.array_equal(base.factor.ab,
                           banded_cholesky_oracle(base.system.K))
 
@@ -237,7 +237,7 @@ def test_rcm_does_not_win_by_setting_decoupled_rows_aside(rng):
     factor = factorize(StiffnessSystem(
         K=sp.csr_matrix(K), F=np.zeros(n),
         dof_map=DofMap(node_ids=np.arange(n // 2), dim=2)))
-    assert factor.perm is None
+    assert np.array_equal(factor.perm, np.arange(factor.n))
     assert np.abs(np.asarray(factor) - np.linalg.cholesky(K)).max() \
         <= 1e-12 * np.abs(K).max()
 
@@ -280,6 +280,8 @@ def test_factor_methods_speak_in_dofs_in_any_order(rng):
                        rtol=1e-10, atol=1e-12)
     X = rng.standard_normal((n, 3))
     assert np.allclose(factor.panel_multiply(X.copy()), L @ X, atol=1e-12)
+    again = CholeskyFactor(L0=A, perm=factor.perm)
+    assert np.array_equal(again.ab, factor.ab)
 
 
 @pytest.mark.parametrize("ordered", [False, True])
@@ -300,7 +302,7 @@ def test_embed_scatters_the_factor_with_unit_dofs(rng, ordered):
     ref[np.ix_(dofs, dofs)] = A
     assert np.array_equal(np.asarray(lifted), ref)
     if not ordered:
-        assert lifted.perm is None
+        assert np.array_equal(lifted.perm, np.arange(lifted.n))
         return
     p = lifted.perm
     L_N = ref[np.ix_(p, p)]
