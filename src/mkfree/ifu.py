@@ -8,38 +8,54 @@ identity.  That operator is block-diagonal: a row is *decoupled* when the
 factor has a unit diagonal there and no other entry in that row or column,
 and the row of V is zero.  The rows S_d are decoupled by construction, and
 so is every DOF the factor already carries as a unit row (BC-eliminated
-DOFs, DOFs a configuration does not carry).  On decoupled rows the
-fundamental solution equals the right-hand side; on the coupled rows r the
-operator is K*[r, r] = L_rr L_rr^T + V_r V_r^T, and SMW (Hager, SIAM
-Review 31(2), 1989) solves it with one forward and one back triangular
-solve on L_rr and a Cholesky factor of the SPD capacitance matrix, taken
-on the smaller side: I + W W^T over the coupled rows SMW reaches when
-they are fewer than the n_d columns (the push-through form), I + W^T W
-otherwise.  The fundamental solutions are the identity on S_d, so the
-reduced system K_R = K_u B over S_d is K_m[S_d, S_d] plus the product of
-K_u's other columns with B, and its rows that are a removed node's lone
-diagonal are read off without the dense LU.
+DOFs, DOFs a configuration does not carry).  The fundamental solutions B
+solve that operator for the right-hand sides R (the negated columns S_d
+of K_m, with the identity on S_d): B = R on the decoupled rows, and on the
+coupled rows r the operator is K*[r, r] = L_rr L_rr^T + V_r V_r^T, which
+SMW (Hager, SIAM Review 31(2), 1989) solves with one forward and one back
+triangular solve on L_rr and a Cholesky factor G G^T of the SPD
+capacitance matrix, taken on the smaller side: I + W W^T over the coupled
+rows SMW reaches when they are fewer than the n_d columns (the
+push-through form), I + W^T W otherwise.  The answer is U = U* + B y with
+y from the reduced system K_R y = delta_u, K_R = K_u B over S_d.
 
-:func:`ifu_solve` is the composition of the public phases below, and
-every phase runs on the banded factor: :func:`constrain_factor` copies
-the band with S_d constrained, :func:`fundamental_solutions` re-indexes
-that copy onto its coupled rows r (:meth:`CholeskyFactor.unit_rows`,
+:func:`ifu_solve` never forms B.  B enters only through K_R and the one
+vector B y, and SMW's forward stage gives both (:func:`schur_reduce`):
+K_m is symmetric, so R_r = -K_u[:, r]^T and K_R is the Schur complement
+K_m[S_d, S_d] + K_u[:, o] R[o] - R_r^T K*_rr^-1 R_r, o the decoupled rows
+outside S_d, whose last term is Y^T (I + W W^T)^-1 Y with
+Y = L_rr^-1 R_r.  :func:`fundamental_product` then takes B y through the
+stored Y, W and G and one back solve.  A lone row of K_u, whose only
+entry is its diagonal (a removed node's DOF), is read off that diagonal,
+and its column of R is zero off S_d, so Y and K_R hold the other rows
+only.  :func:`fundamental_solutions` and :func:`reduce_unbalanced` are
+the reference path: they form all of B and then K_u B, share the forward
+stage and the capacitance factor with the Schur phase, and serve as its
+oracle.
+
+:func:`ifu_solve` is the composition of the public phases
+:func:`residual`, :func:`measurement`, :func:`unbalanced_set`,
+:func:`constrain_factor`, :func:`schur_reduce` and
+:func:`fundamental_product`, and every phase runs on the banded factor:
+:func:`constrain_factor` copies the band with S_d constrained, the coupled
+rows r are re-indexed out of that copy (:meth:`CholeskyFactor.unit_rows`,
 :meth:`CholeskyFactor.reindex`), and the triangular solves and products
-go by panels of the band.  No n x n array is built, and SMW copies R and
-V at r once, into the block it solves in place.  The factor may hold its
+go by panels of the band.  No n x n array is built, and R_r and V_r are
+gathered once, into the block the forward solve overwrites; the Schur
+phase gathers R_r straight from the sparse K_m.  The factor may hold its
 rows in its own order (``CholeskyFactor.perm``), and the phases do not
 depend on it: every array they take and give is by DOF, as K_m is, and
 only the coupled rows r are listed in the factor's order, so that L_rr
 is lower triangular on a band.
 
-Guards: the fundamental solutions are checked against the operator SMW
-solved, L_rr L_rr^T + V_r V_r^T, reading R and V at r where they are, by
-panel products on the band and one blocked V_r (V_r^T B_r) product, each
-block of columns of V gathered at r over the rows it touches, whether V_r
-has more rows or more columns.  The answer is checked against the
-modified system, which also catches a factor that is inconsistent with
-K*: on the balanced rows the answer residual is
-delta_r + (K*[r, r] B_r - R_r) y.  Each guard raises
+Guards: a singular capacitance raises.  The fundamental guard checks the
+vector that enters the answer, x_r = (B y)[r], against the operator SMW
+solved: (L_rr L_rr^T + V_r V_r^T) x_r against R_r y, by panel products on
+the band and V read where it is.  The reference path checks all of B the
+same way, with one blocked V_r (V_r^T B_r) product.  The answer is
+checked against the modified system, which also catches a factor that is
+inconsistent with K*: on the balanced rows the answer residual is
+K*[r, r] x_r - R_r y - delta_r.  Each guard raises
 :class:`NumericalError` above 1e-9.  The fundamental right-hand sides
 carry the *negated* stiffness column: with the positive column the
 balanced equations are not annihilated and the method loses exactness.
@@ -47,7 +63,7 @@ balanced equations are not annihilated and the method loses exactness.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from numbers import Real
 
 import numpy as np
@@ -68,6 +84,9 @@ __all__ = [
     "constraint_rhs",
     "fundamental_solutions",
     "reduce_unbalanced",
+    "SchurReduction",
+    "schur_reduce",
+    "fundamental_product",
     "ifu_solve",
 ]
 
@@ -176,47 +195,82 @@ def constraint_rhs(K_m: sp.spmatrix, S_d: np.ndarray) -> np.ndarray:
     return R
 
 
-def _smw(L: CholeskyFactor, V: np.ndarray, R: np.ndarray, r: np.ndarray):
-    """Solve (L L^T + V_r V_r^T) X = R_r through SMW for lower-triangular L,
-    with R_r = R[r] and V_r = V[r] gathered once into the block [Y W] that
-    one forward panel solve overwrites: Y = L^-1 R_r, W = L^-1 V_r, and
-    X = L^-T (Y - W (I + W^T W)^-1 W^T Y).  Rows of [R_r V_r] above its
-    first nonzero row k give zero rows of Y and W, so the dense work runs
-    on the n_r' = n_r - k rows below.  The capacitance is factored on the
-    smaller side: when 0 < n_r' < n_d, the push-through identity gives
-    Y - W (I + W^T W)^-1 W^T Y = (I + W W^T)^-1 Y, one Cholesky factor of
-    the n_r' x n_r' matrix and two triangular solves on Y in place;
-    otherwise I + W^T W (n_d x n_d) is factored.  Either capacitance is
-    SPD, G G^T.  Returns X and (max/min of diag G)^2, a lower bound on
-    cond(G G^T).  With n_r' = 0 (as on a material-only change) X is zero,
-    nothing is factored, and the bound is 1.0.
-    """
-    n_r, n_d = len(r), R.shape[1]
-    YW = np.empty((n_r, 2 * n_d))
-    YW[:, :n_d] = R[r]
-    YW[:, n_d:] = V[r]
+def _coupled(L_mod: CholeskyFactor, V: np.ndarray):
+    """The coupled rows r, in the factor's order, and L_rr on them: every
+    row of L_mod but its unit rows where V is zero, which are linked to no
+    row of r."""
+    r = L_mod.in_order(~L_mod.unit_rows() | V.any(axis=1))
+    return r, L_mod.reindex(r)
+
+
+def _forward(L: CholeskyFactor, YW: np.ndarray, n_d: int):
+    """SMW's forward stage on the C-ordered block YW = [R_r V_r], V_r its
+    last n_d columns, in place: one forward panel solve gives [Y W] with
+    Y = L^-1 R_r and W = L^-1 V_r.  Rows of [R_r V_r] above its first
+    nonzero row k give zero rows of Y and W, so the dense work runs on the
+    n_r' = n_r - k rows below.  The capacitance is factored on the smaller
+    side, G G^T = I + W W^T (n_r' x n_r', the push-through side) when
+    n_r' < n_d, else I + W^T W (n_d x n_d); either is SPD.  Returns (k, G,
+    push); with n_r' = 0 (as on a material-only change) nothing is solved
+    or factored and G is None."""
+    n_r = YW.shape[0]
     k = int(np.append(YW.any(axis=1), True).argmax())
     if k == n_r:
-        return np.zeros((n_r, n_d)), 1.0
-    Y, W = L.panel_solve(YW)[k:, :n_d], YW[k:, n_d:]
-    push = 0 < n_r - k < n_d
-    try:
-        G = cholesky(np.eye(n_r - k) + W @ W.T if push
-                     else np.eye(n_d) + W.T @ W,
-                     lower=True, check_finite=False)
+        return k, None, False
+    L.panel_solve(YW)
+    W = YW[k:, YW.shape[1] - n_d:]
+    push = n_r - k < n_d
+    C = W @ W.T if push else W.T @ W
+    C.flat[::len(C) + 1] += 1.0
+    try:        # C is symmetric, so C^T is the Fortran array LAPACK overwrites
+        G = cholesky(C.T, lower=True, overwrite_a=True, check_finite=False)
     except LinAlgError as exc:
         raise NumericalError(
             "SMW capacitance matrix is singular; fall back to a full "
             "re-factorization") from exc
-    X = np.concatenate((np.zeros((k, n_d)), Y))
-    if push:        # X^T G G^T = Y^T by two triangular solves, in place
-        dtrsm(1.0, G, X[k:].T, side=1, lower=1, trans_a=1, overwrite_b=1)
-        dtrsm(1.0, G, X[k:].T, side=1, lower=1, overwrite_b=1)
+    return k, G, push
+
+
+def _capacitance_solve(G: np.ndarray, push: bool, W: np.ndarray,
+                       X: np.ndarray) -> np.ndarray:
+    """X <- (I + W W^T)^-1 X in place, for a C-ordered X on W's rows: two
+    triangular solves with G on the push-through side, else
+    X - W (I + W^T W)^-1 W^T X."""
+    if push:        # X^T <- X^T (G G^T)^-1 by two triangular solves
+        dtrsm(1.0, G, X.T, side=1, lower=1, trans_a=1, overwrite_b=1)
+        dtrsm(1.0, G, X.T, side=1, lower=1, overwrite_b=1)
     else:
-        X[k:] -= W @ cho_solve((G, True), W.T @ Y, check_finite=False)
-    L.panel_solve(X, trans=True)
+        X -= W @ cho_solve((G, True), W.T @ X, check_finite=False)
+    return X
+
+
+def _cond(G: np.ndarray | None) -> float:
+    """(max/min of diag G)^2, a lower bound on cond(G G^T); 1.0 without
+    G."""
+    if G is None:
+        return 1.0
     d = np.diagonal(G)
-    return X, float((d.max() / d.min()) ** 2)
+    return float((d.max() / d.min()) ** 2)
+
+
+def _smw(L: CholeskyFactor, V: np.ndarray, R: np.ndarray, r: np.ndarray):
+    """Solve (L L^T + V_r V_r^T) X = R_r through SMW for lower-triangular L,
+    with R_r = R[r] and V_r = V[r] gathered once into the block that
+    :func:`_forward` overwrites with [Y W]; then
+    X = L^-T (I + W W^T)^-1 Y by :func:`_capacitance_solve` and one back
+    panel solve.  Returns X and the capacitance bound of :func:`_cond`;
+    X is zero when n_r' = 0."""
+    n_r, n_d = len(r), R.shape[1]
+    YW = np.empty((n_r, 2 * n_d))
+    YW[:, :n_d] = R[r]
+    YW[:, n_d:] = V[r]
+    k, G, push = _forward(L, YW, n_d)
+    X = np.zeros((n_r, n_d))
+    if G is not None:
+        X[k:] = YW[k:, :n_d]
+        _capacitance_solve(G, push, YW[k:, n_d:], X[k:])
+        L.panel_solve(X, trans=True)
+    return X, _cond(G)
 
 
 def _add_outer(out: np.ndarray, V: np.ndarray, r: np.ndarray, B: np.ndarray):
@@ -239,15 +293,12 @@ def _add_outer(out: np.ndarray, V: np.ndarray, r: np.ndarray, B: np.ndarray):
 
 
 def _fundamental(L_mod: CholeskyFactor, V: np.ndarray, R: np.ndarray):
-    """Solve (L_mod L_mod^T + V V^T) B = R with SMW on the coupled rows r,
-    listed in the factor's order, on L_rr = ``L_mod.reindex(r)``: the other
-    rows are unit rows of L_mod, linked to no row of r, and B equals R
-    there, so B overwrites R.  The guard, read off R and V at r, is
-    L_rr L_rr^T B_r by panels of the band plus V_r (V_r^T B_r) by
-    :func:`_add_outer`, less R_r.  Returns (B, relative residual, number
-    of coupled rows, capacitance bound)."""
-    r = L_mod.in_order(~L_mod.unit_rows() | V.any(axis=1))
-    L = L_mod.reindex(r)
+    """Solve (L_mod L_mod^T + V V^T) B = R with SMW on the coupled rows r of
+    :func:`_coupled`; B equals R on the other rows, so B overwrites R.  The
+    guard, read off R and V at r, is L_rr L_rr^T B_r by panels of the band
+    plus V_r (V_r^T B_r) by :func:`_add_outer`, less R_r.  Returns (B,
+    relative residual, number of coupled rows, capacitance bound)."""
+    r, L = _coupled(L_mod, V)
     B_r, cond = _smw(L, V, R, r)
     res = L.panel_multiply(L.panel_multiply(B_r.copy(), trans=True))
     _add_outer(res, V, r, B_r)
@@ -259,7 +310,8 @@ def _fundamental(L_mod: CholeskyFactor, V: np.ndarray, R: np.ndarray):
 
 def fundamental_solutions(L_mod: CholeskyFactor, V: np.ndarray,
                           R: np.ndarray) -> tuple[np.ndarray, float]:
-    """Solve (L_mod L_mod^T + V V^T) B = R through SMW.
+    """Solve (L_mod L_mod^T + V V^T) B = R through SMW: the reference
+    path, which forms all n_d fundamental solutions.
 
     Decoupled rows keep B = R; SMW solves the coupled block on its band.
     Returns (B, relative residual of the solved system).
@@ -270,50 +322,197 @@ def fundamental_solutions(L_mod: CholeskyFactor, V: np.ndarray,
     return B, rel
 
 
+def _unbalanced_rows(K_m: sp.spmatrix, S_d: np.ndarray):
+    """K_u, the rows S_d of K_m (canonical CSR, no stored zeros), its
+    diagonal K_u[i, S_d[i]], and the positions in S_d of its *lone* rows,
+    whose only entry is their own diagonal (typically a removed node's
+    DOF), and of the rest."""
+    K_u = sp.csr_matrix(K_m)[S_d, :]
+    K_u.sum_duplicates()
+    K_u.eliminate_zeros()
+    diag = np.asarray(K_u[np.arange(len(S_d)), S_d]).ravel()
+    lone = np.diff(K_u.indptr) == (diag != 0.0)
+    return K_u, diag, np.flatnonzero(lone), np.flatnonzero(~lone)
+
+
+def _solve_reduced(K_ss, K_rest, delta_u, lone, rest, K_rest_lone=None):
+    """y over S_d: delta_u / K_ss on the lone rows, and on the rest the LU
+    solve of K_rest y = delta_u - K_rest_lone y[lone] (no coupling term
+    without K_rest_lone).  NumericalError when either part is singular."""
+    y = np.empty(len(delta_u))
+    try:
+        if not np.all(K_ss != 0.0):
+            raise LinAlgError("a lone diagonal is zero")
+        y[lone] = delta_u[lone] / K_ss
+        b = delta_u[rest]
+        if K_rest_lone is not None:
+            b = b - K_rest_lone @ y[lone]
+        y[rest] = np.linalg.solve(K_rest, b)
+    except LinAlgError as exc:
+        raise NumericalError(
+            "reduced unbalanced system is singular; the modification likely "
+            "disconnected part of the structure") from exc
+    return y
+
+
 def reduce_unbalanced(K_m: sp.spmatrix, S_d: np.ndarray, B: np.ndarray,
                       delta: np.ndarray):
-    """Reduced system over the unbalanced DOFs: K_R = K_u B, K_R y = delta_u,
-    with K_u the rows S_d of K_m.
+    """Reduced system over the unbalanced DOFs from the fundamental
+    solutions B: K_R = K_u B, K_R y = delta_u, with K_u the rows S_d of
+    K_m.  The reference path; :func:`schur_reduce` forms the same system
+    without B.
 
     B must be the identity on its rows S_d, as the fundamental solutions
     are (those rows are decoupled, where B = R).  So K_R is
     K_m[S_d, S_d] plus K_u B with K_u's entries in S_d columns left out.
-    A row of K_u whose only entry is its own diagonal K_ss (typically a
-    removed node's DOF) is a scaled unit row of K_R: y there is
-    delta_u / K_ss, and the dense LU runs on the other rows only.
+    A lone row of K_u, whose only entry is its own diagonal K_ss, is a
+    scaled unit row of K_R: y there is delta_u / K_ss, and the dense LU
+    runs on the other rows only.
     Returns (K_R, delta_u, y); NumericalError when K_R is singular.
     """
-    K_u = sp.csr_matrix(K_m)[S_d, :]
-    K_u.sum_duplicates()
-    K_u.eliminate_zeros()
+    K_u, _, lone, rest = _unbalanced_rows(K_m, S_d)
     delta_u = np.asarray(delta, dtype=float)[S_d]
     K_uu = K_u[:, S_d].tocoo()
-    lone = np.diff(K_u.indptr) == (K_uu.diagonal() != 0.0)
-    lone, rest = np.flatnonzero(lone), np.flatnonzero(~lone)
     in_sd = np.zeros(K_u.shape[1], dtype=bool)
     in_sd[S_d] = True
     K_u.data[in_sd[K_u.indices]] = 0.0
     K_u.eliminate_zeros()
     K_R = K_u @ B
     K_R[K_uu.row, K_uu.col] += K_uu.data
-    K_ss = K_R[lone, lone]
-    y = np.empty(len(S_d))
-    try:
-        if not np.all(K_ss != 0.0):
-            raise LinAlgError("a lone diagonal is zero")
-        y[lone] = delta_u[lone] / K_ss
-        y[rest] = np.linalg.solve(
-            K_R[np.ix_(rest, rest)],
-            delta_u[rest] - K_R[np.ix_(rest, lone)] @ y[lone])
-    except LinAlgError as exc:
-        raise NumericalError(
-            "reduced unbalanced system is singular; the modification likely "
-            "disconnected part of the structure") from exc
+    y = _solve_reduced(K_R[lone, lone], K_R[np.ix_(rest, rest)], delta_u,
+                       lone, rest, K_R[np.ix_(rest, lone)])
     return K_R, delta_u, y
+
+
+@dataclass(frozen=True, eq=False)
+class SchurReduction:
+    """The reduced system of :func:`schur_reduce`, and the SMW state that
+    :func:`fundamental_product` expands its solution with.
+
+    ``K_R`` is the reduced matrix on the ``rest`` rows of S_d (positions in
+    S_d; the lone rows are read off their diagonal), ``delta_u`` the
+    residual on S_d and ``y`` the solution over S_d.  ``K_u`` holds the
+    rows S_d of K_m; ``r`` lists the coupled rows in the factor's order and
+    ``L`` is L_rr.  ``Y`` = L_rr^-1 R_r on the rest columns and
+    ``W`` = L_rr^-1 V_r hold the n_r' rows below the first nonzero row of
+    [R_r V_r], and ``G`` is the capacitance factor on the side ``push``
+    names, None when n_r' = 0.
+    """
+
+    S_d: np.ndarray
+    rest: np.ndarray
+    K_R: np.ndarray
+    delta_u: np.ndarray
+    y: np.ndarray
+    K_u: sp.csr_matrix = field(repr=False)
+    V: np.ndarray = field(repr=False)
+    r: np.ndarray = field(repr=False)
+    L: CholeskyFactor = field(repr=False)
+    Y: np.ndarray = field(repr=False)
+    W: np.ndarray = field(repr=False)
+    G: np.ndarray | None = field(repr=False)
+    push: bool = field(repr=False)
+
+    @property
+    def n_coupled(self) -> int:
+        """Rows SMW solved; the others keep B = R."""
+        return len(self.r)
+
+    @property
+    def capacitance_cond(self) -> float:
+        """(max/min of diag G)^2, a lower bound on the condition number of
+        the factored capacitance; 1.0 when none was factored."""
+        return _cond(self.G)
+
+
+def schur_reduce(L_mod: CholeskyFactor, V: np.ndarray, K_m: sp.spmatrix,
+                 S_d: np.ndarray, delta: np.ndarray) -> SchurReduction:
+    """The reduced system K_R y = delta_u of :func:`reduce_unbalanced`,
+    formed as a Schur complement without the fundamental solutions.
+
+    K_m is symmetric, so on the coupled rows r the right-hand sides are
+    R_r = -K_u[:, r]^T, and B = R on the decoupled rows o outside S_d.
+    With B = I on S_d,
+    K_R = K_m[S_d, S_d] + K_u[:, o] R[o] - R_r^T K*_rr^-1 R_r, and SMW's
+    forward stage gives the last term: with Y = L_rr^-1 R_r it is
+    Y^T (I + W W^T)^-1 Y, so Z^T Z with Z = G^-1 Y on the push-through
+    side, else Y^T Y - P^T P with P = G^-1 W^T Y.  A lone row of K_u has
+    a zero column of R off its own diagonal, so Y holds only the rest
+    columns, R_r is gathered from K_u straight into the block the forward
+    solve overwrites, and K_R is formed on the rest rows only.
+    NumericalError when the capacitance or K_R is singular.
+    """
+    K_u, diag, lone, rest = _unbalanced_rows(K_m, S_d)
+    delta_u = np.asarray(delta, dtype=float)[S_d]
+    r, L = _coupled(L_mod, V)
+    o = np.ones(K_u.shape[1], dtype=bool)
+    o[S_d] = o[r] = False
+    K_rest = K_u[rest] if len(lone) else K_u
+    K_R = K_rest[:, S_d[rest]].toarray()
+    Ko = K_rest[:, np.flatnonzero(o)]
+    if Ko.nnz:
+        Koo = (Ko @ Ko.T).tocoo()       # K_u[:, o] R[o], R[o] = -K_u[:, o]^T
+        np.subtract.at(K_R, (Koo.row, Koo.col), Koo.data)
+    m, n_d = len(rest), len(S_d)
+    YW = np.zeros((len(r), m + n_d))
+    A = K_rest[:, r].tocoo()
+    YW[A.col, A.row] = -A.data
+    YW[:, m:] = V[r]
+    k, G, push = _forward(L, YW, n_d)
+    Y, W = YW[k:, :m], YW[k:, m:]
+    if G is not None:
+        if push:    # Z^T = Y^T G^-T
+            Z_T = dtrsm(1.0, G, Y.T, side=1, lower=1, trans_a=1)
+            K_R -= Z_T @ Z_T.T
+        else:       # P^T = Y^T W G^-T
+            P_T = Y.T @ W
+            dtrsm(1.0, G, P_T.T, lower=1, overwrite_b=1)
+            K_R -= Y.T @ Y
+            K_R += P_T @ P_T.T
+    y = _solve_reduced(diag[lone], K_R, delta_u, lone, rest)
+    return SchurReduction(S_d=S_d, rest=rest, K_R=K_R, delta_u=delta_u, y=y,
+                          K_u=K_u, V=V, r=r, L=L, Y=Y, W=W, G=G, push=push)
+
+
+def fundamental_product(red: SchurReduction, y: np.ndarray):
+    """B y for the fundamental solutions B that ``red`` stands for, without
+    forming B: y on S_d, R[o] y = -(K_u^T y)[o] on the decoupled rows
+    outside S_d, and on the coupled rows x_r = K*_rr^-1 R_r y, one vector
+    through the stored Y, W and G and one back panel solve,
+    x_r = L_rr^-T (I + W W^T)^-1 Y y.  The fundamental guard checks that
+    vector: (L_rr L_rr^T + V_r V_r^T) x_r against R_r y, with V_r read
+    where it is.  Returns (B y, relative residual); NumericalError above
+    1e-9.
+    """
+    y = np.asarray(y, dtype=float)
+    By = -(red.K_u.T @ y)
+    By[red.S_d] = y
+    rhs = By[red.r]
+    x = np.zeros((len(red.r), 1))
+    if red.G is not None:
+        k = len(red.r) - len(red.Y)
+        x[k:, 0] = red.Y @ y[red.rest]
+        _capacitance_solve(red.G, red.push, red.W, x[k:])
+        red.L.panel_solve(x, trans=True)
+    res = red.L.panel_multiply(red.L.panel_multiply(x.copy(), trans=True))
+    x = x[:, 0]
+    x_full = np.zeros(len(By))
+    x_full[red.r] = x
+    res = res[:, 0] + (red.V @ (red.V.T @ x_full))[red.r] - rhs
+    rel = _guard("fundamental-solution", res, rhs)
+    By[red.r] = x
+    return By, rel
 
 
 @dataclass(frozen=True)
 class IfuDiagnostics:
+    """What one :func:`ifu_solve` run measured.  ``fund_residual`` is the
+    fundamental guard's relative residual on the one vector of the
+    fundamental solutions that enters the answer, x_r = (B y)[r]:
+    ||(L_rr L_rr^T + V_r V_r^T) x_r - R_r y|| / ||R_r y||.
+    ``solve_residual`` is ||K_m U - F|| / ||F||.  Both are at most 1e-9,
+    or ifu_solve raises; with no unbalanced DOF, fund_residual is 0."""
+
     n_d: int
     fund_residual: float
     solve_residual: float
@@ -351,11 +550,11 @@ def ifu_solve(factor: CholeskyFactor, K_m_star: sp.spmatrix, K_m: sp.spmatrix,
             solve_residual=_guard("IFU solve", delta, F), n_coupled=0,
             capacitance_cond=1.0)
     L_mod, V = constrain_factor(factor, S_d)
-    R = constraint_rhs(K_m, S_d)
-    B, fund_rel, n_coupled, cond = _fundamental(L_mod, V, R)
-    _, _, y = reduce_unbalanced(K_m, S_d, B, delta)
-    U = U_star + B @ y
+    red = schur_reduce(L_mod, V, K_m, S_d, delta)
+    By, fund_rel = fundamental_product(red, red.y)
+    U = U_star + By
     solve_rel = _guard("IFU solve", K_m @ U - F, F)
     return U, IfuDiagnostics(n_d=len(S_d), fund_residual=fund_rel,
-                             solve_residual=solve_rel, n_coupled=n_coupled,
-                             capacitance_cond=cond)
+                             solve_residual=solve_rel,
+                             n_coupled=red.n_coupled,
+                             capacitance_cond=red.capacitance_cond)

@@ -1,3 +1,4 @@
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -10,8 +11,9 @@ from mkfree import demos, ifu, solver
 from mkfree.assembly import StiffnessSystem
 from mkfree.errors import NumericalError, ValidationError
 from mkfree.ifu import (constrain_factor, constraint_rhs,
-                        fundamental_solutions, ifu_solve, measurement,
-                        reduce_unbalanced, residual, unbalanced_set)
+                        fundamental_product, fundamental_solutions,
+                        ifu_solve, measurement, reduce_unbalanced, residual,
+                        schur_reduce, unbalanced_set)
 from mkfree.model import DofMap, MaterialModel, Modification
 from mkfree.pipeline import full_analysis, prepare_modified
 from mkfree.solver import CholeskyFactor, factorize
@@ -240,13 +242,13 @@ class TestIfuSolve:
         K_star, K_m = _modified_pair(rng, 12, [3, 7])
         F = rng.standard_normal(12)
         U_star = np.linalg.solve(K_star, F)
-        real = ifu.reduce_unbalanced
+        real = ifu.schur_reduce
 
         def perturbed(*args):
-            K_R, delta_u, y = real(*args)
-            return K_R, delta_u, y * (1.0 + 1e-6)
+            red = real(*args)
+            return dataclasses.replace(red, y=red.y * (1.0 + 1e-6))
 
-        monkeypatch.setattr(ifu, "reduce_unbalanced", perturbed)
+        monkeypatch.setattr(ifu, "schur_reduce", perturbed)
         with pytest.raises(NumericalError, match="IFU solve residual"):
             ifu_solve(_factor(K_star), sp.csr_matrix(K_star),
                       sp.csr_matrix(K_m), F, U_star)
@@ -375,13 +377,17 @@ class TestCoupledBlock:
                   np.setdiff1d(np.arange(n), changed)):
             assert np.array_equal(np.asarray(factor.reindex(r)),
                                   np.asarray(factor)[np.ix_(r, r)])
-        # the public phases find the same unit rows and the same answer
+        # the public phases find the same unit rows and the same answer,
+        # and the reference path through B agrees to roundoff
         L_mod, V = constrain_factor(factor, changed)
+        delta = residual(K_m_csr, F, U_star)
+        red = schur_reduce(L_mod, V, K_m_csr, changed, delta)
+        assert np.array_equal(U_star + fundamental_product(red, red.y)[0], U)
         B, _ = fundamental_solutions(L_mod, V,
                                      constraint_rhs(K_m_csr, changed))
-        _, _, y = reduce_unbalanced(K_m_csr, changed, B,
-                                    residual(K_m_csr, F, U_star))
-        assert np.array_equal(U_star + B @ y, U)
+        _, _, y = reduce_unbalanced(K_m_csr, changed, B, delta)
+        assert np.linalg.norm(U_star + B @ y - U) \
+            <= 1e-12 * np.linalg.norm(U)
         # the reported bound does not exceed the capacitance's condition
         r = np.setdiff1d(np.arange(n), np.union1d(changed, unit))
         W = np.linalg.solve(np.asarray(L_mod)[np.ix_(r, r)], V[r])
@@ -452,19 +458,26 @@ class TestSmw:
                          rng.standard_normal((8, n_d)), np.arange(8))
 
 
-def test_fundamental_memory_holds_the_coupled_rows_once():
-    """On a 9-node removal from a 24 x 16 plate (n_r 438 coupled rows,
-    n_d 298), the fundamental stage peaks at 5.9 blocks of n_r x n_d
-    doubles, the L_rr band (0.56) included: SMW gathers R and V at r once
-    into the block it solves, and the guard reads them where they are.
-    Copies of R_r and V_r kept beside that block peak at 7.9."""
+@pytest.fixture(scope="module")
+def plate_removal():
+    """A 9-node removal from a 24 x 16 plate: n_r 438 coupled rows and
+    n_d 298 unbalanced DOFs."""
     cloud = jittered_cloud(np.random.default_rng(5), 24, 16, jitter=0.0)
     base = full_analysis(cloud, grid_for(cloud), MaterialModel(100.0, 0.3),
                          cantilever_bc(cloud))
     i, j = np.divmod(cloud.ids, 16)
     block = (np.abs(i - 12) <= 1) & (np.abs(j - 8) <= 1)
-    case = prepare_modified(base, Modification(
+    return prepare_modified(base, Modification(
         removed_ids=frozenset(int(n) for n in cloud.ids[block])))
+
+
+def test_fundamental_memory_holds_the_coupled_rows_once(plate_removal):
+    """On the plate removal, the reference path's fundamental stage peaks
+    at 5.9 blocks of n_r x n_d doubles, the L_rr band (0.56) included: SMW
+    gathers R and V at r once into the block it solves, and the guard reads
+    them where they are.  Copies of R_r and V_r kept beside that block
+    peak at 7.9."""
+    case = plate_removal
     delta = residual(case.K_m, case.F, case.U_star)
     S_d = unbalanced_set(measurement(case.K_m, case.star.K, delta),
                          ifu_default_tol(case))
@@ -478,6 +491,123 @@ def test_fundamental_memory_holds_the_coupled_rows_once():
         tracemalloc.stop()
     assert (n_r, len(S_d)) == (438, 298)
     assert peak <= 7.0 * n_r * len(S_d) * 8
+
+
+def test_ifu_solve_memory_without_the_fundamental_solutions(plate_removal):
+    """On the plate removal, the whole of ifu_solve peaks at 9.2 blocks of
+    n_r x n_d doubles, V and both factor bands included.  Forming the
+    fundamental solutions B, with the dense n x n_d R, it peaked at 10.4."""
+    case = plate_removal
+    tracemalloc.start()
+    try:
+        _, diag = ifu_solve(case.factor, case.star.K, case.K_m, case.F,
+                            case.U_star)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (diag.n_coupled, diag.n_d) == (438, 298)
+    assert peak <= 9.6 * diag.n_coupled * diag.n_d * 8
+
+
+def _schur_case(rng, kind):
+    """(factor, K_m, S_d, delta) for TestSchurReduce: a banded SPD K*
+    (half-bandwidth 5) and a symmetric K_m that differs from it on the rows
+    and columns S_d, within the band."""
+    n, b = 60, 5
+    S_d = {"push": np.arange(40, 60), "capacitance": np.array([17, 29, 30]),
+           "lone": np.array([10, 20, 21, 22, 23, 35]),
+           "material": np.setdiff1d(np.arange(n), [0, 30]),
+           "decoupled": np.array([12, 40]),
+           "rcm": np.array([8, 9, 31, 47])}[kind]
+    K_star = _banded_spd(rng, n, b)
+    if kind == "decoupled":
+        # DOF 9 links to DOF 12 of S_d alone, with a unit diagonal: it is a
+        # unit row of the constrained factor, a decoupled row with R != 0
+        K_star[9, :] = K_star[:, 9] = 0.0
+        K_star[9, 9], K_star[9, 12] = 1.0, 0.5
+        K_star[12, 9] = 0.5
+    if kind == "material":
+        K_star = _clamped(K_star, [0, 30])
+    K_m = K_star.copy()
+    E = np.zeros((n, n))
+    for s in S_d:
+        lo, hi = max(s - b, 0), min(s + b + 1, n)
+        E[s, lo:hi] = rng.standard_normal(hi - lo)
+    K_m += E + E.T
+    K_m[S_d, S_d] += 2.0 * np.abs(E + E.T).sum(axis=1)[S_d]
+    if kind == "lone":          # DOFs 20-23 lose every link: removed nodes
+        K_m = _clamped(K_m, [20, 21, 22, 23])
+        K_m[[20, 22], [20, 22]] = 3.0
+    if kind == "material":
+        K_m = _clamped(K_m, [0, 30])
+    delta = rng.standard_normal(n)
+    if kind == "rcm":           # the same systems with shuffled DOFs
+        p = rng.permutation(n)
+        K_star, K_m = K_star[np.ix_(p, p)], K_m[np.ix_(p, p)]
+        S_d, delta = np.sort(np.argsort(p)[S_d]), delta[p]
+        factor = factorize(StiffnessSystem(
+            K=sp.csr_matrix(K_star), F=delta,
+            dof_map=DofMap(node_ids=np.arange(n), dim=1)))
+    else:
+        factor = _factor(K_star)
+    return factor, sp.csr_matrix(K_m), S_d, delta
+
+
+class TestSchurReduce:
+    """schur_reduce forms the reduced system of the reference path,
+    reduce_unbalanced on fundamental_solutions' B, without forming B, and
+    fundamental_product gives B y: both to 1e-12 relative, on either side
+    of the capacitance, with lone rows, with no coupled row reached
+    (n_r' = 0), with a decoupled row outside S_d where R is nonzero, and on
+    a reverse Cuthill-McKee ordered factor."""
+
+    @pytest.mark.parametrize("kind", ["push", "capacitance", "lone",
+                                      "material", "decoupled", "rcm"])
+    def test_matches_the_fundamental_solution_path(self, rng, kind):
+        factor, K_m, S_d, delta = _schur_case(rng, kind)
+        L_mod, V = constrain_factor(factor, S_d)
+        R = constraint_rhs(K_m, S_d)
+        B, _ = fundamental_solutions(L_mod, V, R)
+        K_R, delta_u, y = reduce_unbalanced(K_m, S_d, B, delta)
+        red = schur_reduce(L_mod, V, K_m, S_d, delta)
+
+        def close(a, b):
+            return np.linalg.norm(a - b) <= 1e-12 * np.linalg.norm(b)
+
+        rest = red.rest
+        assert close(red.K_R, K_R[np.ix_(rest, rest)])
+        assert np.array_equal(red.delta_u, delta_u)
+        assert close(red.y, y)
+        By, rel = fundamental_product(red, red.y)
+        assert close(By, B @ red.y)
+        assert rel <= 1e-12
+
+        lone = np.setdiff1d(np.arange(len(S_d)), rest)
+        assert np.array_equal(K_R[np.ix_(lone, lone)],
+                              np.diag(K_R[lone, lone]))
+        assert (len(lone) > 0) == (kind == "lone")
+        n_r_prime = len(red.Y)
+        assert (red.G is None) == (kind == "material") == (n_r_prime == 0)
+        if kind == "push":
+            assert red.push and 0 < n_r_prime < len(S_d)
+        if kind == "capacitance":
+            assert not red.push and n_r_prime >= len(S_d)
+        if kind == "decoupled":
+            assert 9 not in red.r and 9 not in S_d and R[9].any()
+        if kind == "rcm":
+            assert not np.array_equal(factor.perm, np.arange(factor.n))
+
+    def test_fundamental_guard_checks_the_answer_vector(self, rng):
+        """A stored W that no longer matches V_r gives an x_r that does not
+        solve the operator; the guard on that one vector refuses it."""
+        factor, K_m, S_d, delta = _schur_case(rng, "capacitance")
+        L_mod, V = constrain_factor(factor, S_d)
+        red = schur_reduce(L_mod, V, K_m, S_d, delta)
+        _, rel = fundamental_product(red, red.y)
+        assert rel <= 1e-12
+        bad = dataclasses.replace(red, W=red.W * (1.0 + 1e-6))
+        with pytest.raises(NumericalError, match="fundamental-solution"):
+            fundamental_product(bad, red.y)
 
 
 class TestReduceUnbalanced:
@@ -544,7 +674,9 @@ def demo_case(request):
 
 class TestDemoComposition:
     """The public phases, composed as a reader would, give ifu_solve's
-    answer bit for bit; both guards read roundoff on the demos."""
+    answer bit for bit, and the reference path through the fundamental
+    solutions B gives it to roundoff; every guard reads roundoff on the
+    demos."""
 
     def test_phases_reproduce_ifu_solve(self, demo_case):
         c = demo_case
@@ -554,10 +686,16 @@ class TestDemoComposition:
                              ifu_default_tol(c))
         assert len(S_d) == diag.n_d > 0
         L_mod, V = constrain_factor(c.factor, S_d)
+        red = schur_reduce(L_mod, V, c.K_m, S_d, delta)
+        By, fund_rel = fundamental_product(red, red.y)
+        assert np.array_equal(c.U_star + By, U)
+        assert fund_rel == diag.fund_residual
+
         R = constraint_rhs(c.K_m, S_d)
         B, rel = fundamental_solutions(L_mod, V, R)
         _, _, y = reduce_unbalanced(c.K_m, S_d, B, delta)
-        assert np.array_equal(c.U_star + B @ y, U)
+        assert np.linalg.norm(c.U_star + B @ y - U) \
+            <= 1e-12 * np.linalg.norm(U)
 
         L = np.asarray(L_mod)
         dense = L @ (L.T @ B) + V @ (V.T @ B) - R
@@ -572,8 +710,9 @@ class TestDemoComposition:
 def test_reordered_factor_gives_the_dof_order_answer(edit):
     """On a shuffled-id plate the factor is in reverse Cuthill-McKee order.
     ifu_solve with it equals ifu_solve with the DOF-order factor of the
-    same K* to roundoff, with the same unbalanced and coupled DOFs, and
-    the public phases, composed in DOF order, reproduce it bit for bit."""
+    same K* to roundoff, with the same unbalanced and coupled DOFs; the
+    public phases, composed in DOF order, reproduce it bit for bit, and
+    the reference path through B to roundoff."""
     base = full_analysis(*shuffled_plate(nx=40, ny=12))
     assert not np.array_equal(base.factor.perm, np.arange(base.factor.n))
     cloud = base.cloud
@@ -593,6 +732,8 @@ def test_reordered_factor_gives_the_dof_order_answer(edit):
     S_d = unbalanced_set(measurement(c.K_m, c.star.K, delta),
                          ifu_default_tol(c))
     L_mod, V = constrain_factor(c.factor, S_d)
+    red = schur_reduce(L_mod, V, c.K_m, S_d, delta)
+    assert np.array_equal(c.U_star + fundamental_product(red, red.y)[0], U)
     B, _ = fundamental_solutions(L_mod, V, constraint_rhs(c.K_m, S_d))
     _, _, y = reduce_unbalanced(c.K_m, S_d, B, delta)
-    assert np.array_equal(c.U_star + B @ y, U)
+    assert np.linalg.norm(c.U_star + B @ y - U) <= 1e-12 * np.linalg.norm(U)
