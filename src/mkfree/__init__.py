@@ -4,13 +4,27 @@ methods) for locally modified node clouds."""
 
 import os as _os
 
-# MESHLESS_THREADS caps the BLAS/OpenMP worker count; it must be applied
-# before numpy initializes its thread pools, hence here at package import.
-_t = _os.environ.get("MESHLESS_THREADS")
+
+def _positive(value: str | None) -> int | None:
+    """``value`` as a positive integer, or None."""
+    try:
+        n = int(value)
+    except (TypeError, ValueError):
+        return None
+    return n if n > 0 else None
+
+
+# MESHLESS_THREADS caps the BLAS/OpenMP worker count: each pool variable
+# becomes the smaller of its own positive value and the cap.  A pool reads
+# its variable when its library loads, so this caps only the libraries
+# loaded after this package (numpy imported first keeps its pool).  A cap
+# that is not a positive integer is ignored.
+_t = _positive(_os.environ.get("MESHLESS_THREADS"))
 if _t:
     for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
                  "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS"):
-        _os.environ.setdefault(_var, _t)
+        _os.environ[_var] = str(min(_t, _positive(_os.environ.get(_var))
+                                    or _t))
 
 from .config import DEFAULT_CONFIG, MeshlessConfig
 from .errors import (ConditioningError, MkfreeError, NumericalError,

@@ -10,7 +10,8 @@ Commands::
 
 Exit codes: 0 ok, 2 validation error, 3 numerical error, 4 I/O or parse
 error.  The environment variable MESHLESS_THREADS caps the BLAS/OpenMP
-worker count (applied at package import).
+worker count of the libraries loaded after the package (applied at
+package import; numpy imported first keeps its own pool).
 
 CSV schemas (each file starts with a ``# mkfree-csv <name> v1`` line, then
 a header row):

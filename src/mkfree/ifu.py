@@ -41,12 +41,25 @@ oracle.
 rows r are re-indexed out of that copy (:meth:`CholeskyFactor.unit_rows`,
 :meth:`CholeskyFactor.reindex`), and the triangular solves and products
 go by panels of the band.  No n x n array is built, and R_r and V_r are
-gathered once, into the block the forward solve overwrites; the Schur
+gathered once, into the blocks the forward solve overwrites; the Schur
 phase gathers R_r straight from the sparse K_m.  The factor may hold its
 rows in its own order (``CholeskyFactor.perm``), and the phases do not
 depend on it: every array they take and give is by DOF, as K_m is, and
 only the coupled rows r are listed in the factor's order, so that L_rr
 is lower triangular on a band.
+
+One BLAS: every dense product, factorization and norm goes through
+scipy's BLAS and LAPACK (``scipy.linalg.blas``, ``scipy.linalg.lapack``,
+``scipy.linalg``), as the panel kernels do, and none through numpy's
+``@``, ``dot`` or ``numpy.linalg``.  numpy and scipy each bundle their own
+OpenBLAS, whose worker threads keep spinning for a while after a call, so
+calls that alternate between the two make the pools fight over the cores:
+on 2 cores a 300 x 300 product took 0.7-1.0 ms from either library alone
+and 6 ms when the two alternated, and ifu_solve on a 9-node removal of a
+48 x 30 plate took 0.16 s, against 0.08 s on scipy's BLAS alone.  scipy's
+wrappers copy an operand that is not Fortran-ordered, so R_r and V_r are
+two C-ordered blocks, each panel-solved in place into Y and W, and the
+products take their Fortran-ordered transposes.
 
 Guards: a singular capacitance raises.  The fundamental guard checks the
 vector that enters the answer, x_r = (B y)[r], against the operator SMW
@@ -69,7 +82,8 @@ from numbers import Real
 import numpy as np
 import scipy.sparse as sp
 from scipy.linalg import LinAlgError, cho_solve, cholesky
-from scipy.linalg.blas import dtrsm
+from scipy.linalg.blas import dgemm, dgemv, dnrm2, dsyrk, dtrsm
+from scipy.linalg.lapack import dgesv
 
 from .errors import NumericalError, ValidationError
 from .solver import CholeskyFactor
@@ -99,9 +113,14 @@ _RESIDUAL_TOL = 1e-9
 _V_BLOCK = 128
 
 
+def _norm(a: np.ndarray) -> float:
+    """2-norm of all the entries of ``a`` by ``dnrm2``; 0 when empty."""
+    return float(dnrm2(a.ravel())) if a.size else 0.0
+
+
 def _guard(what: str, res: np.ndarray, ref: np.ndarray) -> float:
     """Relative residual ||res|| / ||ref||; NumericalError above 1e-9."""
-    rel = float(np.linalg.norm(res) / max(np.linalg.norm(ref), 1e-300))
+    rel = _norm(res) / max(_norm(ref), 1e-300)
     if not rel <= _RESIDUAL_TOL:
         raise NumericalError(
             f"{what} residual {rel:.2e} exceeds {_RESIDUAL_TOL:.0e}; fall "
@@ -203,27 +222,28 @@ def _coupled(L_mod: CholeskyFactor, V: np.ndarray):
     return r, L_mod.reindex(r)
 
 
-def _forward(L: CholeskyFactor, YW: np.ndarray, n_d: int):
-    """SMW's forward stage on the C-ordered block YW = [R_r V_r], V_r its
-    last n_d columns, in place: one forward panel solve gives [Y W] with
-    Y = L^-1 R_r and W = L^-1 V_r.  Rows of [R_r V_r] above its first
-    nonzero row k give zero rows of Y and W, so the dense work runs on the
-    n_r' = n_r - k rows below.  The capacitance is factored on the smaller
-    side, G G^T = I + W W^T (n_r' x n_r', the push-through side) when
-    n_r' < n_d, else I + W^T W (n_d x n_d); either is SPD.  Returns (k, G,
-    push); with n_r' = 0 (as on a material-only change) nothing is solved
-    or factored and G is None."""
-    n_r = YW.shape[0]
-    k = int(np.append(YW.any(axis=1), True).argmax())
+def _forward(L: CholeskyFactor, Y: np.ndarray, W: np.ndarray):
+    """SMW's forward stage on the C-ordered blocks Y = R_r and W = V_r, in
+    place: a forward panel solve of each gives Y = L^-1 R_r and
+    W = L^-1 V_r.  Rows of [R_r V_r] above its first nonzero row k give
+    zero rows of Y and W, so the dense work runs on the n_r' = n_r - k rows
+    below.  The capacitance is factored on the smaller side,
+    G G^T = I + W W^T (n_r' x n_r', the push-through side) when n_r' < n_d,
+    else I + W^T W (n_d x n_d); either is SPD.  Returns (k, G, push); with
+    n_r' = 0 (as on a material-only change) nothing is solved or factored
+    and G is None."""
+    n_r, n_d = W.shape
+    k = int(np.append(Y.any(axis=1) | W.any(axis=1), True).argmax())
     if k == n_r:
         return k, None, False
-    L.panel_solve(YW)
-    W = YW[k:, YW.shape[1] - n_d:]
+    L.panel_solve(Y)
+    L.panel_solve(W)
     push = n_r - k < n_d
-    C = W @ W.T if push else W.T @ W
+    C = dsyrk(1.0, W[k:].T, trans=push, lower=1)
+    C += np.tril(C, -1).T       # mirror the lower triangle dsyrk formed
     C.flat[::len(C) + 1] += 1.0
-    try:        # C is symmetric, so C^T is the Fortran array LAPACK overwrites
-        G = cholesky(C.T, lower=True, overwrite_a=True, check_finite=False)
+    try:
+        G = cholesky(C, lower=True, overwrite_a=True, check_finite=False)
     except LinAlgError as exc:
         raise NumericalError(
             "SMW capacitance matrix is singular; fall back to a full "
@@ -233,14 +253,16 @@ def _forward(L: CholeskyFactor, YW: np.ndarray, n_d: int):
 
 def _capacitance_solve(G: np.ndarray, push: bool, W: np.ndarray,
                        X: np.ndarray) -> np.ndarray:
-    """X <- (I + W W^T)^-1 X in place, for a C-ordered X on W's rows: two
-    triangular solves with G on the push-through side, else
-    X - W (I + W^T W)^-1 W^T X."""
+    """X <- (I + W W^T)^-1 X in place, for a C-ordered X on the rows of the
+    C-ordered W: two triangular solves with G on the push-through side,
+    else X - W (I + W^T W)^-1 W^T X."""
     if push:        # X^T <- X^T (G G^T)^-1 by two triangular solves
         dtrsm(1.0, G, X.T, side=1, lower=1, trans_a=1, overwrite_b=1)
         dtrsm(1.0, G, X.T, side=1, lower=1, overwrite_b=1)
-    else:
-        X -= W @ cho_solve((G, True), W.T @ X, check_finite=False)
+    else:           # X^T -= T^T W^T with T = (G G^T)^-1 W^T X
+        T = cho_solve((G, True), dgemm(1.0, W.T, X.T, trans_b=1),
+                      overwrite_b=True, check_finite=False)
+        dgemm(-1.0, T, W.T, 1.0, X.T, trans_a=1, overwrite_c=1)
     return X
 
 
@@ -255,22 +277,17 @@ def _cond(G: np.ndarray | None) -> float:
 
 def _smw(L: CholeskyFactor, V: np.ndarray, R: np.ndarray, r: np.ndarray):
     """Solve (L L^T + V_r V_r^T) X = R_r through SMW for lower-triangular L,
-    with R_r = R[r] and V_r = V[r] gathered once into the block that
-    :func:`_forward` overwrites with [Y W]; then
+    with R_r = R[r] and V_r = V[r] gathered once into the blocks that
+    :func:`_forward` overwrites with Y and W; then
     X = L^-T (I + W W^T)^-1 Y by :func:`_capacitance_solve` and one back
-    panel solve.  Returns X and the capacitance bound of :func:`_cond`;
-    X is zero when n_r' = 0."""
-    n_r, n_d = len(r), R.shape[1]
-    YW = np.empty((n_r, 2 * n_d))
-    YW[:, :n_d] = R[r]
-    YW[:, n_d:] = V[r]
-    k, G, push = _forward(L, YW, n_d)
-    X = np.zeros((n_r, n_d))
+    panel solve, in Y's block.  Returns X and the capacitance bound of
+    :func:`_cond`; X is zero when n_r' = 0."""
+    Y, W = R[r], V[r]
+    k, G, push = _forward(L, Y, W)
     if G is not None:
-        X[k:] = YW[k:, :n_d]
-        _capacitance_solve(G, push, YW[k:, n_d:], X[k:])
-        L.panel_solve(X, trans=True)
-    return X, _cond(G)
+        _capacitance_solve(G, push, W[k:], Y[k:])
+        L.panel_solve(Y, trans=True)
+    return Y, _cond(G)
 
 
 def _add_outer(out: np.ndarray, V: np.ndarray, r: np.ndarray, B: np.ndarray):
@@ -289,7 +306,9 @@ def _add_outer(out: np.ndarray, V: np.ndarray, r: np.ndarray, B: np.ndarray):
         rows = np.flatnonzero(Vb.any(axis=1))
         if len(rows):
             lo, hi = rows[0], rows[-1] + 1
-            out[lo:hi] += Vb[lo:hi] @ (Vb[lo:hi].T @ B[lo:hi])
+            Vb = Vb[lo:hi]      # out^T += (V_b^T B)^T V_b^T
+            dgemm(1.0, dgemm(1.0, Vb.T, B[lo:hi].T, trans_b=1), Vb.T, 1.0,
+                  out[lo:hi].T, trans_a=1, overwrite_c=1)
 
 
 def _fundamental(L_mod: CholeskyFactor, V: np.ndarray, R: np.ndarray):
@@ -345,9 +364,12 @@ def _solve_reduced(K_ss, K_rest, delta_u, lone, rest, K_rest_lone=None):
             raise LinAlgError("a lone diagonal is zero")
         y[lone] = delta_u[lone] / K_ss
         b = delta_u[rest]
-        if K_rest_lone is not None:
-            b = b - K_rest_lone @ y[lone]
-        y[rest] = np.linalg.solve(K_rest, b)
+        if K_rest_lone is not None and K_rest_lone.size:
+            b = dgemv(-1.0, K_rest_lone.T, y[lone], 1.0, b, trans=1)
+        if len(rest):
+            _, _, y[rest], info = dgesv(K_rest, b)
+            if info:
+                raise LinAlgError("K_R is singular")
     except LinAlgError as exc:
         raise NumericalError(
             "reduced unbalanced system is singular; the modification likely "
@@ -395,8 +417,8 @@ class SchurReduction:
     rows S_d of K_m; ``r`` lists the coupled rows in the factor's order and
     ``L`` is L_rr.  ``Y`` = L_rr^-1 R_r on the rest columns and
     ``W`` = L_rr^-1 V_r hold the n_r' rows below the first nonzero row of
-    [R_r V_r], and ``G`` is the capacitance factor on the side ``push``
-    names, None when n_r' = 0.
+    [R_r V_r], each C-ordered, and ``G`` is the capacitance factor on the
+    side ``push`` names, None when n_r' = 0.
     """
 
     S_d: np.ndarray
@@ -425,6 +447,24 @@ class SchurReduction:
         return _cond(self.G)
 
 
+def _subtract_coupled(K_R: np.ndarray, G: np.ndarray, push: bool,
+                      Y: np.ndarray, W: np.ndarray):
+    """K_R -= Y^T (I + W W^T)^-1 Y in place: Z^T Z with Z = G^-1 Y on the
+    push-through side, else Y^T Y - P^T P with P = G^-1 W^T Y.  ``dsyrk``
+    forms the upper triangle of the product, and both triangles of K_R take
+    it; the temporaries are freed before :func:`_solve_reduced` copies K_R
+    for its LU."""
+    if push:        # Z^T = Y^T G^-T
+        S = dsyrk(1.0, dtrsm(1.0, G, Y.T, side=1, lower=1, trans_a=1))
+    else:           # P^T = Y^T W G^-T
+        P_T = dtrsm(1.0, G, dgemm(1.0, Y.T, W.T, trans_b=1), side=1,
+                    lower=1, trans_a=1, overwrite_b=1)
+        S = dsyrk(-1.0, P_T, 1.0, dsyrk(1.0, Y.T), overwrite_c=1)
+    K_R -= S                # S holds zeros below its diagonal
+    np.fill_diagonal(S, 0.0)
+    K_R -= S.T
+
+
 def schur_reduce(L_mod: CholeskyFactor, V: np.ndarray, K_m: sp.spmatrix,
                  S_d: np.ndarray, delta: np.ndarray) -> SchurReduction:
     """The reduced system K_R y = delta_u of :func:`reduce_unbalanced`,
@@ -439,7 +479,8 @@ def schur_reduce(L_mod: CholeskyFactor, V: np.ndarray, K_m: sp.spmatrix,
     side, else Y^T Y - P^T P with P = G^-1 W^T Y.  A lone row of K_u has
     a zero column of R off its own diagonal, so Y holds only the rest
     columns, R_r is gathered from K_u straight into the block the forward
-    solve overwrites, and K_R is formed on the rest rows only.
+    solve overwrites, and K_R is formed on the rest rows only.  When
+    every row is lone, R_r is zero and nothing is solved or factored.
     NumericalError when the capacitance or K_R is singular.
     """
     K_u, diag, lone, rest = _unbalanced_rows(K_m, S_d)
@@ -453,22 +494,14 @@ def schur_reduce(L_mod: CholeskyFactor, V: np.ndarray, K_m: sp.spmatrix,
     if Ko.nnz:
         Koo = (Ko @ Ko.T).tocoo()       # K_u[:, o] R[o], R[o] = -K_u[:, o]^T
         np.subtract.at(K_R, (Koo.row, Koo.col), Koo.data)
-    m, n_d = len(rest), len(S_d)
-    YW = np.zeros((len(r), m + n_d))
+    Y = np.zeros((len(r), len(rest)))
     A = K_rest[:, r].tocoo()
-    YW[A.col, A.row] = -A.data
-    YW[:, m:] = V[r]
-    k, G, push = _forward(L, YW, n_d)
-    Y, W = YW[k:, :m], YW[k:, m:]
+    Y[A.col, A.row] = -A.data
+    W = V[r]
+    k, G, push = _forward(L, Y, W) if len(rest) else (len(r), None, False)
+    Y, W = Y[k:], W[k:]
     if G is not None:
-        if push:    # Z^T = Y^T G^-T
-            Z_T = dtrsm(1.0, G, Y.T, side=1, lower=1, trans_a=1)
-            K_R -= Z_T @ Z_T.T
-        else:       # P^T = Y^T W G^-T
-            P_T = Y.T @ W
-            dtrsm(1.0, G, P_T.T, lower=1, overwrite_b=1)
-            K_R -= Y.T @ Y
-            K_R += P_T @ P_T.T
+        _subtract_coupled(K_R, G, push, Y, W)
     y = _solve_reduced(diag[lone], K_R, delta_u, lone, rest)
     return SchurReduction(S_d=S_d, rest=rest, K_R=K_R, delta_u=delta_u, y=y,
                           K_u=K_u, V=V, r=r, L=L, Y=Y, W=W, G=G, push=push)
@@ -491,14 +524,15 @@ def fundamental_product(red: SchurReduction, y: np.ndarray):
     x = np.zeros((len(red.r), 1))
     if red.G is not None:
         k = len(red.r) - len(red.Y)
-        x[k:, 0] = red.Y @ y[red.rest]
+        x[k:, 0] = dgemv(1.0, red.Y.T, y[red.rest], trans=1)
         _capacitance_solve(red.G, red.push, red.W, x[k:])
         red.L.panel_solve(x, trans=True)
     res = red.L.panel_multiply(red.L.panel_multiply(x.copy(), trans=True))
     x = x[:, 0]
     x_full = np.zeros(len(By))
     x_full[red.r] = x
-    res = res[:, 0] + (red.V @ (red.V.T @ x_full))[red.r] - rhs
+    VVx = dgemv(1.0, red.V.T, dgemv(1.0, red.V.T, x_full), trans=1)
+    res = res[:, 0] + VVx[red.r] - rhs
     rel = _guard("fundamental-solution", res, rhs)
     By[red.r] = x
     return By, rel

@@ -5,7 +5,11 @@ wrong type given to a public constructor or method raises ValidationError."""
 
 import importlib
 import importlib.util
+import json
+import os
 import pkgutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -78,3 +82,30 @@ _WRONG_TYPES = {
 def test_wrong_typed_value_is_validation_error(notch_case, call):
     with pytest.raises(ValidationError):
         call(notch_case)
+
+
+_POOLS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
+          "NUMEXPR_NUM_THREADS")
+
+
+@pytest.mark.parametrize("cap, preset, expected", [
+    ("1", "4", "1"), ("4", "2", "2"), ("2", None, "2"), ("2", "all", "2"),
+    ("0", "3", "3"), ("two", None, None),
+])
+def test_meshless_threads_caps_every_pool_variable(cap, preset, expected):
+    """Importing mkfree lowers each BLAS/OpenMP pool variable to at most
+    MESHLESS_THREADS: a larger value already set is lowered, a smaller one
+    kept, and an unset one, or one that is not a positive integer, set.  A
+    cap that is not a positive integer is ignored."""
+    env = {k: v for k, v in os.environ.items() if k not in _POOLS}
+    src = str(Path(mkfree.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    env["MESHLESS_THREADS"] = cap
+    if preset is not None:
+        env.update(dict.fromkeys(_POOLS, preset))
+    code = ("import json, os, mkfree; "
+            f"print(json.dumps([os.environ.get(v) for v in {_POOLS!r}]))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True, timeout=120)
+    assert json.loads(out.stdout) == [expected] * len(_POOLS)

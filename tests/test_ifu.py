@@ -509,6 +509,56 @@ def test_ifu_solve_memory_without_the_fundamental_solutions(plate_removal):
     assert peak <= 9.6 * diag.n_coupled * diag.n_d * 8
 
 
+@pytest.fixture(scope="module")
+def plate_cutout():
+    """A 25 % elliptical cut-out of a 40 x 24 plate: n_r 608 coupled rows
+    against n_d 1264 unbalanced DOFs, so SMW runs on the push-through
+    side."""
+    cloud = jittered_cloud(np.random.default_rng(5), 40, 24, jitter=0.0)
+    base = full_analysis(cloud, grid_for(cloud), MaterialModel(100.0, 0.3),
+                         cantilever_bc(cloud))
+    x, y = cloud.coords.T
+    inside = ((x - 19.5) / 11.5) ** 2 + ((y - 11.5) / 6.6) ** 2 < 1.0
+    return prepare_modified(base, Modification(
+        removed_ids=frozenset(int(n) for n in cloud.ids[inside])))
+
+
+def test_ifu_solve_memory_on_the_push_through_side(plate_cutout):
+    """On the cut-out, the whole of ifu_solve peaks at 8.88 blocks of
+    n_r x n_d doubles, at the Schur product Z^T Z, and the bound leaves
+    4.7 % over that.  A copy of an operand there, such as Z in C order for
+    dsyrk, adds 0.6 blocks."""
+    case = plate_cutout
+    tracemalloc.start()
+    try:
+        _, diag = ifu_solve(case.factor, case.star.K, case.K_m, case.F,
+                            case.U_star)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (diag.n_coupled, diag.n_d) == (608, 1264)
+    assert peak <= 9.3 * diag.n_coupled * diag.n_d * 8
+
+
+def _refuse_numpy_linalg(monkeypatch):
+    """Make numpy's own LAPACK entry points raise: IFU's dense algebra runs
+    on scipy's BLAS and LAPACK alone."""
+    def refused(*args, **kwargs):
+        raise AssertionError("numpy.linalg called on IFU's path")
+
+    for name in ("solve", "cholesky", "inv"):
+        monkeypatch.setattr(np.linalg, name, refused)
+
+
+@pytest.mark.parametrize("edit", ["plate_removal", "plate_cutout"])
+def test_ifu_solve_without_numpy_linalg(request, monkeypatch, edit):
+    case = request.getfixturevalue(edit)
+    _refuse_numpy_linalg(monkeypatch)
+    _, diag = ifu_solve(case.factor, case.star.K, case.K_m, case.F,
+                        case.U_star)
+    assert diag.n_d > 0 and diag.solve_residual <= 1e-9
+
+
 def _schur_case(rng, kind):
     """(factor, K_m, S_d, delta) for TestSchurReduce: a banded SPD K*
     (half-bandwidth 5) and a symmetric K_m that differs from it on the rows
@@ -596,6 +646,17 @@ class TestSchurReduce:
             assert 9 not in red.r and 9 not in S_d and R[9].any()
         if kind == "rcm":
             assert not np.array_equal(factor.perm, np.arange(factor.n))
+
+    @pytest.mark.parametrize("kind", ["push", "capacitance"])
+    def test_blocks_reach_blas_uncopied(self, rng, kind):
+        """Y and W are C-ordered, so Y^T and W^T, the Fortran-ordered
+        operands of every product, reach BLAS without a copy, and so does
+        the Fortran-ordered G."""
+        factor, K_m, S_d, delta = _schur_case(rng, kind)
+        L_mod, V = constrain_factor(factor, S_d)
+        red = schur_reduce(L_mod, V, K_m, S_d, delta)
+        assert red.Y.flags.c_contiguous and red.W.flags.c_contiguous
+        assert red.G.flags.f_contiguous
 
     def test_fundamental_guard_checks_the_answer_vector(self, rng):
         """A stored W that no longer matches V_r gives an x_r that does not
@@ -703,6 +764,12 @@ class TestDemoComposition:
         assert rel <= 1e-12
         assert diag.fund_residual <= 1e-12
         assert diag.solve_residual <= 1e-9
+
+    def test_ifu_solve_without_numpy_linalg(self, demo_case, monkeypatch):
+        c = demo_case
+        _refuse_numpy_linalg(monkeypatch)
+        _, diag = ifu_solve(c.factor, c.star.K, c.K_m, c.F, c.U_star)
+        assert diag.n_d > 0 and diag.solve_residual <= 1e-9
 
 
 
