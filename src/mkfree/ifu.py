@@ -143,13 +143,14 @@ def measurement(K_m: sp.spmatrix, K_m_star: sp.spmatrix, delta: np.ndarray
 
 def unbalanced_set(meas: np.ndarray, tol: float) -> np.ndarray:
     """Ascending indices of the DOFs whose measurement exceeds ``tol``;
-    ValidationError unless ``tol`` is a real number with 0 <= tol < inf.
+    ValidationError unless ``tol`` is a real, not a bool, in [0, inf).
 
     The tolerance policy lives in :func:`default_tol`, whose scale-aware
     threshold keeps floating-point assembly noise out of the set.
     """
     meas = np.asarray(meas, dtype=float)
-    if not (isinstance(tol, Real) and 0.0 <= tol < np.inf):
+    if isinstance(tol, bool) or not (isinstance(tol, Real)
+                                     and 0.0 <= tol < np.inf):
         raise ValidationError(
             f"IFU tolerance must be a finite nonnegative number, got {tol!r}")
     return np.where(np.abs(meas) > tol)[0]
@@ -294,13 +295,14 @@ def _add_outer(out: np.ndarray, V: np.ndarray, r: np.ndarray, B: np.ndarray):
     """out += V[r] (V[r]^T B) by blocks of ``_V_BLOCK`` columns of V, each
     gathered at r, over the rows it touches.  V holds factor columns, each
     nonzero only in the band below its own factor row, so in DOF order,
-    where V's columns (S_d ascending) follow r, a block's rows are few.  In
-    another factor order a block's columns can lie anywhere in r and its
-    rows can span most of r.  On a shuffled-id 48 x 30 plate in reverse
-    Cuthill-McKee order (band 500; 40- and 150-node removals) this product
-    took 27 and 75 ms of a 0.55 and 0.89 s ifu_solve, and blocks taken in
-    factor order would save at most 2 and 15 ms of it, so the blocks stay
-    in V's order."""
+    where V's columns (S_d ascending) follow r, a block's rows are few,
+    and a lift keeps r in the baseline's order (the DOFs an insertion adds
+    go last, and are never coupled).  In another factor order a block's
+    columns can lie anywhere in r and its rows can span most of r.  On a
+    shuffled-id 48 x 30 plate in reverse Cuthill-McKee order (band 500;
+    40- and 150-node removals) this product took 27 and 75 ms of a 0.55
+    and 0.89 s ifu_solve, and blocks taken in factor order would save at
+    most 2 and 15 ms of it, so the blocks stay in V's order."""
     for j in range(0, V.shape[1], _V_BLOCK):
         Vb = V[r, j:j + _V_BLOCK]
         rows = np.flatnonzero(Vb.any(axis=1))

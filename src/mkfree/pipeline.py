@@ -105,8 +105,8 @@ def _lift(baseline: Baseline, dof_map: DofMap, mat: MaterialModel):
     with columns perm[indices], in the same order.  K* is the lifted
     BC-applied K plus a unit diagonal on the uncarried DOFs, so BCs are
     not applied again, and :meth:`CholeskyFactor.embed` gives its factor:
-    the initial DOFs in the initial factor's order, each uncarried unit
-    DOF right after its predecessor in union DOF order.
+    the initial band padded with unit columns, the initial DOFs in the
+    initial factor's order and the uncarried ones after them.
 
     Returns the lifted BC-applied system, raw K, factor and displacement;
     with no added node the matrices and the factor are returned uncopied,

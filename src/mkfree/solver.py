@@ -17,11 +17,11 @@ of them goes through :meth:`CholeskyFactor.panel_solve`, and a block
 product with L or L^T through :meth:`CholeskyFactor.panel_multiply`, both
 level-3 BLAS on panels of the band.  Reanalysis reads the factor by DOF,
 whatever its order, through its ``columns``, ``constrained`` and
-``unit_rows`` methods, and moves it to another DOF set through
-``reindex`` and ``embed``: IFU takes the coupled rows of a constrained
-factor, and a node insertion embeds the initial factor in the union DOF
-space.  None of them builds a dense n x n matrix; ``np.asarray(factor)``
-(its ``__array__``) is the one dense view, for tests.
+``unit_rows`` methods, and moves it to another DOF set: IFU drops all but
+the coupled rows of a constrained factor (``reindex``), and a node
+insertion pads the band with unit columns for the DOFs it adds
+(``embed``).  None of them builds a dense n x n matrix;
+``np.asarray(factor)`` (its ``__array__``) is the one dense view, for tests.
 """
 
 from __future__ import annotations
@@ -231,62 +231,58 @@ class CholeskyFactor:
 
     def reindex(self, src: np.ndarray) -> "CholeskyFactor":
         """R with R[t', t] = A[src[t'], src[t]] for A = ``np.asarray(self)``,
-        and a decoupled unit DOF t where ``src[t] < 0``, on a band as wide as
-        its nonzeros, in the order ``src`` lists (DOF order).
+        on a band as wide as its nonzeros, in the order ``src`` lists (DOF
+        order).
 
         ``src`` must list DOFs in the factor's order, increasing factor rows
-        on its kept entries (ValueError otherwise), so entry (t', t) with
-        t < t' comes from below L's diagonal: R is lower triangular, and
-        R R^T is L L^T re-indexed alike.  So R is the Cholesky factor of
-        that matrix when no column ``src`` drops has an entry in a row it
-        keeps: the coupled rows of a constrained factor, or an insertion of
-        unit DOFs (Davis & Hager, SIAM J. Matrix Anal. Appl. 20(3), 1999).
-        A kept gap between factor rows is at least t' - t less the unit DOFs
-        between, and L has no gap past w - 1, so R has at most
-        w + (unit DOFs) diagonals: each is one gather from the flat band,
-        kept where the gap is in 1..w - 1 (a unit DOF, at column -w, puts
-        all its gaps outside).
+        (ValueError otherwise), so entry (t', t) with t < t' comes from below
+        L's diagonal: R is lower triangular, and R R^T is L L^T re-indexed
+        alike.  So R is the Cholesky factor of that matrix when no column
+        ``src`` drops has an entry in a row it keeps, as for the coupled
+        rows of a constrained factor (Davis & Hager, SIAM J. Matrix Anal.
+        Appl. 20(3), 1999).  A kept gap between factor rows is at least
+        t' - t, and L has no gap past w - 1, so R has at most w diagonals:
+        each is one gather from the flat band, kept where the gap is below
+        w.
         """
         w, n = self.ab.shape
         src = np.asarray(src, dtype=np.intp)
-        unit = src < 0
-        wrong = ValueError(f"src must list DOFs < {n}, increasing in the "
-                           f"factor's order where >= 0")
-        if src.ndim != 1 or np.any(src >= n):
+        wrong = ValueError(f"src must list DOFs in range({n}), increasing "
+                           f"in the factor's order")
+        if src.ndim != 1 or np.any((src < 0) | (src >= n)):
             raise wrong
-        kept = self._rows(src[~unit])
-        if np.any(np.diff(kept) <= 0):
+        rows = self._rows(src)
+        if np.any(np.diff(rows) <= 0):
             raise wrong
         N = len(src)
-        out = np.zeros((min(w + N - len(kept), N) if len(kept) > 1 else 1, N))
-        out[0] = 1.0
-        out[0, ~unit] = self.ab[0, kept]
+        out = np.zeros((max(min(w, N), 1), N))
+        out[0] = self.ab[0, rows]
         ab = self.ab if self.ab.flags.forc else np.ascontiguousarray(self.ab)
         flat = ab.ravel("K")                # ab[g, c] at g step + c stride
         step, stride = (s // ab.itemsize for s in ab.strides)
-        col = np.full(N, -w)
-        col[~unit] = kept
-        off = col * stride
+        off = rows * stride
         for e in range(1, out.shape[0]):
-            gap = col[e:] - col[:N - e]
+            gap = rows[e:] - rows[:N - e]
             np.copyto(out[e, :N - e],
                       flat.take(gap * step + off[:N - e], mode="clip"),
-                      where=(gap > 0) & (gap < w))
+                      where=gap < w)
         return CholeskyFactor(
             ab=out[:np.flatnonzero(out.any(axis=1)).max(initial=0) + 1])
 
     def embed(self, dofs: np.ndarray, N: int) -> "CholeskyFactor":
         """The factor of the N x N matrix that holds K at ``dofs`` (K's DOF j
-        at DOF dofs[j]) and a unit diagonal on the other DOFs.  K's DOFs keep
-        this factor's order, and each unit DOF goes right after its
-        predecessor among the N, so a factor in DOF order embeds in DOF
-        order."""
-        src = np.full(N, -1)            # K's DOF at each of the N, or -1
-        src[dofs] = np.arange(self.n)
-        row = np.where(src >= 0, self._rows(src), -1)
-        last = np.maximum.accumulate(np.where(src >= 0, np.arange(N), -1))
-        order = np.argsort(np.where(last >= 0, row[last], -1), kind="stable")
-        return CholeskyFactor(ab=self.reindex(src[order]).ab, perm=order)
+        at DOF dofs[j]) and a unit diagonal on the other DOFs: this band,
+        whose entries past its last row are zero (every band here holds
+        zeros there), padded with unit columns and copied column-major, the
+        layout LAPACK's banded solve reads uncopied.  Its order is
+        ``dofs[perm]``, then the other DOFs in ascending order: a unit
+        column has no entry below its diagonal, so the band keeps its width
+        wherever the unit DOFs sit in DOF order."""
+        ab = np.zeros((self.ab.shape[0], N), order="F")
+        ab[0] = 1.0
+        ab[:, :self.n] = self.ab
+        return CholeskyFactor(ab=ab, perm=np.concatenate(
+            [dofs[self.perm], np.delete(np.arange(N), dofs)]))
 
     def apply_inverse(self, rhs: np.ndarray) -> np.ndarray:
         """K^-1 rhs through the two banded triangular solves, ``rhs`` and

@@ -505,3 +505,14 @@ class TestDemoScript:
         assert main(["reanalyze", str(out / "notch_fill.json"),
                      str(out / "notch_fill.mod.json"), "--method", "ifu",
                      "--compare", "-o", str(tmp_path / "re")]) == 0
+
+
+def test_code_line_count_skips_blank_comment_and_docstring_lines():
+    """scripts/code_lines.py counts a line when it holds code: a string
+    that is its own statement is a docstring, any other string is code."""
+    script = Path(__file__).resolve().parents[1] / "scripts" / "code_lines.py"
+    code_lines = runpy.run_path(str(script))["code_lines"]
+    source = ('"""Module\ndoc."""\n\nimport os  # why\n\n# note\n'
+              'def f(a,\n      b):\n    """Doc."""\n'
+              '    s = """not\n    a doc"""\n    return a\n')
+    assert code_lines(source) == 6

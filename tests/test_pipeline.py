@@ -334,6 +334,30 @@ def test_reanalysis_of_a_reordered_baseline(monkeypatch, edit):
     assert diag["rank"] >= 1 and np.all(np.isfinite(U))
 
 
+@pytest.mark.parametrize("ids", ["interleaved-2d", "interleaved-3d",
+                                 "shuffled-interleaved"])
+def test_insertion_lift_pads_the_baseline_band(small_model, ids):
+    """An insertion's lifted factor is the baseline's band, bit for bit
+    and no wider, copied column-major so that CA's banded solves read it
+    uncopied, and padded with unit columns: its order is the baseline's
+    DOFs in the baseline's order, then the inserted DOFs in ascending
+    order, wherever their ids sort among the initial ones."""
+    model, mod = {"interleaved-2d": lambda: _interleaved_2d(small_model),
+                  "interleaved-3d": _interleaved_3d,
+                  "shuffled-interleaved": lambda: _shuffled_edit(
+                      "interleaved")}[ids]()
+    base = full_analysis(*model)
+    case = prepare_modified(base, mod)
+    ab, n = case.factor.ab, base.factor.n
+    assert ab.shape[0] == base.factor.ab.shape[0]
+    assert ab.flags.f_contiguous
+    assert np.array_equal(ab[:, :n], base.factor.ab)
+    dofs = case.dof_map.dofs_of(base.cloud.ids)
+    added = case.dof_map.dofs_of(np.sort(mod.added_ids))
+    assert np.array_equal(case.factor.perm,
+                          np.concatenate([dofs[base.factor.perm], added]))
+
+
 def _coo_lift(A, perm, unit):
     """The lift P A P^T + ``unit`` through a COO scatter, the reference for
     the CSR arrays :func:`pipeline._lift` builds directly."""
@@ -732,11 +756,11 @@ def notch_case():
     return prepare_modified(full_analysis(cloud, grid, mat, bc), mod)
 
 
-@pytest.mark.parametrize("tol", [-1.0, np.nan, np.inf])
+@pytest.mark.parametrize("tol", [-1.0, np.nan, np.inf, True, False])
 def test_ifu_tolerance_is_checked(notch_case, tol):
-    """A negative, NaN or infinite IFU tolerance is a ValidationError, not
-    a plain ValueError or an empty unbalanced set reported as a numerical
-    failure."""
+    """A negative, NaN, infinite or bool IFU tolerance is a ValidationError,
+    not a plain ValueError, an empty unbalanced set reported as a
+    numerical failure, or a bool read as 1.0 or 0.0."""
     with pytest.raises(ValidationError, match="IFU tolerance"):
         run_ifu(notch_case, tol)
 
